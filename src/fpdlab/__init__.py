@@ -2,7 +2,7 @@
 dimension bounds for finitely presented commutative rings, with exact
 Groebner kernels over QQ, FF(p) and ZZ and a brute-force finite-ring oracle.
 """
-from .errors import (Budget, CapExceededError, ParseError,
+from .errors import (Budget, CapExceededError, InternalError, ParseError,
                      ResourceBudgetExceeded, StructuralError,
                      UnsupportedDomainError, UnsupportedInputError)
 from .rings import (GREVLEX, LEX, CoefficientDomain, IdealPresentation,

@@ -4,7 +4,8 @@ One record is produced per command.  The default JSON stream is fully
 deterministic (wall-clock timings only appear under --timings, so identical
 scripts and configuration give byte-identical machine output).
 
-Exit codes: 0 success, 1 command error, 2 parse error, 3 resource exhaustion.
+Exit codes: 0 success, 1 command error, 2 parse error, 3 resource exhaustion,
+4 internal error (a failed cross-check or invariant: a library defect).
 """
 from __future__ import annotations
 
@@ -13,11 +14,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (DEFAULT_MAX_STEPS, Budget, ParseError,
+from .errors import (DEFAULT_MAX_STEPS, Budget, InternalError, ParseError,
                      ResourceBudgetExceeded, StructuralError)
 from .complexes import ext_vanishing_profile
 from .finite_rings import (FiniteRing, brute_is_dq, brute_is_dw,
@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_COMMAND_ERROR = 1
 EXIT_PARSE_ERROR = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -44,7 +45,6 @@ class CliConfig:
     max_degree: Optional[int] = None
     json_output: bool = False
     timings: bool = False
-    parallel: bool = False
 
 
 def _env_default(name: str, fallback):
@@ -78,8 +78,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="machine-readable output, one JSON object per command")
     ap.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte determinism)")
-    ap.add_argument("--parallel", action="store_true",
-                    help="run independent commands concurrently, output buffered in order")
     return ap
 
 
@@ -88,15 +86,11 @@ def config_from_args(args) -> CliConfig:
     return CliConfig(order=order, order_name=args.order,
                      budget_steps=args.budget, deadline=args.deadline,
                      max_degree=args.max_degree, json_output=args.json,
-                     timings=args.timings, parallel=args.parallel)
+                     timings=args.timings)
 
 
 # ---------------------------------------------------------------------------
 # Command execution
-
-def _grade_value_json(v) -> str:
-    return str(v)
-
 
 def _ideal_inputs(script: SessionScript, cmd: Command) -> dict:
     inputs = {"ring": str(script.rings[cmd.ring_name]), "ring_name": cmd.ring_name}
@@ -123,6 +117,9 @@ def run_command(script: SessionScript, cmd: Command, config: CliConfig) -> dict:
         record["result"] = _dispatch(script, cmd, config, budget, record)
     except ResourceBudgetExceeded as exc:
         record["status"] = "resource"
+        record["error"] = str(exc)
+    except InternalError as exc:
+        record["status"] = "internal"
         record["error"] = str(exc)
     except (StructuralError, ParseError) as exc:
         record["status"] = "error"
@@ -224,15 +221,11 @@ def _run_oracle(cmd: Command) -> dict:
 
 def execute_script(script: SessionScript, config: CliConfig) -> tuple:
     """Run every command; returns (records, exit_code)."""
-    commands = script.commands()
-    if config.parallel and len(commands) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(commands))) as pool:
-            records = list(pool.map(
-                lambda c: run_command(script, c, config), commands))
-    else:
-        records = [run_command(script, c, config) for c in commands]
+    records = [run_command(script, c, config) for c in script.commands()]
     code = EXIT_OK
-    if any(r["status"] == "resource" for r in records):
+    if any(r["status"] == "internal" for r in records):
+        code = EXIT_INTERNAL
+    elif any(r["status"] == "resource" for r in records):
         code = EXIT_RESOURCE
     elif any(r["status"] == "error" for r in records):
         code = EXIT_COMMAND_ERROR

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import Budget, StructuralError, ensure_budget
+from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .groebner import annihilator
 from .modules import (FreeModuleMap, SubmodulePresentation, generator_syzygies,
                       image, is_zero_subquotient, kernel, lift_coordinates)
@@ -175,7 +175,7 @@ class ExtComputer:
         if i == 0:
             ann_zero = annihilator(self.ideal, self.budget).is_zero(self.budget)
             if ann_zero != zero:
-                raise StructuralError(
+                raise InternalError(
                     "internal: Hom(R/I, R) decision disagrees with the annihilator")
         witness = None
         if not zero and with_witness:
@@ -189,7 +189,7 @@ class ExtComputer:
         for g in Im.generators:
             coords = lift_coordinates(g, K, self.budget)
             if coords is None:
-                raise StructuralError("internal: image generator outside the kernel")
+                raise InternalError("internal: image generator outside the kernel")
             columns.append(coords)
         columns.extend(generator_syzygies(K, self.budget))
         return FreeModuleMap.from_columns(self.ideal.ring, columns,

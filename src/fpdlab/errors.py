@@ -30,6 +30,11 @@ class ParseError(ValueError):
         self.column = column
 
 
+class InternalError(RuntimeError):
+    """A broken internal invariant or a failed cross-check: a defect in the
+    library, never a fault of the input."""
+
+
 class ResourceBudgetExceeded(RuntimeError):
     """A computation ran past its step budget or deadline.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import CapExceededError, StructuralError
+from .errors import CapExceededError, InternalError, StructuralError
 
 DEFAULT_BUILD_CAP = 4096
 DEFAULT_IDEAL_CAP = 4096
@@ -231,7 +231,7 @@ def minimal_generators(R: FiniteRing, ideal: frozenset) -> list:
             if closure == ideal:
                 break
     if closure != ideal:
-        raise StructuralError("internal: greedy generation failed on an ideal")
+        raise InternalError("internal: greedy generation failed on an ideal")
     return gens
 
 

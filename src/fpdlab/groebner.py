@@ -14,8 +14,8 @@ from __future__ import annotations
 import heapq
 from typing import Optional, Sequence
 
-from .errors import (Budget, ResourceBudgetExceeded, StructuralError,
-                     UnsupportedDomainError, ensure_budget)
+from .errors import (Budget, InternalError, ResourceBudgetExceeded,
+                     StructuralError, UnsupportedDomainError, ensure_budget)
 from .rings import (GREVLEX, IdealPresentation, Polynomial, PolynomialRing,
                     RingPresentation, block_order, mono_degree, mono_div,
                     mono_divides, mono_lcm, mono_mul, mono_one)
@@ -79,23 +79,25 @@ class VecBasis:
     """
 
     def __init__(self, vecs: Sequence, ring: PolynomialRing):
-        tkey = _term_key(ring)
-        dom = ring.domain
         self.ring = ring
         self.vecs = []
         self.lts = []
         self.lcs = []
         for v in vecs:
-            if not v:
-                continue
-            lt = max(v, key=tkey)
-            c = v[lt]
-            u = dom.lc_normalizer(c)
-            if u != dom.one():
-                v = {k: dom.mul(u, cc) for k, cc in v.items()}
-            self.append(v, lt)
+            if v:
+                self.add(v)
+
+    def add(self, v: dict):
+        """Append v scaled by the unit that normalizes its leading coefficient."""
+        lt = max(v, key=_term_key(self.ring))
+        dom = self.ring.domain
+        u = dom.lc_normalizer(v[lt])
+        if u != dom.one():
+            v = {k: dom.mul(u, c) for k, c in v.items()}
+        self.append(v, lt)
 
     def append(self, v: dict, lt=None):
+        """Append v as it is (the caller vouches for its normalization)."""
         if lt is None:
             lt = max(v, key=_term_key(self.ring))
         self.vecs.append(v)
@@ -173,26 +175,19 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
     return rem
 
 
-def _shift(vec: dict, q, scale, dom) -> dict:
-    return {(p, mono_mul(m, q)): dom.mul(scale, c) for (p, m), c in vec.items()}
-
-
-def _vec_sub(a: dict, b: dict, dom) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        nc = dom.sub(out.get(k, dom.zero()), c)
-        if nc == dom.zero():
-            out.pop(k, None)
-        else:
-            out[k] = nc
-    return out
-
-
-def _vec_add(a: dict, b: dict, dom) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        nc = dom.add(out.get(k, dom.zero()), c)
-        if nc == dom.zero():
+def _s_vector(basis: VecBasis, i: int, j: int, si, sj) -> dict:
+    """si * x^(w/u) * vecs[i] + sj * x^(w/v) * vecs[j], where u and v are the
+    leading monomials of the two vectors and w = lcm(u, v)."""
+    dom = basis.ring.domain
+    zero = dom.zero()
+    u, v = basis.lts[i][1], basis.lts[j][1]
+    w = mono_lcm(u, v)
+    qi, qj = mono_div(w, u), mono_div(w, v)
+    out = {(p, mono_mul(m, qi)): dom.mul(si, c) for (p, m), c in basis.vecs[i].items()}
+    for (p, m), c in basis.vecs[j].items():
+        k = (p, mono_mul(m, qj))
+        nc = dom.add(out.get(k, zero), dom.mul(sj, c))
+        if nc == zero:
             out.pop(k, None)
         else:
             out[k] = nc
@@ -200,17 +195,55 @@ def _vec_add(a: dict, b: dict, dom) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Completion over fields
+# Completion: one loop, with a pair rule and S-vector coefficients per domain
+
+def _complete(vecs: Sequence, ring: PolynomialRing, budget: Budget,
+              push_pairs, s_vector) -> VecBasis:
+    """Complete `vecs` to a Groebner basis.
+
+    `push_pairs(basis, heap, f)` queues the critical pairs of the new element
+    f as heap entries (degree, position, order key, i, f, ...).
+    `s_vector(basis, entry)` gives a popped entry's S-vector, or None when
+    the pair was eliminated after it was queued.
+    """
+    basis = VecBasis([], ring)
+    heap = []
+
+    def insert(r: dict):
+        basis.add(r)
+        push_pairs(basis, heap, len(basis) - 1)
+
+    for v in vecs:
+        if v:
+            r = vec_normal_form(v, basis, budget)
+            if r:
+                insert(r)
+
+    while heap:
+        s = s_vector(basis, heapq.heappop(heap))
+        if s is None:
+            continue
+        budget.tick(1, len(basis), len(heap))
+        try:
+            r = vec_normal_form(s, basis, budget)
+        except ResourceBudgetExceeded as exc:
+            raise ResourceBudgetExceeded(exc.reason, exc.steps,
+                                         len(basis), len(heap)) from exc
+        if r:
+            insert(r)
+    return basis
+
 
 def _groebner_field(vecs: Sequence, ring: PolynomialRing, budget: Budget,
                     rank1: bool) -> VecBasis:
-    dom = ring.domain
+    """Buchberger over a field: normal selection, Gebauer-Moeller pair
+    elimination, and (for ideals) the coprime-lead criterion."""
     okey = ring.order.key
-    basis = VecBasis([], ring)
+    one = ring.domain.one()
+    minus_one = ring.domain.neg(one)
     pairs = set()
-    heap = []
 
-    def push_pairs(fidx: int):
+    def push_pairs(basis: VecBasis, heap: list, fidx: int):
         fpos, fm = basis.lts[fidx]
         # chain criterion: drop old pairs whose lcm the new lead strictly refines
         dead = []
@@ -244,51 +277,23 @@ def _groebner_field(vecs: Sequence, ring: PolynomialRing, budget: Budget,
             pairs.add((i, fidx))
             heapq.heappush(heap, (mono_degree(lcm_m), fpos, okey(lcm_m), i, fidx))
 
-    def insert(v: dict):
-        tkey = _term_key(ring)
-        lt = max(v, key=tkey)
-        c = v[lt]
-        if c != dom.one():
-            inv = dom.inv(c)
-            v = {k: dom.mul(inv, cc) for k, cc in v.items()}
-        basis.append(v, lt)
-        push_pairs(len(basis) - 1)
+    def s_vector(basis: VecBasis, entry: tuple):
+        pair = entry[3:]
+        if pair not in pairs:
+            return None
+        pairs.discard(pair)
+        return _s_vector(basis, *pair, one, minus_one)
 
-    for v in vecs:
-        if v:
-            r = vec_normal_form(v, basis, budget)
-            if r:
-                insert(r)
+    return _complete(vecs, ring, budget, push_pairs, s_vector)
 
-    while heap:
-        _, _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pairs:
-            continue
-        pairs.discard((i, j))
-        budget.tick(1, len(basis), len(heap))
-        (pos, u), (_, v) = basis.lts[i], basis.lts[j]
-        w = mono_lcm(u, v)
-        s = _vec_sub(_shift(basis.vecs[i], mono_div(w, u), dom.one(), dom),
-                     _shift(basis.vecs[j], mono_div(w, v), dom.one(), dom), dom)
-        try:
-            r = vec_normal_form(s, basis, budget)
-        except ResourceBudgetExceeded as exc:
-            raise ResourceBudgetExceeded(exc.reason, exc.steps,
-                                         len(basis), len(heap)) from exc
-        if r:
-            insert(r)
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# Completion over the integers (strong bases)
 
 def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget) -> VecBasis:
+    """Strong-basis completion over ZZ: an S-pair for every pair of leads in
+    one position, plus a G-pair when neither lead coefficient divides the
+    other."""
     okey = ring.order.key
-    basis = VecBasis([], ring)
-    heap = []
 
-    def push_pairs(fidx: int):
+    def push_pairs(basis: VecBasis, heap: list, fidx: int):
         fpos, fm = basis.lts[fidx]
         a = basis.lcs[fidx]
         for i in range(fidx):
@@ -301,43 +306,16 @@ def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget) -> V
             if a % b != 0 and b % a != 0:
                 heapq.heappush(heap, (mono_degree(w), fpos, okey(w), i, fidx, 1))
 
-    def insert(v: dict):
-        lt = max(v, key=_term_key(ring))
-        if v[lt] < 0:
-            v = {k: -c for k, c in v.items()}
-        basis.append(v, lt)
-        push_pairs(len(basis) - 1)
-
-    dom = ring.domain
-    for v in vecs:
-        if v:
-            r = vec_normal_form(v, basis, budget)
-            if r:
-                insert(r)
-
-    while heap:
-        _, _, _, i, j, kind = heapq.heappop(heap)
-        budget.tick(1, len(basis), len(heap))
-        (pos, u), (_, v) = basis.lts[i], basis.lts[j]
+    def s_vector(basis: VecBasis, entry: tuple):
+        _, _, _, i, j, gpair = entry
         a, b = basis.lcs[i], basis.lcs[j]
-        w = mono_lcm(u, v)
-        qi, qj = mono_div(w, u), mono_div(w, v)
-        if kind == 0:
-            l = a * b // _xgcd(a, b)[0]
-            s = _vec_sub(_shift(basis.vecs[i], qi, l // a, dom),
-                         _shift(basis.vecs[j], qj, l // b, dom), dom)
-        else:
-            _, si, tj = _xgcd(a, b)
-            s = _vec_add(_shift(basis.vecs[i], qi, si, dom),
-                         _shift(basis.vecs[j], qj, tj, dom), dom)
-        try:
-            r = vec_normal_form(s, basis, budget)
-        except ResourceBudgetExceeded as exc:
-            raise ResourceBudgetExceeded(exc.reason, exc.steps,
-                                         len(basis), len(heap)) from exc
-        if r:
-            insert(r)
-    return basis
+        g, s, t = _xgcd(a, b)
+        if gpair:
+            return _s_vector(basis, i, j, s, t)
+        l = a * b // g
+        return _s_vector(basis, i, j, l // a, -(l // b))
+
+    return _complete(vecs, ring, budget, push_pairs, s_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +549,13 @@ def is_unit_ideal(I: IdealPresentation, budget: Budget = None) -> UnitIdealResul
     lifted = vec_lift(poly_to_vec(ambient.one()),
                       [poly_to_vec(g) for g in gens], 1, ambient, budget)
     if lifted is None:
-        raise StructuralError("internal: unit ideal without a lift")
+        raise InternalError("internal: unit ideal without a lift")
     cof = tuple(lifted[:len(I.generators)])
     total = ambient.zero()
     for c, a in zip(lifted, gens):
         total = total + c * a
     if not I.ring.is_zero_element(total - ambient.one(), budget):
-        raise StructuralError("internal: unit certificate failed re-multiplication")
+        raise InternalError("internal: unit certificate failed re-multiplication")
     return UnitIdealResult(True, cof)
 
 
@@ -648,11 +626,23 @@ def exact_poly_div(g: Polynomial, f: Polynomial) -> Polynomial:
     return ring.from_dict(out)
 
 
-def _quotient_by_poly(ambient: PolynomialRing, gens: Sequence, f: Polynomial,
-                      budget: Budget) -> list:
-    """(<gens> : f) in the ambient polynomial ring, f nonzero."""
-    meet = ideal_intersection_polys(ambient, gens, [f], budget)
-    return [exact_poly_div(p, f) for p in meet]
+def _colon(ring: RingPresentation, pre: Sequence, divisors: Sequence,
+           budget: Budget) -> tuple:
+    """Reduced generators of (<pre> : <divisors>) mod J, for nonzero divisors:
+    the intersection over f of (<pre> cap <f>) / f in the ambient ring."""
+    ambient = ring.ambient
+    current: Optional[list] = None
+    for f in divisors:
+        q = [exact_poly_div(p, f)
+             for p in ideal_intersection_polys(ambient, pre, [f], budget)]
+        current = q if current is None else ideal_intersection_polys(
+            ambient, current, q, budget)
+    reduced = []
+    for g in current:
+        r = ring.normal_form(g, budget)
+        if not r.is_zero and r not in reduced:
+            reduced.append(r)
+    return tuple(reduced)
 
 
 def ideal_quotient(I: IdealPresentation, divisor, budget: Budget = None) -> IdealPresentation:
@@ -662,61 +652,31 @@ def ideal_quotient(I: IdealPresentation, divisor, budget: Budget = None) -> Idea
     """
     budget = ensure_budget(budget)
     ring = I.ring
-    ambient = ring.ambient
-    pre = I.preimage_generators()
     if isinstance(divisor, IdealPresentation):
         if divisor.ring != ring:
             raise StructuralError("ideal quotient across different rings")
         divisors = [ring.normal_form(f, budget) for f in divisor.generators]
-        divisors = [f for f in divisors if not f.is_zero]
-        if not divisors:
-            return IdealPresentation(ring, (ambient.one(),),
-                                     notes=("quotient by the zero ideal is R",))
-        current: Optional[list] = None
-        for f in divisors:
-            q = _quotient_by_poly(ambient, pre, f, budget)
-            current = q if current is None else ideal_intersection_polys(
-                ambient, current, q, budget)
-        gens = current
-        note = ()
+        note = "quotient by the zero ideal is R"
     else:
-        f = ring.normal_form(ring.poly(divisor), budget)
-        if f.is_zero:
-            return IdealPresentation(ring, (ambient.one(),),
-                                     notes=("quotient by zero is R",))
-        gens = _quotient_by_poly(ambient, pre, f, budget)
-        note = ()
-    reduced = []
-    for g in gens:
-        r = ring.normal_form(g, budget)
-        if not r.is_zero and r not in reduced:
-            reduced.append(r)
-    if not reduced:
-        return IdealPresentation(ring, (), notes=note)
-    return IdealPresentation(ring, tuple(reduced), notes=note)
+        divisors = [ring.normal_form(ring.poly(divisor), budget)]
+        note = "quotient by zero is R"
+    divisors = [f for f in divisors if not f.is_zero]
+    if not divisors:
+        return IdealPresentation(ring, (ring.ambient.one(),), notes=(note,))
+    return IdealPresentation(ring, _colon(ring, I.preimage_generators(),
+                                          divisors, budget))
 
 
 def annihilator(I: IdealPresentation, budget: Budget = None) -> IdealPresentation:
     """Ann_R(I) = (J : <gens I>) mod J; the zero ideal exactly when I is dense."""
     budget = ensure_budget(budget)
     ring = I.ring
-    ambient = ring.ambient
     gens = [ring.normal_form(g, budget) for g in I.generators]
     gens = [g for g in gens if not g.is_zero]
     if not gens:
-        return IdealPresentation(ring, (ambient.one(),),
+        return IdealPresentation(ring, (ring.ambient.one(),),
                                  notes=("annihilator of the zero ideal is R",))
-    current: Optional[list] = None
-    for f in gens:
-        q = _quotient_by_poly(ambient, ring.relations, f, budget)
-        current = q if current is None else ideal_intersection_polys(
-            ambient, current, q, budget)
-    reduced = []
-    for g in current:
-        r = ring.normal_form(g, budget)
-        if not r.is_zero and r not in reduced:
-            reduced.append(r)
-    return IdealPresentation(ring, tuple(reduced))
+    return IdealPresentation(ring, _colon(ring, ring.relations, gens, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (Budget, StructuralError, UnsupportedDomainError,
-                     UnsupportedInputError, ensure_budget)
+from .errors import (Budget, InternalError, StructuralError,
+                     UnsupportedDomainError, UnsupportedInputError,
+                     ensure_budget)
 from .complexes import ExtComputer, ext_vanishing_profile
 from .groebner import annihilator, is_unit_ideal, krull_dimension
 from .koszul import koszul_grade
@@ -64,7 +65,7 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
             break
     if unit:
         if value is not None:
-            raise StructuralError("internal: nonvanishing Ext for the unit ideal")
+            raise InternalError("internal: nonvanishing Ext for the unit ideal")
         value = GradeValue.infinite()
         notes = (UNIT_IDEAL_NOTE,)
     elif value is None:
@@ -76,7 +77,7 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
     if with_koszul and nonzero_gens and not value.is_undetermined:
         cross = koszul_grade(I, nonzero_gens, budget)
         if cross != value:
-            raise StructuralError(
+            raise InternalError(
                 f"internal: Koszul grade {cross} disagrees with Ext grade {value}")
     return GradeReport(I, value, tuple(profile), cross, notes)
 
@@ -235,7 +236,7 @@ def is_cohen_macaulay_graded(R: RingPresentation, budget: Budget = None) -> Cohe
     _require_graded_local(R, budget)
     rep = grade(irrelevant_ideal(R), budget=budget)
     if not rep.value.is_finite:
-        raise StructuralError("internal: depth of a graded-local ring must be finite")
+        raise InternalError("internal: depth of a graded-local ring must be finite")
     depth = rep.value.value
     dim = krull_dimension(R, budget)
     is_cm = depth == dim
@@ -267,12 +268,12 @@ def dq_dw_local(R: RingPresentation, budget: Budget = None) -> DqDwReport:
     m = irrelevant_ideal(R)
     rep = grade(m, budget=budget)
     if not rep.value.is_finite:
-        raise StructuralError("internal: depth of a graded-local ring must be finite")
+        raise InternalError("internal: depth of a graded-local ring must be finite")
     depth = rep.value.value
     witness = None
     if depth >= 2:
         if not is_gv(m, budget):
-            raise StructuralError("internal: depth >= 2 but the irrelevant ideal "
-                                  "is not a GV-ideal")
+            raise InternalError("internal: depth >= 2 but the irrelevant ideal "
+                                "is not a GV-ideal")
         witness = m
     return DqDwReport(R, depth == 0, depth <= 1, depth, witness)

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import Budget, StructuralError, ensure_budget
+from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .complexes import ChainComplex, ext_vanishing_profile
 from .modules import (FreeModuleMap, SubmodulePresentation, image,
                       is_zero_subquotient, kernel)
@@ -170,16 +170,16 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int,
         ker_1 = kernel(duals[0], budget)
         zero_mod = SubmodulePresentation(ring, duals[0].source_rank, ())
         if not is_zero_subquotient(ker_1, zero_mod, budget, verify_containment=False):
-            raise StructuralError("internal: dual complex not exact at position 0 "
-                                  "despite the vanishing profile")
+            raise InternalError("internal: dual complex not exact at position 0 "
+                                "despite the vanishing profile")
         for i in range(1, n + 1):
             ker_i = kernel(duals[i], budget)       # ker d*_{i+1}
             im_i = image(duals[i - 1])             # im d*_i
             if not is_zero_subquotient(ker_i, im_i, budget, verify_containment=False):
-                raise StructuralError(f"internal: dual complex not exact at "
-                                      f"position {i} (kernel exceeds image)")
+                raise InternalError(f"internal: dual complex not exact at "
+                                    f"position {i} (kernel exceeds image)")
             if not is_zero_subquotient(im_i, ker_i, budget, verify_containment=False):
-                raise StructuralError(f"internal: dual complex not exact at "
-                                      f"position {i} (image exceeds kernel)")
+                raise InternalError(f"internal: dual complex not exact at "
+                                    f"position {i} (image exceeds kernel)")
         verified = True
     return DualKoszulCokernel(I, n + 1, presentation, profile, verified)

@@ -9,9 +9,31 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import Budget, StructuralError, ensure_budget
-from .groebner import (VecBasis, polys_to_vec, vec_groebner,
+from .groebner import (VecBasis, polys_to_vec, vec_groebner, vec_lift,
                        vec_normal_form, vec_syzygies, vec_to_polys)
 from .rings import RingPresentation
+
+
+def _relation_vectors(ring: RingPresentation, rank: int, budget: Budget) -> list:
+    """The relation multiples J*e_t of R^rank, from the Groebner basis of J."""
+    rels = ring.relations_groebner(budget).basis
+    return [{(t, m): c for m, c in r.terms} for t in range(rank) for r in rels]
+
+
+def _syzygies(ring: RingPresentation, columns: Sequence, rank: int,
+              budget: Budget) -> list:
+    """The nonzero relations over R among `columns` (elements of R^rank), as
+    tuples of length len(columns) reduced modulo J."""
+    ambient = ring.ambient
+    n = len(columns)
+    vecs = [polys_to_vec(c) for c in columns] + _relation_vectors(ring, rank, budget)
+    out = []
+    for s in vec_syzygies(vecs, rank, ambient, budget):
+        entries = vec_to_polys({k: c for k, c in s.items() if k[0] < n}, n, ambient)
+        reduced = tuple(ring.normal_form(p, budget) for p in entries)
+        if any(not p.is_zero for p in reduced):
+            out.append(reduced)
+    return out
 
 
 def _as_vector(ring: RingPresentation, entries: Sequence, rank: int) -> tuple:
@@ -114,20 +136,12 @@ class SubmodulePresentation:
         self.generators = tuple(_as_vector(ring, g, ambient_rank) for g in generators)
         self._gb = None
 
-    def _relation_vectors(self, budget: Budget = None) -> list:
-        rels = self.ring.relations_groebner(budget).basis
-        vecs = []
-        for t in range(self.ambient_rank):
-            for r in rels:
-                vecs.append({(t, m): c for m, c in r.terms})
-        return vecs
-
     def groebner_vectors(self, budget: Budget = None) -> VecBasis:
         """Module Groebner basis of <generators> + J*e_i (cached)."""
         if self._gb is None:
             budget = ensure_budget(budget)
             vecs = [polys_to_vec(g) for g in self.generators if any(not p.is_zero for p in g)]
-            vecs += self._relation_vectors(budget)
+            vecs += _relation_vectors(self.ring, self.ambient_rank, budget)
             G = vec_groebner(vecs, self.ring.ambient, budget)
             self._gb = VecBasis(G, self.ring.ambient)
         return self._gb
@@ -180,32 +194,13 @@ def prune_generators(S: SubmodulePresentation, budget: Budget = None) -> Submodu
     return SubmodulePresentation(S.ring, S.ambient_rank, kept)
 
 
-def kernel(phi: FreeModuleMap, budget: Budget = None,
-           prune: bool = True) -> SubmodulePresentation:
+def kernel(phi: FreeModuleMap, budget: Budget = None) -> SubmodulePresentation:
     """Generators of ker(phi) in R^source, by syzygies of the matrix columns
     augmented with the relation multiples J*e_t of the target."""
     budget = ensure_budget(budget)
-    ring = phi.ring
-    ambient = ring.ambient
-    cols = [polys_to_vec(phi.column(j)) for j in range(phi.source_rank)]
-    rel_vecs = []
-    rels = ring.relations_groebner(budget).basis
-    for t in range(phi.target_rank):
-        for r in rels:
-            rel_vecs.append({(t, m): c for m, c in r.terms})
-    syz = vec_syzygies(cols + rel_vecs, phi.target_rank, ambient, budget)
-    gens = []
-    for s in syz:
-        vec = {}
-        for (pos, m), c in s.items():
-            if pos < phi.source_rank:
-                vec[(pos, m)] = c
-        entries = vec_to_polys(vec, phi.source_rank, ambient)
-        reduced = tuple(ring.normal_form(p, budget) for p in entries)
-        if any(not p.is_zero for p in reduced):
-            gens.append(reduced)
-    K = SubmodulePresentation(ring, phi.source_rank, gens)
-    return prune_generators(K, budget) if prune else K
+    gens = _syzygies(phi.ring, phi.columns(), phi.target_rank, budget)
+    return prune_generators(
+        SubmodulePresentation(phi.ring, phi.source_rank, gens), budget)
 
 
 def is_zero_subquotient(K: SubmodulePresentation, Im: SubmodulePresentation,
@@ -233,14 +228,10 @@ def lift_coordinates(vector: Sequence, S: SubmodulePresentation,
                      budget: Budget = None) -> Optional[tuple]:
     """Coordinates of a member over S.generators (modulo relations), else None."""
     budget = ensure_budget(budget)
-    ring = S.ring
-    ambient = ring.ambient
-    vec = _as_vector(ring, vector, S.ambient_rank)
+    vec = _as_vector(S.ring, vector, S.ambient_rank)
     gens = [polys_to_vec(g) for g in S.generators]
-    rel_vecs = S._relation_vectors(budget)
-    from .groebner import vec_lift
-    lifted = vec_lift(polys_to_vec(vec), gens + rel_vecs, S.ambient_rank,
-                      ambient, budget)
+    gens += _relation_vectors(S.ring, S.ambient_rank, budget)
+    lifted = vec_lift(polys_to_vec(vec), gens, S.ambient_rank, S.ring.ambient, budget)
     if lifted is None:
         return None
     return tuple(lifted[:len(S.generators)])
@@ -248,19 +239,4 @@ def lift_coordinates(vector: Sequence, S: SubmodulePresentation,
 
 def generator_syzygies(S: SubmodulePresentation, budget: Budget = None) -> list:
     """Relations among S.generators over R, as vectors of length len(generators)."""
-    budget = ensure_budget(budget)
-    ambient = S.ring.ambient
-    gens = [polys_to_vec(g) for g in S.generators]
-    rel_vecs = S._relation_vectors(budget)
-    syz = vec_syzygies(gens + rel_vecs, S.ambient_rank, ambient, budget)
-    out = []
-    for s in syz:
-        vec = {}
-        for (pos, m), c in s.items():
-            if pos < len(S.generators):
-                vec[(pos, m)] = c
-        entries = vec_to_polys(vec, len(S.generators), ambient)
-        reduced = tuple(S.ring.normal_form(p, budget) for p in entries)
-        if any(not p.is_zero for p in reduced):
-            out.append(reduced)
-    return out
+    return _syzygies(S.ring, S.generators, S.ambient_rank, ensure_budget(budget))

@@ -172,9 +172,6 @@ def mono_div(v: Monomial, u: Monomial) -> Optional[Monomial]:
 def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
     return tuple(max(a, b) for a, b in zip(u, v))
 
-def mono_gcd(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(min(a, b) for a, b in zip(u, v))
-
 def mono_degree(u: Monomial) -> int:
     return sum(u)
 

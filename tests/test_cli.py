@@ -1,10 +1,11 @@
 """CLI execution, report structure, exit codes, and output determinism."""
 import json
 
-from fpdlab.cli import (EXIT_COMMAND_ERROR, EXIT_OK, EXIT_PARSE_ERROR,
-                        EXIT_RESOURCE, CliConfig, build_arg_parser,
-                        config_from_args, execute_script, main, render_json,
-                        render_text)
+from fpdlab import GradeValue
+from fpdlab.cli import (EXIT_COMMAND_ERROR, EXIT_INTERNAL, EXIT_OK,
+                        EXIT_PARSE_ERROR, EXIT_RESOURCE, CliConfig,
+                        build_arg_parser, config_from_args, execute_script,
+                        main, render_json, render_text)
 from fpdlab.script import parse
 
 SESSION = """
@@ -62,20 +63,23 @@ def test_json_output_is_byte_identical_between_runs():
         json.loads(line)  # every record is a valid JSON object
 
 
-def test_parallel_matches_sequential_results():
-    seq_records, seq_code = run(SESSION)
-    par_records, par_code = run(SESSION, CliConfig(parallel=True))
-    assert par_code == seq_code
-    assert [r["command"] for r in par_records] == [r["command"] for r in seq_records]
-    for a, b in zip(par_records, seq_records):
-        assert a["result"] == b["result"]
-
-
 def test_command_error_exit_code():
     records, code = run("ring R = ZZ[x]; dim;")  # dimension unsupported over ZZ
     assert code == EXIT_COMMAND_ERROR
     assert records[0]["status"] == "error"
     assert "field" in records[0]["error"]
+
+
+def test_internal_failure_is_not_a_command_error(monkeypatch):
+    # a Koszul cross-check that disagrees with the Ext grade is a library
+    # defect: it gets its own status and exit code, even next to a user error
+    monkeypatch.setattr("fpdlab.invariants.koszul_grade",
+                        lambda *args: GradeValue.finite(99))
+    records, code = run("ring R = QQ[x]; ideal I = (x); grade I; "
+                        "ring Z = ZZ[x]; dim;")
+    assert code == EXIT_INTERNAL
+    assert [r["status"] for r in records] == ["internal", "error"]
+    assert "Koszul grade 99 disagrees" in records[0]["error"]
 
 
 def test_resource_exhaustion_exit_code():

@@ -1,11 +1,13 @@
 """Groebner engines (field and strong integer), normal forms, ideal
 operations, and the Krull dimension combinatorics."""
 import pytest
-from fpdlab import (LEX, RingPresentation, StructuralError,
-                    UnsupportedDomainError, annihilator, ideal_quotient,
-                    is_unit_ideal, krull_dimension, normal_form_polys)
+from fpdlab import (LEX, FreeModuleMap, RingPresentation, StructuralError,
+                    SubmodulePresentation, UnsupportedDomainError, annihilator,
+                    ideal_quotient, is_unit_ideal, krull_dimension,
+                    normal_form_polys)
 from fpdlab.finite_rings import FiniteRing, enumerate_ideals
 from fpdlab.groebner import groebner_basis_of_polys
+from fpdlab.modules import generator_syzygies
 from helpers import (FF, QQ, ZZ, assert_is_groebner, monomials_up_to,
                      poly_ring, presentation)
 
@@ -147,11 +149,30 @@ def test_ideal_quotient_by_zero_is_unit_with_note():
     assert any("zero" in note for note in q.notes)
 
 
+# One presentation per engine: (domain, variables, relations, ideal, element)
+ENGINE_CASES = [
+    (QQ, ("x", "y"), ["x^2", "x*y"], ["x", "y^2"], "y"),
+    (FF(3), ("x", "y"), ["x^2*y", "y^2"], ["x*y", "y"], "x + y"),
+    (ZZ, ("x",), ["4", "x^2 + x"], ["2*x + 2", "x"], "x + 1"),
+]
+
+
+def _same_ideal(A, B):
+    return (all(B.contains(g) for g in A.generators)
+            and all(A.contains(g) for g in B.generators))
+
+
 def test_ideal_quotient_by_ideal():
     P = presentation(QQ, ("x", "y"))
     q = ideal_quotient(P.ideal("x^2*y"), P.ideal("x", "y"))
     # (x^2 y : (x, y)) = (x^2 y : x) cap (x^2 y : y) = (xy) cap (x^2) = (x^2 y)
     assert [str(g) for g in q.generators] == ["x^2*y"]
+    # the element and the ideal routes agree on every engine
+    for domain, variables, relations, gens, f in ENGINE_CASES:
+        R = presentation(domain, variables, relations)
+        I = R.ideal(*gens)
+        assert _same_ideal(ideal_quotient(I, R.poly(f)),
+                           ideal_quotient(I, R.ideal(f)))
 
 
 def test_annihilator_socle_and_domain():
@@ -160,6 +181,19 @@ def test_annihilator_socle_and_domain():
     assert [str(g) for g in a.generators] == ["x"]
     P = presentation(QQ, ("x",))
     assert annihilator(P.ideal("x")).is_zero()
+    # on every engine: Ann(I) = (0 : I), and the syzygies of one generator f
+    # are Ann(f)
+    for domain, variables, relations, gens, f in ENGINE_CASES:
+        R = presentation(domain, variables, relations)
+        I = R.ideal(*gens)
+        assert _same_ideal(annihilator(I), ideal_quotient(R.zero_ideal(), I))
+        S = SubmodulePresentation(R, 1, [(g,) for g in I.generators])
+        phi = FreeModuleMap.from_columns(R, S.generators, 1)
+        for syz in generator_syzygies(S):
+            assert all(R.is_zero_element(e) for e in phi.apply(syz))
+        principal = SubmodulePresentation(R, 1, [(R.poly(f),)])
+        syz_ideal = R.ideal(*(s[0] for s in generator_syzygies(principal)))
+        assert _same_ideal(annihilator(R.ideal(f)), syz_ideal)
 
 
 def test_annihilator_coordinate_cross_brute_sweep():
