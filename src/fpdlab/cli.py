@@ -39,7 +39,6 @@ EXIT_INTERNAL = 4
 @dataclass
 class CliConfig:
     order: MonomialOrder = GREVLEX
-    order_name: str = "grevlex"
     budget_steps: int = DEFAULT_MAX_STEPS
     deadline: Optional[float] = None
     max_degree: Optional[int] = None
@@ -47,8 +46,21 @@ class CliConfig:
     timings: bool = False
 
 
+ORDERS = {"grevlex": GREVLEX, "lex": LEX}
+
+
 def _env_default(name: str, fallback):
+    """The raw FPDLAB_<name> string, which argparse parses with the
+    argument's `type` (and rejects as a usage error) when no flag is given."""
     return os.environ.get(f"FPDLAB_{name}", fallback)
+
+
+def _order_name(name: str) -> str:
+    # argparse checks `choices` on flags only, not on a default from the env
+    if name not in ORDERS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(ORDERS)})")
+    return name
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -59,19 +71,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     "finitely presented rings.")
     ap.add_argument("script", nargs="?", default="-",
                     help="script file, or - for stdin")
-    ap.add_argument("--order", choices=["grevlex", "lex"],
+    ap.add_argument("--order", type=_order_name, choices=list(ORDERS),
                     default=_env_default("ORDER", "grevlex"),
                     help="monomial order for declared rings")
     ap.add_argument("--budget", type=int,
-                    default=int(_env_default("BUDGET", DEFAULT_MAX_STEPS)),
+                    default=_env_default("BUDGET", DEFAULT_MAX_STEPS),
                     help="step budget per command")
     ap.add_argument("--deadline", type=float,
-                    default=(lambda v: float(v) if v is not None else None)(
-                        _env_default("DEADLINE", None)),
+                    default=_env_default("DEADLINE", None),
                     help="wall-clock seconds per command")
     ap.add_argument("--max-degree", type=int,
-                    default=(lambda v: int(v) if v is not None else None)(
-                        _env_default("MAX_DEGREE", None)),
+                    default=_env_default("MAX_DEGREE", None),
                     help="grade search bound (default: generator count)")
     ap.add_argument("--json", action="store_true",
                     default=str(_env_default("JSON", "")).lower() in ("1", "true"),
@@ -82,11 +92,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> CliConfig:
-    order = LEX if args.order == "lex" else GREVLEX
-    return CliConfig(order=order, order_name=args.order,
-                     budget_steps=args.budget, deadline=args.deadline,
-                     max_degree=args.max_degree, json_output=args.json,
-                     timings=args.timings)
+    return CliConfig(order=ORDERS[args.order], budget_steps=args.budget,
+                     deadline=args.deadline, max_degree=args.max_degree,
+                     json_output=args.json, timings=args.timings)
 
 
 # ---------------------------------------------------------------------------

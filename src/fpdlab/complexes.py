@@ -99,32 +99,31 @@ class ResolutionCache:
             out.append(d.source_rank)
         return tuple(out)
 
-    def complex(self, length: int, verify_exactness: bool = True) -> ChainComplex:
-        """The complex F_length -> ... -> F_0; with `verify_exactness`, interior
-        kernels are checked equal to the incoming images in both directions."""
+    def complex(self, length: int) -> ChainComplex:
+        """The complex F_length -> ... -> F_0, with interior kernels checked
+        equal to the incoming images in both directions."""
         self.differential(max(length, 1))
         diffs = list(self._diffs[:length])
         ranks = self.ranks(length)
         complex_ = ChainComplex(self.ring, ranks, diffs, self.budget)
-        if verify_exactness:
-            for i in range(1, length):
-                K = self.kernel_of(i)
-                Im = image(self.differential(i + 1))
-                if not is_zero_subquotient(K, Im, self.budget,
-                                           verify_containment=True):
-                    raise StructuralError(f"resolution not exact at position {i}")
+        for i in range(1, length):
+            K = self.kernel_of(i)
+            Im = image(self.differential(i + 1))
+            if not is_zero_subquotient(K, Im, self.budget,
+                                       verify_containment=True):
+                raise StructuralError(f"resolution not exact at position {i}")
         return complex_
 
 
 def free_resolution(presentation: FreeModuleMap, length: int,
-                    budget: Budget = None, verify_exactness: bool = True) -> ChainComplex:
+                    budget: Budget = None) -> ChainComplex:
     """A free resolution of coker(presentation) out to F_length (not minimal)."""
     if length < 0:
         raise StructuralError("resolution length must be >= 0")
     cache = ResolutionCache(presentation, budget)
     if length == 0:
         return ChainComplex(presentation.ring, (presentation.target_rank,), ())
-    return cache.complex(length, verify_exactness)
+    return cache.complex(length)
 
 
 def free_resolution_of_quotient(I: IdealPresentation, length: int,

@@ -123,12 +123,6 @@ class FiniteRing:
         return FiniteRing([label(t) for t in elems], add, mul, zero, one,
                           provenance, element_coeffs=tuple(elems))
 
-    def add_elem(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
-    def mul_elem(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     def __str__(self):
         return f"{self.provenance} ({self.order} elements)"
 

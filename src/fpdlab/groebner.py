@@ -96,10 +96,9 @@ class VecBasis:
             v = {k: dom.mul(u, c) for k, c in v.items()}
         self.append(v, lt)
 
-    def append(self, v: dict, lt=None):
-        """Append v as it is (the caller vouches for its normalization)."""
-        if lt is None:
-            lt = max(v, key=_term_key(self.ring))
+    def append(self, v: dict, lt):
+        """Append v with leading term lt as it is (the caller vouches for
+        its normalization)."""
         self.vecs.append(v)
         self.lts.append(lt)
         self.lcs.append(v[lt])
@@ -321,73 +320,65 @@ def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget) -> V
 # ---------------------------------------------------------------------------
 # Minimalization, tail interreduction, canonical form
 
-def _minimalize(basis: VecBasis, ring: PolynomialRing) -> list:
+def _minimalize(basis: VecBasis) -> VecBasis:
+    """The elements whose leads no other lead dominates, in ascending lead
+    order (ties over ZZ by ascending |lead coefficient|), as a new basis."""
+    ring = basis.ring
     field = ring.domain.is_field
     tkey = _term_key(ring)
     idx = sorted(range(len(basis)),
                  key=lambda i: (tkey(basis.lts[i]), abs(basis.lcs[i])
                                 if not field else 0))
-    kept = []
+    kept = VecBasis([], ring)
     for i in idx:
         pos, m = basis.lts[i]
         a = basis.lcs[i]
-        dominated = False
-        for j in kept:
-            jpos, jm = basis.lts[j]
-            if jpos == pos and mono_divides(jm, m) and (field or a % basis.lcs[j] == 0):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(i)
-    return [basis.vecs[i] for i in kept]
+        if not any(jpos == pos and mono_divides(jm, m)
+                   and (field or a % b == 0)
+                   for (jpos, jm), b in zip(kept.lts, kept.lcs)):
+            kept.append(basis.vecs[i], basis.lts[i])
+    return kept
 
 
-def _interreduce(vecs: list, ring: PolynomialRing, budget: Budget) -> list:
-    """Tail-reduce every element against the others until stable.
+def _interreduce(basis: VecBasis, budget: Budget) -> VecBasis:
+    """Tail-reduce every element in place against the whole basis.
 
-    Leading terms are never touched, so the Groebner property is preserved.
+    A lead never divides a term of its own tail, and tail reduction never
+    touches a lead, so the leads (and the Groebner property) are preserved
+    and a pass in ascending lead order leaves every tail irreducible.  When
+    that pass changed something, a second pass confirms it; if the second
+    pass changes anything too, an invariant is broken.
     """
-    tkey = _term_key(ring)
-    vecs = [dict(v) for v in vecs]
-    guard = 0
-    changed = True
-    while changed:
+    def sweep() -> bool:
         changed = False
-        guard += 1
-        if guard > 200:
-            raise ResourceBudgetExceeded("interreduction failed to stabilize",
-                                         budget.steps, len(vecs))
-        for i in range(len(vecs)):
-            lt = max(vecs[i], key=tkey)
-            tail = {k: c for k, c in vecs[i].items() if k != lt}
+        for i, lt in enumerate(basis.lts):
+            v = basis.vecs[i]
+            tail = {k: c for k, c in v.items() if k != lt}
             if not tail:
                 continue
-            others = VecBasis([], ring)
-            for j, w in enumerate(vecs):
-                if j != i:
-                    others.append(dict(w))
-            r = vec_normal_form(tail, others, budget)
-            new = {lt: vecs[i][lt]}
-            new.update(r)
-            if new != vecs[i]:
-                vecs[i] = new
+            new = {lt: v[lt]}
+            new.update(vec_normal_form(tail, basis, budget))
+            if new != v:
+                basis.vecs[i] = new
                 changed = True
-    return vecs
+        return changed
+
+    if sweep() and sweep():
+        raise InternalError("internal: interreduction failed to stabilize")
+    return basis
 
 
 def vec_groebner(vecs: Sequence, ring: PolynomialRing, budget: Budget,
-                 rank1: bool = False) -> list:
-    """Canonical Groebner basis of the submodule generated by `vecs`."""
+                 rank1: bool = False) -> VecBasis:
+    """Canonical Groebner basis of the submodule generated by `vecs`, in
+    ascending lead order."""
     if ring.domain.is_field:
         basis = _groebner_field(vecs, ring, budget, rank1)
     else:
         if ring.domain.kind != "integers":
             raise UnsupportedDomainError(f"no engine for domain {ring.domain}")
         basis = _groebner_integer(vecs, ring, budget)
-    reduced = _interreduce(_minimalize(basis, ring), ring, budget)
-    tkey = _term_key(ring)
-    reduced.sort(key=lambda v: tkey(max(v, key=tkey)))
-    return reduced
+    return _interreduce(_minimalize(basis), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +399,7 @@ def vec_syzygies(vecs: Sequence, rank: int, ring: PolynomialRing,
     """Generators of {h : sum h_j vecs[j] = 0} as vectors over len(vecs) slots."""
     G = vec_groebner(_tagged(vecs, rank, ring), ring, budget)
     syz = []
-    for g in G:
+    for g in G.vecs:
         if all(pos >= rank for pos, _ in g):
             syz.append({(pos - rank, m): c for (pos, m), c in g.items()})
     return syz
@@ -418,7 +409,7 @@ def vec_lift(target: dict, vecs: Sequence, rank: int, ring: PolynomialRing,
              budget: Budget) -> Optional[list]:
     """Polynomials h with target = sum h_j vecs[j], or None if no member."""
     G = vec_groebner(_tagged(vecs, rank, ring), ring, budget)
-    r = vec_normal_form(target, VecBasis(G, ring), budget)
+    r = vec_normal_form(target, G, budget)
     if any(pos < rank for pos, _ in r):
         return None
     dom = ring.domain
@@ -435,23 +426,18 @@ class GroebnerBasis:
     """A canonical Groebner basis: reduced monic over fields, normalized
     strong basis (positive leading coefficients, reduced tails) over ZZ.
 
-    Immutable; reduction caches fill lazily and idempotently.
+    `vecs` is the basis as `vec_groebner` returned it, which normal forms
+    reduce against; `basis` holds the same elements as polynomials.
     """
 
-    def __init__(self, ambient: PolynomialRing, basis: Sequence, kind: str,
+    def __init__(self, ambient: PolynomialRing, vecs: VecBasis, kind: str,
                  ideal: Optional[IdealPresentation] = None):
         self.ambient = ambient
         self.order = ambient.order
-        self.basis = tuple(basis)
+        self.vecs = vecs
+        self.basis = tuple(vec_to_poly(v, ambient) for v in vecs.vecs)
         self.kind = kind
         self.ideal = ideal
-        self._vec_basis = None
-
-    def vec_basis(self) -> VecBasis:
-        if self._vec_basis is None:
-            self._vec_basis = VecBasis([poly_to_vec(p) for p in self.basis],
-                                       self.ambient)
-        return self._vec_basis
 
     def leading_monomials(self) -> tuple:
         return tuple(p.leading_monomial() for p in self.basis)
@@ -480,7 +466,7 @@ def groebner_basis_of_polys(ambient: PolynomialRing, polys: Sequence,
     vecs = [poly_to_vec(p) for p in polys if not p.is_zero]
     G = vec_groebner(vecs, ambient, budget, rank1=True)
     kind = REDUCED_FIELD if ambient.domain.is_field else STRONG_INTEGER
-    return GroebnerBasis(ambient, [vec_to_poly(g, ambient) for g in G], kind, ideal)
+    return GroebnerBasis(ambient, G, kind, ideal)
 
 
 def groebner_basis(I: IdealPresentation, budget: Budget = None) -> GroebnerBasis:
@@ -496,7 +482,7 @@ def normal_form_polys(f: Polynomial, G: GroebnerBasis,
             f"normal form order/ring mismatch: {f.ring} with order {f.ring.order} "
             f"vs basis over {G.ambient} with order {G.order}")
     budget = ensure_budget(budget)
-    r = vec_normal_form(poly_to_vec(f), G.vec_basis(), budget)
+    r = vec_normal_form(poly_to_vec(f), G.vecs, budget)
     return vec_to_poly(r, G.ambient)
 
 

@@ -142,8 +142,7 @@ class SubmodulePresentation:
             budget = ensure_budget(budget)
             vecs = [polys_to_vec(g) for g in self.generators if any(not p.is_zero for p in g)]
             vecs += _relation_vectors(self.ring, self.ambient_rank, budget)
-            G = vec_groebner(vecs, self.ring.ambient, budget)
-            self._gb = VecBasis(G, self.ring.ambient)
+            self._gb = vec_groebner(vecs, self.ring.ambient, budget)
         return self._gb
 
     def normal_form(self, vector: Sequence, budget: Budget = None) -> tuple:

@@ -331,9 +331,6 @@ class Polynomial:
             return -1
         return max(mono_degree(m) for m, _ in self.terms)
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def constant_value(self):
         """The coefficient of 1 when the polynomial is constant."""
         if self.is_zero:
@@ -412,12 +409,6 @@ class Polynomial:
             return True
         degs = {mono_degree(m) for m, _ in self.terms}
         return len(degs) == 1
-
-    def map_coefficients(self, target_ring: "PolynomialRing") -> "Polynomial":
-        """Reinterpret the same terms in a ring with identical variables."""
-        if target_ring.variables != self.ring.variables:
-            raise StructuralError("variable mismatch in coefficient map")
-        return target_ring.from_dict(dict(self.terms))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -565,9 +556,6 @@ class IdealPresentation:
     def is_zero(self, budget=None) -> bool:
         """True when the ideal is the zero ideal of R."""
         return all(self.ring.is_zero_element(g, budget) for g in self.generators)
-
-    def with_generators(self, generators: Sequence, notes: tuple = ()) -> "IdealPresentation":
-        return IdealPresentation(self.ring, generators, notes=notes)
 
     def __str__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "0"

@@ -1,7 +1,8 @@
 """CLI execution, report structure, exit codes, and output determinism."""
 import json
 
-from fpdlab import GradeValue
+import pytest
+from fpdlab import LEX, GradeValue
 from fpdlab.cli import (EXIT_COMMAND_ERROR, EXIT_INTERNAL, EXIT_OK,
                         EXIT_PARSE_ERROR, EXIT_RESOURCE, CliConfig,
                         build_arg_parser, config_from_args, execute_script,
@@ -120,9 +121,23 @@ def test_env_variables_mirror_flags(monkeypatch):
     monkeypatch.setenv("FPDLAB_JSON", "1")
     args = build_arg_parser().parse_args([])
     config = config_from_args(args)
-    assert config.order_name == "lex"
+    assert config.order == LEX
     assert config.budget_steps == 12345
     assert config.json_output
+
+
+def test_bad_env_values_are_usage_errors(monkeypatch):
+    # an env value is parsed and validated like its flag: exit 2, no traceback
+    for name, value in [("ORDER", "foo"), ("BUDGET", "lots"),
+                        ("DEADLINE", "soon")]:
+        with monkeypatch.context() as m:
+            m.setenv(f"FPDLAB_{name}", value)
+            with pytest.raises(SystemExit) as exc:
+                build_arg_parser().parse_args([])
+            assert exc.value.code == 2  # argparse usage error
+    # a flag overrides the env value, which then goes unparsed
+    monkeypatch.setenv("FPDLAB_BUDGET", "lots")
+    assert build_arg_parser().parse_args(["--budget", "7"]).budget == 7
 
 
 def test_text_rendering_mentions_inputs_and_steps():

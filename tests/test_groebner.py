@@ -1,13 +1,20 @@
 """Groebner engines (field and strong integer), normal forms, ideal
 operations, and the Krull dimension combinatorics."""
+from itertools import count
+
 import pytest
-from fpdlab import (LEX, FreeModuleMap, RingPresentation, StructuralError,
-                    SubmodulePresentation, UnsupportedDomainError, annihilator,
-                    ideal_quotient, is_unit_ideal, krull_dimension,
-                    normal_form_polys)
+from fpdlab import (LEX, Budget, FreeModuleMap, RingPresentation,
+                    StructuralError, SubmodulePresentation,
+                    UnsupportedDomainError, annihilator, ideal_quotient,
+                    is_unit_ideal, krull_dimension, normal_form_polys)
+from fpdlab import groebner
+from fpdlab.cli import EXIT_INTERNAL, CliConfig, execute_script
 from fpdlab.finite_rings import FiniteRing, enumerate_ideals
-from fpdlab.groebner import groebner_basis_of_polys
+from fpdlab.groebner import (VecBasis, _term_key, groebner_basis_of_polys,
+                             poly_to_vec, vec_groebner, vec_to_poly)
 from fpdlab.modules import generator_syzygies
+from fpdlab.rings import mono_divides
+from fpdlab.script import parse
 from helpers import (FF, QQ, ZZ, assert_is_groebner, monomials_up_to,
                      poly_ring, presentation)
 
@@ -194,6 +201,81 @@ def test_annihilator_socle_and_domain():
         principal = SubmodulePresentation(R, 1, [(R.poly(f),)])
         syz_ideal = R.ideal(*(s[0] for s in generator_syzygies(principal)))
         assert _same_ideal(annihilator(R.ideal(f)), syz_ideal)
+
+
+def _assert_canonical(B):
+    """Cached leads are the true ones, strictly ascending and normalized,
+    and no tail term is reducible by any lead."""
+    assert isinstance(B, VecBasis)
+    dom = B.ring.domain
+    tkey = _term_key(B.ring)
+    for v, lt, lc in zip(B.vecs, B.lts, B.lcs):
+        assert lt == max(v, key=tkey) and lc == v[lt]
+        assert dom.lc_normalizer(lc) == dom.one()
+        for (pos, m), c in v.items():
+            if (pos, m) == lt:
+                continue
+            for (bpos, bm), a in zip(B.lts, B.lcs):
+                if bpos == pos and mono_divides(bm, m):
+                    # over ZZ c*m is reducible by a*u only when c // a != 0
+                    assert not dom.is_field and 0 <= c < a
+    keys = [tkey(lt) for lt in B.lts]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+
+def test_vec_groebner_returns_its_canonical_vec_basis():
+    # each reduced basis keeps tails; over ZZ some tail coefficients lie in
+    # [0, a) under a lead a*u that divides their monomial (2*x under 4*x)
+    cases = [(QQ, ("x", "y", "z"), ["x*z - y^2"], ["x^2 - y*z", "x*y - z^2 + x"]),
+             (FF(3), ("x", "y"), ["x^2 + y + 1"], ["x*y - 2*y^2 + x"]),
+             (ZZ, ("x", "y"), ["8*x", "x^2 - 2*x"], ["4*x + 3*y"])]
+    for domain, variables, relations, gens in cases:
+        R = presentation(domain, variables, relations)
+        polys = [R.poly(g) for g in relations + gens]
+        B = vec_groebner([poly_to_vec(p) for p in polys], R.ambient, Budget(),
+                         rank1=True)
+        _assert_canonical(B)
+        assert any(len(v) > 1 for v in B.vecs)
+        G = R.ideal(*gens).groebner()
+        _assert_canonical(G.vecs)
+        assert [p.terms for p in G.basis] == \
+            [vec_to_poly(v, R.ambient).terms for v in G.vecs.vecs]
+    # a rank-2 submodule over ZZ, with the relation multiples J*e_i
+    R = presentation(ZZ, ("x", "y"), ["6", "x^2 - y"])
+    S = SubmodulePresentation(R, 2, [("2*x + 4", "x*y"), ("3*y", "x + 2"),
+                                     ("x*y", "4")])
+    B = S.groebner_vectors()
+    _assert_canonical(B)
+    assert {pos for pos, _ in B.lts} == {0, 1}
+
+
+def test_unstable_interreduction_is_an_internal_error(monkeypatch):
+    # tails that change on every reduction break the invariant that one pass
+    # settles them: that is a library defect, not a budget or input problem
+    real_interreduce = groebner._interreduce
+    real_normal_form = groebner.vec_normal_form
+
+    def drifting_interreduce(basis, budget):
+        drift = count(1)
+
+        def drifting_normal_form(v, b, budget):
+            r = real_normal_form(v, b, budget)
+            k = next(iter(v))
+            r[k] = r.get(k, 0) + next(drift)
+            return r
+
+        monkeypatch.setattr(groebner, "vec_normal_form", drifting_normal_form)
+        try:
+            return real_interreduce(basis, budget)
+        finally:
+            monkeypatch.setattr(groebner, "vec_normal_form", real_normal_form)
+
+    monkeypatch.setattr(groebner, "_interreduce", drifting_interreduce)
+    records, code = execute_script(
+        parse("ring R = QQ[x,y]; ideal I = (x - y); grade I;"), CliConfig())
+    assert code == EXIT_INTERNAL
+    assert records[0]["status"] == "internal"
+    assert "interreduction failed to stabilize" in records[0]["error"]
 
 
 def test_annihilator_coordinate_cross_brute_sweep():
