@@ -16,8 +16,8 @@ from .modules import (FreeModuleMap, SubmodulePresentation, image,
 from .complexes import (ChainComplex, ExtComputer, ExtReport, dualize,
                         ext_is_zero, ext_vanishing_profile, free_resolution,
                         free_resolution_of_quotient)
-from .koszul import (DualKoszulCokernel, KoszulComplex, dual_koszul_cokernel,
-                     koszul_complex, koszul_grade)
+from .koszul import (DualKoszulCokernel, dual_koszul_cokernel, koszul_complex,
+                     koszul_grade)
 from .invariants import (CohenMacaulayReport, CriterionResult, DqDwReport,
                          FpdReport, GradeReport, dq_dw_local, fpd_bound,
                          fpd_criterion_check, grade, irrelevant_ideal,

@@ -13,32 +13,11 @@ from math import comb
 from typing import Optional, Sequence
 
 from .errors import Budget, InternalError, StructuralError, ensure_budget
-from .complexes import ChainComplex, ext_vanishing_profile
-from .modules import (FreeModuleMap, SubmodulePresentation, image,
-                      is_zero_subquotient, kernel)
+from .complexes import (ChainComplex, cycles_and_boundaries,
+                        ext_vanishing_profile)
+from .modules import FreeModuleMap, is_zero_subquotient
 from .rings import IdealPresentation, RingPresentation
 from .values import GradeValue
-
-
-class KoszulComplex:
-    def __init__(self, underlying: ChainComplex, generators: tuple):
-        self.underlying = underlying
-        self.generators = generators
-
-    @property
-    def ring(self) -> RingPresentation:
-        return self.underlying.ring
-
-    @property
-    def ranks(self) -> tuple:
-        return self.underlying.ranks
-
-    def differential(self, i: int) -> FreeModuleMap:
-        return self.underlying.differential(i)
-
-    def __str__(self):
-        gens = ", ".join(str(g) for g in self.generators)
-        return f"Koszul({gens}): {self.underlying}"
 
 
 def _koszul_differentials(ring: RingPresentation, gens: Sequence, top: int,
@@ -66,43 +45,31 @@ def koszul_chain(ring: RingPresentation, gens: Sequence, top: int,
     gens = tuple(ring.poly(g) for g in gens)
     ranks = [comb(len(gens), i) for i in range(top + 1)]
     diffs = _koszul_differentials(ring, gens, top, budget)
-    return ChainComplex(ring, ranks, diffs, budget)
+    try:
+        return ChainComplex(ring, ranks, diffs, budget)
+    except StructuralError as exc:
+        raise InternalError(f"internal: Koszul complex: {exc}") from exc
 
 
 def koszul_complex(ring: RingPresentation, gens: Sequence,
-                   budget: Budget = None) -> KoszulComplex:
+                   budget: Budget = None) -> ChainComplex:
     """The full Koszul complex on a nonempty generator tuple."""
     gens = tuple(ring.poly(g) for g in gens)
     if not gens:
         raise StructuralError("Koszul complex needs at least one generator")
-    chain = koszul_chain(ring, gens, len(gens), budget)
-    return KoszulComplex(chain, gens)
+    return koszul_chain(ring, gens, len(gens), budget)
 
 
-def _full_submodule(ring: RingPresentation, rank: int) -> SubmodulePresentation:
-    one = ring.ambient.one()
-    zero = ring.ambient.zero()
-    gens = [tuple(one if t == j else zero for t in range(rank)) for j in range(rank)]
-    return SubmodulePresentation(ring, rank, gens)
-
-
-def koszul_homology_is_zero(K: KoszulComplex, i: int, budget: Budget = None) -> bool:
+def koszul_homology_is_zero(K: ChainComplex, i: int, budget: Budget = None) -> bool:
     """H_i(K) = 0?  (d_0 and d_{m+1} are treated as zero maps.)"""
     budget = ensure_budget(budget)
-    ring = K.ring
-    m = K.underlying.length
+    m = K.length
     if not 0 <= i <= m:
         raise StructuralError(f"homology degree {i} outside 0..{m}")
-    if i == 0:
-        ker_i = _full_submodule(ring, K.ranks[0])
-    else:
-        ker_i = kernel(K.differential(i), budget)
-    if i < m:
-        im_i = image(K.differential(i + 1))
-    else:
-        im_i = SubmodulePresentation(ring, K.ranks[i], ())
-    # im <= ker is certified by d.d = 0 at construction
-    return is_zero_subquotient(ker_i, im_i, budget, verify_containment=False)
+    Z, B = cycles_and_boundaries(K.differential(i) if i > 0 else None,
+                                 K.differential(i + 1) if i < m else None, budget)
+    # B <= Z is certified by d.d = 0 at construction
+    return is_zero_subquotient(Z, B, budget, verify_containment=False)
 
 
 def koszul_grade(I: IdealPresentation, gens: Sequence = None,
@@ -113,7 +80,7 @@ def koszul_grade(I: IdealPresentation, gens: Sequence = None,
     if gens is None:
         gens = I.generators
     K = koszul_complex(I.ring, gens, budget)
-    m = K.underlying.length
+    m = K.length
     for i in range(m, -1, -1):
         if not koszul_homology_is_zero(K, i, budget):
             return GradeValue.finite(m - i)
@@ -166,19 +133,14 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int,
     verified = False
     if all(profile):
         duals = [chain.differential(i).transpose() for i in range(1, n + 2)]
-        ring = I.ring
-        ker_1 = kernel(duals[0], budget)
-        zero_mod = SubmodulePresentation(ring, duals[0].source_rank, ())
-        if not is_zero_subquotient(ker_1, zero_mod, budget, verify_containment=False):
-            raise InternalError("internal: dual complex not exact at position 0 "
-                                "despite the vanishing profile")
-        for i in range(1, n + 1):
-            ker_i = kernel(duals[i], budget)       # ker d*_{i+1}
-            im_i = image(duals[i - 1])             # im d*_i
-            if not is_zero_subquotient(ker_i, im_i, budget, verify_containment=False):
+        for i in range(n + 1):
+            # position i: Z = ker d*_{i+1}, B = im d*_i (none at position 0)
+            Z, B = cycles_and_boundaries(duals[i], duals[i - 1] if i else None,
+                                         budget)
+            if not is_zero_subquotient(Z, B, budget, verify_containment=False):
                 raise InternalError(f"internal: dual complex not exact at "
                                     f"position {i} (kernel exceeds image)")
-            if not is_zero_subquotient(im_i, ker_i, budget, verify_containment=False):
+            if not is_zero_subquotient(B, Z, budget, verify_containment=False):
                 raise InternalError(f"internal: dual complex not exact at "
                                     f"position {i} (image exceeds kernel)")
         verified = True

@@ -6,11 +6,11 @@ multiples J*e_i adjoined, so membership and syzygies are taken over R.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import Budget, StructuralError, ensure_budget
-from .groebner import (VecBasis, polys_to_vec, vec_groebner, vec_lift,
-                       vec_normal_form, vec_syzygies, vec_to_polys)
+from .groebner import (VecBasis, polys_to_vec, vec_groebner, vec_normal_form,
+                       vec_syzygies, vec_to_polys)
 from .rings import RingPresentation
 
 
@@ -65,12 +65,6 @@ class FreeModuleMap:
                      budget: Budget = None) -> "FreeModuleMap":
         matrix = [[col[t] for col in columns] for t in range(target_rank)]
         return FreeModuleMap(ring, len(columns), target_rank, matrix, budget)
-
-    @staticmethod
-    def zero(ring: RingPresentation, source_rank: int, target_rank: int) -> "FreeModuleMap":
-        z = ring.ambient.zero()
-        return FreeModuleMap(ring, source_rank, target_rank,
-                             [[z] * source_rank for _ in range(target_rank)])
 
     def column(self, j: int) -> tuple:
         return tuple(self.matrix[t][j] for t in range(self.target_rank))
@@ -154,10 +148,6 @@ class SubmodulePresentation:
     def contains(self, vector: Sequence, budget: Budget = None) -> bool:
         return all(p.is_zero for p in self.normal_form(vector, budget))
 
-    def is_zero_module(self, budget: Budget = None) -> bool:
-        return all(self.ring.is_zero_element(p, budget)
-                   for g in self.generators for p in g)
-
     def __str__(self):
         gens = "; ".join("(" + ", ".join(str(p) for p in g) + ")"
                          for g in self.generators)
@@ -221,21 +211,3 @@ def is_zero_subquotient(K: SubmodulePresentation, Im: SubmodulePresentation,
                 raise StructuralError("subquotient denominator is not contained "
                                       "in the numerator")
     return all(Im.contains(g, budget) for g in K.generators)
-
-
-def lift_coordinates(vector: Sequence, S: SubmodulePresentation,
-                     budget: Budget = None) -> Optional[tuple]:
-    """Coordinates of a member over S.generators (modulo relations), else None."""
-    budget = ensure_budget(budget)
-    vec = _as_vector(S.ring, vector, S.ambient_rank)
-    gens = [polys_to_vec(g) for g in S.generators]
-    gens += _relation_vectors(S.ring, S.ambient_rank, budget)
-    lifted = vec_lift(polys_to_vec(vec), gens, S.ambient_rank, S.ring.ambient, budget)
-    if lifted is None:
-        return None
-    return tuple(lifted[:len(S.generators)])
-
-
-def generator_syzygies(S: SubmodulePresentation, budget: Budget = None) -> list:
-    """Relations among S.generators over R, as vectors of length len(generators)."""
-    return _syzygies(S.ring, S.generators, S.ambient_rank, ensure_budget(budget))

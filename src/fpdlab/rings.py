@@ -104,11 +104,6 @@ class CoefficientDomain:
     def neg(self, a):
         return (-a) % self.p if self.kind == PRIME_FIELD else -a
 
-    def is_unit(self, a) -> bool:
-        if self.kind == INTEGERS:
-            return a in (1, -1)
-        return a != self.zero()
-
     def inv(self, a):
         if self.kind == RATIONALS:
             return Fraction(1) / a
@@ -502,9 +497,6 @@ class RingPresentation:
 
     def zero_ideal(self) -> "IdealPresentation":
         return IdealPresentation(self, ())
-
-    def unit_ideal(self) -> "IdealPresentation":
-        return IdealPresentation(self, (self.ambient.one(),))
 
     def has_homogeneous_relations(self) -> bool:
         return all(r.is_homogeneous() for r in self.relations)

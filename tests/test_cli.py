@@ -2,7 +2,7 @@
 import json
 
 import pytest
-from fpdlab import LEX, GradeValue
+from fpdlab import LEX, FreeModuleMap, GradeValue, koszul
 from fpdlab.cli import (EXIT_COMMAND_ERROR, EXIT_INTERNAL, EXIT_OK,
                         EXIT_PARSE_ERROR, EXIT_RESOURCE, CliConfig,
                         build_arg_parser, config_from_args, execute_script,
@@ -81,6 +81,26 @@ def test_internal_failure_is_not_a_command_error(monkeypatch):
     assert code == EXIT_INTERNAL
     assert [r["status"] for r in records] == ["internal", "error"]
     assert "Koszul grade 99 disagrees" in records[0]["error"]
+
+
+def test_broken_library_complex_is_internal(monkeypatch):
+    # a complex the library builds itself that fails its d.d = 0 check is a
+    # library defect, not a fault of the input
+    build = koszul._koszul_differentials
+
+    def broken(ring, gens, top, budget=None):
+        diffs = build(ring, gens, top, budget)
+        if top >= 2:
+            d2 = diffs[1]
+            diffs[1] = FreeModuleMap(ring, d2.source_rank, d2.target_rank,
+                                     [["1"] * d2.source_rank] * d2.target_rank)
+        return diffs
+
+    monkeypatch.setattr(koszul, "_koszul_differentials", broken)
+    records, code = run("ring R = QQ[x,y]; ideal m = (x, y); koszul m; grade m;")
+    assert code == EXIT_INTERNAL
+    assert [r["status"] for r in records] == ["internal", "internal"]
+    assert all("d_1 . d_2 is not zero" in r["error"] for r in records)
 
 
 def test_resource_exhaustion_exit_code():

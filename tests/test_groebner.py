@@ -12,7 +12,7 @@ from fpdlab.cli import EXIT_INTERNAL, CliConfig, execute_script
 from fpdlab.finite_rings import FiniteRing, enumerate_ideals
 from fpdlab.groebner import (VecBasis, _term_key, groebner_basis_of_polys,
                              poly_to_vec, vec_groebner, vec_to_poly)
-from fpdlab.modules import generator_syzygies
+from fpdlab.modules import kernel
 from fpdlab.rings import mono_divides
 from fpdlab.script import parse
 from helpers import (FF, QQ, ZZ, assert_is_groebner, monomials_up_to,
@@ -194,12 +194,11 @@ def test_annihilator_socle_and_domain():
         R = presentation(domain, variables, relations)
         I = R.ideal(*gens)
         assert _same_ideal(annihilator(I), ideal_quotient(R.zero_ideal(), I))
-        S = SubmodulePresentation(R, 1, [(g,) for g in I.generators])
-        phi = FreeModuleMap.from_columns(R, S.generators, 1)
-        for syz in generator_syzygies(S):
+        phi = FreeModuleMap.from_columns(R, [(g,) for g in I.generators], 1)
+        for syz in kernel(phi).generators:
             assert all(R.is_zero_element(e) for e in phi.apply(syz))
-        principal = SubmodulePresentation(R, 1, [(R.poly(f),)])
-        syz_ideal = R.ideal(*(s[0] for s in generator_syzygies(principal)))
+        principal = FreeModuleMap.from_columns(R, [(R.poly(f),)], 1)
+        syz_ideal = R.ideal(*(s[0] for s in kernel(principal).generators))
         assert _same_ideal(annihilator(R.ideal(f)), syz_ideal)
 
 

@@ -60,7 +60,7 @@ def test_koszul_differentials_compose_to_zero(domain, term_lists):
     if not gens:
         return
     K = koszul_complex(P, gens)  # the constructor verifies d.d = 0
-    for i in range(1, K.underlying.length):
+    for i in range(1, K.length):
         assert K.differential(i).compose(K.differential(i + 1)).is_zero()
 
 
