@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .errors import (DEFAULT_MAX_STEPS, Budget, InternalError, ParseError,
@@ -25,7 +26,7 @@ from .finite_rings import (FiniteRing, brute_is_dq, brute_is_dw,
 from .groebner import krull_dimension
 from .invariants import (dq_dw_local, fpd_bound, fpd_criterion_check, grade,
                          is_cohen_macaulay_graded, is_gv, is_semiregular)
-from .koszul import dual_koszul_cokernel, koszul_complex, koszul_grade
+from .koszul import dual_koszul_cokernel, koszul_grade
 from .rings import GREVLEX, LEX, MonomialOrder
 from .script import Command, SessionScript, parse
 
@@ -187,9 +188,9 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
                                if rep.gv_witness is not None else None)}
     if kind == "koszul":
         ideal = ideal_of()
-        complex_ = koszul_complex(ring, ideal.generators, budget)
-        value = koszul_grade(ideal, budget=budget)
-        return {"ranks": list(complex_.ranks), "koszul_grade": str(value)}
+        value = koszul_grade(ideal, budget=budget)  # builds and checks the complex
+        m = len(ideal.generators)
+        return {"ranks": [comb(m, i) for i in range(m + 1)], "koszul_grade": str(value)}
     if kind == "smodule":
         res = dual_koszul_cokernel(ideal_of(), cmd.degree, budget)
         return {"index": res.index,

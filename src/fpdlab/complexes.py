@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .groebner import annihilator
 from .modules import (FreeModuleMap, SubmodulePresentation, image,
-                      is_zero_subquotient, kernel)
+                      is_zero_subquotient, kernel, prune_generators)
 from .rings import IdealPresentation, RingPresentation
 
 
@@ -33,7 +33,7 @@ class ChainComplex:
                                       f"{d.target_rank}x{d.source_rank}, expected "
                                       f"{self.ranks[i]}x{self.ranks[i + 1]}")
         for i in range(len(self.diffs) - 1):
-            if not self.diffs[i].compose(self.diffs[i + 1]).is_zero(budget):
+            if not self.diffs[i].compose(self.diffs[i + 1], budget).is_zero(budget):
                 raise StructuralError(f"d_{i + 1} . d_{i + 2} is not zero")
 
     @property
@@ -55,7 +55,7 @@ def dualize(C: ChainComplex, budget: Budget = None) -> ChainComplex:
     """Hom(-, R): arrows reversed, matrices transposed, d.d = 0 re-verified."""
     L = C.length
     ranks = tuple(reversed(C.ranks))
-    diffs = [C.diffs[L - 1 - j].transpose() for j in range(L)]
+    diffs = [C.diffs[L - 1 - j].transpose(budget) for j in range(L)]
     return ChainComplex(C.ring, ranks, diffs, budget)
 
 
@@ -85,7 +85,8 @@ def cycles_and_boundaries(d_out: Optional[FreeModuleMap],
 
 class ResolutionCache:
     """Differentials of a free resolution of coker(presentation), extended on
-    demand and shared by every Ext degree of one computation."""
+    demand and shared by every Ext degree of one computation; d.d = 0 is
+    checked as each differential is added."""
 
     def __init__(self, presentation: FreeModuleMap, budget: Budget = None):
         self.ring = presentation.ring
@@ -96,11 +97,14 @@ class ResolutionCache:
         """d_i: F_i -> F_{i-1} (1-based), computing new syzygy steps as needed."""
         if i < 1:
             raise StructuralError("differential index must be >= 1")
-        while len(self._diffs) < i:
+        for n in range(len(self._diffs), i):
             last = self._diffs[-1]
-            K = kernel(last, self.budget)
-            self._diffs.append(FreeModuleMap.from_columns(
-                self.ring, K.generators, last.source_rank, self.budget))
+            K = prune_generators(kernel(last, self.budget), self.budget)
+            d = FreeModuleMap.from_columns(self.ring, K.generators,
+                                           last.source_rank, self.budget)
+            if not last.compose(d, self.budget).is_zero(self.budget):
+                raise InternalError(f"internal: resolution: d_{n} . d_{n + 1} is not zero")
+            self._diffs.append(d)
         return self._diffs[i - 1]
 
 
@@ -149,11 +153,12 @@ class ExtComputer:
     def ext_is_zero(self, i: int) -> ExtReport:
         if i < 0:
             raise StructuralError("Ext degree must be >= 0")
-        d_out = self.resolution.differential(i + 1).transpose()
-        d_in = self.resolution.differential(i).transpose() if i >= 1 else None
+        d_out = self.resolution.differential(i + 1).transpose(self.budget)
+        d_in = (self.resolution.differential(i).transpose(self.budget)
+                if i >= 1 else None)
         K, Im = cycles_and_boundaries(d_out, d_in, self.budget)
-        # im d*_i <= ker d*_{i+1} holds by construction: d_{i+1} is built
-        # from generators of ker d_i.  No d.d = 0 check runs on this path.
+        # im d*_i <= ker d*_{i+1} because d_i . d_{i+1} = 0, which the
+        # resolution checks as it builds d_{i+1}
         zero = is_zero_subquotient(K, Im, self.budget, verify_containment=False)
         if i == 0:
             ann_zero = annihilator(self.ideal, self.budget).is_zero(self.budget)

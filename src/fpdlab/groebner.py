@@ -194,47 +194,55 @@ def _s_vector(basis: VecBasis, i: int, j: int, si, sj) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Completion: one loop, with a pair rule and S-vector coefficients per domain
+# Completion: one growable basis, with a pair rule and S-vector coefficients per domain
 
-def _complete(vecs: Sequence, ring: PolynomialRing, budget: Budget,
-              push_pairs, s_vector) -> VecBasis:
-    """Complete `vecs` to a Groebner basis.
+class Completion:
+    """The completion of `vecs` to a Groebner basis, which can grow: each
+    later `insert` followed by `run` completes the enlarged module.
 
     `push_pairs(basis, heap, f)` queues the critical pairs of the new element
     f as heap entries (degree, position, order key, i, f, ...).
     `s_vector(basis, entry)` gives a popped entry's S-vector, or None when
     the pair was eliminated after it was queued.
     """
-    basis = VecBasis([], ring)
-    heap = []
 
-    def insert(r: dict):
-        basis.add(r)
-        push_pairs(basis, heap, len(basis) - 1)
+    def __init__(self, vecs: Sequence, ring: PolynomialRing, budget: Budget,
+                 push_pairs, s_vector):
+        self.basis = VecBasis([], ring)
+        self.heap = []
+        self.budget = budget
+        self.push_pairs = push_pairs
+        self.s_vector = s_vector
+        for v in vecs:
+            self.insert(v)
+        self.run()
 
-    for v in vecs:
-        if v:
-            r = vec_normal_form(v, basis, budget)
-            if r:
-                insert(r)
+    def insert(self, v: dict) -> bool:
+        """Add v's nonzero normal form and queue its pairs; False when v
+        reduces to zero, i.e. already lies in the module once `run` is done."""
+        r = vec_normal_form(v, self.basis, self.budget)
+        if not r:
+            return False
+        self.basis.add(r)
+        self.push_pairs(self.basis, self.heap, len(self.basis) - 1)
+        return True
 
-    while heap:
-        s = s_vector(basis, heapq.heappop(heap))
-        if s is None:
-            continue
-        budget.tick(1, len(basis), len(heap))
-        try:
-            r = vec_normal_form(s, basis, budget)
-        except ResourceBudgetExceeded as exc:
-            raise ResourceBudgetExceeded(exc.reason, exc.steps,
-                                         len(basis), len(heap)) from exc
-        if r:
-            insert(r)
-    return basis
+    def run(self):
+        """Reduce queued S-vectors until none are left."""
+        while self.heap:
+            s = self.s_vector(self.basis, heapq.heappop(self.heap))
+            if s is None:
+                continue
+            self.budget.tick(1, len(self.basis), len(self.heap))
+            try:
+                self.insert(s)
+            except ResourceBudgetExceeded as exc:
+                raise ResourceBudgetExceeded(exc.reason, exc.steps, len(self.basis),
+                                             len(self.heap)) from exc
 
 
 def _groebner_field(vecs: Sequence, ring: PolynomialRing, budget: Budget,
-                    rank1: bool) -> VecBasis:
+                    rank1: bool) -> Completion:
     """Buchberger over a field: normal selection, Gebauer-Moeller pair
     elimination, and (for ideals) the coprime-lead criterion."""
     okey = ring.order.key
@@ -283,10 +291,10 @@ def _groebner_field(vecs: Sequence, ring: PolynomialRing, budget: Budget,
         pairs.discard(pair)
         return _s_vector(basis, *pair, one, minus_one)
 
-    return _complete(vecs, ring, budget, push_pairs, s_vector)
+    return Completion(vecs, ring, budget, push_pairs, s_vector)
 
 
-def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget) -> VecBasis:
+def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget) -> Completion:
     """Strong-basis completion over ZZ: an S-pair for every pair of leads in
     one position, plus a G-pair when neither lead coefficient divides the
     other."""
@@ -314,7 +322,7 @@ def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget) -> V
         l = a * b // g
         return _s_vector(basis, i, j, l // a, -(l // b))
 
-    return _complete(vecs, ring, budget, push_pairs, s_vector)
+    return Completion(vecs, ring, budget, push_pairs, s_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +376,22 @@ def _interreduce(basis: VecBasis, budget: Budget) -> VecBasis:
     return basis
 
 
+def completion(vecs: Sequence, ring: PolynomialRing, budget: Budget,
+               rank1: bool = False) -> Completion:
+    """The completion of `vecs` under the engine of the ring's domain."""
+    if ring.domain.is_field:
+        return _groebner_field(vecs, ring, budget, rank1)
+    if ring.domain.kind != "integers":
+        raise UnsupportedDomainError(f"no engine for domain {ring.domain}")
+    return _groebner_integer(vecs, ring, budget)
+
+
 def vec_groebner(vecs: Sequence, ring: PolynomialRing, budget: Budget,
                  rank1: bool = False) -> VecBasis:
     """Canonical Groebner basis of the submodule generated by `vecs`, in
     ascending lead order."""
-    if ring.domain.is_field:
-        basis = _groebner_field(vecs, ring, budget, rank1)
-    else:
-        if ring.domain.kind != "integers":
-            raise UnsupportedDomainError(f"no engine for domain {ring.domain}")
-        basis = _groebner_integer(vecs, ring, budget)
-    return _interreduce(_minimalize(basis), budget)
+    return _interreduce(_minimalize(completion(vecs, ring, budget, rank1).basis),
+                        budget)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +443,12 @@ class GroebnerBasis:
     reduce against; `basis` holds the same elements as polynomials.
     """
 
-    def __init__(self, ambient: PolynomialRing, vecs: VecBasis, kind: str,
-                 ideal: Optional[IdealPresentation] = None):
+    def __init__(self, ambient: PolynomialRing, vecs: VecBasis, kind: str):
         self.ambient = ambient
         self.order = ambient.order
         self.vecs = vecs
         self.basis = tuple(vec_to_poly(v, ambient) for v in vecs.vecs)
         self.kind = kind
-        self.ideal = ideal
 
     def leading_monomials(self) -> tuple:
         return tuple(p.leading_monomial() for p in self.basis)
@@ -446,19 +457,9 @@ class GroebnerBasis:
         one = self.ambient.one()
         return normal_form_polys(one, self).is_zero
 
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __str__(self):
-        return "{" + ", ".join(str(p) for p in self.basis) + "}"
-
 
 def groebner_basis_of_polys(ambient: PolynomialRing, polys: Sequence,
-                            budget: Budget = None,
-                            ideal: Optional[IdealPresentation] = None) -> GroebnerBasis:
+                            budget: Budget = None) -> GroebnerBasis:
     budget = ensure_budget(budget)
     for p in polys:
         if p.ring != ambient:
@@ -466,13 +467,12 @@ def groebner_basis_of_polys(ambient: PolynomialRing, polys: Sequence,
     vecs = [poly_to_vec(p) for p in polys if not p.is_zero]
     G = vec_groebner(vecs, ambient, budget, rank1=True)
     kind = REDUCED_FIELD if ambient.domain.is_field else STRONG_INTEGER
-    return GroebnerBasis(ambient, G, kind, ideal)
+    return GroebnerBasis(ambient, G, kind)
 
 
 def groebner_basis(I: IdealPresentation, budget: Budget = None) -> GroebnerBasis:
     """Groebner basis of the preimage of I in the ambient polynomial ring."""
-    return groebner_basis_of_polys(I.ring.ambient, I.preimage_generators(),
-                                   budget, ideal=I)
+    return groebner_basis_of_polys(I.ring.ambient, I.preimage_generators(), budget)
 
 
 def normal_form_polys(f: Polynomial, G: GroebnerBasis,

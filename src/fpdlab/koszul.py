@@ -54,7 +54,6 @@ def koszul_chain(ring: RingPresentation, gens: Sequence, top: int,
 def koszul_complex(ring: RingPresentation, gens: Sequence,
                    budget: Budget = None) -> ChainComplex:
     """The full Koszul complex on a nonempty generator tuple."""
-    gens = tuple(ring.poly(g) for g in gens)
     if not gens:
         raise StructuralError("Koszul complex needs at least one generator")
     return koszul_chain(ring, gens, len(gens), budget)
@@ -128,11 +127,11 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int,
     if not gens:
         raise StructuralError("the dual Koszul cokernel needs generators")
     chain = koszul_chain(I.ring, gens, n + 1, budget)
-    presentation = chain.differential(n + 1).transpose()
+    presentation = chain.differential(n + 1).transpose(budget)
     profile = ext_vanishing_profile(I, n, budget)
     verified = False
     if all(profile):
-        duals = [chain.differential(i).transpose() for i in range(1, n + 2)]
+        duals = [chain.differential(i).transpose(budget) for i in range(1, n + 2)]
         for i in range(n + 1):
             # position i: Z = ker d*_{i+1}, B = im d*_i (none at position 0)
             Z, B = cycles_and_boundaries(duals[i], duals[i - 1] if i else None,

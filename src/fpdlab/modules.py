@@ -9,8 +9,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import Budget, StructuralError, ensure_budget
-from .groebner import (VecBasis, polys_to_vec, vec_groebner, vec_normal_form,
-                       vec_syzygies, vec_to_polys)
+from .groebner import (VecBasis, completion, polys_to_vec, vec_groebner,
+                       vec_normal_form, vec_syzygies, vec_to_polys)
 from .rings import RingPresentation
 
 
@@ -18,22 +18,6 @@ def _relation_vectors(ring: RingPresentation, rank: int, budget: Budget) -> list
     """The relation multiples J*e_t of R^rank, from the Groebner basis of J."""
     rels = ring.relations_groebner(budget).basis
     return [{(t, m): c for m, c in r.terms} for t in range(rank) for r in rels]
-
-
-def _syzygies(ring: RingPresentation, columns: Sequence, rank: int,
-              budget: Budget) -> list:
-    """The nonzero relations over R among `columns` (elements of R^rank), as
-    tuples of length len(columns) reduced modulo J."""
-    ambient = ring.ambient
-    n = len(columns)
-    vecs = [polys_to_vec(c) for c in columns] + _relation_vectors(ring, rank, budget)
-    out = []
-    for s in vec_syzygies(vecs, rank, ambient, budget):
-        entries = vec_to_polys({k: c for k, c in s.items() if k[0] < n}, n, ambient)
-        reduced = tuple(ring.normal_form(p, budget) for p in entries)
-        if any(not p.is_zero for p in reduced):
-            out.append(reduced)
-    return out
 
 
 def _as_vector(ring: RingPresentation, entries: Sequence, rank: int) -> tuple:
@@ -83,12 +67,11 @@ class FreeModuleMap:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self) -> "FreeModuleMap":
-        matrix = [[self.matrix[t][j] for t in range(self.target_rank)]
-                  for j in range(self.source_rank)]
-        return FreeModuleMap(self.ring, self.target_rank, self.source_rank, matrix)
+    def transpose(self, budget: Budget = None) -> "FreeModuleMap":
+        return FreeModuleMap(self.ring, self.target_rank, self.source_rank,
+                             self.columns(), budget)
 
-    def compose(self, other: "FreeModuleMap") -> "FreeModuleMap":
+    def compose(self, other: "FreeModuleMap", budget: Budget = None) -> "FreeModuleMap":
         """self after other (rank-compatible)."""
         if self.ring != other.ring:
             raise StructuralError("composition across different rings")
@@ -105,7 +88,8 @@ class FreeModuleMap:
                     acc = acc + self.matrix[t][k] * other.matrix[k][j]
                 row.append(acc)
             matrix.append(row)
-        return FreeModuleMap(self.ring, other.source_rank, self.target_rank, matrix)
+        return FreeModuleMap(self.ring, other.source_rank, self.target_rank, matrix,
+                             budget)
 
     def is_zero(self, budget: Budget = None) -> bool:
         return all(self.ring.is_zero_element(e, budget)
@@ -165,7 +149,8 @@ def image(phi: FreeModuleMap) -> SubmodulePresentation:
 
 
 def prune_generators(S: SubmodulePresentation, budget: Budget = None) -> SubmodulePresentation:
-    """An inclusion-minimal subset of the generators spanning the same module."""
+    """The generators, in order of term count, degree and text, that do not
+    reduce to zero against one completion of J*e_i grown by those kept before."""
     budget = ensure_budget(budget)
     nonzero = [g for g in S.generators if any(not p.is_zero for p in g)]
     if len(nonzero) <= 1:
@@ -173,23 +158,31 @@ def prune_generators(S: SubmodulePresentation, budget: Budget = None) -> Submodu
     nonzero.sort(key=lambda g: (sum(len(p.terms) for p in g),
                                 max((p.total_degree() for p in g), default=0),
                                 str(g)))
+    spanned = completion(_relation_vectors(S.ring, S.ambient_rank, budget),
+                         S.ring.ambient, budget)
     kept = []
     for g in nonzero:
-        if kept:
-            trial = SubmodulePresentation(S.ring, S.ambient_rank, kept)
-            if trial.contains(g, budget):
-                continue
-        kept.append(g)
+        if spanned.insert(polys_to_vec(g)):
+            kept.append(g)
+            spanned.run()
     return SubmodulePresentation(S.ring, S.ambient_rank, kept)
 
 
 def kernel(phi: FreeModuleMap, budget: Budget = None) -> SubmodulePresentation:
-    """Generators of ker(phi) in R^source, by syzygies of the matrix columns
-    augmented with the relation multiples J*e_t of the target."""
+    """Generators of ker(phi) in R^source, reduced modulo J and not pruned:
+    the syzygies of the matrix columns together with the relation multiples
+    J*e_t of the target."""
     budget = ensure_budget(budget)
-    gens = _syzygies(phi.ring, phi.columns(), phi.target_rank, budget)
-    return prune_generators(
-        SubmodulePresentation(phi.ring, phi.source_rank, gens), budget)
+    ring, n = phi.ring, phi.source_rank
+    vecs = ([polys_to_vec(c) for c in phi.columns()]
+            + _relation_vectors(ring, phi.target_rank, budget))
+    gens = []
+    for s in vec_syzygies(vecs, phi.target_rank, ring.ambient, budget):
+        entries = vec_to_polys({k: c for k, c in s.items() if k[0] < n}, n, ring.ambient)
+        reduced = tuple(ring.normal_form(p, budget) for p in entries)
+        if any(not p.is_zero for p in reduced):
+            gens.append(reduced)
+    return SubmodulePresentation(ring, n, gens)
 
 
 def is_zero_subquotient(K: SubmodulePresentation, Im: SubmodulePresentation,

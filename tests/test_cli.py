@@ -2,7 +2,8 @@
 import json
 
 import pytest
-from fpdlab import LEX, FreeModuleMap, GradeValue, koszul
+from fpdlab import (LEX, FreeModuleMap, GradeValue, SubmodulePresentation,
+                    complexes, koszul)
 from fpdlab.cli import (EXIT_COMMAND_ERROR, EXIT_INTERNAL, EXIT_OK,
                         EXIT_PARSE_ERROR, EXIT_RESOURCE, CliConfig,
                         build_arg_parser, config_from_args, execute_script,
@@ -101,6 +102,24 @@ def test_broken_library_complex_is_internal(monkeypatch):
     assert code == EXIT_INTERNAL
     assert [r["status"] for r in records] == ["internal", "internal"]
     assert all("d_1 . d_2 is not zero" in r["error"] for r in records)
+
+
+def test_resolution_that_breaks_d_d_is_internal(monkeypatch):
+    # the Ext path checks d.d = 0 as it extends the resolution: a column
+    # that is no syzygy is a library defect
+    prune = complexes.prune_generators
+
+    def broken(S, budget=None):
+        one, zero = S.ring.ambient.one(), S.ring.ambient.zero()
+        e1 = tuple(one if t == 0 else zero for t in range(S.ambient_rank))
+        return SubmodulePresentation(S.ring, S.ambient_rank,
+                                     prune(S, budget).generators + (e1,))
+
+    monkeypatch.setattr("fpdlab.complexes.prune_generators", broken)
+    records, code = run("ring R = QQ[x,y]/(x*y); ideal m = (x, y); ext m 1;")
+    assert code == EXIT_INTERNAL
+    assert records[0]["status"] == "internal"
+    assert "d_1 . d_2 is not zero" in records[0]["error"]
 
 
 def test_resource_exhaustion_exit_code():

@@ -1,8 +1,10 @@
 """Free-module maps, module normal forms, kernels, and subquotient tests."""
 import pytest
-from fpdlab import (FreeModuleMap, StructuralError, SubmodulePresentation,
-                    image, is_zero_subquotient, kernel, module_normal_form)
-from helpers import QQ, ZZ, brute_linear_syzygies, presentation
+from fpdlab import (Budget, FreeModuleMap, ResourceBudgetExceeded,
+                    StructuralError, SubmodulePresentation, image,
+                    is_zero_subquotient, kernel, module_normal_form)
+from fpdlab.modules import prune_generators
+from helpers import FF, QQ, ZZ, brute_linear_syzygies, presentation
 
 
 def _submodule(P, rank, *gens):
@@ -139,3 +141,64 @@ def test_image_submodule():
     Im = image(phi)
     assert Im.contains(("x", "0"))
     assert not Im.contains(("1", "0"))
+
+
+def test_compose_and_transpose_reduce_under_the_callers_budget():
+    # x * x reduces modulo x^2: that work counts against the caller's budget,
+    # so a budget that is too small stops the composition
+    P = presentation(QQ, ("x",), ["x^2"])
+    phi = FreeModuleMap(P, 1, 1, [["x"]])
+    budget = Budget()
+    assert phi.compose(phi, budget).is_zero()
+    assert budget.steps > 0
+    with pytest.raises(ResourceBudgetExceeded):
+        phi.compose(phi, Budget(max_steps=0))
+    # over ZZ the lead 2*x divides the term x: testing it takes a step
+    T = presentation(ZZ, ("x",), ["2*x"])
+    with pytest.raises(ResourceBudgetExceeded):
+        FreeModuleMap(T, 1, 1, [["x"]]).transpose(Budget(max_steps=0))
+
+
+PRUNE_CASES = [
+    # (domain, variables, relations, rank, candidate generators)
+    (QQ, ("x", "y"), ["x*y"], 1,
+     [("x",), ("x^2",), ("y",), ("x + y",), ("x*y",), ("x^2 + y^2",)]),
+    (FF(3), ("x", "y", "z"), ["x*y - z^2"], 2,
+     [("x", "0"), ("0", "y"), ("x", "y"), ("z^2", "0"), ("z", "z"),
+      ("x*z", "y*z"), ("y", "0")]),
+    (ZZ, ("x",), ["4", "x^2 + x"], 1,
+     [("2",), ("2*x",), ("x",), ("2*x + 2",), ("3",), ("x + 1",)]),
+    (ZZ, ("x", "y"), ["2*x*y"], 2,
+     [("2", "x"), ("4", "2*x"), ("y", "0"), ("2*y", "x*y"), ("0", "x*y"),
+      ("x", "y"), ("3", "0")]),
+]
+
+
+def _prune_order(g):
+    return (sum(len(p.terms) for p in g), max(p.total_degree() for p in g), str(g))
+
+
+@pytest.mark.parametrize("domain,variables,relations,rank,gens", PRUNE_CASES)
+def test_prune_keeps_an_ordered_spanning_subsequence(domain, variables,
+                                                     relations, rank, gens):
+    P = presentation(domain, variables, relations)
+    S = _submodule(P, rank, *gens)
+    phi = FreeModuleMap.from_columns(P, S.generators, rank)
+    K = kernel(phi)
+    # the kernel is not pruned, and every generator of it maps to zero
+    assert K.generators
+    for g in K.generators:
+        assert all(P.is_zero_element(e) for e in phi.apply(g))
+    for full in (S, K):
+        kept = list(prune_generators(full).generators)
+        candidates = sorted(full.generators, key=_prune_order)
+        # a subsequence of the candidates in the documented order
+        rest = iter(candidates)
+        assert all(any(g == c for c in rest) for g in kept)
+        # same module, by mutual containment
+        pruned = SubmodulePresentation(P, full.ambient_rank, kept)
+        assert all(pruned.contains(g) for g in full.generators)
+        assert all(full.contains(g) for g in kept)
+        # no kept generator lies in the span of those kept before it
+        for i, g in enumerate(kept):
+            assert not SubmodulePresentation(P, full.ambient_rank, kept[:i]).contains(g)
