@@ -75,7 +75,9 @@ class VecBasis:
     """A list of vectors with cached leading data, normalized for reduction.
 
     Over fields every vector is monic; over ZZ leading coefficients are
-    positive.  Zero vectors are dropped.
+    positive.  Zero vectors are dropped.  `at` maps each position to the
+    indices of the vectors led there, in basis order; vectors only ever
+    change their tails, so it stays valid.
     """
 
     def __init__(self, vecs: Sequence, ring: PolynomialRing):
@@ -83,6 +85,7 @@ class VecBasis:
         self.vecs = []
         self.lts = []
         self.lcs = []
+        self.at = {}
         for v in vecs:
             if v:
                 self.add(v)
@@ -99,6 +102,7 @@ class VecBasis:
     def append(self, v: dict, lt):
         """Append v with leading term lt as it is (the caller vouches for
         its normalization)."""
+        self.at.setdefault(lt[0], []).append(len(self.vecs))
         self.vecs.append(v)
         self.lts.append(lt)
         self.lcs.append(v[lt])
@@ -118,33 +122,34 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
     ring = basis.ring
     dom = ring.domain
     field = dom.is_field
+    zero = dom.zero()
     tkey = _term_key(ring)
-    vecs, lts, lcs = basis.vecs, basis.lts, basis.lcs
-    n = len(vecs)
+    vecs, lts, lcs, at = basis.vecs, basis.lts, basis.lcs, basis.at
     work = dict(v)
+    # each term's order key, computed once when the term first appears
+    keys = {k: tkey(k) for k in work}
     rem = {}
     while work:
-        k = max(work, key=tkey)
+        k = max(work, key=keys.__getitem__)
         c = work.pop(k)
         pos, m = k
         reduced = False
-        for j in range(n):
-            bpos, bm = lts[j]
-            if bpos != pos:
-                continue
-            q = mono_div(m, bm)
+        for j in at.get(pos, ()):
+            lt_j = lts[j]
+            q = mono_div(m, lt_j[1])
             if q is None:
                 continue
             budget.tick()
             if field:
                 # basis vector is monic: subtract c * x^q * vecs[j]
-                lt_j = lts[j]
                 for bk, bc in vecs[j].items():
                     if bk == lt_j:
                         continue
                     kk = (bk[0], mono_mul(bk[1], q))
-                    nc = dom.sub(work.get(kk, dom.zero()), dom.mul(c, bc))
-                    if nc == dom.zero():
+                    if kk not in keys:
+                        keys[kk] = tkey(kk)
+                    nc = dom.sub(work.get(kk, zero), dom.mul(c, bc))
+                    if nc == zero:
                         work.pop(kk, None)
                     else:
                         work[kk] = nc
@@ -155,11 +160,12 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
             if qq == 0:
                 continue
             r = c - qq * a
-            lt_j = lts[j]
             for bk, bc in vecs[j].items():
                 if bk == lt_j:
                     continue
                 kk = (bk[0], mono_mul(bk[1], q))
+                if kk not in keys:
+                    keys[kk] = tkey(kk)
                 nc = work.get(kk, 0) - qq * bc
                 if nc:
                     work[kk] = nc
@@ -201,7 +207,8 @@ class Completion:
     later `insert` followed by `run` completes the enlarged module.
 
     `push_pairs(basis, heap, f)` queues the critical pairs of the new element
-    f as heap entries (degree, position, order key, i, f, ...).
+    f, the last in the basis, as heap entries (degree, position, order key,
+    i, f, ...).
     `s_vector(basis, entry)` gives a popped entry's S-vector, or None when
     the pair was eliminated after it was queued.
     """
@@ -266,11 +273,8 @@ def _groebner_field(vecs: Sequence, ring: PolynomialRing, budget: Budget,
         pairs.difference_update(dead)
         # group candidate pairs by lcm, keep minimal lcms, one pair per class
         cand = {}
-        for i in range(fidx):
-            ipos, im = basis.lts[i]
-            if ipos != fpos:
-                continue
-            cand.setdefault(mono_lcm(im, fm), []).append(i)
+        for i in basis.at[fpos][:-1]:
+            cand.setdefault(mono_lcm(basis.lts[i][1], fm), []).append(i)
         kept = []
         for lcm_m in sorted(cand, key=okey):
             if any(mono_divides(prev, lcm_m) for prev in kept):
@@ -303,10 +307,8 @@ def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget) -> C
     def push_pairs(basis: VecBasis, heap: list, fidx: int):
         fpos, fm = basis.lts[fidx]
         a = basis.lcs[fidx]
-        for i in range(fidx):
-            ipos, im = basis.lts[i]
-            if ipos != fpos:
-                continue
+        for i in basis.at[fpos][:-1]:
+            im = basis.lts[i][1]
             b = basis.lcs[i]
             w = mono_lcm(im, fm)
             heapq.heappush(heap, (mono_degree(w), fpos, okey(w), i, fidx, 0))
@@ -341,9 +343,9 @@ def _minimalize(basis: VecBasis) -> VecBasis:
     for i in idx:
         pos, m = basis.lts[i]
         a = basis.lcs[i]
-        if not any(jpos == pos and mono_divides(jm, m)
-                   and (field or a % b == 0)
-                   for (jpos, jm), b in zip(kept.lts, kept.lcs)):
+        if not any(mono_divides(kept.lts[j][1], m)
+                   and (field or a % kept.lcs[j] == 0)
+                   for j in kept.at.get(pos, ())):
             kept.append(basis.vecs[i], basis.lts[i])
     return kept
 

@@ -8,6 +8,7 @@ ring A[x1..xn] is a `PolynomialRing`; a quotient R = A[x1..xn]/J is a
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -17,6 +18,10 @@ from .errors import StructuralError
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
 INTEGERS = "integers"
+
+# Fractions are immutable, so every QQ zero and one can be the same object
+_QQ_ZERO = Fraction(0)
+_QQ_ONE = Fraction(1)
 
 
 def _is_prime(n: int) -> bool:
@@ -71,10 +76,10 @@ class CoefficientDomain:
         return self.kind != INTEGERS
 
     def zero(self):
-        return Fraction(0) if self.kind == RATIONALS else 0
+        return _QQ_ZERO if self.kind == RATIONALS else 0
 
     def one(self):
-        return Fraction(1) if self.kind == RATIONALS else 1
+        return _QQ_ONE if self.kind == RATIONALS else 1
 
     def coerce(self, value):
         """Map an int / Fraction / domain element to canonical form."""
@@ -150,7 +155,7 @@ def mono_one(nvars: int) -> Monomial:
     return (0,) * nvars
 
 def mono_mul(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 def mono_divides(u: Monomial, v: Monomial) -> bool:
     return all(a <= b for a, b in zip(u, v))
@@ -192,7 +197,7 @@ class MonomialOrder:
 
     def key(self, m: Monomial):
         if self.kind == GREVLEX_KIND:
-            return (sum(m), tuple(-e for e in reversed(m)))
+            return (sum(m), tuple(map(operator.neg, reversed(m))))
         if self.kind == LEX_KIND:
             return m
         return (self.left.key(m[:self.split]), self.right.key(m[self.split:]))
@@ -246,12 +251,13 @@ class PolynomialRing:
     def from_dict(self, coeffs: dict) -> "Polynomial":
         """Normalize {monomial: coefficient} into a Polynomial."""
         dom = self.domain
+        zero = dom.zero()
         cleaned = {}
         for m, c in coeffs.items():
             if len(m) != self.nvars:
                 raise StructuralError(f"monomial {m} has wrong length for {self.variables}")
             c = dom.coerce(c)
-            if c != dom.zero():
+            if c != zero:
                 cleaned[m] = c
         key = self.order.key
         terms = tuple(sorted(cleaned.items(), key=lambda t: key(t[0]), reverse=True))
@@ -344,9 +350,10 @@ class Polynomial:
         other = self.ring.poly(other)
         self._check_ring(other)
         dom = self.ring.domain
+        zero = dom.zero()
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = dom.add(acc.get(m, dom.zero()), c)
+            acc[m] = dom.add(acc.get(m, zero), c)
         return self.ring.from_dict(acc)
 
     __radd__ = __add__

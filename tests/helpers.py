@@ -1,6 +1,7 @@
 """Shared test helpers: ring shortcuts, brute-force oracles (exact linear
-algebra for syzygies, monomial sweeps for membership), and a direct
-Groebner-property checker that reduces every S- and G-polynomial."""
+algebra for syzygies, monomial sweeps for membership), a direct
+Groebner-property checker that reduces every S- and G-polynomial, and a
+rescanning reference for the vector normal form."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -8,7 +9,8 @@ from itertools import product
 
 from fpdlab import (CoefficientDomain, GroebnerBasis, PolynomialRing,
                     RingPresentation, normal_form_polys)
-from fpdlab.groebner import gpolynomial, spolynomial
+from fpdlab.groebner import _term_key, gpolynomial, spolynomial
+from fpdlab.rings import mono_div, mono_mul
 
 QQ = CoefficientDomain.QQ()
 ZZ = CoefficientDomain.ZZ()
@@ -51,6 +53,67 @@ def assert_is_groebner(G: GroebnerBasis):
                 if g is not None:
                     assert normal_form_polys(g, G).is_zero, \
                         f"G-poly of {basis[i]} and {basis[j]} does not reduce to zero"
+
+
+def reference_normal_form(v: dict, basis, budget) -> dict:
+    """`groebner.vec_normal_form` without its lead-position index or its
+    per-call key table: every term scans the whole basis in order, and each
+    selection recomputes the order key of every remaining term.  The answer
+    and the budget ticks must match the indexed version exactly."""
+    ring = basis.ring
+    dom = ring.domain
+    field = dom.is_field
+    tkey = _term_key(ring)
+    vecs, lts, lcs = basis.vecs, basis.lts, basis.lcs
+    n = len(vecs)
+    work = dict(v)
+    rem = {}
+    while work:
+        k = max(work, key=tkey)
+        c = work.pop(k)
+        pos, m = k
+        reduced = False
+        for j in range(n):
+            bpos, bm = lts[j]
+            if bpos != pos:
+                continue
+            q = mono_div(m, bm)
+            if q is None:
+                continue
+            budget.tick()
+            if field:
+                for bk, bc in vecs[j].items():
+                    if bk == lts[j]:
+                        continue
+                    kk = (bk[0], mono_mul(bk[1], q))
+                    nc = dom.sub(work.get(kk, dom.zero()), dom.mul(c, bc))
+                    if nc == dom.zero():
+                        work.pop(kk, None)
+                    else:
+                        work[kk] = nc
+                reduced = True
+                break
+            a = lcs[j]
+            qq = c // a
+            if qq == 0:
+                continue
+            r = c - qq * a
+            for bk, bc in vecs[j].items():
+                if bk == lts[j]:
+                    continue
+                kk = (bk[0], mono_mul(bk[1], q))
+                nc = work.get(kk, 0) - qq * bc
+                if nc:
+                    work[kk] = nc
+                else:
+                    work.pop(kk, None)
+            if r:
+                work[k] = r
+            reduced = True
+            break
+        if not reduced:
+            rem[k] = c
+    return rem
 
 
 def fraction_nullspace(rows, ncols):

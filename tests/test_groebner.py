@@ -1,22 +1,26 @@
 """Groebner engines (field and strong integer), normal forms, ideal
 operations, and the Krull dimension combinatorics."""
+import random
+from fractions import Fraction
 from itertools import count
 
 import pytest
-from fpdlab import (LEX, Budget, FreeModuleMap, RingPresentation,
+from fpdlab import (GREVLEX, LEX, Budget, FreeModuleMap, RingPresentation,
                     StructuralError, SubmodulePresentation,
                     UnsupportedDomainError, annihilator, ideal_quotient,
                     is_unit_ideal, krull_dimension, normal_form_polys)
 from fpdlab import groebner
 from fpdlab.cli import EXIT_INTERNAL, CliConfig, execute_script
 from fpdlab.finite_rings import FiniteRing, enumerate_ideals
-from fpdlab.groebner import (VecBasis, _term_key, groebner_basis_of_polys,
-                             poly_to_vec, vec_groebner, vec_to_poly)
+from fpdlab.groebner import (VecBasis, _interreduce, _minimalize, _term_key,
+                             completion, groebner_basis_of_polys, poly_to_vec,
+                             polys_to_vec, vec_groebner, vec_normal_form,
+                             vec_to_poly)
 from fpdlab.modules import kernel
-from fpdlab.rings import mono_divides
+from fpdlab.rings import block_order, mono_divides
 from fpdlab.script import parse
 from helpers import (FF, QQ, ZZ, assert_is_groebner, monomials_up_to,
-                     poly_ring, presentation)
+                     poly_ring, presentation, reference_normal_form)
 
 
 def test_normal_form_single_division_step():
@@ -362,3 +366,87 @@ def test_membership_agrees_with_finite_oracle_on_truncated_lines():
             for i in range(fin.order):
                 in_brute = i in ideal_set
                 assert I.contains(elem_poly(i)) == in_brute
+
+
+def _random_vec(rng, domain, monos, rank, nterms):
+    vec = {}
+    for _ in range(nterms):
+        if domain.kind == "rationals":
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        else:
+            c = domain.coerce(rng.choice([-9, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 9]))
+        if c:
+            vec[(rng.randrange(rank), rng.choice(monos))] = c
+    return vec
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)],
+                         ids=["grevlex", "lex", "block"])
+@pytest.mark.parametrize("domain", [QQ, FF(3), ZZ], ids=str)
+def test_vec_normal_form_matches_the_rescanning_reference(domain, order):
+    # arbitrary (non-Groebner) bases: several reducers share a position and
+    # divide the same terms, so the reducer order and, over ZZ, the fall-through
+    # past a divisible lead with lc > c all decide the answer and the ticks
+    A = poly_ring(domain, "x", "y", "z", order=order)
+    rng = random.Random(f"{domain}:{order.kind}")
+    lead_monos = monomials_up_to(A, 1)
+    monos = monomials_up_to(A, 3)
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        B = VecBasis([_random_vec(rng, domain, lead_monos, rank, rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 7))], A)
+        v = _random_vec(rng, domain, monos, rank, rng.randint(1, 8))
+        fast, slow = Budget(), Budget()
+        assert vec_normal_form(v, B, fast) == reference_normal_form(v, B, slow)
+        assert fast.steps == slow.steps
+
+
+def test_zz_normal_form_falls_through_a_divisible_lead_it_cannot_use():
+    # 5*x divides x but 3 // 5 == 0, so 3*x goes on to 2*x, leaving x - 3*y
+    A = poly_ring(ZZ, "x", "y")
+    B = VecBasis([{(0, (1, 0)): 5}, {(0, (1, 0)): 2, (0, (0, 1)): 3}], A)
+    v, rem = {(0, (1, 0)): 3}, {(0, (1, 0)): 1, (0, (0, 1)): -3}
+    budget = Budget()
+    assert vec_normal_form(v, B, budget) == rem == reference_normal_form(v, B, Budget())
+    assert budget.steps == 4
+
+
+def _assert_indexed(B):
+    """`at` lists, for every lead position, the vectors led there in basis order."""
+    assert B.at == {p: [i for i, lt in enumerate(B.lts) if lt[0] == p]
+                    for p in {lt[0] for lt in B.lts}}
+
+
+def test_lead_position_index_follows_every_basis_operation():
+    # a rank-1 ideal and a rank-3 module (with J*e_i), over QQ and over ZZ
+    cases = []
+    for domain in (QQ, ZZ):
+        R = presentation(domain, ("x", "y"), ["x^2 - y", "2*x*y"])
+        cases.append((R, 1, [("3*x + y",), ("y^2 - x",)]))
+        cases.append((R, 3, [("x", "y", "2"), ("y", "0", "x^2"), ("0", "2*x", "y"),
+                             ("x*y", "1", "0")]))
+    for R, rank, cols in cases:
+        A = R.ambient
+        vecs = [polys_to_vec([A.poly(e) for e in col]) for col in cols]
+        vecs += [polys_to_vec([A.zero()] * i + [r] + [A.zero()] * (rank - i - 1))
+                 for r in R.relations for i in range(rank)]
+        B = VecBasis(vecs, A)
+        _assert_indexed(B)
+        B.add({(rank - 1, (0, 1)): 2})
+        _assert_indexed(B)
+        B.append({(0, (0, 0)): 1}, (0, (0, 0)))
+        _assert_indexed(B)
+        M = _minimalize(B)
+        _assert_indexed(M)
+        leads = list(M.lts)
+        _interreduce(M, Budget())
+        assert M.lts == leads
+        _assert_indexed(M)
+        C = completion(vecs, A, Budget(), rank1=rank == 1)
+        _assert_indexed(C.basis)
+        C.insert({(rank - 1, (1, 0)): 1, (0, (0, 0)): 1})
+        _assert_indexed(C.basis)
+        C.run()
+        _assert_indexed(C.basis)
+        G = vec_groebner(vecs, A, Budget(), rank1=rank == 1)
+        _assert_indexed(G)
