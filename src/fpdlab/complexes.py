@@ -33,7 +33,7 @@ class ChainComplex:
                                       f"{d.target_rank}x{d.source_rank}, expected "
                                       f"{self.ranks[i]}x{self.ranks[i + 1]}")
         for i in range(len(self.diffs) - 1):
-            if not self.diffs[i].compose(self.diffs[i + 1], budget).is_zero(budget):
+            if not self.diffs[i].compose(self.diffs[i + 1], budget).is_zero():
                 raise StructuralError(f"d_{i + 1} . d_{i + 2} is not zero")
 
     @property
@@ -83,13 +83,19 @@ def cycles_and_boundaries(d_out: Optional[FreeModuleMap],
     return Z, B
 
 
+def _next_differential(last: FreeModuleMap, budget: Budget) -> FreeModuleMap:
+    """The pruned kernel of `last` as the next differential of a resolution."""
+    K = prune_generators(kernel(last, budget), budget)
+    return FreeModuleMap.from_columns(last.ring, K.generators, last.source_rank,
+                                      budget)
+
+
 class ResolutionCache:
     """Differentials of a free resolution of coker(presentation), extended on
     demand and shared by every Ext degree of one computation; d.d = 0 is
     checked as each differential is added."""
 
     def __init__(self, presentation: FreeModuleMap, budget: Budget = None):
-        self.ring = presentation.ring
         self.budget = ensure_budget(budget)
         self._diffs = [presentation]
 
@@ -99,10 +105,8 @@ class ResolutionCache:
             raise StructuralError("differential index must be >= 1")
         for n in range(len(self._diffs), i):
             last = self._diffs[-1]
-            K = prune_generators(kernel(last, self.budget), self.budget)
-            d = FreeModuleMap.from_columns(self.ring, K.generators,
-                                           last.source_rank, self.budget)
-            if not last.compose(d, self.budget).is_zero(self.budget):
+            d = _next_differential(last, self.budget)
+            if not last.compose(d, self.budget).is_zero():
                 raise InternalError(f"internal: resolution: d_{n} . d_{n + 1} is not zero")
             self._diffs.append(d)
         return self._diffs[i - 1]
@@ -111,14 +115,16 @@ class ResolutionCache:
 def free_resolution(presentation: FreeModuleMap, length: int,
                     budget: Budget = None) -> ChainComplex:
     """A free resolution of coker(presentation) out to F_length (not minimal);
-    d.d = 0 is checked on construction."""
+    the `ChainComplex` checks d.d = 0 once, on construction."""
     if length < 0:
         raise StructuralError("resolution length must be >= 0")
-    cache = ResolutionCache(presentation, budget)
-    diffs = [cache.differential(i) for i in range(1, length + 1)]
+    budget = ensure_budget(budget)
+    diffs = [presentation] if length else []
+    while len(diffs) < length:
+        diffs.append(_next_differential(diffs[-1], budget))
     ranks = [presentation.target_rank] + [d.source_rank for d in diffs]
     try:
-        return ChainComplex(presentation.ring, ranks, diffs, cache.budget)
+        return ChainComplex(presentation.ring, ranks, diffs, budget)
     except StructuralError as exc:
         raise InternalError(f"internal: free resolution: {exc}") from exc
 

@@ -5,9 +5,11 @@ One engine handles both rings and free modules: a term is keyed by
 order (lower position index dominates).  Over fields this is Buchberger
 with normal (degree) selection and Gebauer-Moeller pair elimination; over
 the integers it is the strong-basis completion with S- and G-polynomials
-and Euclidean coefficient reduction.  Syzygies and membership certificates
-come from the same engine run on generators tagged in an extended free
-module, where the tag block sits below every original position.
+and Euclidean coefficient reduction.  Membership certificates (unit
+cofactors) come from the same engine run on generators tagged in an
+extended free module, where the tag block sits below every original
+position; kernels are taken in `modules`, from the Groebner basis of a
+map's graph.
 """
 from __future__ import annotations
 
@@ -397,33 +399,15 @@ def vec_groebner(vecs: Sequence, ring: PolynomialRing, budget: Budget,
 
 
 # ---------------------------------------------------------------------------
-# Syzygies and membership lifts via a tagged extended module
-
-def _tagged(vecs: Sequence, rank: int, ring: PolynomialRing) -> list:
-    one = mono_one(ring.nvars)
-    out = []
-    for j, v in enumerate(vecs):
-        ev = dict(v)
-        ev[(rank + j, one)] = ring.domain.one()
-        out.append(ev)
-    return out
-
-
-def vec_syzygies(vecs: Sequence, rank: int, ring: PolynomialRing,
-                 budget: Budget) -> list:
-    """Generators of {h : sum h_j vecs[j] = 0} as vectors over len(vecs) slots."""
-    G = vec_groebner(_tagged(vecs, rank, ring), ring, budget)
-    syz = []
-    for g in G.vecs:
-        if all(pos >= rank for pos, _ in g):
-            syz.append({(pos - rank, m): c for (pos, m), c in g.items()})
-    return syz
-
+# Membership lifts via a tagged extended module
 
 def vec_lift(target: dict, vecs: Sequence, rank: int, ring: PolynomialRing,
              budget: Budget) -> Optional[list]:
-    """Polynomials h with target = sum h_j vecs[j], or None if no member."""
-    G = vec_groebner(_tagged(vecs, rank, ring), ring, budget)
+    """Polynomials h with target = sum h_j vecs[j], or None if no member:
+    each vecs[j] carries the tag e_(rank + j), below every original position."""
+    one = mono_one(ring.nvars)
+    tagged = [{**v, (rank + j, one): ring.domain.one()} for j, v in enumerate(vecs)]
+    G = vec_groebner(tagged, ring, budget)
     r = vec_normal_form(target, G, budget)
     if any(pos < rank for pos, _ in r):
         return None

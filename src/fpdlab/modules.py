@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .errors import Budget, StructuralError, ensure_budget
 from .groebner import (VecBasis, completion, polys_to_vec, vec_groebner,
-                       vec_normal_form, vec_syzygies, vec_to_polys)
+                       vec_normal_form, vec_to_polys)
 from .rings import RingPresentation
 
 
@@ -91,9 +91,9 @@ class FreeModuleMap:
         return FreeModuleMap(self.ring, other.source_rank, self.target_rank, matrix,
                              budget)
 
-    def is_zero(self, budget: Budget = None) -> bool:
-        return all(self.ring.is_zero_element(e, budget)
-                   for row in self.matrix for e in row)
+    def is_zero(self) -> bool:
+        # the constructor left every entry in normal form modulo J
+        return all(e.is_zero for row in self.matrix for e in row)
 
     def __str__(self):
         rows = ["[" + ", ".join(str(e) for e in row) + "]" for row in self.matrix]
@@ -169,16 +169,24 @@ def prune_generators(S: SubmodulePresentation, budget: Budget = None) -> Submodu
 
 
 def kernel(phi: FreeModuleMap, budget: Budget = None) -> SubmodulePresentation:
-    """Generators of ker(phi) in R^source, reduced modulo J and not pruned:
-    the syzygies of the matrix columns together with the relation multiples
-    J*e_t of the target."""
+    """Generators of ker(phi) in R^source, reduced modulo J and not pruned.
+
+    The graph of phi, generated by (phi(e_j), e_j) in R^(target + source),
+    gets its Groebner basis with J adjoined in every position; the elements
+    that vanish in the target block generate ker(phi) + J*R^source there.
+    """
     budget = ensure_budget(budget)
-    ring, n = phi.ring, phi.source_rank
-    vecs = ([polys_to_vec(c) for c in phi.columns()]
-            + _relation_vectors(ring, phi.target_rank, budget))
+    ring, r, n = phi.ring, phi.target_rank, phi.source_rank
+    one, zero = ring.ambient.one(), ring.ambient.zero()
+    graph = SubmodulePresentation(ring, r + n, [
+        col + tuple(one if k == j else zero for k in range(n))
+        for j, col in enumerate(phi.columns())])
     gens = []
-    for s in vec_syzygies(vecs, phi.target_rank, ring.ambient, budget):
-        entries = vec_to_polys({k: c for k, c in s.items() if k[0] < n}, n, ring.ambient)
+    for g in graph.groebner_vectors(budget).vecs:
+        if any(pos < r for pos, _ in g):
+            continue
+        entries = vec_to_polys({(pos - r, m): c for (pos, m), c in g.items()},
+                               n, ring.ambient)
         reduced = tuple(ring.normal_form(p, budget) for p in entries)
         if any(not p.is_zero for p in reduced):
             gens.append(reduced)

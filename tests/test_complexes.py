@@ -1,9 +1,9 @@
 """Chain complexes, free resolutions, dualization, Ext vanishing decisions."""
 import pytest
-from fpdlab import (ChainComplex, FreeModuleMap, StructuralError, annihilator,
-                    dualize, ext_is_zero, ext_vanishing_profile,
+from fpdlab import (Budget, ChainComplex, FreeModuleMap, StructuralError,
+                    annihilator, dualize, ext_is_zero, ext_vanishing_profile,
                     free_resolution, free_resolution_of_quotient, koszul_complex)
-from fpdlab.complexes import cyclic_presentation
+from fpdlab.complexes import ResolutionCache, cyclic_presentation
 from fpdlab.modules import image, is_zero_subquotient
 from helpers import FF, QQ, ZZ, presentation
 
@@ -49,6 +49,21 @@ def test_resolutions_over_integers_compose_to_zero():
         assert C.length == 3
         for i in range(1, 3):
             assert C.differential(i).compose(C.differential(i + 1)).is_zero()
+
+
+def test_free_resolution_checks_each_composition_once():
+    # the resolution cache checks d_i . d_(i+1) as it adds d_(i+1), and
+    # free_resolution leaves that check to its ChainComplex: both spend the
+    # same steps (fresh rings, so neither reuses the other's Groebner data)
+    def flagship():
+        return presentation(ZZ, ("a", "b", "c"),
+                            ["a^2 - 4*b", "a*b - 2*c", "a*c - 2*b^2", "b^3 - c^2"])
+    via_complex = Budget()
+    free_resolution_of_quotient(flagship().ideal("3", "a", "b", "c"), 3, via_complex)
+    via_cache = Budget()
+    I = flagship().ideal("3", "a", "b", "c")
+    ResolutionCache(cyclic_presentation(I, via_cache), via_cache).differential(3)
+    assert via_complex.steps == via_cache.steps > 0
 
 
 def test_chain_complex_rejects_nonzero_composition():

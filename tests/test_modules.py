@@ -37,6 +37,18 @@ def test_module_normal_form_rank_mismatch():
         module_normal_form(("x",), S)
 
 
+def _assert_kernel_complete(P, phi, K, degree):
+    """Every syzygy of degree <= `degree` among the columns and the relation
+    multiples g*e_t, cut to its first source-rank entries, lies in K (exact
+    linear algebra, independent of any Groebner code)."""
+    n, r = phi.source_rank, phi.target_rank
+    zero = P.ambient.zero()
+    rels = [tuple(g if s == t else zero for s in range(r))
+            for t in range(r) for g in P.relations]
+    for h in brute_linear_syzygies(P.ambient, phi.columns() + rels, degree):
+        assert K.contains(h[:n])
+
+
 def test_kernel_of_two_variable_row():
     P = presentation(QQ, ("x", "y"))
     phi = FreeModuleMap(P, 2, 1, [["x", "y"]])
@@ -45,10 +57,22 @@ def test_kernel_of_two_variable_row():
     g = K.generators[0]
     # the reported generator multiplies to zero
     assert all(P.is_zero_element(e) for e in phi.apply(g))
-    # brute syzygy sweep (exact linear algebra, degree <= 4) is contained
-    cols = [phi.column(j) for j in range(2)]
-    for h in brute_linear_syzygies(P.ambient, cols, 4):
-        assert K.contains(h)
+    _assert_kernel_complete(P, phi, K, 4)
+
+
+@pytest.mark.parametrize("variables,relations,rows", [
+    (("x", "y"), ["x*y"], [["x", "y"]]),
+    (("x", "y"), ["x*y"], [["x", "0"], ["y", "x + y"]]),
+    (("x", "y", "z"), ["x*y - z^2"], [["x", "z"]]),
+    (("x", "y", "z"), ["x*y - z^2"], [["x", "z"], ["z", "y"]]),
+])
+def test_kernel_is_complete_over_quotient_rings(variables, relations, rows):
+    P = presentation(QQ, variables, relations)
+    phi = FreeModuleMap(P, len(rows[0]), len(rows), rows)
+    K = kernel(phi)
+    for g in K.generators:
+        assert all(P.is_zero_element(e) for e in phi.apply(g))
+    _assert_kernel_complete(P, phi, K, 3)
 
 
 def test_kernel_of_identity_is_zero():
@@ -171,6 +195,10 @@ PRUNE_CASES = [
     (ZZ, ("x", "y"), ["2*x*y"], 2,
      [("2", "x"), ("4", "2*x"), ("y", "0"), ("2*y", "x*y"), ("0", "x*y"),
       ("x", "y"), ("3", "0")]),
+    (FF(3), ("x", "y", "z"), ["x*y - z^2"], 1,
+     [("x",), ("z",), ("y + z",), ("x*z",)]),
+    (ZZ, ("a", "b", "c"), ["a^2 - 4*b", "a*b - 2*c", "a*c - 2*b^2", "b^3 - c^2"], 1,
+     [("3",), ("a",), ("b",), ("c",)]),
 ]
 
 
@@ -189,6 +217,14 @@ def test_prune_keeps_an_ordered_spanning_subsequence(domain, variables,
     assert K.generators
     for g in K.generators:
         assert all(P.is_zero_element(e) for e in phi.apply(g))
+    if rank == 1:
+        # the Koszul syzygies f_j*e_i - f_i*e_j of the row lie in its kernel
+        f = [c[0] for c in phi.columns()]
+        zero = P.ambient.zero()
+        for i in range(len(f)):
+            for j in range(i + 1, len(f)):
+                assert K.contains(tuple(f[j] if k == i else -f[i] if k == j else zero
+                                        for k in range(len(f))))
     for full in (S, K):
         kept = list(prune_generators(full).generators)
         candidates = sorted(full.generators, key=_prune_order)
