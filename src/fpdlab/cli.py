@@ -21,8 +21,7 @@ from typing import Optional
 from .errors import (DEFAULT_MAX_STEPS, Budget, InternalError, ParseError,
                      ResourceBudgetExceeded, StructuralError)
 from .complexes import ext_vanishing_profile
-from .finite_rings import (FiniteRing, brute_is_dq, brute_is_dw,
-                           enumerate_ideals)
+from .finite_rings import brute_is_dq, brute_is_dw, enumerate_ideals
 from .groebner import krull_dimension
 from .invariants import (dq_dw_local, fpd_bound, fpd_criterion_check, grade,
                          is_cohen_macaulay_graded, is_gv, is_semiregular)
@@ -143,7 +142,7 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
               budget: Budget, record: dict) -> dict:
     kind = cmd.kind
     if kind == "oracle":
-        return _run_oracle(cmd)
+        return _run_oracle(script, cmd)
     ring = script.rings[cmd.ring_name]
     ideal_of = lambda i=0: script.ideals[cmd.ideal_names[i]]
 
@@ -204,15 +203,8 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
     raise StructuralError(f"unknown command {kind!r}")
 
 
-def _run_oracle(cmd: Command) -> dict:
-    spec = cmd.oracle_ring
-    if spec.relation is not None:
-        coeffs = [0] * (spec.relation.total_degree() + 1)
-        for m, c in spec.relation.terms:
-            coeffs[m[0]] = c
-        ring = FiniteRing.quotient(spec.modulus, coeffs, spec.variable)
-    else:
-        ring = FiniteRing.integers_mod(spec.modulus)
+def _run_oracle(script: SessionScript, cmd: Command) -> dict:
+    ring = script.finite_ring(cmd.oracle_ring)
     if cmd.oracle_check == "dq":
         res = brute_is_dq(ring)
         return {"ring": str(ring), "dq": res.holds,

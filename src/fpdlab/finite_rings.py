@@ -3,12 +3,15 @@ brute-force checks used as an independent oracle: annihilators, Hom and
 Ext^1 vanishing by exhaustive enumeration, and the DQ/DW ring properties.
 
 Nothing here shares code with the Groebner path; everything is table
-arithmetic, which is the point of the oracle.
+arithmetic, which is the point of the oracle.  Tables are built and checked
+with numpy array arithmetic, in row chunks that keep working memory small;
+numpy is imported on first use, so importing the package stays cheap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, InternalError, StructuralError
@@ -18,11 +21,14 @@ DEFAULT_IDEAL_CAP = 4096
 DEFAULT_EXT_CAP = 256
 _AXIOM_FULL_CHECK_MAX = 256
 _HOM_ENUMERATION_MAX = 2_000_000
+_CHUNK_ENTRIES = 1 << 18   # entries of the working arrays of one row chunk
 
 
 class FiniteRing:
     """Indexed elements with full addition and multiplication tables.
 
+    `add` and `mul` are tuples of row tuples; `add_table` and `mul_table`
+    hold the same tables as numpy arrays of the narrowest unsigned type.
     The ring axioms are verified exhaustively at construction for orders up
     to 256 (identities and commutativity always); use the named constructors
     `integers_mod` and `quotient`.
@@ -33,14 +39,17 @@ class FiniteRing:
                  element_coeffs: Optional[tuple] = None):
         self.order = len(elements)
         self.labels = tuple(str(e) for e in elements)
-        self.add = tuple(tuple(row) for row in add)
-        self.mul = tuple(tuple(row) for row in mul)
+        self.add_table = _as_table(add, self.order, "addition")
+        self.mul_table = _as_table(mul, self.order, "multiplication")
         self.zero = zero
         self.one = one
         self.provenance = provenance
         self.element_coeffs = element_coeffs
         _verify_tables(self)
+        self.add = _rows(self.add_table)
+        self.mul = _rows(self.mul_table)
         self.neg = tuple(self.add[a].index(self.zero) for a in range(self.order))
+        self._ideals = None  # filled by the first `enumerate_ideals`
 
     @staticmethod
     def integers_mod(n: int, cap: int = DEFAULT_BUILD_CAP) -> "FiniteRing":
@@ -48,11 +57,12 @@ class FiniteRing:
             raise StructuralError("modulus must be at least 2")
         if n > cap:
             raise CapExceededError(f"ring order {n} exceeds the cap {cap}")
-        elems = list(range(n))
-        add = [[(a + b) % n for b in elems] for a in elems]
-        mul = [[(a * b) % n for b in elems] for a in elems]
-        return FiniteRing(elems, add, mul, 0, 1 % n, f"ZZ/{n}",
-                          element_coeffs=tuple((a,) for a in elems))
+        import numpy as np
+        r = np.arange(n, dtype=np.int64)
+        add = _build_table(n, n, lambda s, e: np.add.outer(r[s:e], r) % n)
+        mul = _build_table(n, n, lambda s, e: np.multiply.outer(r[s:e], r) % n)
+        return FiniteRing(range(n), add, mul, 0, 1 % n, f"ZZ/{n}",
+                          element_coeffs=tuple((a,) for a in range(n)))
 
     @staticmethod
     def quotient(n: int, modulus_coeffs: Sequence, variable: str = "x",
@@ -73,37 +83,33 @@ class FiniteRing:
         size = n ** d
         if size > cap:
             raise CapExceededError(f"ring order {size} exceeds the cap {cap}")
+        import numpy as np
         # element i has the little-endian base-n digits of i as coefficients
-        elems = []
-        for i in range(size):
-            digits = []
-            v = i
-            for _ in range(d):
-                digits.append(v % n)
-                v //= n
-            elems.append(tuple(digits))
-        index = {t: i for i, t in enumerate(elems)}
-        reducer = [(-c) % n for c in coeffs[:-1]]  # x^d = sum reducer[i] x^i
+        weights = n ** np.arange(d, dtype=np.int64)
+        digits = np.arange(size, dtype=np.int64)[:, None] // weights % n
+        # x^d = sum reducer[i] x^i; only its nonzero terms are pushed down
+        reducer = [(i, (-c) % n) for i, c in enumerate(coeffs[:-1]) if c]
+        columns = digits.T.copy()  # columns[i][b]: coefficient of x^i in b
 
-        def poly_mul(u, v):
-            prod_c = [0] * (2 * d - 1)
-            for i, ci in enumerate(u):
-                if ci:
-                    for j, cj in enumerate(v):
-                        prod_c[i + j] = (prod_c[i + j] + ci * cj) % n
+        def add_rows(start, stop):
+            return (digits[start:stop, None, :] + digits) % n @ weights
+
+        def mul_rows(start, stop):
+            # prod[k][a, b]: the coefficient of x^k in a*b before reduction,
+            # then x^k reduced from the top degree down (poly_mul on every
+            # pair of the chunk at once; entries stay below 2 d n^2)
+            prod = np.zeros((2 * d - 1, stop - start, size), dtype=np.int64)
+            for i in range(d):
+                prod[i:i + d] += digits[start:stop, i, None] * columns[:, None, :]
             for k in range(2 * d - 2, d - 1, -1):
-                c = prod_c[k]
-                if c:
-                    prod_c[k] = 0
-                    for i, r in enumerate(reducer):
-                        prod_c[k - d + i] = (prod_c[k - d + i] + c * r) % n
-            return tuple(prod_c[:d])
+                top = prod[k] % n
+                for i, r in reducer:
+                    prod[k - d + i] += top * r
+            return np.tensordot(weights, prod[:d] % n, axes=1)
 
-        add = [[index[tuple((a + b) % n for a, b in zip(u, v))] for v in elems]
-               for u in elems]
-        mul = [[index[poly_mul(u, v)] for v in elems] for u in elems]
-        zero = index[(0,) * d]
-        one = index[(1 % n,) + (0,) * (d - 1)]
+        add = _build_table(size, size * d, add_rows)
+        mul = _build_table(size, size * (2 * d - 1), mul_rows)
+        elems = tuple(map(tuple, digits.tolist()))
 
         def label(t):
             parts = []
@@ -120,23 +126,62 @@ class FiniteRing:
         poly_str = label(tuple(coeffs[:-1])) if any(coeffs[:-1]) else ""
         head = variable if d == 1 else f"{variable}^{d}"
         provenance = f"ZZ/{n}[{variable}]/({head}{' + ' + poly_str if poly_str else ''})"
-        return FiniteRing([label(t) for t in elems], add, mul, zero, one,
-                          provenance, element_coeffs=tuple(elems))
+        # index 0 has the digits of 0, index 1 those of 1
+        return FiniteRing([label(t) for t in elems], add, mul, 0, 1,
+                          provenance, element_coeffs=elems)
 
     def __str__(self):
         return f"{self.provenance} ({self.order} elements)"
 
 
+def _row_chunks(rows: int, per_row: int):
+    """(start, stop) ranges covering range(rows) in order, each holding about
+    _CHUNK_ENTRIES working entries at `per_row` entries per row."""
+    width = max(1, _CHUNK_ENTRIES // max(per_row, 1))
+    for start in range(0, rows, width):
+        yield start, min(start + width, rows)
+
+
+def _build_table(order: int, per_row: int, fill):
+    """An order x order index table of the narrowest unsigned type;
+    fill(start, stop) gives those rows."""
+    import numpy as np
+    table = np.empty((order, order), dtype=np.min_scalar_type(order - 1))
+    for start, stop in _row_chunks(order, per_row):
+        table[start:stop] = fill(start, stop)
+    return table
+
+
+def _as_table(table, order: int, name: str):
+    """A square table of element indices, as an array of the narrowest
+    unsigned type that holds them."""
+    import numpy as np
+    try:
+        T = np.asarray(table)
+    except ValueError:  # ragged rows
+        T = None
+    if T is None or T.shape != (order, order):
+        raise StructuralError("operation tables must be square of the ring order")
+    if T.size and (T.dtype.kind not in "iu" or T.min() < 0 or T.max() >= order):
+        raise StructuralError(f"{name} table contains an out-of-range index")
+    return T.astype(np.min_scalar_type(order - 1), copy=False)
+
+
+def _rows(T) -> tuple:
+    """The table as row tuples.  CPython caches the ints up to 256 only, so
+    larger tables look each index up in one tuple of ints: the rows then
+    share one int object per element instead of 32 bytes per entry."""
+    if len(T) <= 256:
+        return tuple(map(tuple, T.tolist()))
+    ints = tuple(range(len(T)))
+    return tuple(itemgetter(*row.tolist())(ints) for row in T)
+
+
 def _verify_tables(R: FiniteRing):
     import numpy as np
     n = R.order
-    A = np.array(R.add, dtype=np.int32)
-    M = np.array(R.mul, dtype=np.int32)
-    if A.shape != (n, n) or M.shape != (n, n):
-        raise StructuralError("operation tables must be square of the ring order")
+    A, M = R.add_table, R.mul_table
     for T, name in ((A, "addition"), (M, "multiplication")):
-        if T.min() < 0 or T.max() >= n:
-            raise StructuralError(f"{name} table contains an out-of-range index")
         if not np.array_equal(T, T.T):
             raise StructuralError(f"{name} is not commutative")
     if not np.array_equal(A[R.zero], np.arange(n)):
@@ -148,14 +193,21 @@ def _verify_tables(R: FiniteRing):
     if not np.all(np.sort(A, axis=1) == np.arange(n)):
         raise StructuralError("addition rows are not permutations (no group structure)")
     if n <= _AXIOM_FULL_CHECK_MAX:
-        if not np.array_equal(A[A, :], A[:, A]):
-            raise StructuralError("addition is not associative")
-        if not np.array_equal(M[M, :], M[:, M]):
-            raise StructuralError("multiplication is not associative")
-        lhs = M[:, A]
-        rhs = A[M[:, :, None], M[:, None, :]]
-        if not np.array_equal(lhs, rhs):
-            raise StructuralError("multiplication does not distribute over addition")
+        # (ab)c = a(bc) and a(b+c) = ab + ac for every a in a row chunk, read
+        # as two n x n slabs per row
+        chunks = list(_row_chunks(n, n * n))
+        for T, name in ((A, "addition"), (M, "multiplication")):
+            T_index = T.astype(np.intp)
+            for s, e in chunks:
+                if not np.array_equal(np.take(T, T[s:e], axis=0),
+                                      np.take(T[s:e], T_index, axis=1)):
+                    raise StructuralError(f"{name} is not associative")
+        A_index, A_flat = A.astype(np.intp), A.ravel()
+        for s, e in chunks:
+            Ms = M[s:e].astype(np.intp)
+            if not np.array_equal(np.take(M[s:e], A_index, axis=1),
+                                  np.take(A_flat, Ms[:, :, None] * n + Ms[:, None, :])):
+                raise StructuralError("multiplication does not distribute over addition")
 
 
 def build_finite_ring(n: int, modulus_coeffs: Optional[Sequence] = None,
@@ -170,11 +222,14 @@ def build_finite_ring(n: int, modulus_coeffs: Optional[Sequence] = None,
 
 def principal_ideal(R: FiniteRing, a: int) -> frozenset:
     """R*a = {r*a}: already closed under + and ring multiplication."""
-    return frozenset(R.mul[r][a] for r in range(R.order))
+    return frozenset(R.mul[a])  # row a, as multiplication commutes
 
 
 def _ideal_sum(R: FiniteRing, I: frozenset, P: frozenset) -> frozenset:
-    return frozenset(R.add[i][p] for i in I for p in P)
+    import numpy as np
+    i = np.fromiter(I, dtype=np.intp, count=len(I))
+    p = np.fromiter(P, dtype=np.intp, count=len(P))
+    return frozenset(np.unique(R.add_table[i[:, None], p]).tolist())
 
 
 def ideal_closure(R: FiniteRing, seeds) -> frozenset:
@@ -188,11 +243,18 @@ def ideal_closure(R: FiniteRing, seeds) -> frozenset:
 def enumerate_ideals(R: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> list:
     """All ideals of R as frozensets, smallest first (deterministic order).
 
-    Every ideal is a sum of principal ideals, so a breadth-first sweep over
-    the distinct principal ideals reaches all of them.
+    The ring keeps the list, so each ring enumerates its ideals once.
     """
     if R.order > cap:
         raise CapExceededError(f"ideal enumeration capped at order {cap}")
+    if R._ideals is None:
+        R._ideals = tuple(_all_ideals(R))
+    return list(R._ideals)
+
+
+def _all_ideals(R: FiniteRing) -> list:
+    """Every ideal is a sum of principal ideals, so a breadth-first sweep over
+    the distinct principal ideals reaches all of them."""
     principals = []
     seen = set()
     for a in range(R.order):

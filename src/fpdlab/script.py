@@ -20,7 +20,7 @@ each command runs against the most recently declared ring.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -223,6 +223,15 @@ class OracleRingSpec:
             return base
         return f"{base}[{self.variable}]/({self.relation})"
 
+    def coefficients(self) -> Optional[list]:
+        """The relation's little-endian coefficients, or None for Z/n."""
+        if self.relation is None:
+            return None
+        coeffs = [0] * (self.relation.total_degree() + 1)
+        for m, c in self.relation.terms:
+            coeffs[m[0]] = c
+        return coeffs
+
 
 @dataclass(frozen=True)
 class Command:
@@ -240,9 +249,19 @@ class SessionScript:
     items: tuple  # RingDecl | IdealDecl | Command, in source order
     rings: dict
     ideals: dict
+    finite_rings: dict = field(default_factory=dict, compare=False, repr=False)
 
     def commands(self) -> list:
         return [it for it in self.items if isinstance(it, Command)]
+
+    def finite_ring(self, spec: OracleRingSpec):
+        """The explicit tables of an oracle ring (cached): built by the
+        script's first command on that ring and shared by the later ones."""
+        if spec not in self.finite_rings:
+            from .finite_rings import build_finite_ring
+            self.finite_rings[spec] = build_finite_ring(
+                spec.modulus, spec.coefficients(), spec.variable or "x")
+        return self.finite_rings[spec]
 
 
 _IDEAL_CMDS = {"grade", "semiregular", "gv", "koszul"}

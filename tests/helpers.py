@@ -1,7 +1,8 @@
 """Shared test helpers: ring shortcuts, brute-force oracles (exact linear
 algebra for syzygies, monomial sweeps for membership), a direct
-Groebner-property checker that reduces every S- and G-polynomial, and a
-rescanning reference for the vector normal form."""
+Groebner-property checker that reduces every S- and G-polynomial, a
+rescanning reference for the vector normal form, and a pure-Python build
+of finite quotient-ring tables."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -114,6 +115,66 @@ def reference_normal_form(v: dict, basis, budget) -> dict:
         if not reduced:
             rem[k] = c
     return rem
+
+
+
+def reference_quotient_tables(n: int, modulus_coeffs, variable: str = "x") -> dict:
+    """The tables of ZZ/n[x]/(f), f monic and given by little-endian
+    coefficients, built element by element with a polynomial product that is
+    reduced from the top degree down: the build that `FiniteRing.quotient`
+    replaced by array arithmetic.  Returns labels, add, mul (tuples of row
+    tuples), zero, one, neg and element_coeffs."""
+    coeffs = [c % n for c in modulus_coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assert len(coeffs) >= 2 and coeffs[-1] == 1, "a monic relation of degree >= 1"
+    d = len(coeffs) - 1
+    elems = []
+    for i in range(n ** d):
+        digits = []
+        v = i
+        for _ in range(d):
+            digits.append(v % n)
+            v //= n
+        elems.append(tuple(digits))
+    index = {t: i for i, t in enumerate(elems)}
+    reducer = [(-c) % n for c in coeffs[:-1]]  # x^d = sum reducer[i] x^i
+
+    def poly_mul(u, v):
+        prod_c = [0] * (2 * d - 1)
+        for i, ci in enumerate(u):
+            if ci:
+                for j, cj in enumerate(v):
+                    prod_c[i + j] = (prod_c[i + j] + ci * cj) % n
+        for k in range(2 * d - 2, d - 1, -1):
+            c = prod_c[k]
+            if c:
+                prod_c[k] = 0
+                for i, r in enumerate(reducer):
+                    prod_c[k - d + i] = (prod_c[k - d + i] + c * r) % n
+        return tuple(prod_c[:d])
+
+    def label(t):
+        parts = []
+        for i, c in enumerate(t):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                power = variable if i == 1 else f"{variable}^{i}"
+                parts.append(power if c == 1 else f"{c}{power}")
+        return " + ".join(parts) if parts else "0"
+
+    add = tuple(tuple(index[tuple((a + b) % n for a, b in zip(u, v))] for v in elems)
+                for u in elems)
+    mul = tuple(tuple(index[poly_mul(u, v)] for v in elems) for u in elems)
+    zero = index[(0,) * d]
+    one = index[(1 % n,) + (0,) * (d - 1)]
+    return {"labels": tuple(label(t) for t in elems), "add": add, "mul": mul,
+            "zero": zero, "one": one,
+            "neg": tuple(add[a].index(zero) for a in range(len(elems))),
+            "element_coeffs": tuple(elems)}
 
 
 def fraction_nullspace(rows, ncols):

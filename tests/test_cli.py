@@ -1,7 +1,12 @@
 """CLI execution, report structure, exit codes, and output determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from fpdlab import finite_rings
 from fpdlab import (LEX, FreeModuleMap, GradeValue, SubmodulePresentation,
                     complexes, koszul)
 from fpdlab.cli import (EXIT_COMMAND_ERROR, EXIT_INTERNAL, EXIT_OK,
@@ -191,3 +196,60 @@ def test_timings_only_with_flag():
     assert all("time_ms" not in r for r in records)
     records, _ = run("ring R = QQ[x]; dim;", CliConfig(timings=True))
     assert all("time_ms" in r for r in records)
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    """numpy is imported by the first finite-ring table, not at start-up."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, fpdlab, fpdlab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+ORACLE_SESSION = """
+oracle dq ZZ/4[x]/(x^2 + x);
+oracle dw ZZ/4[x]/(x^2 + x);
+oracle ideals ZZ/4[x]/(x^2 + x);
+oracle ideals ZZ/6;
+"""
+
+
+def _count_oracle_work(monkeypatch) -> dict:
+    counts = {"quotient": 0, "integers_mod": 0, "ideals": 0}
+    quotient = finite_rings.FiniteRing.quotient
+    integers_mod = finite_rings.FiniteRing.integers_mod
+    all_ideals = finite_rings._all_ideals
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(finite_rings.FiniteRing, "quotient",
+                        staticmethod(counted("quotient", quotient)))
+    monkeypatch.setattr(finite_rings.FiniteRing, "integers_mod",
+                        staticmethod(counted("integers_mod", integers_mod)))
+    monkeypatch.setattr(finite_rings, "_all_ideals", counted("ideals", all_ideals))
+    return counts
+
+
+def test_oracle_ring_is_built_once_per_script(monkeypatch):
+    counts = _count_oracle_work(monkeypatch)
+    records, code = run(ORACLE_SESSION)
+    assert code == EXIT_OK
+    assert [r["status"] for r in records] == ["ok"] * 4
+    # dq, dw and ideals on ZZ/4[x]/(x^2 + x) share one table and one ideal
+    # enumeration; ZZ/6 is a second ring
+    assert counts == {"quotient": 1, "integers_mod": 1, "ideals": 2}
+
+
+def test_oracle_ring_cache_lives_on_the_parsed_script(monkeypatch):
+    counts = _count_oracle_work(monkeypatch)
+    first, _ = run(ORACLE_SESSION)
+    second, _ = run(ORACLE_SESSION)
+    assert counts == {"quotient": 2, "integers_mod": 2, "ideals": 4}
+    assert render_json(first) == render_json(second)
+

@@ -1,10 +1,27 @@
 """Finite ring tables, ideal enumeration, and the brute-force DQ/DW oracle."""
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from fpdlab import CapExceededError, StructuralError
-from fpdlab.finite_rings import (FiniteRing, annihilator_set, brute_ext1_vanishes,
-                                 brute_hom_vanishes, brute_is_dq, brute_is_dw,
-                                 brute_is_gv, build_finite_ring, enumerate_ideals,
+from fpdlab.finite_rings import (FiniteRing, _row_chunks, annihilator_set,
+                                 brute_ext1_vanishes, brute_hom_vanishes,
+                                 brute_is_dq, brute_is_dw, brute_is_gv,
+                                 build_finite_ring, enumerate_ideals,
                                  ideal_closure, minimal_generators)
+
+from helpers import reference_quotient_tables
+
+
+def _oracle_rings() -> tuple:
+    """The benchmark's finite rings, read from perfbench/corpus.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look the module up
+    spec.loader.exec_module(corpus)
+    return corpus.ORACLE_RINGS
 
 
 def test_integers_mod_four():
@@ -42,6 +59,93 @@ def test_bad_tables_rejected():
     broken_mul = [[0, 0], [0, 0]]  # no multiplicative identity
     with pytest.raises(StructuralError):
         FiniteRing([0, 1], add, broken_mul, 0, 1, "broken")
+    mul = [[0, 0], [0, 1]]
+    for ragged in ([[0, 1], [1]], [[0, 1]], [[0, 1, 0], [1, 0, 1]]):
+        with pytest.raises(StructuralError, match="must be square of the ring order"):
+            FiniteRing([0, 1], ragged, mul, 0, 1, "ragged")
+        with pytest.raises(StructuralError, match="must be square of the ring order"):
+            FiniteRing([0, 1], add, ragged, 0, 1, "ragged")
+    with pytest.raises(StructuralError, match="out-of-range"):
+        FiniteRing([0, 1], [[0, 1], [1, 2]], mul, 0, 1, "out of range")
+
+
+@pytest.mark.parametrize("n, coeffs", [
+    *_oracle_rings(),
+    (4, (0, 1, 1)),       # golden session: ZZ/4[x]/(x^2 + x)
+    (2, (0, 0, 0, 1)),    # golden session: FF2[x]/(x^3)
+    (5, (2, 1)),          # degree-1 relations: ZZ/5[x]/(x + 2), ZZ/6[x]/(x + 3)
+    (6, (3, 1)),
+    (3, (1, 0, 1)),       # FF9
+    (4, (7, 5, 1)),       # coefficients beyond the modulus
+    (6, None),            # golden session: ZZ/6
+    (2, None), (257, None), (300, None),   # ZZ/n past the uint8 tables
+])
+def test_tables_match_the_reference_build(n, coeffs):
+    if coeffs is None:
+        R = FiniteRing.integers_mod(n)
+        coeffs = (0, 1)   # ZZ/n = ZZ/n[x]/(x), with the same digits and labels
+    else:
+        R = FiniteRing.quotient(n, list(coeffs))
+    ref = reference_quotient_tables(n, coeffs)
+    assert R.labels == ref["labels"]
+    assert R.add == ref["add"]
+    assert R.mul == ref["mul"]
+    assert (R.zero, R.one, R.neg) == (ref["zero"], ref["one"], ref["neg"])
+    assert R.element_coeffs == ref["element_coeffs"]
+
+
+def test_row_chunks_cover_every_row_once():
+    for rows, per_row in ((1, 1), (5, 1 << 20), (256, 256 * 256), (257, 1000),
+                          (4096, 4096 * 23), (3, 0)):
+        covered = [r for s, e in _row_chunks(rows, per_row) for r in range(s, e)]
+        assert covered == list(range(rows))
+
+
+def test_verify_compares_every_row_of_each_cube(monkeypatch):
+    """Associativity of + and *, and distributivity, are each compared on
+    row chunks of an n x n x n cube; together the chunks hold all n rows."""
+    import numpy as np
+    compared = []
+    array_equal = np.array_equal
+
+    def recording(a, b):
+        if np.ndim(a) == 3:
+            compared.append(len(a))
+        return array_equal(a, b)
+
+    monkeypatch.setattr(np, "array_equal", recording)
+    R = FiniteRing.quotient(2, [0, 0, 0, 1, 0, 0, 0, 0, 1])
+    assert len(compared) > 3
+    assert sum(compared) == 3 * R.order
+
+
+def _tables_of(R):
+    return [list(row) for row in R.add], [list(row) for row in R.mul]
+
+
+def test_verify_catches_a_corrupt_entry_in_the_first_and_last_row_chunk():
+    """FF2[x]/(x^8 + x^3) has 256 elements, so every axiom is checked in
+    full, chunk by chunk.  Each corruption keeps commutativity, the
+    identities and the permutation rows of addition; only associativity and
+    distributivity can catch it."""
+    R = FiniteRing.quotient(2, [0, 0, 0, 1, 0, 0, 0, 0, 1])
+    chunks = list(_row_chunks(R.order, R.order * R.order))
+    assert len(chunks) > 2
+    assert R.zero == 0 and R.one == 1
+    first, last = chunks[0], chunks[-1]
+    for a, b in ((first[0] + 2, first[0] + 3), (last[1] - 1, last[1] - 2)):
+        add, mul = _tables_of(R)
+        wrong = (mul[a][b] + 1) % R.order
+        mul[a][b] = mul[b][a] = wrong
+        with pytest.raises(StructuralError, match="associative|distribute"):
+            FiniteRing(R.labels, add, mul, R.zero, R.one, "corrupt mul")
+        # In characteristic 2, a + a = b + b = 0: swapping the values of the
+        # symmetric pair (a, b) with the diagonal keeps every row a permutation.
+        add, mul = _tables_of(R)
+        add[a][a] = add[b][b] = add[a][b]
+        add[a][b] = add[b][a] = R.zero
+        with pytest.raises(StructuralError, match="addition is not associative"):
+            FiniteRing(R.labels, add, mul, R.zero, R.one, "corrupt add")
 
 
 def test_non_monic_relation_rejected():
