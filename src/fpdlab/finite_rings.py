@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import CapExceededError, InternalError, StructuralError
@@ -168,13 +167,15 @@ def _as_table(table, order: int, name: str):
 
 
 def _rows(T) -> tuple:
-    """The table as row tuples.  CPython caches the ints up to 256 only, so
-    larger tables look each index up in one tuple of ints: the rows then
-    share one int object per element instead of 32 bytes per entry."""
-    if len(T) <= 256:
-        return tuple(map(tuple, T.tolist()))
-    ints = tuple(range(len(T)))
-    return tuple(itemgetter(*row.tolist())(ints) for row in T)
+    """The table as row tuples, gathered in row chunks from one object array
+    of ints: the rows share one int object per element (CPython caches only
+    the ints up to 256) instead of holding 32 bytes per entry."""
+    import numpy as np
+    n = len(T)
+    ints = np.empty(n, dtype=object)
+    ints[:] = range(n)
+    return tuple(row for s, e in _row_chunks(n, n)
+                 for row in map(tuple, ints[T[s:e]].tolist()))
 
 
 def _verify_tables(R: FiniteRing):

@@ -94,6 +94,17 @@ def test_tables_match_the_reference_build(n, coeffs):
     assert R.element_coeffs == ref["element_coeffs"]
 
 
+def test_row_tuples_at_both_ends_of_the_order():
+    # the zero ring: every row is a 1-tuple, not a bare index
+    R = FiniteRing([0], [[0]], [[0]], 0, 0, "zero ring")
+    assert R.add == R.mul == ((0,),) and R.neg == (0,)
+    # above 256 elements the rows share one int object per element
+    R = FiniteRing.integers_mod(300)
+    assert R.add[299][299] == 298 and R.mul[299][299] == 1
+    for table in (R.add, R.mul):
+        assert len({id(i) for row in table for i in row}) == 300
+
+
 def test_row_chunks_cover_every_row_once():
     for rows, per_row in ((1, 1), (5, 1 << 20), (256, 256 * 256), (257, 1000),
                           (4096, 4096 * 23), (3, 0)):
