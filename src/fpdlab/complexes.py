@@ -13,7 +13,7 @@ from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .groebner import annihilator
 from .modules import (FreeModuleMap, SubmodulePresentation, image,
                       is_zero_subquotient, kernel, prune_generators)
-from .rings import IdealPresentation, RingPresentation
+from .rings import IdealPresentation, RingPresentation, mono_one
 
 
 class ChainComplex:
@@ -75,9 +75,9 @@ def cycles_and_boundaries(d_out: Optional[FreeModuleMap],
         Z = kernel(d_out, budget)
     else:
         ring, rank = d_in.ring, d_in.target_rank
-        one, zero = ring.ambient.one(), ring.ambient.zero()
-        Z = SubmodulePresentation(ring, rank, [
-            tuple(one if t == j else zero for t in range(rank)) for j in range(rank)])
+        one, unit = ring.domain.one(), mono_one(ring.ambient.nvars)
+        Z = SubmodulePresentation.of_vectors(ring, rank,
+                                             [{(j, unit): one} for j in range(rank)])
     B = (image(d_in) if d_in is not None
          else SubmodulePresentation(Z.ring, Z.ambient_rank, ()))
     return Z, B
@@ -86,8 +86,7 @@ def cycles_and_boundaries(d_out: Optional[FreeModuleMap],
 def _next_differential(last: FreeModuleMap, budget: Budget) -> FreeModuleMap:
     """The pruned kernel of `last` as the next differential of a resolution."""
     K = prune_generators(kernel(last, budget), budget)
-    return FreeModuleMap.from_columns(last.ring, K.generators, last.source_rank,
-                                      budget)
+    return FreeModuleMap.of_vectors(last.ring, last.source_rank, K.vecs, budget)
 
 
 class ResolutionCache:

@@ -472,32 +472,6 @@ def normal_form_polys(f: Polynomial, G: GroebnerBasis,
     return vec_to_poly(r, G.ambient)
 
 
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The S-polynomial (with lcm coefficients over ZZ)."""
-    dom = f.ring.domain
-    u, v = f.leading_monomial(), g.leading_monomial()
-    a, b = f.leading_coefficient(), g.leading_coefficient()
-    w = mono_lcm(u, v)
-    if dom.is_field:
-        return (f.mul_monomial(mono_div(w, u)).scale(dom.inv(a))
-                - g.mul_monomial(mono_div(w, v)).scale(dom.inv(b)))
-    l = a * b // _xgcd(a, b)[0]
-    return (f.mul_monomial(mono_div(w, u)).scale(l // a)
-            - g.mul_monomial(mono_div(w, v)).scale(l // b))
-
-
-def gpolynomial(f: Polynomial, g: Polynomial) -> Optional[Polynomial]:
-    """The gcd-polynomial over ZZ; None when one lead coefficient divides the other."""
-    u, v = f.leading_monomial(), g.leading_monomial()
-    a, b = f.leading_coefficient(), g.leading_coefficient()
-    if a % b == 0 or b % a == 0:
-        return None
-    _, s, t = _xgcd(a, b)
-    w = mono_lcm(u, v)
-    return (f.mul_monomial(mono_div(w, u)).scale(s)
-            + g.mul_monomial(mono_div(w, v)).scale(t))
-
-
 # ---------------------------------------------------------------------------
 # Unit-ideal decision with certificate
 

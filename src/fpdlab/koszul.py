@@ -24,19 +24,20 @@ def _koszul_differentials(ring: RingPresentation, gens: Sequence, top: int,
                           budget: Budget = None) -> list:
     """d_1..d_top of the Koszul chain on gens (ranks vanish above len(gens))."""
     m = len(gens)
+    neg = ring.domain.neg
     diffs = []
     for i in range(1, top + 1):
         rows = list(combinations(range(m), i - 1))
-        cols = list(combinations(range(m), i))
         row_index = {s: t for t, s in enumerate(rows)}
-        zero = ring.ambient.zero()
-        matrix = [[zero] * len(cols) for _ in rows]
-        for cidx, S in enumerate(cols):
+        cols = []
+        for S in combinations(range(m), i):
+            col = {}
             for k, j in enumerate(S):
-                T = S[:k] + S[k + 1:]
-                entry = gens[j] if k % 2 == 0 else -gens[j]
-                matrix[row_index[T]][cidx] = matrix[row_index[T]][cidx] + entry
-        diffs.append(FreeModuleMap(ring, len(cols), len(rows), matrix, budget))
+                t = row_index[S[:k] + S[k + 1:]]
+                for mono, c in gens[j].terms:
+                    col[(t, mono)] = c if k % 2 == 0 else neg(c)
+            cols.append(col)
+        diffs.append(FreeModuleMap.of_vectors(ring, len(rows), cols, budget))
     return diffs
 
 

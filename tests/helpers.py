@@ -1,17 +1,19 @@
 """Shared test helpers: ring shortcuts, brute-force oracles (exact linear
 algebra for syzygies, monomial sweeps for membership), a direct
 Groebner-property checker that reduces every S- and G-polynomial, a
-rescanning reference for the vector normal form, and a pure-Python build
-of finite quotient-ring tables."""
+rescanning reference for the vector normal form, the Polynomial-matrix
+path of the module layer, the row loop for finite-ring annihilators, and a
+pure-Python build of finite quotient-ring tables."""
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 
-from fpdlab import (CoefficientDomain, GroebnerBasis, PolynomialRing,
-                    RingPresentation, normal_form_polys)
-from fpdlab.groebner import _term_key, gpolynomial, spolynomial
-from fpdlab.rings import mono_div, mono_mul
+from fpdlab import (CoefficientDomain, GroebnerBasis, Polynomial,
+                    PolynomialRing, RingPresentation, SubmodulePresentation,
+                    normal_form_polys)
+from fpdlab.groebner import _term_key, _xgcd, vec_to_polys
+from fpdlab.rings import mono_div, mono_lcm, mono_mul
 
 QQ = CoefficientDomain.QQ()
 ZZ = CoefficientDomain.ZZ()
@@ -39,6 +41,32 @@ def monomials_up_to(ring: PolynomialRing, max_degree: int):
         if sum(exps) <= max_degree:
             out.append(exps)
     return out
+
+
+def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The S-polynomial (with lcm coefficients over ZZ)."""
+    dom = f.ring.domain
+    u, v = f.leading_monomial(), g.leading_monomial()
+    a, b = f.leading_coefficient(), g.leading_coefficient()
+    w = mono_lcm(u, v)
+    if dom.is_field:
+        return (f.mul_monomial(mono_div(w, u)).scale(dom.inv(a))
+                - g.mul_monomial(mono_div(w, v)).scale(dom.inv(b)))
+    l = a * b // _xgcd(a, b)[0]
+    return (f.mul_monomial(mono_div(w, u)).scale(l // a)
+            - g.mul_monomial(mono_div(w, v)).scale(l // b))
+
+
+def gpolynomial(f: Polynomial, g: Polynomial):
+    """The gcd-polynomial over ZZ; None when one lead coefficient divides the other."""
+    u, v = f.leading_monomial(), g.leading_monomial()
+    a, b = f.leading_coefficient(), g.leading_coefficient()
+    if a % b == 0 or b % a == 0:
+        return None
+    _, s, t = _xgcd(a, b)
+    w = mono_lcm(u, v)
+    return (f.mul_monomial(mono_div(w, u)).scale(s)
+            + g.mul_monomial(mono_div(w, v)).scale(t))
 
 
 def assert_is_groebner(G: GroebnerBasis):
@@ -116,6 +144,63 @@ def reference_normal_form(v: dict, basis, budget) -> dict:
             rem[k] = c
     return rem
 
+def reference_normalize(ring: RingPresentation, matrix, budget) -> tuple:
+    """Every entry of a matrix reduced modulo J on its own: the per-entry
+    normal form that `FreeModuleMap` replaced by one normal form per column.
+    The entries and the budget ticks must match the column version exactly."""
+    return tuple(tuple(ring.normal_form(ring.poly(e), budget) for e in row)
+                 for row in matrix)
+
+
+def reference_compose(phi, psi, budget) -> tuple:
+    """The matrix of phi after psi as `FreeModuleMap.compose` built it on
+    matrices of polynomials: each entry summed in Polynomial arithmetic over
+    every product, zero operands included, then normalized on its own."""
+    zero = phi.ring.ambient.zero()
+    matrix = []
+    for t in range(phi.target_rank):
+        row = []
+        for j in range(psi.source_rank):
+            acc = zero
+            for k in range(phi.source_rank):
+                acc = acc + phi.matrix[t][k] * psi.matrix[k][j]
+            row.append(acc)
+        matrix.append(row)
+    return reference_normalize(phi.ring, matrix, budget)
+
+
+def reference_transpose(phi, budget) -> tuple:
+    """The transposed matrix, normalized entry by entry."""
+    return reference_normalize(phi.ring, phi.columns(), budget)
+
+
+def reference_kernel(phi, budget) -> tuple:
+    """The generators of `modules.kernel` as it built them from tuples of
+    polynomials: the graph's columns as polynomial tuples, and each kernel
+    element cut from the graph's Groebner basis and normalized entry by
+    entry."""
+    ring, r, n = phi.ring, phi.target_rank, phi.source_rank
+    one, zero = ring.ambient.one(), ring.ambient.zero()
+    graph = SubmodulePresentation(ring, r + n, [
+        col + tuple(one if k == j else zero for k in range(n))
+        for j, col in enumerate(phi.columns())])
+    gens = []
+    for g in graph.groebner_vectors(budget).vecs:
+        if any(pos < r for pos, _ in g):
+            continue
+        entries = vec_to_polys({(pos - r, m): c for (pos, m), c in g.items()},
+                               n, ring.ambient)
+        reduced = tuple(ring.normal_form(p, budget) for p in entries)
+        if any(not p.is_zero for p in reduced):
+            gens.append(reduced)
+    return tuple(gens)
+
+
+def reference_annihilator_set(R, subset) -> frozenset:
+    """`finite_rings.annihilator_set` as the loop over the multiplication
+    table's rows that its array test replaced."""
+    return frozenset(r for r in range(R.order)
+                     if all(R.mul[r][a] == R.zero for a in subset))
 
 
 def reference_quotient_tables(n: int, modulus_coeffs, variable: str = "x") -> dict:

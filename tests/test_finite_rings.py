@@ -11,7 +11,7 @@ from fpdlab.finite_rings import (FiniteRing, _row_chunks, annihilator_set,
                                  build_finite_ring, enumerate_ideals,
                                  ideal_closure, minimal_generators)
 
-from helpers import reference_quotient_tables
+from helpers import reference_annihilator_set, reference_quotient_tables
 
 
 def _oracle_rings() -> tuple:
@@ -206,6 +206,20 @@ def test_annihilator_set_mod_four():
     R = FiniteRing.integers_mod(4)
     assert sorted(annihilator_set(R, {2})) == [0, 2]
     assert sorted(annihilator_set(R, {1, 2, 3})) == [0]
+
+
+@pytest.mark.parametrize("n, coeffs", [
+    *_oracle_rings(),
+    (4, (0, 1, 1)),       # golden session: ZZ/4[x]/(x^2 + x)
+    (2, (0, 0, 0, 1)),    # golden session: FF2[x]/(x^3)
+    (6, None),            # golden session: ZZ/6
+])
+def test_annihilator_set_matches_the_row_loop(n, coeffs):
+    R = (FiniteRing.integers_mod(n) if coeffs is None
+         else FiniteRing.quotient(n, list(coeffs)))
+    subsets = [(), *enumerate_ideals(R), *({a} for a in range(R.order))]
+    for subset in subsets:
+        assert annihilator_set(R, subset) == reference_annihilator_set(R, subset)
 
 
 def test_hom_vanishing():

@@ -1,10 +1,15 @@
 """Free-module maps, module normal forms, kernels, and subquotient tests."""
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from fpdlab import (Budget, FreeModuleMap, ResourceBudgetExceeded,
                     StructuralError, SubmodulePresentation, image,
                     is_zero_subquotient, kernel, module_normal_form)
 from fpdlab.modules import prune_generators
-from helpers import FF, QQ, ZZ, brute_linear_syzygies, presentation
+from helpers import (FF, QQ, ZZ, brute_linear_syzygies, presentation,
+                     reference_compose, reference_kernel, reference_normalize,
+                     reference_transpose)
 
 
 def _submodule(P, rank, *gens):
@@ -238,3 +243,61 @@ def test_prune_keeps_an_ordered_spanning_subsequence(domain, variables,
         # no kept generator lies in the span of those kept before it
         for i, g in enumerate(kept):
             assert not SubmodulePresentation(P, full.ambient_rank, kept[:i]).contains(g)
+
+
+# --- the vector module layer against the Polynomial-matrix path ---------------
+
+_ENTRY = st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            st.integers(-3, 3).filter(bool)), max_size=2)
+_RINGS = [
+    (QQ, ()), (QQ, ("x^2",)), (QQ, ("x*y - y^2",)),
+    (FF(3), ("y^2 - x",)), (FF(5), ("x*y", "y^3")),
+    (ZZ, ()), (ZZ, ("2*x",)), (ZZ, ("2*x*y - y^2",)), (ZZ, ("6", "3*x^2 + y")),
+]
+
+
+def _matrix(P, rows, cols, draw):
+    return [[P.ambient.from_dict(dict(draw(_ENTRY))) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _steps(run):
+    budget = Budget()
+    return run(budget), budget.steps
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.sampled_from(_RINGS), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 2), st.data())
+def test_vector_maps_match_the_polynomial_matrix_path(ring, t, k, s, data):
+    # entry by entry and tick by tick: the column normal forms meet the same
+    # reducers, in the same order, as the per-entry ones
+    P = presentation(ring[0], ("x", "y"), ring[1])
+    P.relations_groebner()
+    A, B = _matrix(P, t, k, data.draw), _matrix(P, k, s, data.draw)
+    phi, steps = _steps(lambda b: FreeModuleMap(P, k, t, A, b))
+    assert (phi.matrix, steps) == _steps(lambda b: reference_normalize(P, A, b))
+    psi = FreeModuleMap(P, s, k, B)
+    comp, steps = _steps(lambda b: phi.compose(psi, b))
+    assert (comp.matrix, steps) == _steps(lambda b: reference_compose(phi, psi, b))
+    dual, steps = _steps(lambda b: phi.transpose(b))
+    assert (dual.matrix, steps) == _steps(lambda b: reference_transpose(phi, b))
+    K, steps = _steps(lambda b: kernel(phi, b))
+    assert (K.generators, steps) == _steps(lambda b: reference_kernel(phi, b))
+
+
+def test_renormalizing_a_normal_entry_over_integers_ticks():
+    # over ZZ[x]/(2x) the entry x is normal, but the lead 2x divides it with
+    # quotient 0: each normalization takes a step, in both paths alike
+    P = presentation(ZZ, ("x",), ["2*x"])
+    P.relations_groebner()
+    phi = FreeModuleMap(P, 1, 1, [["x"]])
+    ident = FreeModuleMap(P, 1, 1, [["1"]])
+    for run, ref in ((lambda b: phi.transpose(b), lambda b: reference_transpose(phi, b)),
+                     (lambda b: phi.compose(ident, b),
+                      lambda b: reference_compose(phi, ident, b))):
+        out, steps = _steps(run)
+        assert steps == 1
+        assert (out.matrix, steps) == _steps(ref)
+        assert [[str(e) for e in row] for row in out.matrix] == [["x"]]
