@@ -574,20 +574,34 @@ def exact_poly_div(g: Polynomial, f: Polynomial) -> Polynomial:
 
 def _colon(ring: RingPresentation, pre: Sequence, divisors: Sequence,
            budget: Budget) -> tuple:
-    """Reduced generators of (<pre> : <divisors>) mod J, for nonzero divisors:
-    the intersection over f of (<pre> cap <f>) / f in the ambient ring."""
+    """Reduced generators of (<pre> : <divisors>) mod J, for nonzero divisors
+    and J inside <pre>: the intersection over f of (<pre> cap <f>) / f in the
+    ambient ring.
+
+    The generators of each running intersection are reduced modulo J once,
+    and the loop stops when they all reduce to zero.  The stop is exact:
+    every later intersection lies inside that one, and J lies inside every
+    (<pre> : f), so the full loop would reduce to () as well.
+    """
     ambient = ring.ambient
     current: Optional[list] = None
     for f in divisors:
-        q = [exact_poly_div(p, f)
-             for p in ideal_intersection_polys(ambient, pre, [f], budget)]
+        meet = ideal_intersection_polys(ambient, pre, [f], budget)
+        try:
+            q = [exact_poly_div(p, f) for p in meet]
+        except StructuralError as exc:
+            raise InternalError(f"internal: colon by {f}: the intersection with "
+                                f"<{f}> has an element it does not divide ({exc})"
+                                ) from exc
         current = q if current is None else ideal_intersection_polys(
             ambient, current, q, budget)
-    reduced = []
-    for g in current:
-        r = ring.normal_form(g, budget)
-        if not r.is_zero and r not in reduced:
-            reduced.append(r)
+        reduced = []
+        for g in current:
+            r = ring.normal_form(g, budget)
+            if not r.is_zero and r not in reduced:
+                reduced.append(r)
+        if not reduced:
+            break
     return tuple(reduced)
 
 
@@ -595,6 +609,8 @@ def ideal_quotient(I: IdealPresentation, divisor, budget: Budget = None) -> Idea
     """(I : f) for a ring element, or (I : J) for an ideal, inside R.
 
     (I : 0) = R by convention; the result carries a note when it applies.
+    The colon stops at the first divisor whose running quotient is already
+    zero in R, since the full quotient lies inside it (which needs I = 0).
     """
     budget = ensure_budget(budget)
     ring = I.ring
@@ -614,7 +630,12 @@ def ideal_quotient(I: IdealPresentation, divisor, budget: Budget = None) -> Idea
 
 
 def annihilator(I: IdealPresentation, budget: Budget = None) -> IdealPresentation:
-    """Ann_R(I) = (J : <gens I>) mod J; the zero ideal exactly when I is dense."""
+    """Ann_R(I) = (J : <gens I>) mod J; the zero ideal exactly when I is dense.
+
+    Computed by elimination, one generator at a time, and stopped once the
+    annihilator of the generators so far is already zero in R: the
+    annihilator of more generators lies inside it.
+    """
     budget = ensure_budget(budget)
     ring = I.ring
     gens = [ring.normal_form(g, budget) for g in I.generators]

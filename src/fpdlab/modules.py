@@ -11,6 +11,7 @@ over R.
 """
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Sequence
 
 from .errors import Budget, StructuralError, ensure_budget
@@ -209,13 +210,18 @@ def prune_generators(S: SubmodulePresentation, budget: Budget = None) -> Submodu
     if len(nonzero) <= 1:
         return SubmodulePresentation.of_vectors(S.ring, S.ambient_rank, nonzero)
     ambient = S.ring.ambient
-    # the text of the generator as a tuple of polynomials breaks ties
-    nonzero.sort(key=lambda v: (len(v), max(mono_degree(m) for _, m in v),
-                                str(vec_to_polys(v, S.ambient_rank, ambient))))
+    size = lambda v: (len(v), max(mono_degree(m) for _, m in v))
+    text = lambda v: str(vec_to_polys(v, S.ambient_rank, ambient))
+    # the text of the generator as a tuple of polynomials breaks ties; it is
+    # rendered only for generators tied on term count and degree
+    ordered = []
+    for _, tied in groupby(sorted(nonzero, key=size), key=size):
+        tied = list(tied)
+        ordered += sorted(tied, key=text) if len(tied) > 1 else tied
     spanned = completion(_relation_block(S.ring, S.ambient_rank, budget).vecs,
                          ambient, budget)
     kept = []
-    for v in nonzero:
+    for v in ordered:
         if spanned.insert(v):
             kept.append(v)
             spanned.run()

@@ -2,8 +2,9 @@
 algebra for syzygies, monomial sweeps for membership), a direct
 Groebner-property checker that reduces every S- and G-polynomial, a
 rescanning reference for the vector normal form, the Polynomial-matrix
-path of the module layer, the row loop for finite-ring annihilators, and a
-pure-Python build of finite quotient-ring tables."""
+path of the module layer, the colon without its early stop, the row loop
+for finite-ring annihilators, and a pure-Python build of finite quotient-ring
+tables."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -12,7 +13,8 @@ from itertools import product
 from fpdlab import (CoefficientDomain, GroebnerBasis, Polynomial,
                     PolynomialRing, RingPresentation, SubmodulePresentation,
                     normal_form_polys)
-from fpdlab.groebner import _term_key, _xgcd, vec_to_polys
+from fpdlab.groebner import (_term_key, _xgcd, exact_poly_div,
+                             ideal_intersection_polys, vec_to_polys)
 from fpdlab.rings import mono_div, mono_lcm, mono_mul
 
 QQ = CoefficientDomain.QQ()
@@ -194,6 +196,25 @@ def reference_kernel(phi, budget) -> tuple:
         if any(not p.is_zero for p in reduced):
             gens.append(reduced)
     return tuple(gens)
+
+
+def reference_colon(ring: RingPresentation, pre, divisors, budget) -> tuple:
+    """`groebner._colon` without its stop: the intersection over every divisor
+    f of (<pre> cap <f>) / f, each step an elimination, reduced modulo J once
+    at the end."""
+    ambient = ring.ambient
+    current = None
+    for f in divisors:
+        q = [exact_poly_div(p, f)
+             for p in ideal_intersection_polys(ambient, pre, [f], budget)]
+        current = q if current is None else ideal_intersection_polys(
+            ambient, current, q, budget)
+    reduced = []
+    for g in current:
+        r = ring.normal_form(g, budget)
+        if not r.is_zero and r not in reduced:
+            reduced.append(r)
+    return tuple(reduced)
 
 
 def reference_annihilator_set(R, subset) -> frozenset:

@@ -20,7 +20,8 @@ from fpdlab.modules import kernel
 from fpdlab.rings import block_order, mono_divides
 from fpdlab.script import parse
 from helpers import (FF, QQ, ZZ, assert_is_groebner, monomials_up_to,
-                     poly_ring, presentation, reference_normal_form)
+                     poly_ring, presentation, reference_colon,
+                     reference_normal_form)
 
 
 def test_normal_form_single_division_step():
@@ -204,6 +205,89 @@ def test_annihilator_socle_and_domain():
         principal = FreeModuleMap.from_columns(R, [(R.poly(f),)], 1)
         syz_ideal = R.ideal(*(s[0] for s in kernel(principal).generators))
         assert _same_ideal(annihilator(R.ideal(f)), syz_ideal)
+
+
+def _ext_zz_ring(k):
+    """ZZ[kX, X^2, X^3] as perfbench's ext_zz workload presents it."""
+    return presentation(ZZ, ("a", "b", "c"), [f"a^2 - {k * k}*b", f"a*b - {k}*c",
+                                              f"a*c - {k}*b^2", "b^3 - c^2"])
+
+
+# (ring, generators, divisors the colon takes before it stops, or None when
+# the annihilator is nonzero and it runs to the end)
+COLON_CASES = (
+    [pytest.param(_ext_zz_ring(k), (str(p), "a", "b", "c"), 1,   # Ann(p) = 0
+                  id=f"ZZ[{k}X,X^2,X^3]-({p},a,b,c)")
+     for k in (2, 3, 4, 5, 6) for p in (2, 3, 5)]
+    + [pytest.param(presentation(QQ, ("x", "y"), ["x*y"]), ("x", "y"), 2,
+                    id="QQ[x,y]/(xy)-(x,y)"),
+       pytest.param(presentation(QQ, ("x", "y"), ["x^2", "x*y"]), ("x", "y"), None,
+                    id="QQ[x,y]/(x^2,xy)-(x,y)"),
+       pytest.param(presentation(FF(3), ("x", "y"), ["x^2", "x*y"]), ("y", "x"),
+                    None, id="FF3[x,y]/(x^2,xy)-(y,x)")])
+
+
+def _counting_intersections(monkeypatch) -> list:
+    calls = []
+    meet = groebner.ideal_intersection_polys
+
+    def counted(*args):
+        calls.append(args)
+        return meet(*args)
+
+    monkeypatch.setattr(groebner, "ideal_intersection_polys", counted)
+    return calls
+
+
+@pytest.mark.parametrize("R, gens, stop", COLON_CASES)
+def test_colon_stop_matches_the_full_loop(R, gens, stop, monkeypatch):
+    # the stop changes no generator: annihilator and ideal_quotient, by an
+    # ideal and by each element, against the loop over every divisor
+    divisors = [R.normal_form(g) for g in gens]
+    m, zero, first = R.ideal(*gens), R.zero_ideal(), R.ideal(gens[0])
+    budget = Budget()
+    expected = {
+        "ann": reference_colon(R, R.relations, divisors, budget),
+        "zero : m": reference_colon(R, zero.preimage_generators(), divisors, budget),
+        "first : m": reference_colon(R, first.preimage_generators(), divisors, budget),
+    }
+    for f in divisors:
+        expected[f"zero : {f}"] = reference_colon(R, zero.preimage_generators(),
+                                                  [f], budget)
+    calls = _counting_intersections(monkeypatch)
+    got = {"ann": annihilator(m).generators,
+           "zero : m": ideal_quotient(zero, m).generators,
+           "first : m": ideal_quotient(first, m).generators}
+    for f in divisors:
+        got[f"zero : {f}"] = ideal_quotient(zero, f).generators
+    assert got == expected
+    assert (expected["ann"] == ()) == (stop is not None)
+    # one elimination for the first divisor, then two for each later one
+    calls.clear()
+    annihilator(m)
+    taken = len(divisors) if stop is None else stop
+    assert len(calls) == 2 * taken - 1
+
+
+def test_annihilator_of_the_flagship_maximal_ideal_takes_one_elimination(monkeypatch):
+    # ZZ[2X, X^2, X^3] is a domain, so Ann(2) = 0 ends the colon at once
+    R = _ext_zz_ring(2)
+    calls = _counting_intersections(monkeypatch)
+    assert annihilator(R.ideal("2", "a", "b", "c")).is_zero()
+    assert len(calls) == 1
+
+
+def test_inexact_division_in_the_colon_is_internal(monkeypatch):
+    # an intersection with <f> holding a non-multiple of f means the
+    # elimination is broken: a library defect, not a fault of the input
+    monkeypatch.setattr(groebner, "ideal_intersection_polys",
+                        lambda ambient, *args: [ambient.poly("x + 1")])
+    records, code = execute_script(
+        parse("ring R = QQ[x,y]/(x*y); ideal m = (x, y); semiregular m;"),
+        CliConfig())
+    assert code == EXIT_INTERNAL
+    assert records[0]["status"] == "internal"
+    assert "colon by x" in records[0]["error"]
 
 
 def _assert_canonical(B):
