@@ -24,13 +24,14 @@ _CHUNK_ENTRIES = 1 << 18   # entries of the working arrays of one row chunk
 
 
 class FiniteRing:
-    """Indexed elements with full addition and multiplication tables.
+    """Indexed elements with one addition and one multiplication table.
 
-    `add` and `mul` are tuples of row tuples; `add_table` and `mul_table`
-    hold the same tables as numpy arrays of the narrowest unsigned type.
-    The ring axioms are verified exhaustively at construction for orders up
-    to 256 (identities and commutativity always); use the named constructors
-    `integers_mod` and `quotient`.
+    `add` and `mul` are order x order numpy arrays of element indices, of the
+    narrowest unsigned type (`uint8` up to 256 elements, `uint16` above);
+    `add[a, b]` is the index of a + b.  The ring axioms are verified
+    exhaustively at construction for orders up to 256 (identities and
+    commutativity always); use the named constructors `integers_mod` and
+    `quotient`.
     """
 
     def __init__(self, elements: Sequence, add: Sequence, mul: Sequence,
@@ -38,99 +39,99 @@ class FiniteRing:
                  element_coeffs: Optional[tuple] = None):
         self.order = len(elements)
         self.labels = tuple(str(e) for e in elements)
-        self.add_table = _as_table(add, self.order, "addition")
-        self.mul_table = _as_table(mul, self.order, "multiplication")
+        self.add = _as_table(add, self.order, "addition")
+        self.mul = _as_table(mul, self.order, "multiplication")
+        if not (0 <= zero < self.order and 0 <= one < self.order):
+            raise StructuralError(f"zero and one must be element indices in "
+                                  f"range({self.order})")
         self.zero = zero
         self.one = one
         self.provenance = provenance
         self.element_coeffs = element_coeffs
         _verify_tables(self)
-        self.add = _rows(self.add_table)
-        self.mul = _rows(self.mul_table)
-        self.neg = tuple(self.add[a].index(self.zero) for a in range(self.order))
         self._ideals = None  # filled by the first `enumerate_ideals`
 
     @staticmethod
     def integers_mod(n: int, cap: int = DEFAULT_BUILD_CAP) -> "FiniteRing":
-        if n < 2:
-            raise StructuralError("modulus must be at least 2")
-        if n > cap:
-            raise CapExceededError(f"ring order {n} exceeds the cap {cap}")
-        import numpy as np
-        r = np.arange(n, dtype=np.int64)
-        add = _build_table(n, n, lambda s, e: np.add.outer(r[s:e], r) % n)
-        mul = _build_table(n, n, lambda s, e: np.multiply.outer(r[s:e], r) % n)
-        return FiniteRing(range(n), add, mul, 0, 1 % n, f"ZZ/{n}",
-                          element_coeffs=tuple((a,) for a in range(n)))
+        """ZZ/n, built as ZZ/n[x]/(x): the elements are 0..n-1."""
+        return _quotient_ring(n, [0, 1], "x", cap, f"ZZ/{n}")
 
     @staticmethod
     def quotient(n: int, modulus_coeffs: Sequence, variable: str = "x",
                  cap: int = DEFAULT_BUILD_CAP) -> "FiniteRing":
         """ZZ/n[x]/(f) for a monic f given by little-endian coefficients."""
-        if n < 2:
-            raise StructuralError("modulus must be at least 2")
-        coeffs = [c % n for c in modulus_coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if len(coeffs) < 2:
-            raise StructuralError("the quotient by a constant is not a finite "
-                                  "ring extension; give a monic relation of "
-                                  "degree at least 1")
-        if coeffs[-1] != 1:
-            raise StructuralError("the relation must be monic for a finite quotient")
-        d = len(coeffs) - 1
-        size = n ** d
-        if size > cap:
-            raise CapExceededError(f"ring order {size} exceeds the cap {cap}")
-        import numpy as np
-        # element i has the little-endian base-n digits of i as coefficients
-        weights = n ** np.arange(d, dtype=np.int64)
-        digits = np.arange(size, dtype=np.int64)[:, None] // weights % n
-        # x^d = sum reducer[i] x^i; only its nonzero terms are pushed down
-        reducer = [(i, (-c) % n) for i, c in enumerate(coeffs[:-1]) if c]
-        columns = digits.T.copy()  # columns[i][b]: coefficient of x^i in b
-
-        def add_rows(start, stop):
-            return (digits[start:stop, None, :] + digits) % n @ weights
-
-        def mul_rows(start, stop):
-            # prod[k][a, b]: the coefficient of x^k in a*b before reduction,
-            # then x^k reduced from the top degree down (poly_mul on every
-            # pair of the chunk at once; entries stay below 2 d n^2)
-            prod = np.zeros((2 * d - 1, stop - start, size), dtype=np.int64)
-            for i in range(d):
-                prod[i:i + d] += digits[start:stop, i, None] * columns[:, None, :]
-            for k in range(2 * d - 2, d - 1, -1):
-                top = prod[k] % n
-                for i, r in reducer:
-                    prod[k - d + i] += top * r
-            return np.tensordot(weights, prod[:d] % n, axes=1)
-
-        add = _build_table(size, size * d, add_rows)
-        mul = _build_table(size, size * (2 * d - 1), mul_rows)
-        elems = tuple(map(tuple, digits.tolist()))
-
-        def label(t):
-            parts = []
-            for i, c in enumerate(t):
-                if c == 0:
-                    continue
-                if i == 0:
-                    parts.append(str(c))
-                else:
-                    power = variable if i == 1 else f"{variable}^{i}"
-                    parts.append(power if c == 1 else f"{c}{power}")
-            return " + ".join(parts) if parts else "0"
-
-        poly_str = label(tuple(coeffs[:-1])) if any(coeffs[:-1]) else ""
-        head = variable if d == 1 else f"{variable}^{d}"
-        provenance = f"ZZ/{n}[{variable}]/({head}{' + ' + poly_str if poly_str else ''})"
-        # index 0 has the digits of 0, index 1 those of 1
-        return FiniteRing([label(t) for t in elems], add, mul, 0, 1,
-                          provenance, element_coeffs=elems)
+        return _quotient_ring(n, modulus_coeffs, variable, cap)
 
     def __str__(self):
         return f"{self.provenance} ({self.order} elements)"
+
+
+def _quotient_ring(n: int, modulus_coeffs: Sequence, variable: str, cap: int,
+                   provenance: Optional[str] = None) -> FiniteRing:
+    """The tables of ZZ/n[x]/(f), with the base-n digits of element i as its
+    little-endian coefficients; the provenance defaults to the presentation."""
+    if n < 2:
+        raise StructuralError("modulus must be at least 2")
+    coeffs = [c % n for c in modulus_coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) < 2:
+        raise StructuralError("the quotient by a constant is not a finite "
+                              "ring extension; give a monic relation of "
+                              "degree at least 1")
+    if coeffs[-1] != 1:
+        raise StructuralError("the relation must be monic for a finite quotient")
+    d = len(coeffs) - 1
+    size = n ** d
+    if size > cap:
+        raise CapExceededError(f"ring order {size} exceeds the cap {cap}")
+    import numpy as np
+    # element i has the little-endian base-n digits of i as coefficients
+    weights = n ** np.arange(d, dtype=np.int64)
+    digits = np.arange(size, dtype=np.int64)[:, None] // weights % n
+    # x^d = sum reducer[i] x^i; only its nonzero terms are pushed down
+    reducer = [(i, (-c) % n) for i, c in enumerate(coeffs[:-1]) if c]
+    columns = digits.T.copy()  # columns[i][b]: coefficient of x^i in b
+
+    def add_rows(start, stop):
+        return (digits[start:stop, None, :] + digits) % n @ weights
+
+    def mul_rows(start, stop):
+        # prod[k][a, b]: the coefficient of x^k in a*b before reduction,
+        # then x^k reduced from the top degree down (poly_mul on every
+        # pair of the chunk at once; entries stay below 2 d n^2)
+        prod = np.zeros((2 * d - 1, stop - start, size), dtype=np.int64)
+        for i in range(d):
+            prod[i:i + d] += digits[start:stop, i, None] * columns[:, None, :]
+        for k in range(2 * d - 2, d - 1, -1):
+            top = prod[k] % n
+            for i, r in reducer:
+                prod[k - d + i] += top * r
+        return np.tensordot(weights, prod[:d] % n, axes=1)
+
+    add = _build_table(size, size * d, add_rows)
+    mul = _build_table(size, size * (2 * d - 1), mul_rows)
+    elems = tuple(map(tuple, digits.tolist()))
+
+    def label(t):
+        parts = []
+        for i, c in enumerate(t):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                power = variable if i == 1 else f"{variable}^{i}"
+                parts.append(power if c == 1 else f"{c}{power}")
+        return " + ".join(parts) if parts else "0"
+
+    if provenance is None:
+        poly_str = label(tuple(coeffs[:-1])) if any(coeffs[:-1]) else ""
+        head = variable if d == 1 else f"{variable}^{d}"
+        provenance = f"ZZ/{n}[{variable}]/({head}{' + ' + poly_str if poly_str else ''})"
+    # index 0 has the digits of 0, index 1 those of 1
+    return FiniteRing([label(t) for t in elems], add, mul, 0, 1,
+                      provenance, element_coeffs=elems)
 
 
 def _row_chunks(rows: int, per_row: int):
@@ -166,22 +167,10 @@ def _as_table(table, order: int, name: str):
     return T.astype(np.min_scalar_type(order - 1), copy=False)
 
 
-def _rows(T) -> tuple:
-    """The table as row tuples, gathered in row chunks from one object array
-    of ints: the rows share one int object per element (CPython caches only
-    the ints up to 256) instead of holding 32 bytes per entry."""
-    import numpy as np
-    n = len(T)
-    ints = np.empty(n, dtype=object)
-    ints[:] = range(n)
-    return tuple(row for s, e in _row_chunks(n, n)
-                 for row in map(tuple, ints[T[s:e]].tolist()))
-
-
 def _verify_tables(R: FiniteRing):
     import numpy as np
     n = R.order
-    A, M = R.add_table, R.mul_table
+    A, M = R.add, R.mul
     for T, name in ((A, "addition"), (M, "multiplication")):
         if not np.array_equal(T, T.T):
             raise StructuralError(f"{name} is not commutative")
@@ -223,14 +212,14 @@ def build_finite_ring(n: int, modulus_coeffs: Optional[Sequence] = None,
 
 def principal_ideal(R: FiniteRing, a: int) -> frozenset:
     """R*a = {r*a}: already closed under + and ring multiplication."""
-    return frozenset(R.mul[a])  # row a, as multiplication commutes
+    return frozenset(R.mul[a].tolist())  # row a, as multiplication commutes
 
 
 def _ideal_sum(R: FiniteRing, I: frozenset, P: frozenset) -> frozenset:
     import numpy as np
     i = np.fromiter(I, dtype=np.intp, count=len(I))
     p = np.fromiter(P, dtype=np.intp, count=len(P))
-    return frozenset(np.unique(R.add_table[i[:, None], p]).tolist())
+    return frozenset(np.unique(R.add[i[:, None], p]).tolist())
 
 
 def ideal_closure(R: FiniteRing, seeds) -> frozenset:
@@ -300,7 +289,7 @@ def annihilator_set(R: FiniteRing, subset) -> frozenset:
     columns of the multiplication table."""
     import numpy as np
     cols = np.fromiter(subset, dtype=np.intp)
-    return frozenset(np.flatnonzero((R.mul_table[:, cols] == R.zero).all(axis=1)).tolist())
+    return frozenset(np.flatnonzero((R.mul[:, cols] == R.zero).all(axis=1)).tolist())
 
 
 def brute_hom_vanishes(R: FiniteRing, ideal) -> bool:
@@ -326,20 +315,21 @@ def brute_ext1_vanishes(R: FiniteRing, ideal, gens: Optional[Sequence] = None,
         raise CapExceededError(
             f"Ext^1 enumeration needs {R.order}^{k} homomorphisms")
     n = R.order
+    add, mul = R.add.tolist(), R.mul.tolist()  # scalar lookups, at most 256^2
     syzygies = []
     for v in product(range(n), repeat=k):
         acc = R.zero
         for vi, gi in zip(v, gens):
-            acc = R.add[acc][R.mul[vi][gi]]
+            acc = add[acc][mul[vi][gi]]
         if acc == R.zero:
             syzygies.append(v)
-    inner = {tuple(R.mul[r][g] for g in gens) for r in range(n)}
+    inner = {tuple(mul[r][g] for g in gens) for r in range(n)}
     for phi in product(range(n), repeat=k):
         ok = True
         for v in syzygies:
             acc = R.zero
             for pi, vi in zip(phi, v):
-                acc = R.add[acc][R.mul[pi][vi]]
+                acc = add[acc][mul[pi][vi]]
             if acc != R.zero:
                 ok = False
                 break

@@ -3,6 +3,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from fpdlab import CapExceededError, StructuralError
 from fpdlab.finite_rings import (FiniteRing, _row_chunks, annihilator_set,
@@ -69,6 +70,15 @@ def test_bad_tables_rejected():
         FiniteRing([0, 1], [[0, 1], [1, 2]], mul, 0, 1, "out of range")
 
 
+def test_zero_and_one_must_be_element_indices():
+    # on ZZ/2's tables, one = -1 would read row 1 from the end and pass
+    R = FiniteRing.integers_mod(2)
+    add, mul = R.add.tolist(), R.mul.tolist()
+    for zero, one in ((0, -1), (0, 2), (-2, 1), (2, 1)):
+        with pytest.raises(StructuralError, match="element indices"):
+            FiniteRing(R.labels, add, mul, zero, one, "ZZ/2")
+
+
 @pytest.mark.parametrize("n, coeffs", [
     *_oracle_rings(),
     (4, (0, 1, 1)),       # golden session: ZZ/4[x]/(x^2 + x)
@@ -88,21 +98,21 @@ def test_tables_match_the_reference_build(n, coeffs):
         R = FiniteRing.quotient(n, list(coeffs))
     ref = reference_quotient_tables(n, coeffs)
     assert R.labels == ref["labels"]
-    assert R.add == ref["add"]
-    assert R.mul == ref["mul"]
-    assert (R.zero, R.one, R.neg) == (ref["zero"], ref["one"], ref["neg"])
+    assert np.array_equal(R.add, ref["add"])
+    assert np.array_equal(R.mul, ref["mul"])
+    assert (R.zero, R.one) == (ref["zero"], ref["one"])
     assert R.element_coeffs == ref["element_coeffs"]
 
 
-def test_row_tuples_at_both_ends_of_the_order():
-    # the zero ring: every row is a 1-tuple, not a bare index
+def test_tables_at_both_ends_of_the_order():
+    # the zero ring: 1 x 1 tables
     R = FiniteRing([0], [[0]], [[0]], 0, 0, "zero ring")
-    assert R.add == R.mul == ((0,),) and R.neg == (0,)
-    # above 256 elements the rows share one int object per element
+    assert R.add.shape == R.mul.shape == (1, 1) and R.add.dtype == np.uint8
+    assert R.add.tolist() == R.mul.tolist() == [[0]]
+    # above 256 elements the indices need 16 bits
     R = FiniteRing.integers_mod(300)
-    assert R.add[299][299] == 298 and R.mul[299][299] == 1
-    for table in (R.add, R.mul):
-        assert len({id(i) for row in table for i in row}) == 300
+    assert R.add.dtype == R.mul.dtype == np.uint16
+    assert R.add[299, 299] == 298 and R.mul[299, 299] == 1
 
 
 def test_row_chunks_cover_every_row_once():
@@ -115,7 +125,6 @@ def test_row_chunks_cover_every_row_once():
 def test_verify_compares_every_row_of_each_cube(monkeypatch):
     """Associativity of + and *, and distributivity, are each compared on
     row chunks of an n x n x n cube; together the chunks hold all n rows."""
-    import numpy as np
     compared = []
     array_equal = np.array_equal
 
@@ -131,7 +140,7 @@ def test_verify_compares_every_row_of_each_cube(monkeypatch):
 
 
 def _tables_of(R):
-    return [list(row) for row in R.add], [list(row) for row in R.mul]
+    return R.add.tolist(), R.mul.tolist()
 
 
 def test_verify_catches_a_corrupt_entry_in_the_first_and_last_row_chunk():
