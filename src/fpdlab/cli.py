@@ -142,7 +142,7 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
               budget: Budget, record: dict) -> dict:
     kind = cmd.kind
     if kind == "oracle":
-        return _run_oracle(script, cmd)
+        return _run_oracle(script, cmd, budget)
     ring = script.rings[cmd.ring_name]
     ideal_of = lambda i=0: script.ideals[cmd.ideal_names[i]]
 
@@ -203,19 +203,19 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
     raise StructuralError(f"unknown command {kind!r}")
 
 
-def _run_oracle(script: SessionScript, cmd: Command) -> dict:
-    ring = script.finite_ring(cmd.oracle_ring)
+def _run_oracle(script: SessionScript, cmd: Command, budget: Budget) -> dict:
+    ring = script.finite_ring(cmd.oracle_ring, budget)
     if cmd.oracle_check == "dq":
-        res = brute_is_dq(ring)
+        res = brute_is_dq(ring, budget=budget)
         return {"ring": str(ring), "dq": res.holds,
                 "witness": sorted(ring.labels[i] for i in res.witness)
                 if res.witness is not None else None}
     if cmd.oracle_check == "dw":
-        res = brute_is_dw(ring)
+        res = brute_is_dw(ring, budget=budget)
         return {"ring": str(ring), "dw": res.holds,
                 "witness": sorted(ring.labels[i] for i in res.witness)
                 if res.witness is not None else None}
-    ideals = enumerate_ideals(ring)
+    ideals = enumerate_ideals(ring, budget=budget)
     return {"ring": str(ring), "ideal_count": len(ideals),
             "ideals": [sorted(ring.labels[i] for i in I) for I in ideals]}
 

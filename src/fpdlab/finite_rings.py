@@ -3,9 +3,14 @@ brute-force checks used as an independent oracle: annihilators, Hom and
 Ext^1 vanishing by exhaustive enumeration, and the DQ/DW ring properties.
 
 Nothing here shares code with the Groebner path; everything is table
-arithmetic, which is the point of the oracle.  Tables are built and checked
-with numpy array arithmetic, in row chunks that keep working memory small;
-numpy is imported on first use, so importing the package stays cheap.
+arithmetic, which is the point of the oracle.  A ring keeps one numpy index
+table per operation.  Tables are built and checked with numpy array
+arithmetic, in row chunks that keep working memory small; numpy is imported
+on first use, so importing the package stays cheap.
+
+Every entry point takes an optional `Budget` as its last argument.  It ticks
+once per table row chunk, per ideal sum and per ideal tested (each of these
+reads the clock), and once per Ext^1 candidate.
 """
 from __future__ import annotations
 
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .errors import CapExceededError, InternalError, StructuralError
+from .errors import (Budget, CapExceededError, InternalError, StructuralError,
+                     ensure_budget)
 
 DEFAULT_BUILD_CAP = 4096
 DEFAULT_IDEAL_CAP = 4096
@@ -36,7 +42,8 @@ class FiniteRing:
 
     def __init__(self, elements: Sequence, add: Sequence, mul: Sequence,
                  zero: int, one: int, provenance: str,
-                 element_coeffs: Optional[tuple] = None):
+                 element_coeffs: Optional[tuple] = None,
+                 budget: Optional[Budget] = None):
         self.order = len(elements)
         self.labels = tuple(str(e) for e in elements)
         self.add = _as_table(add, self.order, "addition")
@@ -48,26 +55,29 @@ class FiniteRing:
         self.one = one
         self.provenance = provenance
         self.element_coeffs = element_coeffs
-        _verify_tables(self)
+        _verify_tables(self, ensure_budget(budget))
         self._ideals = None  # filled by the first `enumerate_ideals`
 
     @staticmethod
-    def integers_mod(n: int, cap: int = DEFAULT_BUILD_CAP) -> "FiniteRing":
+    def integers_mod(n: int, cap: int = DEFAULT_BUILD_CAP,
+                     budget: Optional[Budget] = None) -> "FiniteRing":
         """ZZ/n, built as ZZ/n[x]/(x): the elements are 0..n-1."""
-        return _quotient_ring(n, [0, 1], "x", cap, f"ZZ/{n}")
+        return _quotient_ring(n, [0, 1], "x", cap, budget, f"ZZ/{n}")
 
     @staticmethod
     def quotient(n: int, modulus_coeffs: Sequence, variable: str = "x",
-                 cap: int = DEFAULT_BUILD_CAP) -> "FiniteRing":
+                 cap: int = DEFAULT_BUILD_CAP,
+                 budget: Optional[Budget] = None) -> "FiniteRing":
         """ZZ/n[x]/(f) for a monic f given by little-endian coefficients."""
-        return _quotient_ring(n, modulus_coeffs, variable, cap)
+        return _quotient_ring(n, modulus_coeffs, variable, cap, budget)
 
     def __str__(self):
         return f"{self.provenance} ({self.order} elements)"
 
 
 def _quotient_ring(n: int, modulus_coeffs: Sequence, variable: str, cap: int,
-                   provenance: Optional[str] = None) -> FiniteRing:
+                   budget: Optional[Budget], provenance: Optional[str] = None
+                   ) -> FiniteRing:
     """The tables of ZZ/n[x]/(f), with the base-n digits of element i as its
     little-endian coefficients; the provenance defaults to the presentation."""
     if n < 2:
@@ -85,6 +95,7 @@ def _quotient_ring(n: int, modulus_coeffs: Sequence, variable: str, cap: int,
     size = n ** d
     if size > cap:
         raise CapExceededError(f"ring order {size} exceeds the cap {cap}")
+    budget = ensure_budget(budget)
     import numpy as np
     # element i has the little-endian base-n digits of i as coefficients
     weights = n ** np.arange(d, dtype=np.int64)
@@ -109,8 +120,8 @@ def _quotient_ring(n: int, modulus_coeffs: Sequence, variable: str, cap: int,
                 prod[k - d + i] += top * r
         return np.tensordot(weights, prod[:d] % n, axes=1)
 
-    add = _build_table(size, size * d, add_rows)
-    mul = _build_table(size, size * (2 * d - 1), mul_rows)
+    add = _build_table(size, size * d, add_rows, budget)
+    mul = _build_table(size, size * (2 * d - 1), mul_rows, budget)
     elems = tuple(map(tuple, digits.tolist()))
 
     def label(t):
@@ -131,7 +142,7 @@ def _quotient_ring(n: int, modulus_coeffs: Sequence, variable: str, cap: int,
         provenance = f"ZZ/{n}[{variable}]/({head}{' + ' + poly_str if poly_str else ''})"
     # index 0 has the digits of 0, index 1 those of 1
     return FiniteRing([label(t) for t in elems], add, mul, 0, 1,
-                      provenance, element_coeffs=elems)
+                      provenance, elems, budget)
 
 
 def _row_chunks(rows: int, per_row: int):
@@ -142,12 +153,13 @@ def _row_chunks(rows: int, per_row: int):
         yield start, min(start + width, rows)
 
 
-def _build_table(order: int, per_row: int, fill):
+def _build_table(order: int, per_row: int, fill, budget: Budget):
     """An order x order index table of the narrowest unsigned type;
     fill(start, stop) gives those rows."""
     import numpy as np
     table = np.empty((order, order), dtype=np.min_scalar_type(order - 1))
     for start, stop in _row_chunks(order, per_row):
+        budget.tick(coarse=True)
         table[start:stop] = fill(start, stop)
     return table
 
@@ -167,7 +179,7 @@ def _as_table(table, order: int, name: str):
     return T.astype(np.min_scalar_type(order - 1), copy=False)
 
 
-def _verify_tables(R: FiniteRing):
+def _verify_tables(R: FiniteRing, budget: Budget):
     import numpy as np
     n = R.order
     A, M = R.add, R.mul
@@ -189,11 +201,13 @@ def _verify_tables(R: FiniteRing):
         for T, name in ((A, "addition"), (M, "multiplication")):
             T_index = T.astype(np.intp)
             for s, e in chunks:
+                budget.tick(coarse=True)
                 if not np.array_equal(np.take(T, T[s:e], axis=0),
                                       np.take(T[s:e], T_index, axis=1)):
                     raise StructuralError(f"{name} is not associative")
         A_index, A_flat = A.astype(np.intp), A.ravel()
         for s, e in chunks:
+            budget.tick(coarse=True)
             Ms = M[s:e].astype(np.intp)
             if not np.array_equal(np.take(M[s:e], A_index, axis=1),
                                   np.take(A_flat, Ms[:, :, None] * n + Ms[:, None, :])):
@@ -201,10 +215,11 @@ def _verify_tables(R: FiniteRing):
 
 
 def build_finite_ring(n: int, modulus_coeffs: Optional[Sequence] = None,
-                      variable: str = "x", cap: int = DEFAULT_BUILD_CAP) -> FiniteRing:
+                      variable: str = "x", cap: int = DEFAULT_BUILD_CAP,
+                      budget: Optional[Budget] = None) -> FiniteRing:
     if modulus_coeffs is None:
-        return FiniteRing.integers_mod(n, cap)
-    return FiniteRing.quotient(n, modulus_coeffs, variable, cap)
+        return FiniteRing.integers_mod(n, cap, budget)
+    return FiniteRing.quotient(n, modulus_coeffs, variable, cap, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +230,27 @@ def principal_ideal(R: FiniteRing, a: int) -> frozenset:
     return frozenset(R.mul[a].tolist())  # row a, as multiplication commutes
 
 
-def _ideal_sum(R: FiniteRing, I: frozenset, P: frozenset) -> frozenset:
+def _ideal_sum(R: FiniteRing, I: frozenset, P: frozenset,
+               budget: Budget) -> frozenset:
+    budget.tick(coarse=True)
     import numpy as np
     i = np.fromiter(I, dtype=np.intp, count=len(I))
     p = np.fromiter(P, dtype=np.intp, count=len(P))
     return frozenset(np.unique(R.add[i[:, None], p]).tolist())
 
 
-def ideal_closure(R: FiniteRing, seeds) -> frozenset:
+def ideal_closure(R: FiniteRing, seeds,
+                  budget: Optional[Budget] = None) -> frozenset:
     """Smallest ideal containing the seeds: the sum of their principal ideals."""
+    budget = ensure_budget(budget)
     current = frozenset({R.zero})
     for s in seeds:
-        current = _ideal_sum(R, current, principal_ideal(R, s))
+        current = _ideal_sum(R, current, principal_ideal(R, s), budget)
     return current
 
 
-def enumerate_ideals(R: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> list:
+def enumerate_ideals(R: FiniteRing, cap: int = DEFAULT_IDEAL_CAP,
+                     budget: Optional[Budget] = None) -> list:
     """All ideals of R as frozensets, smallest first (deterministic order).
 
     The ring keeps the list, so each ring enumerates its ideals once.
@@ -238,11 +258,11 @@ def enumerate_ideals(R: FiniteRing, cap: int = DEFAULT_IDEAL_CAP) -> list:
     if R.order > cap:
         raise CapExceededError(f"ideal enumeration capped at order {cap}")
     if R._ideals is None:
-        R._ideals = tuple(_all_ideals(R))
+        R._ideals = tuple(_all_ideals(R, ensure_budget(budget)))
     return list(R._ideals)
 
 
-def _all_ideals(R: FiniteRing) -> list:
+def _all_ideals(R: FiniteRing, budget: Budget) -> list:
     """Every ideal is a sum of principal ideals, so a breadth-first sweep over
     the distinct principal ideals reaches all of them."""
     principals = []
@@ -259,21 +279,23 @@ def _all_ideals(R: FiniteRing) -> list:
         for P in principals:
             if P <= I:
                 continue
-            J = _ideal_sum(R, I, P)
+            J = _ideal_sum(R, I, P, budget)
             if J not in found:
                 found.add(J)
                 queue.append(J)
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def minimal_generators(R: FiniteRing, ideal: frozenset) -> list:
+def minimal_generators(R: FiniteRing, ideal: frozenset,
+                       budget: Optional[Budget] = None) -> list:
     """A small (greedy, deterministic) generating set for an enumerated ideal."""
+    budget = ensure_budget(budget)
     gens = []
     closure = frozenset({R.zero})
     for a in sorted(ideal):
         if a not in closure:
             gens.append(a)
-            closure = _ideal_sum(R, closure, principal_ideal(R, a))
+            closure = _ideal_sum(R, closure, principal_ideal(R, a), budget)
             if closure == ideal:
                 break
     if closure != ideal:
@@ -298,7 +320,8 @@ def brute_hom_vanishes(R: FiniteRing, ideal) -> bool:
 
 
 def brute_ext1_vanishes(R: FiniteRing, ideal, gens: Optional[Sequence] = None,
-                        size_cap: int = DEFAULT_EXT_CAP) -> bool:
+                        size_cap: int = DEFAULT_EXT_CAP,
+                        budget: Optional[Budget] = None) -> bool:
     """Ext^1(R/J, R) = 0 from the presentation R^k -> R -> R/J -> 0.
 
     Enumerates Hom(R^k, R) = R^k, the syzygy set {v : sum v_i g_i = 0}
@@ -306,8 +329,9 @@ def brute_ext1_vanishes(R: FiniteRing, ideal, gens: Optional[Sequence] = None,
     """
     if R.order > size_cap:
         raise CapExceededError(f"Ext^1 enumeration capped at order {size_cap}")
+    budget = ensure_budget(budget)
     if gens is None:
-        gens = minimal_generators(R, ideal)
+        gens = minimal_generators(R, ideal, budget)
     k = len(gens)
     if k == 0:
         return True  # the zero ideal presents R/0 = R with no relations
@@ -318,6 +342,7 @@ def brute_ext1_vanishes(R: FiniteRing, ideal, gens: Optional[Sequence] = None,
     add, mul = R.add.tolist(), R.mul.tolist()  # scalar lookups, at most 256^2
     syzygies = []
     for v in product(range(n), repeat=k):
+        budget.tick()
         acc = R.zero
         for vi, gi in zip(v, gens):
             acc = add[acc][mul[vi][gi]]
@@ -325,6 +350,7 @@ def brute_ext1_vanishes(R: FiniteRing, ideal, gens: Optional[Sequence] = None,
             syzygies.append(v)
     inner = {tuple(mul[r][g] for g in gens) for r in range(n)}
     for phi in product(range(n), repeat=k):
+        budget.tick()
         ok = True
         for v in syzygies:
             acc = R.zero
@@ -338,9 +364,10 @@ def brute_ext1_vanishes(R: FiniteRing, ideal, gens: Optional[Sequence] = None,
     return True
 
 
-def brute_is_gv(R: FiniteRing, ideal, size_cap: int = DEFAULT_EXT_CAP) -> bool:
-    return brute_hom_vanishes(R, ideal) and brute_ext1_vanishes(R, ideal,
-                                                                size_cap=size_cap)
+def brute_is_gv(R: FiniteRing, ideal, size_cap: int = DEFAULT_EXT_CAP,
+                budget: Optional[Budget] = None) -> bool:
+    return brute_hom_vanishes(R, ideal) and brute_ext1_vanishes(
+        R, ideal, size_cap=size_cap, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -352,25 +379,32 @@ class BruteCheck:
         return self.holds
 
 
-def brute_is_dq(R: FiniteRing, ideal_cap: int = DEFAULT_IDEAL_CAP) -> BruteCheck:
+def brute_is_dq(R: FiniteRing, ideal_cap: int = DEFAULT_IDEAL_CAP,
+                budget: Optional[Budget] = None) -> BruteCheck:
     """Every proper ideal has a nonzero annihilator (no semi-regular proper
     ideal); the witness is a violating ideal when the check fails."""
-    full = frozenset(range(R.order))
-    for I in enumerate_ideals(R, ideal_cap):
-        if I == full:
-            continue
-        if brute_hom_vanishes(R, I):
-            return BruteCheck(False, I)
-    return BruteCheck(True)
+    return _no_proper_ideal(R, lambda I: brute_hom_vanishes(R, I), ideal_cap,
+                            ensure_budget(budget))
 
 
 def brute_is_dw(R: FiniteRing, ideal_cap: int = DEFAULT_IDEAL_CAP,
-                size_cap: int = DEFAULT_EXT_CAP) -> BruteCheck:
+                size_cap: int = DEFAULT_EXT_CAP,
+                budget: Optional[Budget] = None) -> BruteCheck:
     """The only GV-ideal is R itself, checked over every enumerated ideal."""
+    budget = ensure_budget(budget)
+    return _no_proper_ideal(R, lambda I: brute_is_gv(R, I, size_cap, budget),
+                            ideal_cap, budget)
+
+
+def _no_proper_ideal(R: FiniteRing, violates, ideal_cap: int,
+                     budget: Budget) -> BruteCheck:
+    """Holds when no proper ideal violates; otherwise the first one found
+    (smallest first) is the witness."""
     full = frozenset(range(R.order))
-    for I in enumerate_ideals(R, ideal_cap):
+    for I in enumerate_ideals(R, ideal_cap, budget):
         if I == full:
             continue
-        if brute_is_gv(R, I, size_cap):
+        budget.tick(coarse=True)
+        if violates(I):
             return BruteCheck(False, I)
     return BruteCheck(True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ParseError, StructuralError
+from .errors import Budget, ParseError, StructuralError
 from .rings import (CoefficientDomain, IdealPresentation, Polynomial,
                     PolynomialRing, RingPresentation, MonomialOrder, GREVLEX)
 
@@ -254,13 +254,15 @@ class SessionScript:
     def commands(self) -> list:
         return [it for it in self.items if isinstance(it, Command)]
 
-    def finite_ring(self, spec: OracleRingSpec):
-        """The explicit tables of an oracle ring (cached): built by the
-        script's first command on that ring and shared by the later ones."""
+    def finite_ring(self, spec: OracleRingSpec, budget: Optional[Budget] = None):
+        """The explicit tables of an oracle ring (cached): built, under the
+        budget, by the script's first command on that ring and shared by the
+        later ones."""
         if spec not in self.finite_rings:
             from .finite_rings import build_finite_ring
             self.finite_rings[spec] = build_finite_ring(
-                spec.modulus, spec.coefficients(), spec.variable or "x")
+                spec.modulus, spec.coefficients(), spec.variable or "x",
+                budget=budget)
         return self.finite_rings[spec]
 
 

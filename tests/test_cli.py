@@ -159,6 +159,17 @@ def test_main_json_flag(tmp_path, capsys):
     assert record["result"]["krull_dimension"] == 1
 
 
+@pytest.mark.parametrize("flags", [["--budget", "100"], ["--deadline", "0.5"]])
+def test_oracle_commands_obey_budget_and_deadline(tmp_path, capsys, flags):
+    # 4,096 elements (the build cap): a full run takes seconds and ends ok
+    f = tmp_path / "big.fpd"
+    f.write_text("oracle dw ZZ/4[x]/(x^6 + 1);")
+    assert main(["--json", *flags, str(f)]) == EXIT_RESOURCE
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "resource"
+    assert record["budget"]["steps"] > 0
+
+
 def test_env_variables_mirror_flags(monkeypatch):
     monkeypatch.setenv("FPDLAB_ORDER", "lex")
     monkeypatch.setenv("FPDLAB_BUDGET", "12345")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from fpdlab import CapExceededError, StructuralError
+from fpdlab.errors import Budget, ResourceBudgetExceeded
 from fpdlab.finite_rings import (FiniteRing, _row_chunks, annihilator_set,
                                  brute_ext1_vanishes, brute_hom_vanishes,
                                  brute_is_dq, brute_is_dw, brute_is_gv,
@@ -280,3 +281,29 @@ def test_gv_oracle_on_f4():
     assert brute_is_gv(F4, full)
     x_ideal = ideal_closure(F4, {F4.labels.index("x")})
     assert not brute_is_gv(F4, x_ideal)  # Ann(x) = (x) != 0
+
+
+def test_oracle_work_ticks_the_budget():
+    budget = Budget()
+    R = FiniteRing.quotient(4, [0, 1, 1], budget=budget)  # 16 elements
+    assert budget.steps == 5  # one chunk per table, one per verified cube
+    ideals = enumerate_ideals(R, budget=budget)
+    after_sums = budget.steps
+    assert after_sums > 5  # one per ideal sum
+    assert enumerate_ideals(R, budget=budget) == ideals and budget.steps == after_sums
+    assert brute_is_dq(R, budget=budget).holds
+    assert budget.steps == after_sums + len(ideals) - 1  # one per proper ideal
+    assert brute_is_dw(R, budget=budget).holds
+    assert budget.steps == after_sums + 2 * (len(ideals) - 1)
+    # Ext^1 ticks once per candidate
+    with pytest.raises(ResourceBudgetExceeded, match="step budget"):
+        brute_ext1_vanishes(FiniteRing.integers_mod(4), frozenset({0, 2}),
+                            budget=Budget(max_steps=3))
+
+
+def test_each_table_chunk_reads_the_clock():
+    # a deadline already past stops the first chunk, not the 1,024th tick
+    with pytest.raises(ResourceBudgetExceeded, match="deadline exceeded after 1 steps"):
+        FiniteRing.quotient(2, [0, 0, 1], budget=Budget(deadline_seconds=-1.0))
+    with pytest.raises(ResourceBudgetExceeded, match="deadline exceeded after 1 steps"):
+        enumerate_ideals(FiniteRing.integers_mod(4), budget=Budget(deadline_seconds=-1.0))
