@@ -205,14 +205,10 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
 
 def _run_oracle(script: SessionScript, cmd: Command, budget: Budget) -> dict:
     ring = script.finite_ring(cmd.oracle_ring, budget)
-    if cmd.oracle_check == "dq":
-        res = brute_is_dq(ring, budget=budget)
-        return {"ring": str(ring), "dq": res.holds,
-                "witness": sorted(ring.labels[i] for i in res.witness)
-                if res.witness is not None else None}
-    if cmd.oracle_check == "dw":
-        res = brute_is_dw(ring, budget=budget)
-        return {"ring": str(ring), "dw": res.holds,
+    check = cmd.oracle_check
+    if check in ("dq", "dw"):
+        res = (brute_is_dq if check == "dq" else brute_is_dw)(ring, budget=budget)
+        return {"ring": str(ring), check: res.holds,
                 "witness": sorted(ring.labels[i] for i in res.witness)
                 if res.witness is not None else None}
     ideals = enumerate_ideals(ring, budget=budget)

@@ -8,9 +8,10 @@ table per operation.  Tables are built and checked with numpy array
 arithmetic, in row chunks that keep working memory small; numpy is imported
 on first use, so importing the package stays cheap.
 
-Every entry point takes an optional `Budget` as its last argument.  It ticks
-once per table row chunk, per ideal sum and per ideal tested (each of these
-reads the clock), and once per Ext^1 candidate.
+The builders, `enumerate_ideals`, `ideal_closure` and the brute-force checks
+take an optional `Budget` as their last argument.  It ticks once per table
+row chunk, per ideal sum and per ideal tested (each of these reads the
+clock), and once per Ext^1 candidate.
 """
 from __future__ import annotations
 
@@ -265,13 +266,7 @@ def enumerate_ideals(R: FiniteRing, cap: int = DEFAULT_IDEAL_CAP,
 def _all_ideals(R: FiniteRing, budget: Budget) -> list:
     """Every ideal is a sum of principal ideals, so a breadth-first sweep over
     the distinct principal ideals reaches all of them."""
-    principals = []
-    seen = set()
-    for a in range(R.order):
-        P = principal_ideal(R, a)
-        if P not in seen:
-            seen.add(P)
-            principals.append(P)
+    principals = list(dict.fromkeys(principal_ideal(R, a) for a in range(R.order)))
     found = {frozenset({R.zero})}
     queue = [frozenset({R.zero})]
     while queue:

@@ -255,14 +255,12 @@ class SessionScript:
         return [it for it in self.items if isinstance(it, Command)]
 
     def finite_ring(self, spec: OracleRingSpec, budget: Optional[Budget] = None):
-        """The explicit tables of an oracle ring (cached): built, under the
-        budget, by the script's first command on that ring and shared by the
-        later ones."""
+        """The explicit tables of an oracle ring (cached): built under the
+        budget of the script's first command on it, shared by the later ones."""
         if spec not in self.finite_rings:
             from .finite_rings import build_finite_ring
             self.finite_rings[spec] = build_finite_ring(
-                spec.modulus, spec.coefficients(), spec.variable or "x",
-                budget=budget)
+                spec.modulus, spec.coefficients(), spec.variable or "x", budget=budget)
         return self.finite_rings[spec]
 
 
