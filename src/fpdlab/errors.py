@@ -79,20 +79,25 @@ class Budget:
         self._stride_left = _DEADLINE_STRIDE
 
     def tick(self, n: int = 1, basis_size: int | None = None,
-             pending_pairs: int | None = None, coarse: bool = False) -> None:
+             pending_pairs: int | None = None) -> None:
         self.steps += n
         if self.steps > self.max_steps:
             raise ResourceBudgetExceeded("step budget exhausted", self.steps,
                                          basis_size, pending_pairs)
-        # coarse-grained ticks (those reporting state, or marked `coarse`, such
-        # as one chunk of a finite-ring table) always check the clock;
+        # coarse-grained ticks (those reporting state) always check the clock;
         # fine-grained ones only every stride
         self._stride_left -= 1
-        if self._stride_left <= 0 or basis_size is not None or coarse:
+        if self._stride_left <= 0 or basis_size is not None:
             self._stride_left = _DEADLINE_STRIDE
             if self.deadline_at is not None and time.monotonic() > self.deadline_at:
                 raise ResourceBudgetExceeded("deadline exceeded", self.steps,
                                              basis_size, pending_pairs)
+
+    def tick_coarse(self) -> None:
+        """One step of coarse work, such as a chunk of a finite-ring table,
+        that always checks the clock."""
+        self._stride_left = 1
+        self.tick()
 
 
 def ensure_budget(budget: Budget | None) -> Budget:

@@ -160,7 +160,7 @@ def _build_table(order: int, per_row: int, fill, budget: Budget):
     import numpy as np
     table = np.empty((order, order), dtype=np.min_scalar_type(order - 1))
     for start, stop in _row_chunks(order, per_row):
-        budget.tick(coarse=True)
+        budget.tick_coarse()
         table[start:stop] = fill(start, stop)
     return table
 
@@ -202,13 +202,13 @@ def _verify_tables(R: FiniteRing, budget: Budget):
         for T, name in ((A, "addition"), (M, "multiplication")):
             T_index = T.astype(np.intp)
             for s, e in chunks:
-                budget.tick(coarse=True)
+                budget.tick_coarse()
                 if not np.array_equal(np.take(T, T[s:e], axis=0),
                                       np.take(T[s:e], T_index, axis=1)):
                     raise StructuralError(f"{name} is not associative")
         A_index, A_flat = A.astype(np.intp), A.ravel()
         for s, e in chunks:
-            budget.tick(coarse=True)
+            budget.tick_coarse()
             Ms = M[s:e].astype(np.intp)
             if not np.array_equal(np.take(M[s:e], A_index, axis=1),
                                   np.take(A_flat, Ms[:, :, None] * n + Ms[:, None, :])):
@@ -233,7 +233,7 @@ def principal_ideal(R: FiniteRing, a: int) -> frozenset:
 
 def _ideal_sum(R: FiniteRing, I: frozenset, P: frozenset,
                budget: Budget) -> frozenset:
-    budget.tick(coarse=True)
+    budget.tick_coarse()
     import numpy as np
     i = np.fromiter(I, dtype=np.intp, count=len(I))
     p = np.fromiter(P, dtype=np.intp, count=len(P))
@@ -399,7 +399,7 @@ def _no_proper_ideal(R: FiniteRing, violates, ideal_cap: int,
     for I in enumerate_ideals(R, ideal_cap, budget):
         if I == full:
             continue
-        budget.tick(coarse=True)
+        budget.tick_coarse()
         if violates(I):
             return BruteCheck(False, I)
     return BruteCheck(True)
