@@ -94,8 +94,7 @@ class Budget:
                                              basis_size, pending_pairs)
 
     def tick_coarse(self) -> None:
-        """One step of coarse work, such as a chunk of a finite-ring table,
-        that always checks the clock."""
+        """One step of coarse work, such as a table chunk: it reads the clock."""
         self._stride_left = 1
         self.tick()
 

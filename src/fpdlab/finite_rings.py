@@ -8,10 +8,9 @@ table per operation.  Tables are built and checked with numpy array
 arithmetic, in row chunks that keep working memory small; numpy is imported
 on first use, so importing the package stays cheap.
 
-The builders, `enumerate_ideals`, `ideal_closure` and the brute-force checks
-take an optional `Budget` as their last argument.  It ticks once per table
-row chunk, per ideal sum and per ideal tested (each of these reads the
-clock), and once per Ext^1 candidate.
+The builders, `enumerate_ideals` and the DQ/DW/Ext^1 checks take an optional
+`Budget` last: one clock-reading step per table row chunk, ideal sum and
+proper ideal tested, and one plain step per Ext^1 candidate.
 """
 from __future__ import annotations
 
@@ -77,10 +76,9 @@ class FiniteRing:
 
 
 def _quotient_ring(n: int, modulus_coeffs: Sequence, variable: str, cap: int,
-                   budget: Optional[Budget], provenance: Optional[str] = None
-                   ) -> FiniteRing:
-    """The tables of ZZ/n[x]/(f), with the base-n digits of element i as its
-    little-endian coefficients; the provenance defaults to the presentation."""
+                   budget: Optional[Budget], provenance: Optional[str] = None):
+    """ZZ/n[x]/(f), element i having the base-n digits of i as little-endian
+    coefficients; the provenance defaults to the presentation."""
     if n < 2:
         raise StructuralError("modulus must be at least 2")
     coeffs = [c % n for c in modulus_coeffs]
@@ -138,9 +136,8 @@ def _quotient_ring(n: int, modulus_coeffs: Sequence, variable: str, cap: int,
         return " + ".join(parts) if parts else "0"
 
     if provenance is None:
-        poly_str = label(tuple(coeffs[:-1])) if any(coeffs[:-1]) else ""
-        head = variable if d == 1 else f"{variable}^{d}"
-        provenance = f"ZZ/{n}[{variable}]/({head}{' + ' + poly_str if poly_str else ''})"
+        tail = " + " + label(coeffs[:-1]) if any(coeffs[:-1]) else ""
+        provenance = f"ZZ/{n}[{variable}]/({label([0] * d + [1])}{tail})"
     # index 0 has the digits of 0, index 1 those of 1
     return FiniteRing([label(t) for t in elems], add, mul, 0, 1,
                       provenance, elems, budget)
@@ -240,13 +237,11 @@ def _ideal_sum(R: FiniteRing, I: frozenset, P: frozenset,
     return frozenset(np.unique(R.add[i[:, None], p]).tolist())
 
 
-def ideal_closure(R: FiniteRing, seeds,
-                  budget: Optional[Budget] = None) -> frozenset:
+def ideal_closure(R: FiniteRing, seeds) -> frozenset:
     """Smallest ideal containing the seeds: the sum of their principal ideals."""
-    budget = ensure_budget(budget)
     current = frozenset({R.zero})
     for s in seeds:
-        current = _ideal_sum(R, current, principal_ideal(R, s), budget)
+        current = _ideal_sum(R, current, principal_ideal(R, s), Budget())
     return current
 
 
@@ -359,10 +354,9 @@ def brute_ext1_vanishes(R: FiniteRing, ideal, gens: Optional[Sequence] = None,
     return True
 
 
-def brute_is_gv(R: FiniteRing, ideal, size_cap: int = DEFAULT_EXT_CAP,
-                budget: Optional[Budget] = None) -> bool:
-    return brute_hom_vanishes(R, ideal) and brute_ext1_vanishes(
-        R, ideal, size_cap=size_cap, budget=budget)
+def brute_is_gv(R: FiniteRing, ideal, size_cap: int = DEFAULT_EXT_CAP) -> bool:
+    return brute_hom_vanishes(R, ideal) and brute_ext1_vanishes(R, ideal,
+                                                                size_cap=size_cap)
 
 
 @dataclass(frozen=True)
@@ -378,28 +372,27 @@ def brute_is_dq(R: FiniteRing, ideal_cap: int = DEFAULT_IDEAL_CAP,
                 budget: Optional[Budget] = None) -> BruteCheck:
     """Every proper ideal has a nonzero annihilator (no semi-regular proper
     ideal); the witness is a violating ideal when the check fails."""
-    return _no_proper_ideal(R, lambda I: brute_hom_vanishes(R, I), ideal_cap,
-                            ensure_budget(budget))
+    return _first_proper_ideal(R, ideal_cap, None, budget)
 
 
 def brute_is_dw(R: FiniteRing, ideal_cap: int = DEFAULT_IDEAL_CAP,
                 size_cap: int = DEFAULT_EXT_CAP,
                 budget: Optional[Budget] = None) -> BruteCheck:
     """The only GV-ideal is R itself, checked over every enumerated ideal."""
+    return _first_proper_ideal(R, ideal_cap, size_cap, budget)
+
+
+def _first_proper_ideal(R: FiniteRing, ideal_cap: int, ext_cap: Optional[int],
+                        budget: Optional[Budget]) -> BruteCheck:
+    """The first proper ideal, smallest first, with Ann(I) = 0 and, unless
+    ext_cap is None (DQ), Ext^1(R/I, R) = 0 (DW) is the witness."""
     budget = ensure_budget(budget)
-    return _no_proper_ideal(R, lambda I: brute_is_gv(R, I, size_cap, budget),
-                            ideal_cap, budget)
-
-
-def _no_proper_ideal(R: FiniteRing, violates, ideal_cap: int,
-                     budget: Budget) -> BruteCheck:
-    """Holds when no proper ideal violates; otherwise the first one found
-    (smallest first) is the witness."""
     full = frozenset(range(R.order))
     for I in enumerate_ideals(R, ideal_cap, budget):
         if I == full:
             continue
         budget.tick_coarse()
-        if violates(I):
+        if brute_hom_vanishes(R, I) and (ext_cap is None or brute_ext1_vanishes(
+                R, I, size_cap=ext_cap, budget=budget)):
             return BruteCheck(False, I)
     return BruteCheck(True)
