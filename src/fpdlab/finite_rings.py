@@ -104,7 +104,8 @@ def _quotient_ring(n: int, modulus_coeffs: Sequence, variable: str, cap: int,
     columns = digits.T.copy()  # columns[i][b]: coefficient of x^i in b
 
     def add_rows(start, stop):
-        return (digits[start:stop, None, :] + digits) % n @ weights
+        return sum((digits[start:stop, i, None] + columns[i]) % n * n ** i
+                   for i in range(d))
 
     def mul_rows(start, stop):
         # prod[k][a, b]: the coefficient of x^k in a*b before reduction,
@@ -234,7 +235,9 @@ def _ideal_sum(R: FiniteRing, I: frozenset, P: frozenset,
     import numpy as np
     i = np.fromiter(I, dtype=np.intp, count=len(I))
     p = np.fromiter(P, dtype=np.intp, count=len(P))
-    return frozenset(np.unique(R.add[i[:, None], p]).tolist())
+    mask = np.zeros(R.order, dtype=bool)
+    mask[R.add[i[:, None], p]] = True
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def ideal_closure(R: FiniteRing, seeds) -> frozenset:

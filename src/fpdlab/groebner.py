@@ -123,8 +123,7 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
     """
     ring = basis.ring
     dom = ring.domain
-    field = dom.is_field
-    zero = dom.zero()
+    field, p = dom.is_field, dom.p
     tkey = _term_key(ring)
     vecs, lts, lcs, at = basis.vecs, basis.lts, basis.lcs, basis.at
     work = dict(v)
@@ -150,11 +149,13 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
                     kk = (bk[0], mono_mul(bk[1], q))
                     if kk not in keys:
                         keys[kk] = tkey(kk)
-                    nc = dom.sub(work.get(kk, zero), dom.mul(c, bc))
-                    if nc == zero:
-                        work.pop(kk, None)
-                    else:
+                    nc = work.get(kk, 0) - c * bc
+                    if p:
+                        nc %= p
+                    if nc:
                         work[kk] = nc
+                    else:
+                        work.pop(kk, None)
                 reduced = True
                 break
             a = lcs[j]

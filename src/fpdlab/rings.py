@@ -19,9 +19,10 @@ RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
 INTEGERS = "integers"
 
-# Fractions are immutable, so every QQ zero and one can be the same object
-_QQ_ZERO = Fraction(0)
-_QQ_ONE = Fraction(1)
+
+def _rational(f: Fraction):
+    """The canonical QQ value of f: its numerator when integral."""
+    return f.numerator if f.denominator == 1 else f
 
 
 def _is_prime(n: int) -> bool:
@@ -43,8 +44,10 @@ def _is_prime(n: int) -> bool:
 class CoefficientDomain:
     """One of QQ, FF(p) with p prime, or ZZ, with exact arithmetic.
 
-    Rationals use `fractions.Fraction`, the other two plain `int`; all three
-    are arbitrary precision.
+    FF(p) and ZZ values are plain `int`.  A rational is canonically an `int`
+    when it is integral and a `fractions.Fraction` otherwise; arithmetic may
+    still give a `Fraction` with denominator 1, which compares and hashes
+    equal to its `int`.  All three are arbitrary precision.
     """
 
     kind: str
@@ -76,15 +79,15 @@ class CoefficientDomain:
         return self.kind != INTEGERS
 
     def zero(self):
-        return _QQ_ZERO if self.kind == RATIONALS else 0
+        return 0
 
     def one(self):
-        return _QQ_ONE if self.kind == RATIONALS else 1
+        return 1
 
     def coerce(self, value):
         """Map an int / Fraction / domain element to canonical form."""
         if self.kind == RATIONALS:
-            return Fraction(value)
+            return _rational(Fraction(value))
         if self.kind == PRIME_FIELD:
             if isinstance(value, Fraction):
                 if value.denominator % self.p == 0:
@@ -111,7 +114,7 @@ class CoefficientDomain:
 
     def inv(self, a):
         if self.kind == RATIONALS:
-            return Fraction(1) / a
+            return _rational(Fraction(1) / a)
         if self.kind == PRIME_FIELD:
             return pow(a, -1, self.p)
         if a in (1, -1):
@@ -121,7 +124,7 @@ class CoefficientDomain:
     def exact_div(self, a, b):
         """a / b, required to be exact (raises otherwise)."""
         if self.kind == RATIONALS:
-            return a / b
+            return _rational(Fraction(a) / b)
         if self.kind == PRIME_FIELD:
             return (a * pow(b, -1, self.p)) % self.p
         q, r = divmod(a, b)

@@ -70,6 +70,36 @@ def test_json_output_is_byte_identical_between_runs():
         json.loads(line)  # every record is a valid JSON object
 
 
+RESCALED_COMMANDS = "grade m; cm; dqdw; ext m 2; criterion m 1;"
+
+
+def test_non_integral_rationals_match_the_unit_rescaled_session():
+    # the same ring and ideal, once with non-integral coefficients and
+    # non-unit leads, once rescaled by units to integer coefficients
+    fractional, code1 = run("ring R = QQ[x,y,z]/(2*x*y - 1/3*z^2); "
+                            "ideal m = (1/2*x, y, 3*z); " + RESCALED_COMMANDS)
+    integral, code2 = run("ring R = QQ[x,y,z]/(6*x*y - z^2); "
+                          "ideal m = (x, y, z); " + RESCALED_COMMANDS)
+    assert code1 == code2 == EXIT_OK
+    assert fractional[0]["inputs"]["ideals"] == {"m": ["1/2*x", "y", "3*z"]}
+    assert fractional[0]["inputs"]["ring"] == "QQ[x,y,z]/(2*x*y - 1/3*z^2)"
+    assert fractional[0]["result"]["value"] == "2"
+
+    def without_ring_and_ideals(r):
+        inputs = {k: v for k, v in r["inputs"].items() if k not in ("ring", "ideals")}
+        return {**r, "inputs": inputs}
+    # budget.steps included
+    assert ([without_ring_and_ideals(r) for r in fractional]
+            == [without_ring_and_ideals(r) for r in integral])
+
+
+def test_unit_certificate_with_non_integral_cofactors():
+    records, code = run("ring R = QQ[x]; ideal u = (2*x + 3, x); criterion u 1;")
+    assert code == EXIT_OK
+    assert records[0]["certificates"]["unit_cofactors"] == ["1/3", "-2/3"]
+    assert records[0]["result"]["verdict"] == "PASS"
+
+
 def test_command_error_exit_code():
     records, code = run("ring R = ZZ[x]; dim;")  # dimension unsupported over ZZ
     assert code == EXIT_COMMAND_ERROR

@@ -119,6 +119,39 @@ def test_exact_arithmetic_no_floats():
     assert big.constant_value() == 10 ** 80
 
 
+def test_rational_values_are_int_when_integral():
+    dom = CoefficientDomain.QQ()
+    R = poly_ring(QQ, "x")
+    integral = [dom.zero(), dom.one(), dom.coerce(Fraction(4, 2)), dom.inv(1),
+                dom.inv(-1), dom.exact_div(6, 3), dom.exact_div(Fraction(3, 2), Fraction(1, 2)),
+                dom.lc_normalizer(Fraction(1, 3)), R.poly("4/2").constant_value()]
+    assert integral == [0, 1, 2, 1, -1, 2, 3, 3, 2]
+    assert all(type(v) is int for v in integral)
+    proper = [dom.coerce(Fraction(1, 2)), dom.inv(2), dom.inv(Fraction(2, 3)),
+              dom.exact_div(1, 2), dom.exact_div(-4, 6), R.poly("1/2").constant_value()]
+    assert proper == [Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(1, 2),
+                      Fraction(-2, 3), Fraction(1, 2)]
+    assert all(type(v) is Fraction for v in proper)
+
+
+def test_no_domain_operation_returns_a_float():
+    values = {CoefficientDomain.QQ(): [Fraction(1, 2), Fraction(-3, 4), 2, -1, 7],
+              CoefficientDomain.FF(7): [1, 2, 3, 6],
+              CoefficientDomain.ZZ(): [1, -1, 2, 6]}
+    for dom, vals in values.items():
+        results = [dom.zero(), dom.one()]
+        for a in vals:
+            results += [dom.coerce(a), dom.neg(a), dom.lc_normalizer(a)]
+            for b in vals:
+                results += [dom.add(a, b), dom.sub(a, b), dom.mul(a, b)]
+                if dom.is_field or a % b == 0:
+                    results.append(dom.exact_div(a, b))
+            if dom.is_field or a in (1, -1):
+                results.append(dom.inv(a))
+        assert not any(isinstance(v, float) for v in results), dom
+        assert all(type(v) in (int, Fraction) for v in results), dom
+
+
 def test_ring_presentation_normal_form_and_zero_test():
     A = poly_ring(QQ, "x")
     P = RingPresentation(A, [A.poly("x^2")])
