@@ -13,9 +13,8 @@ from .groebner import (GroebnerBasis, annihilator, groebner_basis,
                        normal_form_polys)
 from .modules import (FreeModuleMap, SubmodulePresentation, image,
                       is_zero_subquotient, kernel, module_normal_form)
-from .complexes import (ChainComplex, ExtComputer, ExtReport, dualize,
-                        ext_is_zero, ext_vanishing_profile, free_resolution,
-                        free_resolution_of_quotient)
+from .complexes import (ChainComplex, ExtComputer, ExtReport, ext_is_zero,
+                        ext_vanishing_profile)
 from .koszul import (DualKoszulCokernel, dual_koszul_cokernel, koszul_complex,
                      koszul_grade)
 from .invariants import (CohenMacaulayReport, CriterionResult, DqDwReport,

@@ -145,23 +145,24 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
         return _run_oracle(script, cmd, budget)
     ring = script.rings[cmd.ring_name]
     ideal_of = lambda i=0: script.ideals[cmd.ideal_names[i]]
+    shared = script.shared
 
     if kind == "grade":
-        rep = grade(ideal_of(), max_degree=config.max_degree, budget=budget)
+        rep = grade(ideal_of(), max_degree=config.max_degree, budget=budget, shared=shared)
         return {"value": str(rep.value),
                 "ext_profile": list(rep.ext_profile),
                 "koszul_cross_check": (str(rep.koszul_cross_check)
                                        if rep.koszul_cross_check is not None else None),
                 "notes": list(rep.notes)}
     if kind == "ext":
-        profile = ext_vanishing_profile(ideal_of(), cmd.degree, budget)
+        profile = ext_vanishing_profile(ideal_of(), cmd.degree, budget, shared)
         return {"vanishes_through": list(profile)}
     if kind == "semiregular":
         return {"semiregular": is_semiregular(ideal_of(), budget)}
     if kind == "gv":
-        return {"gv": is_gv(ideal_of(), budget)}
+        return {"gv": is_gv(ideal_of(), budget, shared)}
     if kind == "criterion":
-        res = fpd_criterion_check(ideal_of(), cmd.degree, budget)
+        res = fpd_criterion_check(ideal_of(), cmd.degree, budget, shared)
         if res.unit_cofactors is not None:
             record["certificates"]["unit_cofactors"] = [str(c) for c in res.unit_cofactors]
         return {"verdict": res.verdict,
@@ -170,28 +171,28 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
     if kind == "fpd":
         ideals = [script.ideals[n] for n in cmd.ideal_names]
         rep = fpd_bound(ring, ideals, exhaustive=cmd.exhaustive,
-                        max_degree=config.max_degree, budget=budget)
+                        max_degree=config.max_degree, budget=budget, shared=shared)
         return {"bound": rep.bound, "conclusion": rep.conclusion,
                 "grades": {name: str(g.value) for name, g in
                            zip(cmd.ideal_names, rep.grades)},
                 "notes": list(rep.notes)}
     if kind == "cm":
-        rep = is_cohen_macaulay_graded(ring, budget)
+        rep = is_cohen_macaulay_graded(ring, budget, shared)
         return {"cohen_macaulay": rep.is_cm, "depth": rep.depth,
                 "dimension": rep.dimension,
                 "finitistic_identity": rep.finitistic_identity}
     if kind == "dqdw":
-        rep = dq_dw_local(ring, budget)
+        rep = dq_dw_local(ring, budget, shared)
         return {"dq": rep.is_dq, "dw": rep.is_dw, "depth": rep.depth,
                 "gv_witness": (", ".join(str(g) for g in rep.gv_witness.generators)
                                if rep.gv_witness is not None else None)}
     if kind == "koszul":
         ideal = ideal_of()
-        value = koszul_grade(ideal, budget=budget)  # builds and checks the complex
+        value = koszul_grade(ideal, budget=budget, shared=shared)  # reused once computed
         m = len(ideal.generators)
         return {"ranks": [comb(m, i) for i in range(m + 1)], "koszul_grade": str(value)}
     if kind == "smodule":
-        res = dual_koszul_cokernel(ideal_of(), cmd.degree, budget)
+        res = dual_koszul_cokernel(ideal_of(), cmd.degree, budget, shared)
         return {"index": res.index,
                 "presentation_shape": [res.presentation.target_rank,
                                        res.presentation.source_rank],

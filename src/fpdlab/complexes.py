@@ -1,5 +1,6 @@
-"""Chain complexes, free resolutions by iterated syzygies, dualization, and
-the Ext^i(R/I, R) vanishing decisions.
+"""Chain complexes, free resolutions by iterated syzygies, the Ext^i(R/I, R)
+vanishing decisions, and the store in which one script's commands share
+them.
 
 Resolutions are not minimal (Ext does not depend on the resolution); they
 are built step by step with the kernel operation, so quotient rings of
@@ -51,14 +52,6 @@ class ChainComplex:
         return f"{arrows} over {self.ring}"
 
 
-def dualize(C: ChainComplex, budget: Budget = None) -> ChainComplex:
-    """Hom(-, R): arrows reversed, matrices transposed, d.d = 0 re-verified."""
-    L = C.length
-    ranks = tuple(reversed(C.ranks))
-    diffs = [C.diffs[L - 1 - j].transpose(budget) for j in range(L)]
-    return ChainComplex(C.ring, ranks, diffs, budget)
-
-
 def cyclic_presentation(I: IdealPresentation, budget: Budget = None) -> FreeModuleMap:
     """R^k -> R with row (a_1 .. a_k): the cokernel is R/I."""
     gens = [g for g in I.generators if not I.ring.is_zero_element(g, budget)]
@@ -91,46 +84,25 @@ def _next_differential(last: FreeModuleMap, budget: Budget) -> FreeModuleMap:
 
 class ResolutionCache:
     """Differentials of a free resolution of coker(presentation), extended on
-    demand and shared by every Ext degree of one computation; d.d = 0 is
-    checked as each differential is added."""
+    demand under each caller's budget and shared by every Ext degree that
+    reads it; d.d = 0 is checked before each differential is added, so a
+    resolution cut short by a budget keeps a checked prefix."""
 
-    def __init__(self, presentation: FreeModuleMap, budget: Budget = None):
-        self.budget = ensure_budget(budget)
+    def __init__(self, presentation: FreeModuleMap):
         self._diffs = [presentation]
 
-    def differential(self, i: int) -> FreeModuleMap:
+    def differential(self, i: int, budget: Budget = None) -> FreeModuleMap:
         """d_i: F_i -> F_{i-1} (1-based), computing new syzygy steps as needed."""
         if i < 1:
             raise StructuralError("differential index must be >= 1")
+        budget = ensure_budget(budget)
         for n in range(len(self._diffs), i):
             last = self._diffs[-1]
-            d = _next_differential(last, self.budget)
-            if not last.compose(d, self.budget).is_zero():
+            d = _next_differential(last, budget)
+            if not last.compose(d, budget).is_zero():
                 raise InternalError(f"internal: resolution: d_{n} . d_{n + 1} is not zero")
             self._diffs.append(d)
         return self._diffs[i - 1]
-
-
-def free_resolution(presentation: FreeModuleMap, length: int,
-                    budget: Budget = None) -> ChainComplex:
-    """A free resolution of coker(presentation) out to F_length (not minimal);
-    the `ChainComplex` checks d.d = 0 once, on construction."""
-    if length < 0:
-        raise StructuralError("resolution length must be >= 0")
-    budget = ensure_budget(budget)
-    diffs = [presentation] if length else []
-    while len(diffs) < length:
-        diffs.append(_next_differential(diffs[-1], budget))
-    ranks = [presentation.target_rank] + [d.source_rank for d in diffs]
-    try:
-        return ChainComplex(presentation.ring, ranks, diffs, budget)
-    except StructuralError as exc:
-        raise InternalError(f"internal: free resolution: {exc}") from exc
-
-
-def free_resolution_of_quotient(I: IdealPresentation, length: int,
-                                budget: Budget = None) -> ChainComplex:
-    return free_resolution(cyclic_presentation(I, budget), length, budget)
 
 
 class ExtReport:
@@ -146,43 +118,70 @@ class ExtReport:
         return f"Ext^{self.degree}(R/I, R) = {state}"
 
 
+def generator_key(ring: RingPresentation, gens: Sequence) -> tuple:
+    """The generators' terms, each generator scaled by the unit that makes
+    its lead canonical (monic over fields, positive over ZZ): a unit
+    rescaling changes neither the ideal nor its Koszul homology."""
+    dom, key = ring.domain, []
+    for g in gens:
+        u = dom.lc_normalizer(g.terms[0][1]) if g.terms else None
+        key.append(tuple((m, dom.mul(u, c)) for m, c in g.terms))
+    return tuple(key)
+
+
 class ExtComputer:
-    """Ext^i(R/I, R) vanishing decisions sharing one resolution of R/I."""
+    """The derived work on one ideal I: a resolution of R/I extended on
+    demand, the Ext^i(R/I, R) decisions read off it, and Koszul grades on
+    generator tuples of I.  A decision (Ext^0 once the annihilator agrees)
+    or Koszul grade is stored only once its check has passed.  Not for
+    concurrent use; see `ext_computer` for sharing one between commands."""
 
-    def __init__(self, I: IdealPresentation, budget: Budget = None):
+    def __init__(self, I: IdealPresentation):
         self.ideal = I
-        self.budget = ensure_budget(budget)
-        self.resolution = ResolutionCache(cyclic_presentation(I, self.budget),
-                                          self.budget)
+        self.resolution = None  # ResolutionCache of R/I, made on first use
+        self.decided = {}       # i -> Ext^i(R/I, R) = 0
+        self.koszul = {}        # generator_key -> Koszul grade on those generators
 
-    def ext_is_zero(self, i: int) -> ExtReport:
+    def ext_is_zero(self, i: int, budget: Budget = None) -> ExtReport:
         if i < 0:
             raise StructuralError("Ext degree must be >= 0")
-        d_out = self.resolution.differential(i + 1).transpose(self.budget)
-        d_in = (self.resolution.differential(i).transpose(self.budget)
-                if i >= 1 else None)
-        K, Im = cycles_and_boundaries(d_out, d_in, self.budget)
-        # im d*_i <= ker d*_{i+1} because d_i . d_{i+1} = 0, which the
-        # resolution checks as it builds d_{i+1}
-        zero = is_zero_subquotient(K, Im, self.budget, verify_containment=False)
-        if i == 0:
-            ann_zero = annihilator(self.ideal, self.budget).is_zero(self.budget)
-            if ann_zero != zero:
-                raise InternalError(
-                    "internal: Hom(R/I, R) decision disagrees with the annihilator")
-        return ExtReport(self.ideal, i, zero)
+        budget = ensure_budget(budget)
+        if i not in self.decided:
+            if self.resolution is None:
+                self.resolution = ResolutionCache(cyclic_presentation(self.ideal, budget))
+            d_out = self.resolution.differential(i + 1, budget).transpose(budget)
+            d_in = (self.resolution.differential(i, budget).transpose(budget)
+                    if i >= 1 else None)
+            K, Im = cycles_and_boundaries(d_out, d_in, budget)
+            # im d*_i <= ker d*_{i+1} because d_i . d_{i+1} = 0, which the
+            # resolution checks as it builds d_{i+1}
+            zero = is_zero_subquotient(K, Im, budget, verify_containment=False)
+            if i == 0:
+                ann_zero = annihilator(self.ideal, budget).is_zero(budget)
+                if ann_zero != zero:
+                    raise InternalError(
+                        "internal: Hom(R/I, R) decision disagrees with the annihilator")
+            self.decided[i] = zero
+        return ExtReport(self.ideal, i, self.decided[i])
 
-    def profile(self, n: int) -> tuple:
-        """(Ext^0 = 0?, ..., Ext^n = 0?) from one shared resolution."""
-        return tuple(self.ext_is_zero(i).is_zero for i in range(n + 1))
+
+def ext_computer(I: IdealPresentation, shared: dict = None) -> ExtComputer:
+    """I's computer in `shared`, a store of one script's derived work keyed by
+    ring and `generator_key` (its `ideal` is the first one asked about);
+    without a store, a fresh computer no other call sees."""
+    if shared is None:
+        return ExtComputer(I)
+    return shared.setdefault((I.ring, generator_key(I.ring, I.generators)), ExtComputer(I))
 
 
 def ext_is_zero(I: IdealPresentation, i: int, budget: Budget = None) -> ExtReport:
-    return ExtComputer(I, budget).ext_is_zero(i)
+    return ExtComputer(I).ext_is_zero(i, budget)
 
 
-def ext_vanishing_profile(I: IdealPresentation, n: int,
-                          budget: Budget = None) -> tuple:
+def ext_vanishing_profile(I: IdealPresentation, n: int, budget: Budget = None,
+                          shared: dict = None) -> tuple:
+    """(Ext^0 = 0?, ..., Ext^n = 0?) from one resolution of R/I."""
     if n < 0:
         raise StructuralError("profile bound must be >= 0")
-    return ExtComputer(I, budget).profile(n)
+    computer, budget = ext_computer(I, shared), ensure_budget(budget)
+    return tuple(computer.ext_is_zero(i, budget).is_zero for i in range(n + 1))

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .errors import (Budget, InternalError, StructuralError,
                      UnsupportedDomainError, UnsupportedInputError,
                      ensure_budget)
-from .complexes import ExtComputer, ext_vanishing_profile
+from .complexes import ext_computer, ext_vanishing_profile
 from .groebner import annihilator, is_unit_ideal, krull_dimension
 from .koszul import koszul_grade
 from .rings import IdealPresentation, RingPresentation
@@ -38,12 +38,15 @@ class GradeReport:
 
 
 def grade(I: IdealPresentation, max_degree: Optional[int] = None,
-          with_koszul: Optional[bool] = None, budget: Budget = None) -> GradeReport:
+          with_koszul: Optional[bool] = None, budget: Budget = None,
+          shared: dict = None) -> GradeReport:
     """Grade of I on R from the Ext-vanishing profile.
 
     The profile is searched up to `max_degree` (default: the number of
     nonzero generators, which always suffices for a proper ideal); a proper
     ideal with an all-true profile is reported UNDETERMINED beyond the bound.
+    With a `shared` store (`complexes.ext_computer`), earlier Ext decisions
+    and Koszul grades on I are reused; a reused Koszul grade is still checked.
     """
     budget = ensure_budget(budget)
     ring = I.ring
@@ -53,12 +56,12 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
     if max_degree < 0:
         raise StructuralError("grade search bound must be >= 0")
     unit = is_unit_ideal(I, budget)
-    computer = ExtComputer(I, budget)
+    computer = ext_computer(I, shared)
     profile = []
     value = None
     notes = ()
     for i in range(max_degree + 1):
-        vanished = computer.ext_is_zero(i).is_zero
+        vanished = computer.ext_is_zero(i, budget).is_zero
         profile.append(vanished)
         if not vanished:
             value = GradeValue.finite(i)
@@ -75,7 +78,7 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
         with_koszul = ring.domain.is_field
     cross = None
     if with_koszul and nonzero_gens and not value.is_undetermined:
-        cross = koszul_grade(I, nonzero_gens, budget)
+        cross = koszul_grade(I, nonzero_gens, budget, shared)
         if cross != value:
             raise InternalError(
                 f"internal: Koszul grade {cross} disagrees with Ext grade {value}")
@@ -87,9 +90,9 @@ def is_semiregular(I: IdealPresentation, budget: Budget = None) -> bool:
     return annihilator(I, budget).is_zero(budget)
 
 
-def is_gv(J: IdealPresentation, budget: Budget = None) -> bool:
+def is_gv(J: IdealPresentation, budget: Budget = None, shared: dict = None) -> bool:
     """Hom(R/J, R) = Ext^1(R/J, R) = 0."""
-    return all(ext_vanishing_profile(J, 1, budget))
+    return all(ext_vanishing_profile(J, 1, budget, shared))
 
 
 PASS = "PASS"
@@ -121,8 +124,8 @@ class CriterionResult:
         return "PASS: unit ideal (certificate attached)"
 
 
-def fpd_criterion_check(I: IdealPresentation, n: int,
-                        budget: Budget = None) -> CriterionResult:
+def fpd_criterion_check(I: IdealPresentation, n: int, budget: Budget = None,
+                        shared: dict = None) -> CriterionResult:
     """Test I against the bound fPD(R) <= n.
 
     PASS when some Ext^i(R/I, R) with i <= n is nonzero, or when I = R
@@ -132,7 +135,7 @@ def fpd_criterion_check(I: IdealPresentation, n: int,
     budget = ensure_budget(budget)
     if n < 0:
         raise StructuralError("criterion bound must be >= 0")
-    profile = ext_vanishing_profile(I, n, budget)
+    profile = ext_vanishing_profile(I, n, budget, shared)
     if not all(profile):
         first = min(i for i, z in enumerate(profile) if not z)
         return CriterionResult(I, n, PASS, profile, first_nonvanishing=first)
@@ -169,7 +172,8 @@ class FpdReport:
 
 
 def fpd_bound(R: RingPresentation, max_ideals: Sequence, exhaustive: bool = False,
-              max_degree: Optional[int] = None, budget: Budget = None) -> FpdReport:
+              max_degree: Optional[int] = None, budget: Budget = None,
+              shared: dict = None) -> FpdReport:
     """max of grade(m, R) over the listed ideals (claimed maximal by the caller)."""
     budget = ensure_budget(budget)
     ideals = tuple(max_ideals)
@@ -182,7 +186,7 @@ def fpd_bound(R: RingPresentation, max_ideals: Sequence, exhaustive: bool = Fals
     for m in ideals:
         if m.ring != R:
             raise StructuralError("listed ideal lives in a different ring")
-        rep = grade(m, max_degree=max_degree, budget=budget)
+        rep = grade(m, max_degree=max_degree, budget=budget, shared=shared)
         reports.append(rep)
         if rep.value.is_infinite:
             raise StructuralError("the unit ideal was listed as a maximal ideal")
@@ -226,7 +230,8 @@ class CohenMacaulayReport:
         return f"{verdict}: depth {self.depth}, dim {self.dimension}{tail}"
 
 
-def is_cohen_macaulay_graded(R: RingPresentation, budget: Budget = None) -> CohenMacaulayReport:
+def is_cohen_macaulay_graded(R: RingPresentation, budget: Budget = None,
+                             shared: dict = None) -> CohenMacaulayReport:
     """depth = dim test at the irrelevant maximal ideal of a graded-local ring.
 
     When the ring is Cohen-Macaulay the report records that both finitistic
@@ -234,7 +239,7 @@ def is_cohen_macaulay_graded(R: RingPresentation, budget: Budget = None) -> Cohe
     """
     budget = ensure_budget(budget)
     _require_graded_local(R, budget)
-    rep = grade(irrelevant_ideal(R), budget=budget)
+    rep = grade(irrelevant_ideal(R), budget=budget, shared=shared)
     if not rep.value.is_finite:
         raise InternalError("internal: depth of a graded-local ring must be finite")
     depth = rep.value.value
@@ -259,20 +264,20 @@ class DqDwReport:
         return ", ".join(parts)
 
 
-def dq_dw_local(R: RingPresentation, budget: Budget = None) -> DqDwReport:
+def dq_dw_local(R: RingPresentation, budget: Budget = None, shared: dict = None) -> DqDwReport:
     """DQ (depth 0) and DW (depth <= 1) for a graded-local ring; when the
     ring is not DW, the irrelevant ideal is returned as a verified proper
     GV-ideal witness."""
     budget = ensure_budget(budget)
     _require_graded_local(R, budget)
     m = irrelevant_ideal(R)
-    rep = grade(m, budget=budget)
+    rep = grade(m, budget=budget, shared=shared)
     if not rep.value.is_finite:
         raise InternalError("internal: depth of a graded-local ring must be finite")
     depth = rep.value.value
     witness = None
     if depth >= 2:
-        if not is_gv(m, budget):
+        if not is_gv(m, budget, shared):
             raise InternalError("internal: depth >= 2 but the irrelevant ideal "
                                 "is not a GV-ideal")
         witness = m

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .complexes import (ChainComplex, cycles_and_boundaries,
-                        ext_vanishing_profile)
+                        ext_computer, ext_vanishing_profile, generator_key)
 from .modules import FreeModuleMap, is_zero_subquotient
 from .rings import IdealPresentation, RingPresentation
 from .values import GradeValue
@@ -73,18 +73,20 @@ def koszul_homology_is_zero(K: ChainComplex, i: int, budget: Budget = None) -> b
 
 
 def koszul_grade(I: IdealPresentation, gens: Sequence = None,
-                 budget: Budget = None) -> GradeValue:
+                 budget: Budget = None, shared: dict = None) -> GradeValue:
     """len(gens) minus the top nonvanishing Koszul homology degree; INFINITE
-    when every homology module vanishes (the unit ideal)."""
+    when every homology module vanishes (the unit ideal).  With a `shared`
+    store, a grade already computed on unit multiples of gens is reused."""
     budget = ensure_budget(budget)
-    if gens is None:
-        gens = I.generators
-    K = koszul_complex(I.ring, gens, budget)
-    m = K.length
-    for i in range(m, -1, -1):
-        if not koszul_homology_is_zero(K, i, budget):
-            return GradeValue.finite(m - i)
-    return GradeValue.infinite()
+    gens = tuple(I.ring.poly(g) for g in (I.generators if gens is None else gens))
+    known, key = ext_computer(I, shared).koszul, generator_key(I.ring, gens)
+    if key not in known:
+        K = koszul_complex(I.ring, gens, budget)
+        m = K.length
+        top = next((i for i in range(m, -1, -1)
+                    if not koszul_homology_is_zero(K, i, budget)), None)
+        known[key] = GradeValue.infinite() if top is None else GradeValue.finite(m - top)
+    return known[key]
 
 
 class DualKoszulCokernel:
@@ -114,8 +116,8 @@ class DualKoszulCokernel:
                 f"{status}")
 
 
-def dual_koszul_cokernel(I: IdealPresentation, n: int,
-                         budget: Budget = None) -> DualKoszulCokernel:
+def dual_koszul_cokernel(I: IdealPresentation, n: int, budget: Budget = None,
+                         shared: dict = None) -> DualKoszulCokernel:
     """coker(d*_{n+1}) of the dualized Koszul complex on I's generators.
 
     When Ext^i(R/I, R) = 0 for i = 0..n, exactness of the dualized sequence
@@ -129,7 +131,7 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int,
         raise StructuralError("the dual Koszul cokernel needs generators")
     chain = koszul_chain(I.ring, gens, n + 1, budget)
     presentation = chain.differential(n + 1).transpose(budget)
-    profile = ext_vanishing_profile(I, n, budget)
+    profile = ext_vanishing_profile(I, n, budget, shared)
     verified = False
     if all(profile):
         duals = [chain.differential(i).transpose(budget) for i in range(1, n + 2)]

@@ -397,14 +397,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def scale(self, c) -> "Polynomial":
-        dom = self.ring.domain
-        c = dom.coerce(c)
-        return self.ring.from_dict({m: dom.mul(c, cc) for m, cc in self.terms})
-
-    def mul_monomial(self, m: Monomial) -> "Polynomial":
-        return Polynomial(self.ring, tuple((mono_mul(m, mm), c) for mm, c in self.terms))
-
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         """Explicitly re-sort the terms under another order."""
         return self.ring.with_order(order).from_dict(dict(self.terms))

@@ -250,6 +250,8 @@ class SessionScript:
     rings: dict
     ideals: dict
     finite_rings: dict = field(default_factory=dict, compare=False, repr=False)
+    # derived work the commands share (`complexes.ext_computer`); per parse
+    shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     def commands(self) -> list:
         return [it for it in self.items if isinstance(it, Command)]

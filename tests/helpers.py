@@ -3,16 +3,18 @@ algebra for syzygies, monomial sweeps for membership), a direct
 Groebner-property checker that reduces every S- and G-polynomial, a
 rescanning reference for the vector normal form, the Polynomial-matrix
 path of the module layer, the colon without its early stop, the row loop
-for finite-ring annihilators, and a pure-Python build of finite quotient-ring
-tables."""
+for finite-ring annihilators, a pure-Python build of finite quotient-ring
+tables, and whole free resolutions and their duals as `ChainComplex`es."""
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 
-from fpdlab import (CoefficientDomain, GroebnerBasis, Polynomial,
-                    PolynomialRing, RingPresentation, SubmodulePresentation,
-                    normal_form_polys)
+from fpdlab import (ChainComplex, CoefficientDomain, GroebnerBasis,
+                    InternalError, Polynomial, PolynomialRing, RingPresentation,
+                    StructuralError, SubmodulePresentation, normal_form_polys)
+from fpdlab.complexes import _next_differential, cyclic_presentation
+from fpdlab.errors import ensure_budget
 from fpdlab.groebner import (_term_key, _xgcd, exact_poly_div,
                              ideal_intersection_polys, vec_to_polys)
 from fpdlab.rings import mono_div, mono_lcm, mono_mul
@@ -45,6 +47,13 @@ def monomials_up_to(ring: PolynomialRing, max_degree: int):
     return out
 
 
+def times_term(f: Polynomial, m, c) -> Polynomial:
+    """c * x^m * f."""
+    dom = f.ring.domain
+    c = dom.coerce(c)
+    return f.ring.from_dict({mono_mul(m, mm): dom.mul(c, cc) for mm, cc in f.terms})
+
+
 def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The S-polynomial (with lcm coefficients over ZZ)."""
     dom = f.ring.domain
@@ -52,11 +61,11 @@ def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     a, b = f.leading_coefficient(), g.leading_coefficient()
     w = mono_lcm(u, v)
     if dom.is_field:
-        return (f.mul_monomial(mono_div(w, u)).scale(dom.inv(a))
-                - g.mul_monomial(mono_div(w, v)).scale(dom.inv(b)))
+        return (times_term(f, mono_div(w, u), dom.inv(a))
+                - times_term(g, mono_div(w, v), dom.inv(b)))
     l = a * b // _xgcd(a, b)[0]
-    return (f.mul_monomial(mono_div(w, u)).scale(l // a)
-            - g.mul_monomial(mono_div(w, v)).scale(l // b))
+    return (times_term(f, mono_div(w, u), l // a)
+            - times_term(g, mono_div(w, v), l // b))
 
 
 def gpolynomial(f: Polynomial, g: Polynomial):
@@ -67,8 +76,8 @@ def gpolynomial(f: Polynomial, g: Polynomial):
         return None
     _, s, t = _xgcd(a, b)
     w = mono_lcm(u, v)
-    return (f.mul_monomial(mono_div(w, u)).scale(s)
-            + g.mul_monomial(mono_div(w, v)).scale(t))
+    return (times_term(f, mono_div(w, u), s)
+            + times_term(g, mono_div(w, v), t))
 
 
 def assert_is_groebner(G: GroebnerBasis):
@@ -358,3 +367,31 @@ def brute_linear_syzygies(ring: PolynomialRing, columns, max_degree: int):
             hs.append(ring.from_dict(coeffs))
         out.append(tuple(hs))
     return out
+
+
+def dualize(C: ChainComplex, budget=None) -> ChainComplex:
+    """Hom(-, R): arrows reversed, matrices transposed, d.d = 0 re-verified."""
+    L = C.length
+    ranks = tuple(reversed(C.ranks))
+    diffs = [C.diffs[L - 1 - j].transpose(budget) for j in range(L)]
+    return ChainComplex(C.ring, ranks, diffs, budget)
+
+
+def free_resolution(presentation, length: int, budget=None) -> ChainComplex:
+    """A free resolution of coker(presentation) out to F_length (not minimal);
+    the `ChainComplex` checks d.d = 0 once, on construction."""
+    if length < 0:
+        raise StructuralError("resolution length must be >= 0")
+    budget = ensure_budget(budget)
+    diffs = [presentation] if length else []
+    while len(diffs) < length:
+        diffs.append(_next_differential(diffs[-1], budget))
+    ranks = [presentation.target_rank] + [d.source_rank for d in diffs]
+    try:
+        return ChainComplex(presentation.ring, ranks, diffs, budget)
+    except StructuralError as exc:
+        raise InternalError(f"internal: free resolution: {exc}") from exc
+
+
+def free_resolution_of_quotient(I, length: int, budget=None) -> ChainComplex:
+    return free_resolution(cyclic_presentation(I, budget), length, budget)

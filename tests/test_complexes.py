@@ -1,11 +1,12 @@
 """Chain complexes, free resolutions, dualization, Ext vanishing decisions."""
 import pytest
 from fpdlab import (Budget, ChainComplex, FreeModuleMap, StructuralError,
-                    annihilator, dualize, ext_is_zero, ext_vanishing_profile,
-                    free_resolution, free_resolution_of_quotient, koszul_complex)
+                    annihilator, ext_is_zero, ext_vanishing_profile,
+                    koszul_complex)
 from fpdlab.complexes import ResolutionCache, cyclic_presentation
 from fpdlab.modules import image, is_zero_subquotient
-from helpers import FF, QQ, ZZ, presentation
+from helpers import (FF, QQ, ZZ, dualize, free_resolution,
+                     free_resolution_of_quotient, presentation)
 
 
 def test_resolution_of_free_module_is_immediate():
@@ -62,7 +63,7 @@ def test_free_resolution_checks_each_composition_once():
     free_resolution_of_quotient(flagship().ideal("3", "a", "b", "c"), 3, via_complex)
     via_cache = Budget()
     I = flagship().ideal("3", "a", "b", "c")
-    ResolutionCache(cyclic_presentation(I, via_cache), via_cache).differential(3)
+    ResolutionCache(cyclic_presentation(I, via_cache)).differential(3, via_cache)
     assert via_complex.steps == via_cache.steps > 0
 
 

@@ -8,10 +8,10 @@ generating-set change; GV implies semi-regular.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fpdlab import (RingPresentation, free_resolution_of_quotient, grade,
-                    is_gv, is_semiregular, koszul_complex, normal_form_polys)
+from fpdlab import (RingPresentation, grade, is_gv, is_semiregular,
+                    koszul_complex, normal_form_polys)
 from fpdlab.groebner import groebner_basis_of_polys
-from helpers import FF, QQ, ZZ, poly_ring
+from helpers import FF, QQ, ZZ, free_resolution_of_quotient, poly_ring
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.too_slow,

@@ -1,0 +1,92 @@
+"""Derived work shared by the commands of one parsed script: resolutions,
+Ext decisions and Koszul grades, keyed by ring and unit-normalized
+generators.  Sharing may move step counts, never an answer."""
+import pytest
+from fpdlab import koszul
+from fpdlab.cli import CliConfig, render_json, run_command
+from fpdlab.script import parse
+from golden_diff import differences
+
+# the seven commands of each graded_field benchmark script
+GRADED = "grade m; cm; dqdw; koszul m; smodule m 1; ext m 3; gv m;"
+
+
+def _shared(text, config=None):
+    script = parse(text)
+    return script, [run_command(script, c, config or CliConfig())
+                    for c in script.commands()]
+
+
+def _cold(text):
+    """Each command in a fresh parse of its own."""
+    records = []
+    for index in range(len(parse(text).commands())):
+        script = parse(text)
+        records.append(run_command(script, script.commands()[index], CliConfig()))
+    return records
+
+
+def _steps(records):
+    return {r["command"]: r["budget"]["steps"] for r in records}
+
+
+@pytest.mark.parametrize("ring", [
+    "ring R = FF7[x,y,z,w]/(x*w - y*z); ideal m = (x, y, z, w);",   # depth 3
+    "ring R = FF101[x,y,z]/(x*y, y*z); ideal m = (x, y, z);",       # depth 1
+])
+def test_graded_commands_share_work_and_keep_their_answers(ring):
+    _, shared = _shared(ring + GRADED)
+    cold = _cold(ring + GRADED)
+    assert differences(render_json(cold), render_json(shared)) == []
+    assert all(r["status"] == "ok" for r in shared)
+    for command in ("cm", "dqdw", "gv", "koszul"):
+        assert _steps(shared)[command] < _steps(cold)[command], command
+    assert _steps(shared)["grade"] == _steps(cold)["grade"]
+
+
+def test_unit_rescaled_generators_share_an_entry_and_other_ideals_do_not():
+    text = ("ring R = QQ[x,y]/(x*y); ideal m = (x, y); ideal n = (2*x, -1/3*y); "
+            "ideal p = (x, y^2); ext m 1; ext n 1; ext p 1; "
+            "ring Z = ZZ[x,y]; ideal a = (2*x, y); ideal b = (-2*x, -y); "
+            "ideal c = (x, y); ext a 1; ext b 1; ext c 1;")
+    script, records = _shared(text)
+    steps = [r["budget"]["steps"] for r in records]
+    assert steps[0] > 0 and steps[1] == 0 and steps[2] > 0
+    assert steps[3] > 0 and steps[4] == 0 and steps[5] > 0
+    assert len(script.shared) == 4
+    assert [r["result"] for r in records[:2]] == [{"vanishes_through": [True, False]}] * 2
+    # a new parse starts cold
+    fresh = parse(text)
+    assert fresh.shared == {}
+    assert run_command(fresh, fresh.commands()[1], CliConfig())["budget"]["steps"] > 0
+
+
+def test_a_reused_koszul_grade_is_still_cross_checked(monkeypatch):
+    # every Koszul homology module "vanishes": the koszul command reports
+    # and stores INFINITE, and each grade that reads it must still compare
+    monkeypatch.setattr(koszul, "koszul_homology_is_zero", lambda *args: True)
+    _, records = _shared("ring R = QQ[x,y]; ideal m = (x, y); "
+                         "koszul m; cm; grade m; grade m;")
+    assert [r["status"] for r in records] == ["ok", "internal", "internal", "internal"]
+    assert records[0]["result"]["koszul_grade"] == "INFINITE"
+    assert all("Koszul grade INFINITE disagrees with Ext grade 2" in r["error"]
+               for r in records[1:])
+
+
+def test_a_command_cut_short_leaves_a_prefix_the_next_one_extends():
+    text = "ring R = QQ[x,y,z]/(x*y - z^2); ideal m = (x, y, z); ext m 3; ext m 3;"
+    cold = _cold(text)[0]
+    budget = cold["budget"]["steps"] // 2
+    script = parse(text)
+    first, second = script.commands()
+    cut = run_command(script, first, CliConfig(budget_steps=budget))
+    assert cut["status"] == "resource"
+    (work,) = script.shared.values()
+    assert work.resolution is not None and len(work.decided) < 4
+    # no budget is stored with the shared work: the next command runs under
+    # its own, finishes and answers as a cold run does
+    done = run_command(script, second, CliConfig())
+    assert done["status"] == "ok"
+    assert done["result"] == cold["result"]
+    assert 0 < done["budget"]["steps"] < cold["budget"]["steps"]
+    assert len(work.decided) == 4
