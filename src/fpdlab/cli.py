@@ -158,7 +158,7 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
         profile = ext_vanishing_profile(ideal_of(), cmd.degree, budget, shared)
         return {"vanishes_through": list(profile)}
     if kind == "semiregular":
-        return {"semiregular": is_semiregular(ideal_of(), budget)}
+        return {"semiregular": is_semiregular(ideal_of(), budget, shared)}
     if kind == "gv":
         return {"gv": is_gv(ideal_of(), budget, shared)}
     if kind == "criterion":

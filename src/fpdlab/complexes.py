@@ -131,16 +131,25 @@ def generator_key(ring: RingPresentation, gens: Sequence) -> tuple:
 
 class ExtComputer:
     """The derived work on one ideal I: a resolution of R/I extended on
-    demand, the Ext^i(R/I, R) decisions read off it, and Koszul grades on
-    generator tuples of I.  A decision (Ext^0 once the annihilator agrees)
-    or Koszul grade is stored only once its check has passed.  Not for
-    concurrent use; see `ext_computer` for sharing one between commands."""
+    demand, the Ext^i(R/I, R) decisions read off it, whether Ann(I) = 0, and
+    Koszul grades on generator tuples of I.  A decision (Ext^0 once the
+    annihilator agrees) or Koszul grade is stored only once its check has
+    passed.  Not for concurrent use; see `ext_computer` for sharing one
+    between commands."""
 
     def __init__(self, I: IdealPresentation):
         self.ideal = I
         self.resolution = None  # ResolutionCache of R/I, made on first use
         self.decided = {}       # i -> Ext^i(R/I, R) = 0
+        self.ann_zero = None    # Ann(I) = 0, once computed
         self.koszul = {}        # generator_key -> Koszul grade on those generators
+
+    def annihilator_is_zero(self, budget: Budget = None) -> bool:
+        """Ann(I) = 0, i.e. Hom(R/I, R) = 0, through the annihilator."""
+        if self.ann_zero is None:
+            budget = ensure_budget(budget)
+            self.ann_zero = annihilator(self.ideal, budget).is_zero(budget)
+        return self.ann_zero
 
     def ext_is_zero(self, i: int, budget: Budget = None) -> ExtReport:
         if i < 0:
@@ -156,11 +165,9 @@ class ExtComputer:
             # im d*_i <= ker d*_{i+1} because d_i . d_{i+1} = 0, which the
             # resolution checks as it builds d_{i+1}
             zero = is_zero_subquotient(K, Im, budget, verify_containment=False)
-            if i == 0:
-                ann_zero = annihilator(self.ideal, budget).is_zero(budget)
-                if ann_zero != zero:
-                    raise InternalError(
-                        "internal: Hom(R/I, R) decision disagrees with the annihilator")
+            if i == 0 and self.annihilator_is_zero(budget) != zero:
+                raise InternalError(
+                    "internal: Hom(R/I, R) decision disagrees with the annihilator")
             self.decided[i] = zero
         return ExtReport(self.ideal, i, self.decided[i])
 

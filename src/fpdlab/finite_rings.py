@@ -9,8 +9,9 @@ arithmetic, in row chunks that keep working memory small; numpy is imported
 on first use, so importing the package stays cheap.
 
 The builders, `enumerate_ideals` and the DQ/DW/Ext^1 checks take an optional
-`Budget` last: one clock-reading step per table row chunk, ideal sum and
-proper ideal tested, and one plain step per Ext^1 candidate.
+`Budget` last: one clock-reading step per table row chunk (building,
+verifying, and reading off the principal ideals), per reachability search,
+ideal sum and proper ideal tested, and one plain step per Ext^1 candidate.
 """
 from __future__ import annotations
 
@@ -24,9 +25,8 @@ from .errors import (Budget, CapExceededError, InternalError, StructuralError,
 DEFAULT_BUILD_CAP = 4096
 DEFAULT_IDEAL_CAP = 4096
 DEFAULT_EXT_CAP = 256
-_AXIOM_FULL_CHECK_MAX = 256
 _HOM_ENUMERATION_MAX = 2_000_000
-_CHUNK_ENTRIES = 1 << 18   # entries of the working arrays of one row chunk
+_CHUNK_ENTRIES = 1 << 16   # entries of the working arrays of one row chunk
 
 
 class FiniteRing:
@@ -34,9 +34,10 @@ class FiniteRing:
 
     `add` and `mul` are order x order numpy arrays of element indices, of the
     narrowest unsigned type (`uint8` up to 256 elements, `uint16` above);
-    `add[a, b]` is the index of a + b.  The ring axioms are verified
-    exhaustively at construction for orders up to 256 (identities and
-    commutativity always); use the named constructors `integers_mod` and
+    `add[a, b]` is the index of a + b.  Every ring axiom is proven at
+    construction, at every order, from additive generators: the unit digit
+    vectors of `element_coeffs` when given, else every element (see
+    `_verify_tables`).  Use the named constructors `integers_mod` and
     `quotient`.
     """
 
@@ -179,6 +180,24 @@ def _as_table(table, order: int, name: str):
 
 
 def _verify_tables(R: FiniteRing, budget: Budget):
+    """Prove the ring axioms from a set G of additive generators.
+
+    Beside commutativity, both identities, 0*a = 0 and the permutation rows
+    of addition, four checks are run:
+      (R) every element is reached from 0 by adding generators;
+      (A) (a + b) + g = a + (b + g) and
+      (D) a(b + g) = ab + ag, for all a, b and every g in G;
+      (M) (gh)k = g(hk) for all g, h, k in G.
+    Write c = c' + g with c' reached before c.  Induction on the order of
+    reaching turns (A) into (a + b) + c = a + (b + c), so the rows make an
+    abelian group, and (D) with 0*a = 0 into a(b + c) = ab + ac, so with
+    commutativity multiplication is biadditive.  Its associativity is then
+    trilinear in the sums of generators, which (M) settles.
+
+    G is the unit digit vectors x^i of `element_coeffs` when the ring has
+    them, and every element otherwise; then (A), (D) and (M) are the full
+    n x n x n associativity and distributivity checks.
+    """
     import numpy as np
     n = R.order
     A, M = R.add, R.mul
@@ -193,24 +212,50 @@ def _verify_tables(R: FiniteRing, budget: Budget):
         raise StructuralError("zero does not annihilate the ring")
     if not np.all(np.sort(A, axis=1) == np.arange(n)):
         raise StructuralError("addition rows are not permutations (no group structure)")
-    if n <= _AXIOM_FULL_CHECK_MAX:
-        # (ab)c = a(bc) and a(b+c) = ab + ac for every a in a row chunk, read
-        # as two n x n slabs per row
-        chunks = list(_row_chunks(n, n * n))
-        for T, name in ((A, "addition"), (M, "multiplication")):
-            T_index = T.astype(np.intp)
-            for s, e in chunks:
-                budget.tick_coarse()
-                if not np.array_equal(np.take(T, T[s:e], axis=0),
-                                      np.take(T[s:e], T_index, axis=1)):
-                    raise StructuralError(f"{name} is not associative")
-        A_index, A_flat = A.astype(np.intp), A.ravel()
-        for s, e in chunks:
-            budget.tick_coarse()
-            Ms = M[s:e].astype(np.intp)
-            if not np.array_equal(np.take(M[s:e], A_index, axis=1),
-                                  np.take(A_flat, Ms[:, :, None] * n + Ms[:, None, :])):
-                raise StructuralError("multiplication does not distribute over addition")
+    G = np.arange(n) if R.element_coeffs is None else np.array(
+        [i for i, c in enumerate(R.element_coeffs)
+         if c.count(0) == len(c) - 1 and 1 in c], dtype=np.intp)
+    AG, MG = A[:, G], M[:, G]
+    budget.tick_coarse()
+    if not _reaches_every_element(AG, R.zero):
+        raise StructuralError("the additive generators do not reach every element")
+    if not _associative_on(A, np.arange(n), G, budget):
+        raise StructuralError("addition is not associative")
+    for s, e in _row_chunks(n, n * len(G)):
+        budget.tick_coarse()
+        # a(b + g) against ab + ag = (ag) + (ab), indexed [a, g, b]
+        if not np.array_equal(np.take(M[s:e], AG.T, axis=1),
+                              np.take_along_axis(A[MG[s:e]], M[s:e, None, :], axis=2)):
+            raise StructuralError("multiplication does not distribute over addition")
+    if not _associative_on(M, G, G, budget):
+        raise StructuralError("multiplication is not associative")
+
+
+def _reaches_every_element(steps, zero: int) -> bool:
+    """Breadth-first from `zero`, where steps[a] lists the elements a + g."""
+    reached = [False] * len(steps)
+    reached[zero] = True
+    queue = [zero]
+    for a in queue:
+        for b in steps[a].tolist():
+            if not reached[b]:
+                reached[b] = True
+                queue.append(b)
+    return len(queue) == len(steps)
+
+
+def _associative_on(T, X, G, budget: Budget) -> bool:
+    """(xy)g = x(yg) in table T for all x, y in X and g in G, compared on
+    row chunks of x."""
+    import numpy as np
+    TG = T[:, G]
+    YG = TG[X]  # y g for y in X
+    for s, e in _row_chunks(len(X), len(X) * len(G)):
+        budget.tick_coarse()
+        rows = T[X[s:e]]
+        if not np.array_equal(TG[rows[:, X]], np.take(rows, YG, axis=1)):
+            return False
+    return True
 
 
 def build_finite_ring(n: int, modulus_coeffs: Optional[Sequence] = None,
@@ -264,7 +309,10 @@ def enumerate_ideals(R: FiniteRing, cap: int = DEFAULT_IDEAL_CAP,
 def _all_ideals(R: FiniteRing, budget: Budget) -> list:
     """Every ideal is a sum of principal ideals, so a breadth-first sweep over
     the distinct principal ideals reaches all of them."""
-    principals = list(dict.fromkeys(principal_ideal(R, a) for a in range(R.order)))
+    principals = {}
+    for s, e in _row_chunks(R.order, R.order):
+        budget.tick_coarse()
+        principals.update(dict.fromkeys(map(frozenset, R.mul[s:e].tolist())))
     found = {frozenset({R.zero})}
     queue = [frozenset({R.zero})]
     while queue:

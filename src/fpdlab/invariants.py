@@ -15,7 +15,7 @@ from .errors import (Budget, InternalError, StructuralError,
                      UnsupportedDomainError, UnsupportedInputError,
                      ensure_budget)
 from .complexes import ext_computer, ext_vanishing_profile
-from .groebner import annihilator, is_unit_ideal, krull_dimension
+from .groebner import is_unit_ideal, krull_dimension
 from .koszul import koszul_grade
 from .rings import IdealPresentation, RingPresentation
 from .values import GradeValue
@@ -85,9 +85,11 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
     return GradeReport(I, value, tuple(profile), cross, notes)
 
 
-def is_semiregular(I: IdealPresentation, budget: Budget = None) -> bool:
-    """Hom(R/I, R) = 0, decided through the annihilator."""
-    return annihilator(I, budget).is_zero(budget)
+def is_semiregular(I: IdealPresentation, budget: Budget = None,
+                   shared: dict = None) -> bool:
+    """Hom(R/I, R) = 0, decided through the annihilator (kept in `shared`
+    for the Ext^0 cross-check of a later command on I)."""
+    return ext_computer(I, shared).annihilator_is_zero(budget)
 
 
 def is_gv(J: IdealPresentation, budget: Budget = None, shared: dict = None) -> bool:

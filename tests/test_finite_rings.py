@@ -123,21 +123,46 @@ def test_row_chunks_cover_every_row_once():
         assert covered == list(range(rows))
 
 
-def test_verify_compares_every_row_of_each_cube(monkeypatch):
-    """Associativity of + and *, and distributivity, are each compared on
-    row chunks of an n x n x n cube; together the chunks hold all n rows."""
-    compared = []
+def _compared_shapes(monkeypatch, build) -> list:
+    """The shapes of the 3-D arrays `_verify_tables` compares while `build`
+    runs: one pair per row chunk of (A), (D) and (M)."""
+    shapes = []
     array_equal = np.array_equal
 
     def recording(a, b):
         if np.ndim(a) == 3:
-            compared.append(len(a))
+            assert np.shape(a) == np.shape(b)
+            shapes.append(np.shape(a))
         return array_equal(a, b)
 
     monkeypatch.setattr(np, "array_equal", recording)
-    R = FiniteRing.quotient(2, [0, 0, 0, 1, 0, 0, 0, 0, 1])
-    assert len(compared) > 3
-    assert sum(compared) == 3 * R.order
+    build()
+    monkeypatch.undo()
+    return shapes
+
+
+def test_verify_compares_every_row_of_each_cube(monkeypatch):
+    """(A) (a + b) + g and (D) a(b + g) are compared for every a and b and
+    each of the d generators, in row chunks of a that together hold all n
+    rows; (M) (gh)k is compared on all d generator rows.  Without
+    coefficients every element is a generator: three full n^3 cubes."""
+    R = FiniteRing.quotient(2, [0, 0, 0, 1, 0, 0, 0, 0, 1])  # 256 elements, d = 8
+    n, d = R.order, 8
+    shapes = _compared_shapes(monkeypatch, lambda: FiniteRing(
+        R.labels, R.add, R.mul, R.zero, R.one, "FF2[x]/(x^8 + x^3)", R.element_coeffs))
+    by_row = {}
+    for shape in shapes:
+        by_row.setdefault(shape[1:], []).append(shape[0])
+    # (A) is [a, b, g], (D) is [a, g, b], (M) is [g, h, k]
+    assert sorted(by_row) == [(d, d), (d, n), (n, d)]
+    assert sum(by_row[n, d]) == sum(by_row[d, n]) == n
+    assert len(by_row[n, d]) > 1 and len(by_row[d, n]) > 1  # several chunks
+    assert sum(by_row[d, d]) == d
+    small = FiniteRing.quotient(2, [0, 0, 0, 1])  # 8 elements
+    shapes = _compared_shapes(monkeypatch, lambda: FiniteRing(
+        small.labels, small.add, small.mul, small.zero, small.one, "no coefficients"))
+    assert {shape[1:] for shape in shapes} == {(8, 8)}
+    assert sum(shape[0] for shape in shapes) == 3 * 8
 
 
 def _tables_of(R):
@@ -145,10 +170,11 @@ def _tables_of(R):
 
 
 def test_verify_catches_a_corrupt_entry_in_the_first_and_last_row_chunk():
-    """FF2[x]/(x^8 + x^3) has 256 elements, so every axiom is checked in
-    full, chunk by chunk.  Each corruption keeps commutativity, the
-    identities and the permutation rows of addition; only associativity and
-    distributivity can catch it."""
+    """FF2[x]/(x^8 + x^3)'s tables are passed without coefficients, so every
+    element is a generator and every axiom is checked in full, chunk by
+    chunk.  Each corruption keeps commutativity, the identities and the
+    permutation rows of addition; only associativity and distributivity can
+    catch it."""
     R = FiniteRing.quotient(2, [0, 0, 0, 1, 0, 0, 0, 0, 1])
     chunks = list(_row_chunks(R.order, R.order * R.order))
     assert len(chunks) > 2
@@ -167,6 +193,83 @@ def test_verify_catches_a_corrupt_entry_in_the_first_and_last_row_chunk():
         add[a][b] = add[b][a] = R.zero
         with pytest.raises(StructuralError, match="addition is not associative"):
             FiniteRing(R.labels, add, mul, R.zero, R.one, "corrupt add")
+
+
+def test_verify_catches_corruption_above_256_elements():
+    """ZZ/32[x]/(x^2) has 1,024 elements and generators 1 and x.  Each
+    corruption keeps commutativity, the identities, the permutation rows of
+    addition and the generator columns that the reachability search reads."""
+    R = FiniteRing.quotient(32, [0, 0, 1])
+    assert R.order == 1024 and (R.zero, R.one) == (0, 1)
+    t = R.element_coeffs.index((16, 0))  # t + t = 0
+    for a in (R.element_coeffs.index((3, 0)), R.element_coeffs.index((5, 31))):
+        b = int(R.add[a, t])
+        # a 2 x 2 subsquare [[p, q], [q, p]] of rows and columns a, a + t
+        # becomes [[q, p], [p, q]]: still symmetric, rows still permutations
+        add, mul = _tables_of(R)
+        p, q = add[a][a], add[a][b]
+        add[a][a] = add[b][b] = q
+        add[a][b] = add[b][a] = p
+        with pytest.raises(StructuralError, match="addition is not associative"):
+            FiniteRing(R.labels, add, mul, R.zero, R.one, "corrupt add", R.element_coeffs)
+        add, mul = _tables_of(R)
+        mul[a][b] = mul[b][a] = (mul[a][b] + 1) % R.order
+        with pytest.raises(StructuralError, match="does not distribute"):
+            FiniteRing(R.labels, add, mul, R.zero, R.one, "corrupt mul", R.element_coeffs)
+
+
+def test_generators_that_reach_a_proper_subgroup_are_rejected():
+    R = FiniteRing.integers_mod(4)
+    # element 2 labelled (1,): the "generator" 2 reaches only {0, 2}
+    with pytest.raises(StructuralError, match="do not reach every element"):
+        FiniteRing(R.labels, R.add, R.mul, R.zero, R.one, "ZZ/4",
+                   ((0,), (2,), (1,), (3,)))
+    # FF2[x]/(x^2) with x labelled (1, 1): only 1 is a generator
+    F = FiniteRing.quotient(2, [0, 0, 1])
+    x = F.element_coeffs.index((0, 1))
+    coeffs = tuple((1, 1) if i == x else c for i, c in enumerate(F.element_coeffs))
+    with pytest.raises(StructuralError, match="do not reach every element"):
+        FiniteRing(F.labels, F.add, F.mul, F.zero, F.one, "FF2[x]/(x^2)", coeffs)
+
+
+def _ff2_cubic_with(table) -> tuple:
+    """The labels, element coefficients and the multiplication table of
+    FF2[x]/(x^3) extended biadditively from table[i][j], the coefficients
+    of x^i x^j."""
+    R = FiniteRing.quotient(2, [0, 0, 0, 1])
+    coeffs = R.element_coeffs
+    mul = [[0] * 8 for _ in range(8)]
+    for a, ca in enumerate(coeffs):
+        for b, cb in enumerate(coeffs):
+            v = [0, 0, 0]
+            for i in range(3):
+                for j in range(3):
+                    for k in range(3):
+                        v[k] ^= ca[i] & cb[j] & table[i][j][k]
+            mul[a][b] = coeffs.index(tuple(v))
+    return R, mul
+
+
+def test_a_biadditive_non_associative_product_fails_only_the_generator_triples():
+    """On FF2[x]/(x^3), setting x * x^2 = 1 keeps the product commutative,
+    biadditive and with identity, but (x x) x^2 = 0 while x (x x^2) = x."""
+    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    zero = (0, 0, 0)
+    R, mul = _ff2_cubic_with([[e[0], e[1], e[2]],
+                              [e[1], e[2], e[0]],
+                              [e[2], e[0], zero]])
+    with pytest.raises(StructuralError, match="multiplication is not associative"):
+        FiniteRing(R.labels, R.add, mul, R.zero, R.one, "x * x^2 = 1", R.element_coeffs)
+    # without coefficients every element is a generator: the full check
+    with pytest.raises(StructuralError, match="multiplication is not associative"):
+        FiniteRing(R.labels, R.add, mul, R.zero, R.one, "x * x^2 = 1")
+    # the true product, built the same way, passes both ways
+    R, mul = _ff2_cubic_with([[e[0], e[1], e[2]],
+                              [e[1], e[2], zero],
+                              [e[2], zero, zero]])
+    assert np.array_equal(mul, R.mul)
+    FiniteRing(R.labels, R.add, mul, R.zero, R.one, "FF2[x]/(x^3)", R.element_coeffs)
+    FiniteRing(R.labels, R.add, mul, R.zero, R.one, "FF2[x]/(x^3)")
 
 
 def test_non_monic_relation_rejected():
@@ -286,10 +389,13 @@ def test_gv_oracle_on_f4():
 def test_oracle_work_ticks_the_budget():
     budget = Budget()
     R = FiniteRing.quotient(4, [0, 1, 1], budget=budget)  # 16 elements
-    assert budget.steps == 5  # one chunk per table, one per verified cube
+    # n = 16 and d = 2: each table is one chunk (16 * 2 and 16 * 3 entries
+    # per row), so are (A) and (D) (16 * 2 per row) and (M) (2 * 2 per row),
+    # and the reachability search takes one step: 2 + 1 + 3
+    assert budget.steps == 6
     ideals = enumerate_ideals(R, budget=budget)
     after_sums = budget.steps
-    assert after_sums > 5  # one per ideal sum
+    assert after_sums > 7  # one for the principal ideals, one per ideal sum
     assert enumerate_ideals(R, budget=budget) == ideals and budget.steps == after_sums
     assert brute_is_dq(R, budget=budget).holds
     assert budget.steps == after_sums + len(ideals) - 1  # one per proper ideal

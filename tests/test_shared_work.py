@@ -2,7 +2,7 @@
 Ext decisions and Koszul grades, keyed by ring and unit-normalized
 generators.  Sharing may move step counts, never an answer."""
 import pytest
-from fpdlab import koszul
+from fpdlab import complexes, groebner, koszul
 from fpdlab.cli import CliConfig, render_json, run_command
 from fpdlab.script import parse
 from golden_diff import differences
@@ -90,3 +90,37 @@ def test_a_command_cut_short_leaves_a_prefix_the_next_one_extends():
     assert done["result"] == cold["result"]
     assert 0 < done["budget"]["steps"] < cold["budget"]["steps"]
     assert len(work.decided) == 4
+
+
+def test_semiregular_and_gv_share_one_annihilator(monkeypatch):
+    """The CLI's oracle scripts ask `semiregular I; gv I; criterion I 1;`:
+    one annihilator serves the first and the Ext^0 cross-check of the rest."""
+    text = ("ring R = ZZ[x]/(4, x^2 + 2*x); ideal I = (2, x); "
+            "semiregular I; gv I; criterion I 1;")
+    cold = _cold(text)
+    calls = []
+    colon = groebner._colon  # one elimination per annihilator of I != 0
+    monkeypatch.setattr(groebner, "_colon",
+                        lambda *args: calls.append(1) or colon(*args))
+    _, shared = _shared(text)
+    assert differences(render_json(cold), render_json(shared)) == []
+    assert len(calls) == 1
+
+
+def test_a_shared_annihilator_verdict_is_still_cross_checked(monkeypatch):
+    # the annihilator claims Ann(I) = 0 for every ideal: semiregular reports
+    # it, and the gv that reads the stored verdict must still compare it
+    class NotZero:
+        def __init__(self, ann):
+            self.ann = ann
+
+        def is_zero(self, budget=None):
+            return not self.ann.is_zero(budget)
+
+    annihilator = complexes.annihilator
+    monkeypatch.setattr(complexes, "annihilator",
+                        lambda *args: NotZero(annihilator(*args)))
+    _, records = _shared("ring R = QQ[x]/(x^2); ideal I = (x); semiregular I; gv I;")
+    assert [r["status"] for r in records] == ["ok", "internal"]
+    assert records[0]["result"] == {"semiregular": True}
+    assert "disagrees with the annihilator" in records[1]["error"]
