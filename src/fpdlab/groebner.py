@@ -3,9 +3,13 @@
 One engine handles both rings and free modules: a term is keyed by
 (position, monomial) under the position-over-term extension of the ring
 order (lower position index dominates).  Over fields this is Buchberger
-with normal (degree) selection and Gebauer-Moeller pair elimination; over
-the integers it is the strong-basis completion with S- and G-polynomials
-and Euclidean coefficient reduction.  Membership certificates (unit
+with normal (degree) selection; over the integers it is the strong-basis
+completion with S- and G-polynomials and Euclidean coefficient reduction.
+Both take their S-pairs from one Gebauer-Moeller routine on lead terms
+(`_PairSelection`): the chain criterion, one pair per minimal lcm, the
+product criterion for ideals, and no pair between two vectors of the
+relation block that went in unchanged.  Over ZZ a lead term carries its
+coefficient, and every G-pair is kept.  Membership certificates (unit
 cofactors) come from the same engine run on generators tagged in an
 extended free module, where the tag block sits below every original
 position; kernels are taken in `modules`, from the Groebner basis of a
@@ -14,6 +18,7 @@ map's graph.
 from __future__ import annotations
 
 import heapq
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (Budget, InternalError, ResourceBudgetExceeded,
@@ -203,38 +208,124 @@ def _s_vector(basis: VecBasis, i: int, j: int, si, sj) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Completion: one growable basis, with a pair rule and S-vector coefficients per domain
+# Pair selection: Gebauer-Moeller elimination on lead terms, for both engines
+
+def _term_lcm(m, c, n, d):
+    """lcm of the lead terms c*x^m and d*x^n (coefficients positive), as
+    (monomial, coefficient)."""
+    return mono_lcm(m, n), c if c == d else c * d // gcd(c, d)
+
+
+class _PairSelection:
+    """The S-pairs one completion queues, chosen by Gebauer-Moeller
+    elimination on lead terms (monomial, coefficient).  Over a field every
+    basis vector is monic, so a lead term is its monomial; over ZZ one term
+    divides another when both parts do.  For each new element f:
+
+    - chain criterion: an open pair (i, j) in f's position is dropped when
+      lt(f) divides its lcm and neither lcm(lt i, lt f) nor lcm(lt j, lt f)
+      equals it;
+    - new pairs (i, f) are grouped by lcm; only minimal lcms are kept, one
+      pair per class;
+    - product criterion (rank 1 only, not valid for module vectors): a class
+      holding a pair whose lcm is the product of the two lead terms (coprime
+      monomials and, over ZZ, coprime coefficients) is settled;
+    - a class holding a pair of two marked vectors (J's Groebner basis in one
+      position, inserted unchanged) is settled: their S-vector has a standard
+      representation by J's basis.
+
+    Settled classes still count as minimal lcms.  A queued pair stays open
+    until it is popped or the chain criterion drops it.
+    """
+
+    def __init__(self, ring: PolynomialRing, rank1: bool):
+        self.okey = ring.order.key
+        self.rank1 = rank1
+        self.open = {}  # position -> {(i, j): lcm of the lead terms}
+
+    def push_pairs(self, basis: VecBasis, heap: list, f: int, marked: set):
+        okey = self.okey
+        lts, lcs = basis.lts, basis.lcs
+        fpos, fm = lts[f]
+        fc = lcs[f]
+        opens = self.open.setdefault(fpos, {})
+        dead = []
+        for (i, j), w in opens.items():
+            if (w[1] % fc == 0 and mono_divides(fm, w[0])
+                    and _term_lcm(lts[i][1], lcs[i], fm, fc) != w
+                    and _term_lcm(lts[j][1], lcs[j], fm, fc) != w):
+                dead.append((i, j))
+        for pair in dead:
+            del opens[pair]
+        cand = {}
+        for i in basis.at[fpos][:-1]:
+            cand.setdefault(_term_lcm(lts[i][1], lcs[i], fm, fc), []).append(i)
+        kept = []
+        fmarked = f in marked
+        for w in sorted(cand, key=lambda w: (okey(w[0]), w[1])):
+            wm, wc = w
+            if any(wc % pc == 0 and mono_divides(pm, wm) for pm, pc in kept):
+                continue
+            kept.append(w)
+            ids = cand[w]
+            if fmarked and any(i in marked for i in ids):
+                continue
+            if self.rank1 and any(w == (mono_mul(lts[i][1], fm), lcs[i] * fc)
+                                  for i in ids):
+                continue
+            i = min(ids)
+            opens[(i, f)] = w
+            heapq.heappush(heap, (mono_degree(wm), fpos, okey(wm), i, f, 0))
+
+    def take(self, entry: tuple) -> bool:
+        """Close a popped S-pair; False when it was dropped after it was queued."""
+        return self.open[entry[1]].pop(entry[3:5], None) is not None
+
+
+# ---------------------------------------------------------------------------
+# Completion: one growable basis; each domain adds its S-vector coefficients
+# (and, over ZZ, its G-pairs) to the shared pair selection
 
 class Completion:
-    """The completion of `vecs` to a Groebner basis, which can grow: each
-    later `insert` followed by `run` completes the enlarged module.
+    """The completion of `vecs` + `block` to a Groebner basis, which can
+    grow: each later `insert` followed by `run` completes the enlarged module.
 
-    `push_pairs(basis, heap, f)` queues the critical pairs of the new element
-    f, the last in the basis, as heap entries (degree, position, order key,
-    i, f, ...).
+    `block` is J's Groebner basis in each position (`modules._relation_block`).
+    It is inserted after `vecs`; each of its vectors that comes out of its
+    normal form unchanged is marked, and no pair of two marked vectors is
+    queued.
+    `push_pairs(basis, heap, f, marked)` queues the critical pairs of the new
+    element f, the last in the basis, as heap entries (degree, position,
+    order key, i, f, G-pair flag).
     `s_vector(basis, entry)` gives a popped entry's S-vector, or None when
     the pair was eliminated after it was queued.
     """
 
     def __init__(self, vecs: Sequence, ring: PolynomialRing, budget: Budget,
-                 push_pairs, s_vector):
+                 push_pairs, s_vector, block: Sequence = ()):
         self.basis = VecBasis([], ring)
         self.heap = []
+        self.marked = set()
         self.budget = budget
         self.push_pairs = push_pairs
         self.s_vector = s_vector
         for v in vecs:
             self.insert(v)
+        for v in block:
+            self.insert(v, from_block=True)
         self.run()
 
-    def insert(self, v: dict) -> bool:
+    def insert(self, v: dict, from_block: bool = False) -> bool:
         """Add v's nonzero normal form and queue its pairs; False when v
         reduces to zero, i.e. already lies in the module once `run` is done."""
         r = vec_normal_form(v, self.basis, self.budget)
         if not r:
             return False
         self.basis.add(r)
-        self.push_pairs(self.basis, self.heap, len(self.basis) - 1)
+        f = len(self.basis) - 1
+        if from_block and r == v:
+            self.marked.add(f)
+        self.push_pairs(self.basis, self.heap, f, self.marked)
         return True
 
     def run(self):
@@ -252,82 +343,57 @@ class Completion:
 
 
 def _groebner_field(vecs: Sequence, ring: PolynomialRing, budget: Budget,
-                    rank1: bool) -> Completion:
-    """Buchberger over a field: normal selection, Gebauer-Moeller pair
-    elimination, and (for ideals) the coprime-lead criterion."""
-    okey = ring.order.key
+                    rank1: bool, block: Sequence) -> Completion:
+    """Buchberger over a field: normal selection, monic S-vectors, and the
+    pairs `_PairSelection` keeps after the chain criterion, one pair per
+    minimal lcm, the product criterion at rank 1 and the relation-block
+    rule."""
     one = ring.domain.one()
     minus_one = ring.domain.neg(one)
-    pairs = set()
-
-    def push_pairs(basis: VecBasis, heap: list, fidx: int):
-        fpos, fm = basis.lts[fidx]
-        # chain criterion: drop old pairs whose lcm the new lead strictly refines
-        dead = []
-        for (i, j) in pairs:
-            ipos, im = basis.lts[i]
-            _, jm = basis.lts[j]
-            if ipos != fpos:
-                continue
-            lij = mono_lcm(im, jm)
-            if (mono_divides(fm, lij)
-                    and mono_lcm(im, fm) != lij and mono_lcm(jm, fm) != lij):
-                dead.append((i, j))
-        pairs.difference_update(dead)
-        # group candidate pairs by lcm, keep minimal lcms, one pair per class
-        cand = {}
-        for i in basis.at[fpos][:-1]:
-            cand.setdefault(mono_lcm(basis.lts[i][1], fm), []).append(i)
-        kept = []
-        for lcm_m in sorted(cand, key=okey):
-            if any(mono_divides(prev, lcm_m) for prev in kept):
-                continue
-            kept.append(lcm_m)
-            if rank1 and any(mono_lcm(basis.lts[i][1], fm)
-                             == mono_mul(basis.lts[i][1], fm)
-                             for i in cand[lcm_m]):
-                continue  # a coprime pair in the class settles the whole class
-            i = min(cand[lcm_m])
-            pairs.add((i, fidx))
-            heapq.heappush(heap, (mono_degree(lcm_m), fpos, okey(lcm_m), i, fidx))
+    pairs = _PairSelection(ring, rank1)
 
     def s_vector(basis: VecBasis, entry: tuple):
-        pair = entry[3:]
-        if pair not in pairs:
+        if not pairs.take(entry):
             return None
-        pairs.discard(pair)
-        return _s_vector(basis, *pair, one, minus_one)
+        return _s_vector(basis, entry[3], entry[4], one, minus_one)
 
-    return Completion(vecs, ring, budget, push_pairs, s_vector)
+    return Completion(vecs, ring, budget, pairs.push_pairs, s_vector, block)
 
 
-def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget) -> Completion:
-    """Strong-basis completion over ZZ: an S-pair for every pair of leads in
-    one position, plus a G-pair when neither lead coefficient divides the
-    other."""
+def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget,
+                      rank1: bool, block: Sequence) -> Completion:
+    """Strong-basis completion over ZZ: the S-pairs `_PairSelection` keeps
+    on lead terms (monomial, coefficient), after the chain criterion, one
+    pair per minimal lcm, the product criterion at rank 1 (coprime
+    coefficients too) and the relation-block rule; plus, with no criterion,
+    a G-pair for every pair of leads in one position whose coefficients do
+    not divide each other, unless both vectors are marked."""
     okey = ring.order.key
+    pairs = _PairSelection(ring, rank1)
 
-    def push_pairs(basis: VecBasis, heap: list, fidx: int):
-        fpos, fm = basis.lts[fidx]
-        a = basis.lcs[fidx]
+    def push_pairs(basis: VecBasis, heap: list, f: int, marked: set):
+        pairs.push_pairs(basis, heap, f, marked)
+        fpos, fm = basis.lts[f]
+        a = basis.lcs[f]
+        fmarked = f in marked
         for i in basis.at[fpos][:-1]:
-            im = basis.lts[i][1]
             b = basis.lcs[i]
-            w = mono_lcm(im, fm)
-            heapq.heappush(heap, (mono_degree(w), fpos, okey(w), i, fidx, 0))
-            if a % b != 0 and b % a != 0:
-                heapq.heappush(heap, (mono_degree(w), fpos, okey(w), i, fidx, 1))
+            if a % b and b % a and not (fmarked and i in marked):
+                w = mono_lcm(basis.lts[i][1], fm)
+                heapq.heappush(heap, (mono_degree(w), fpos, okey(w), i, f, 1))
 
     def s_vector(basis: VecBasis, entry: tuple):
-        _, _, _, i, j, gpair = entry
+        i, j, gpair = entry[3:]
         a, b = basis.lcs[i], basis.lcs[j]
-        g, s, t = _xgcd(a, b)
         if gpair:
+            _, s, t = _xgcd(a, b)
             return _s_vector(basis, i, j, s, t)
-        l = a * b // g
+        if not pairs.take(entry):
+            return None
+        l = a * b // gcd(a, b)
         return _s_vector(basis, i, j, l // a, -(l // b))
 
-    return Completion(vecs, ring, budget, push_pairs, s_vector)
+    return Completion(vecs, ring, budget, push_pairs, s_vector, block)
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +448,23 @@ def _interreduce(basis: VecBasis, budget: Budget) -> VecBasis:
 
 
 def completion(vecs: Sequence, ring: PolynomialRing, budget: Budget,
-               rank1: bool = False) -> Completion:
-    """The completion of `vecs` under the engine of the ring's domain."""
+               rank1: bool = False, block: Sequence = ()) -> Completion:
+    """The completion of `vecs` + `block` under the engine of the ring's
+    domain; `block` is J's Groebner basis in each position (see
+    `Completion`)."""
     if ring.domain.is_field:
-        return _groebner_field(vecs, ring, budget, rank1)
+        return _groebner_field(vecs, ring, budget, rank1, block)
     if ring.domain.kind != "integers":
         raise UnsupportedDomainError(f"no engine for domain {ring.domain}")
-    return _groebner_integer(vecs, ring, budget)
+    return _groebner_integer(vecs, ring, budget, rank1, block)
 
 
 def vec_groebner(vecs: Sequence, ring: PolynomialRing, budget: Budget,
-                 rank1: bool = False) -> VecBasis:
-    """Canonical Groebner basis of the submodule generated by `vecs`, in
-    ascending lead order."""
-    return _interreduce(_minimalize(completion(vecs, ring, budget, rank1).basis),
-                        budget)
+                 rank1: bool = False, block: Sequence = ()) -> VecBasis:
+    """Canonical Groebner basis of the submodule generated by `vecs` and
+    `block`, in ascending lead order."""
+    return _interreduce(_minimalize(completion(vecs, ring, budget, rank1,
+                                               block).basis), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from .rings import RingPresentation, mono_degree, mono_mul, mono_one
 def _relation_block(ring: RingPresentation, rank: int, budget: Budget) -> VecBasis:
     """J*e_t for t < rank as one basis: at each position J's Groebner basis
     in its own order, the reducers one entry meets modulo J.  It reduces a
-    whole vector entry by entry, and it seeds module completions."""
+    whole vector entry by entry, and module completions take it as their
+    `block`, whose internal pairs they never queue."""
     G = ring.relations_groebner(budget).vecs
     block = VecBasis([], ring.ambient)
     for t in range(rank):
@@ -169,9 +170,9 @@ class SubmodulePresentation:
         """Module Groebner basis of <generators> + J*e_i (cached)."""
         if self._gb is None:
             budget = ensure_budget(budget)
-            vecs = [v for v in self.vecs if v]
-            vecs += _relation_block(self.ring, self.ambient_rank, budget).vecs
-            self._gb = vec_groebner(vecs, self.ring.ambient, budget)
+            block = _relation_block(self.ring, self.ambient_rank, budget)
+            self._gb = vec_groebner([v for v in self.vecs if v], self.ring.ambient,
+                                    budget, block=block.vecs)
         return self._gb
 
     def reduce(self, vec: dict, budget: Budget = None) -> dict:
@@ -218,8 +219,8 @@ def prune_generators(S: SubmodulePresentation, budget: Budget = None) -> Submodu
     for _, tied in groupby(sorted(nonzero, key=size), key=size):
         tied = list(tied)
         ordered += sorted(tied, key=text) if len(tied) > 1 else tied
-    spanned = completion(_relation_block(S.ring, S.ambient_rank, budget).vecs,
-                         ambient, budget)
+    spanned = completion([], ambient, budget,
+                         block=_relation_block(S.ring, S.ambient_rank, budget).vecs)
     kept = []
     for v in ordered:
         if spanned.insert(v):

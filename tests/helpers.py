@@ -1,23 +1,27 @@
 """Shared test helpers: ring shortcuts, brute-force oracles (exact linear
 algebra for syzygies, monomial sweeps for membership), a direct
-Groebner-property checker that reduces every S- and G-polynomial, a
-rescanning reference for the vector normal form, the Polynomial-matrix
-path of the module layer, the colon without its early stop, the row loop
-for finite-ring annihilators, a pure-Python build of finite quotient-ring
-tables, and whole free resolutions and their duals as `ChainComplex`es."""
+Groebner-property checker that reduces every S- and G-vector, a completion
+that eliminates no pair, a rescanning reference for the vector normal form,
+the Polynomial-matrix path of the module layer, the colon without its early
+stop, the row loop for finite-ring annihilators, a pure-Python build of
+finite quotient-ring tables, and whole free resolutions and their duals as
+`ChainComplex`es."""
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import product
 
 from fpdlab import (ChainComplex, CoefficientDomain, GroebnerBasis,
-                    InternalError, Polynomial, PolynomialRing, RingPresentation,
-                    StructuralError, SubmodulePresentation, normal_form_polys)
+                    InternalError, PolynomialRing, RingPresentation,
+                    StructuralError, SubmodulePresentation)
 from fpdlab.complexes import _next_differential, cyclic_presentation
 from fpdlab.errors import ensure_budget
-from fpdlab.groebner import (_term_key, _xgcd, exact_poly_div,
-                             ideal_intersection_polys, vec_to_polys)
-from fpdlab.rings import mono_div, mono_lcm, mono_mul
+from fpdlab.groebner import (Completion, _interreduce, _minimalize, _s_vector,
+                             _term_key, _xgcd, exact_poly_div,
+                             ideal_intersection_polys, vec_normal_form,
+                             vec_to_polys)
+from fpdlab.rings import mono_degree, mono_div, mono_lcm, mono_mul
 
 QQ = CoefficientDomain.QQ()
 ZZ = CoefficientDomain.ZZ()
@@ -47,52 +51,101 @@ def monomials_up_to(ring: PolynomialRing, max_degree: int):
     return out
 
 
-def times_term(f: Polynomial, m, c) -> Polynomial:
-    """c * x^m * f."""
-    dom = f.ring.domain
-    c = dom.coerce(c)
-    return f.ring.from_dict({mono_mul(m, mm): dom.mul(c, cc) for mm, cc in f.terms})
+def _shifted(v: dict, q, c, dom) -> dict:
+    """c * x^q * v for an engine vector v."""
+    return {(pos, mono_mul(m, q)): dom.mul(c, a) for (pos, m), a in v.items()}
 
 
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The S-polynomial (with lcm coefficients over ZZ)."""
-    dom = f.ring.domain
-    u, v = f.leading_monomial(), g.leading_monomial()
-    a, b = f.leading_coefficient(), g.leading_coefficient()
-    w = mono_lcm(u, v)
+def _vec_sum(u: dict, w: dict, dom) -> dict:
+    out = dict(u)
+    for k, c in w.items():
+        out[k] = dom.add(out.get(k, dom.zero()), c)
+    return {k: c for k, c in out.items() if c != dom.zero()}
+
+
+def pair_vectors(u: dict, v: dict, ring: PolynomialRing) -> list:
+    """The S-vector of two engine vectors led in one position (lcm
+    coefficients over ZZ, monic over fields) and, over ZZ, their G-vector
+    when neither lead coefficient divides the other; built from the vectors
+    alone, without the engine's lead data."""
+    dom = ring.domain
+    tkey = _term_key(ring)
+    lu, lv = max(u, key=tkey), max(v, key=tkey)
+    (_, mu), (_, mv), a, b = lu, lv, u[lu], v[lv]
+    w = mono_lcm(mu, mv)
+    qu, qv = mono_div(w, mu), mono_div(w, mv)
     if dom.is_field:
-        return (times_term(f, mono_div(w, u), dom.inv(a))
-                - times_term(g, mono_div(w, v), dom.inv(b)))
-    l = a * b // _xgcd(a, b)[0]
-    return (times_term(f, mono_div(w, u), l // a)
-            - times_term(g, mono_div(w, v), l // b))
+        return [_vec_sum(_shifted(u, qu, dom.inv(a), dom),
+                         _shifted(v, qv, dom.neg(dom.inv(b)), dom), dom)]
+    g, s, t = _xgcd(a, b)
+    l = a * b // g
+    out = [_vec_sum(_shifted(u, qu, l // a, dom), _shifted(v, qv, -(l // b), dom), dom)]
+    if a % b and b % a:
+        out.append(_vec_sum(_shifted(u, qu, s, dom), _shifted(v, qv, t, dom), dom))
+    return out
 
 
-def gpolynomial(f: Polynomial, g: Polynomial):
-    """The gcd-polynomial over ZZ; None when one lead coefficient divides the other."""
-    u, v = f.leading_monomial(), g.leading_monomial()
-    a, b = f.leading_coefficient(), g.leading_coefficient()
-    if a % b == 0 or b % a == 0:
-        return None
-    _, s, t = _xgcd(a, b)
-    w = mono_lcm(u, v)
-    return (times_term(f, mono_div(w, u), s)
-            + times_term(g, mono_div(w, v), t))
+def assert_is_vec_groebner(B, budget=None):
+    """Every S-vector (and G-vector over ZZ) of two elements of the
+    `VecBasis` B led in one position reduces to zero against B."""
+    budget = ensure_budget(budget)
+    for i in range(len(B)):
+        for j in range(i + 1, len(B)):
+            if B.lts[i][0] != B.lts[j][0]:
+                continue
+            for s in pair_vectors(B.vecs[i], B.vecs[j], B.ring):
+                assert not vec_normal_form(s, B, budget), \
+                    f"a pair vector of {B.vecs[i]} and {B.vecs[j]} does not reduce to zero"
 
 
 def assert_is_groebner(G: GroebnerBasis):
     """Every S-polynomial (and G-polynomial over ZZ) reduces to zero."""
-    basis = G.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = spolynomial(basis[i], basis[j])
-            assert normal_form_polys(s, G).is_zero, \
-                f"S-poly of {basis[i]} and {basis[j]} does not reduce to zero"
-            if not G.ambient.domain.is_field:
-                g = gpolynomial(basis[i], basis[j])
-                if g is not None:
-                    assert normal_form_polys(g, G).is_zero, \
-                        f"G-poly of {basis[i]} and {basis[j]} does not reduce to zero"
+    assert_is_vec_groebner(G.vecs)
+
+
+def _all_pairs(basis, heap: list, f: int, marked):
+    """Every pair of leads in one position, plus a G-pair over ZZ when neither
+    lead coefficient divides the other: the pair rule of both engines before
+    pair elimination; `marked` is ignored."""
+    okey = basis.ring.order.key
+    field = basis.ring.domain.is_field
+    fpos, fm = basis.lts[f]
+    a = basis.lcs[f]
+    for i in basis.at[fpos][:-1]:
+        w = mono_lcm(basis.lts[i][1], fm)
+        heapq.heappush(heap, (mono_degree(w), fpos, okey(w), i, f, 0))
+        b = basis.lcs[i]
+        if not field and a % b and b % a:
+            heapq.heappush(heap, (mono_degree(w), fpos, okey(w), i, f, 1))
+
+
+def _all_pairs_s_vector(basis, entry: tuple) -> dict:
+    i, j, gpair = entry[3:]
+    dom = basis.ring.domain
+    if dom.is_field:
+        return _s_vector(basis, i, j, dom.one(), dom.neg(dom.one()))
+    a, b = basis.lcs[i], basis.lcs[j]
+    g, s, t = _xgcd(a, b)
+    if gpair:
+        return _s_vector(basis, i, j, s, t)
+    l = a * b // g
+    return _s_vector(basis, i, j, l // a, -(l // b))
+
+
+def reference_completion(vecs, ring: PolynomialRing, budget, block=()) -> Completion:
+    """`groebner.completion` with no pair eliminated: every S-pair (and every
+    G-pair over ZZ) of two leads in one position is reduced, those inside the
+    relation block included."""
+    return Completion(vecs, ring, ensure_budget(budget), _all_pairs,
+                      _all_pairs_s_vector, block)
+
+
+def reference_vec_groebner(vecs, ring: PolynomialRing, budget, block=()):
+    """The canonical basis `vec_groebner` must return, from
+    `reference_completion`."""
+    budget = ensure_budget(budget)
+    return _interreduce(_minimalize(reference_completion(vecs, ring, budget,
+                                                         block).basis), budget)
 
 
 def reference_normal_form(v: dict, basis, budget) -> dict:

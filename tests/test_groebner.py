@@ -19,8 +19,8 @@ from fpdlab.groebner import (VecBasis, _interreduce, _minimalize, _term_key,
 from fpdlab.modules import kernel
 from fpdlab.rings import block_order, mono_divides
 from fpdlab.script import parse
-from helpers import (FF, QQ, ZZ, assert_is_groebner, monomials_up_to,
-                     poly_ring, presentation, reference_colon,
+from helpers import (FF, QQ, ZZ, assert_is_groebner, assert_is_vec_groebner,
+                     monomials_up_to, poly_ring, presentation, reference_colon,
                      reference_normal_form)
 
 
@@ -95,6 +95,27 @@ def test_strong_integer_basis_on_mixed_generators():
     # determinism of repeated runs
     H = groebner_basis_of_polys(A, [A.poly("2*x - y"), A.poly("3*y"), A.poly("x^2")])
     assert [str(p) for p in G.basis] == [str(p) for p in H.basis]
+
+
+def test_zz_product_criterion_needs_coprime_lead_coefficients():
+    # x and y are coprime but 2 and 2 are not: y = y(2x + 1) - x(2y) is the
+    # S-polynomial, and no G-pair is queued since 2 divides 2
+    A = poly_ring(ZZ, "x", "y")
+    G = groebner_basis_of_polys(A, [A.poly("2*x + 1"), A.poly("2*y")])
+    assert [str(p) for p in G.basis] == ["y", "2*x + 1"]
+    assert_is_groebner(G)
+
+
+def test_zz_g_pairs_join_generators_to_the_relation_block():
+    # (3x, y) meets the marked block vector (2x, 0) in an S-pair, whose
+    # S-vector 2*(3x, y) - 3*(2x, 0) = (0, 2y), and in a G-pair, whose
+    # G-vector (3x, y) - (2x, 0) = (x, y) only it gives
+    R = presentation(ZZ, ("x", "y"), ["2*x", "x*y"])
+    S = SubmodulePresentation(R, 2, [("3*x", "y")])
+    assert S.contains(("x", "y"))
+    B = S.groebner_vectors()
+    assert {(0, (1, 0)): 1, (1, (0, 1)): 1} in B.vecs
+    assert_is_vec_groebner(B)
 
 
 def test_field_basis_unique_under_generator_permutation():

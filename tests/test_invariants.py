@@ -54,6 +54,18 @@ def test_grade_over_integers():
     assert rep.koszul_cross_check == GradeValue.finite(2)
 
 
+@pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
+def test_zz_koszul_grade_agrees_with_ext_on_every_maximal_ideal(k):
+    # ZZ[kX, X^2, X^3] = ZZ[a,b,c]/(a^2 - k^2 b, ab - kc, ac - kb^2, b^3 - c^2);
+    # (p, a, b, c) has grade 1 when p | k and 2 otherwise
+    P = presentation(ZZ, ("a", "b", "c"), [f"a^2 - {k * k}*b", f"a*b - {k}*c",
+                                           f"a*c - {k}*b^2", "b^3 - c^2"])
+    for p in (2, 3, 5):
+        expected = GradeValue.finite(1 if k % p == 0 else 2)
+        rep = grade(P.ideal(str(p), "a", "b", "c"), with_koszul=True)
+        assert (rep.value, rep.koszul_cross_check) == (expected, expected)
+
+
 def test_semiregular_cases():
     assert is_semiregular(presentation(QQ, ("x",)).ideal("x"))
     assert not is_semiregular(presentation(QQ, ("x",), ["x^2"]).ideal("x"))

@@ -3,15 +3,19 @@
 Suites: d.d = 0 on constructed complexes; normal-form idempotence and
 membership soundness; reduced-basis uniqueness under generator permutation;
 grade monotonicity under ideal inclusion; grade invariance under
-generating-set change; GV implies semi-regular.
+generating-set change; GV implies semi-regular; pair elimination returns
+the basis of the all-pairs completion.
 """
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fpdlab import (RingPresentation, grade, is_gv, is_semiregular,
                     koszul_complex, normal_form_polys)
-from fpdlab.groebner import groebner_basis_of_polys
-from helpers import FF, QQ, ZZ, free_resolution_of_quotient, poly_ring
+from fpdlab.errors import Budget
+from fpdlab.groebner import groebner_basis_of_polys, polys_to_vec, vec_groebner
+from fpdlab.modules import _relation_block
+from helpers import (FF, QQ, ZZ, assert_is_vec_groebner, free_resolution_of_quotient,
+                     poly_ring, reference_vec_groebner)
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.too_slow,
@@ -174,3 +178,34 @@ def test_gv_implies_semiregular(domain, relation, gens):
     I = P.ideal(*gens)
     if is_gv(I):
         assert is_semiregular(I)
+
+
+# --- suite 7: pair elimination loses nothing --------------------------------
+
+# relation sets of two or more relations, so that the relation block can
+# hold pairs of marked vectors; over ZZ the last three have lead
+# coefficients that are not units (a relation that is zero mod p is dropped)
+_BLOCK_POOL = [None, ("x^2", "x*y"), ("x^2 - y", "x*y^2"), ("x*y - 1", "y^3"),
+               ("2*x", "x*y"), ("2*x^2 - y", "3*y^2", "x*y"), ("4*x - y^2", "6*y")]
+
+
+@SUITE
+@given(st.sampled_from([ZZ, FF(2), ZZ, FF(3), ZZ, FF(5)]), st.integers(1, 3),
+       st.sampled_from(_BLOCK_POOL),
+       st.lists(st.lists(_poly_strategy(3), min_size=3, max_size=3),
+                min_size=1, max_size=3))
+def test_pair_elimination_returns_the_all_pairs_basis(domain, rank, relations,
+                                                      vec_lists):
+    A = poly_ring(domain, "x", "y")
+    vecs = [v for v in (polys_to_vec(_mk_polys(A, entries[:rank], keep_zero=True))
+                        for entries in vec_lists) if v]
+    block = ()
+    if relations:
+        P = RingPresentation(A, [p for p in map(A.poly, relations) if not p.is_zero])
+        block = _relation_block(P, rank, Budget()).vecs
+    if not vecs and not block:
+        return
+    G = vec_groebner(vecs, A, Budget(), rank1=rank == 1, block=block)
+    ref = reference_vec_groebner(vecs, A, Budget(), block=block)
+    assert G.vecs == ref.vecs and G.lts == ref.lts
+    assert_is_vec_groebner(G)
