@@ -7,24 +7,20 @@ from .errors import (Budget, CapExceededError, InternalError, ParseError,
                      UnsupportedDomainError, UnsupportedInputError)
 from .rings import (GREVLEX, LEX, CoefficientDomain, IdealPresentation,
                     MonomialOrder, Polynomial, PolynomialRing,
-                    RingPresentation, block_order, monomial_compare)
+                    RingPresentation, block_order)
 from .groebner import (GroebnerBasis, annihilator, groebner_basis,
-                       ideal_quotient, is_unit_ideal, krull_dimension,
-                       normal_form_polys)
+                       is_unit_ideal, krull_dimension, normal_form_polys)
 from .modules import (FreeModuleMap, SubmodulePresentation, image,
-                      is_zero_subquotient, kernel, module_normal_form)
-from .complexes import (ChainComplex, ExtComputer, ExtReport, ext_is_zero,
-                        ext_vanishing_profile)
-from .koszul import (DualKoszulCokernel, dual_koszul_cokernel, koszul_complex,
-                     koszul_grade)
+                      is_zero_subquotient, kernel)
+from .complexes import ChainComplex, ExtComputer, ext_vanishing_profile
+from .koszul import DualKoszulCokernel, dual_koszul_cokernel, koszul_grade
 from .invariants import (CohenMacaulayReport, CriterionResult, DqDwReport,
                          FpdReport, GradeReport, dq_dw_local, fpd_bound,
                          fpd_criterion_check, grade, irrelevant_ideal,
                          is_cohen_macaulay_graded, is_gv, is_semiregular)
 from .values import GradeValue
-from .finite_rings import (FiniteRing, brute_is_dq, brute_is_dw,
-                           build_finite_ring, enumerate_ideals)
-from .script import SessionScript, format_script, parse
+from .finite_rings import FiniteRing, brute_is_dq, brute_is_dw, enumerate_ideals
+from .script import SessionScript, parse
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -105,19 +105,6 @@ class ResolutionCache:
         return self._diffs[i - 1]
 
 
-class ExtReport:
-    """Whether Ext^degree(R/ideal, R) vanishes."""
-
-    def __init__(self, ideal: IdealPresentation, degree: int, is_zero: bool):
-        self.ideal = ideal
-        self.degree = degree
-        self.is_zero = is_zero
-
-    def __str__(self):
-        state = "0" if self.is_zero else "nonzero"
-        return f"Ext^{self.degree}(R/I, R) = {state}"
-
-
 def generator_key(ring: RingPresentation, gens: Sequence) -> tuple:
     """The generators' terms, each generator scaled by the unit that makes
     its lead canonical (monic over fields, positive over ZZ): a unit
@@ -151,7 +138,8 @@ class ExtComputer:
             self.ann_zero = annihilator(self.ideal, budget).is_zero(budget)
         return self.ann_zero
 
-    def ext_is_zero(self, i: int, budget: Budget = None) -> ExtReport:
+    def ext_is_zero(self, i: int, budget: Budget = None) -> bool:
+        """Ext^i(R/I, R) = 0, read off the resolution."""
         if i < 0:
             raise StructuralError("Ext degree must be >= 0")
         budget = ensure_budget(budget)
@@ -169,7 +157,7 @@ class ExtComputer:
                 raise InternalError(
                     "internal: Hom(R/I, R) decision disagrees with the annihilator")
             self.decided[i] = zero
-        return ExtReport(self.ideal, i, self.decided[i])
+        return self.decided[i]
 
 
 def ext_computer(I: IdealPresentation, shared: dict = None) -> ExtComputer:
@@ -181,14 +169,10 @@ def ext_computer(I: IdealPresentation, shared: dict = None) -> ExtComputer:
     return shared.setdefault((I.ring, generator_key(I.ring, I.generators)), ExtComputer(I))
 
 
-def ext_is_zero(I: IdealPresentation, i: int, budget: Budget = None) -> ExtReport:
-    return ExtComputer(I).ext_is_zero(i, budget)
-
-
 def ext_vanishing_profile(I: IdealPresentation, n: int, budget: Budget = None,
                           shared: dict = None) -> tuple:
     """(Ext^0 = 0?, ..., Ext^n = 0?) from one resolution of R/I."""
     if n < 0:
         raise StructuralError("profile bound must be >= 0")
     computer, budget = ext_computer(I, shared), ensure_budget(budget)
-    return tuple(computer.ext_is_zero(i, budget).is_zero for i in range(n + 1))
+    return tuple(computer.ext_is_zero(i, budget) for i in range(n + 1))

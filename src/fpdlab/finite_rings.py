@@ -23,7 +23,6 @@ from .errors import (Budget, CapExceededError, InternalError, StructuralError,
                      ensure_budget)
 
 DEFAULT_BUILD_CAP = 4096
-DEFAULT_IDEAL_CAP = 4096
 DEFAULT_EXT_CAP = 256
 _HOM_ENUMERATION_MAX = 2_000_000
 _CHUNK_ENTRIES = 1 << 16   # entries of the working arrays of one row chunk
@@ -60,41 +59,46 @@ class FiniteRing:
         self._ideals = None  # filled by the first `enumerate_ideals`
 
     @staticmethod
-    def integers_mod(n: int, cap: int = DEFAULT_BUILD_CAP,
-                     budget: Optional[Budget] = None) -> "FiniteRing":
+    def integers_mod(n: int, budget: Optional[Budget] = None) -> "FiniteRing":
         """ZZ/n, built as ZZ/n[x]/(x): the elements are 0..n-1."""
-        return _quotient_ring(n, [0, 1], "x", cap, budget, f"ZZ/{n}")
+        return _quotient_ring(n, {1: 1}, "x", budget, f"ZZ/{n}")
 
     @staticmethod
-    def quotient(n: int, modulus_coeffs: Sequence, variable: str = "x",
-                 cap: int = DEFAULT_BUILD_CAP,
+    def quotient(n: int, modulus_coeffs: Sequence | dict, variable: str = "x",
                  budget: Optional[Budget] = None) -> "FiniteRing":
-        """ZZ/n[x]/(f) for a monic f given by little-endian coefficients."""
-        return _quotient_ring(n, modulus_coeffs, variable, cap, budget)
+        """ZZ/n[x]/(f) for a monic f given by little-endian coefficients, as
+        a sequence or as a dict from exponents to coefficients."""
+        if not isinstance(modulus_coeffs, dict):
+            modulus_coeffs = dict(enumerate(modulus_coeffs))
+        return _quotient_ring(n, modulus_coeffs, variable, budget)
 
     def __str__(self):
         return f"{self.provenance} ({self.order} elements)"
 
 
-def _quotient_ring(n: int, modulus_coeffs: Sequence, variable: str, cap: int,
+def _quotient_ring(n: int, modulus_coeffs: dict, variable: str,
                    budget: Optional[Budget], provenance: Optional[str] = None):
-    """ZZ/n[x]/(f), element i having the base-n digits of i as little-endian
-    coefficients; the provenance defaults to the presentation."""
+    """ZZ/n[x]/(f) for f given by {exponent: coefficient}, element i having
+    the base-n digits of i as little-endian coefficients; the provenance
+    defaults to the presentation."""
     if n < 2:
         raise StructuralError("modulus must be at least 2")
-    coeffs = [c % n for c in modulus_coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) < 2:
+    terms = {i: c % n for i, c in modulus_coeffs.items() if c % n}
+    d = max(terms, default=0)
+    if d == 0:
         raise StructuralError("the quotient by a constant is not a finite "
                               "ring extension; give a monic relation of "
                               "degree at least 1")
-    if coeffs[-1] != 1:
+    if terms[d] != 1:
         raise StructuralError("the relation must be monic for a finite quotient")
-    d = len(coeffs) - 1
-    size = n ** d
-    if size > cap:
-        raise CapExceededError(f"ring order {size} exceeds the cap {cap}")
+    # n^d has at most d * n.bit_length() bits; it is formed and printed only
+    # when that bound is small, and above it (n >= 2) it exceeds the cap, so
+    # a huge relation is refused before anything of size d or n^d is made
+    size = n ** d if d * n.bit_length() <= 64 else None
+    if size is None or size > DEFAULT_BUILD_CAP:
+        raise CapExceededError(f"ring order {size or f'{n}^{d}'} exceeds the "
+                               f"cap {DEFAULT_BUILD_CAP}")
+    coeffs = [terms.get(i, 0) for i in range(d + 1)]
     budget = ensure_budget(budget)
     import numpy as np
     # element i has the little-endian base-n digits of i as coefficients
@@ -258,14 +262,6 @@ def _associative_on(T, X, G, budget: Budget) -> bool:
     return True
 
 
-def build_finite_ring(n: int, modulus_coeffs: Optional[Sequence] = None,
-                      variable: str = "x", cap: int = DEFAULT_BUILD_CAP,
-                      budget: Optional[Budget] = None) -> FiniteRing:
-    if modulus_coeffs is None:
-        return FiniteRing.integers_mod(n, cap, budget)
-    return FiniteRing.quotient(n, modulus_coeffs, variable, cap, budget)
-
-
 # ---------------------------------------------------------------------------
 # Ideal enumeration
 
@@ -293,14 +289,11 @@ def ideal_closure(R: FiniteRing, seeds) -> frozenset:
     return current
 
 
-def enumerate_ideals(R: FiniteRing, cap: int = DEFAULT_IDEAL_CAP,
-                     budget: Optional[Budget] = None) -> list:
+def enumerate_ideals(R: FiniteRing, budget: Optional[Budget] = None) -> list:
     """All ideals of R as frozensets, smallest first (deterministic order).
 
     The ring keeps the list, so each ring enumerates its ideals once.
     """
-    if R.order > cap:
-        raise CapExceededError(f"ideal enumeration capped at order {cap}")
     if R._ideals is None:
         R._ideals = tuple(_all_ideals(R, ensure_budget(budget)))
     return list(R._ideals)
@@ -360,10 +353,10 @@ def brute_hom_vanishes(R: FiniteRing, ideal) -> bool:
     return annihilator_set(R, ideal) == frozenset({R.zero})
 
 
-def brute_ext1_vanishes(R: FiniteRing, ideal, gens: Optional[Sequence] = None,
-                        size_cap: int = DEFAULT_EXT_CAP,
+def brute_ext1_vanishes(R: FiniteRing, ideal, size_cap: int = DEFAULT_EXT_CAP,
                         budget: Optional[Budget] = None) -> bool:
-    """Ext^1(R/J, R) = 0 from the presentation R^k -> R -> R/J -> 0.
+    """Ext^1(R/J, R) = 0 from the presentation R^k -> R -> R/J -> 0, with
+    the greedy generators of J.
 
     Enumerates Hom(R^k, R) = R^k, the syzygy set {v : sum v_i g_i = 0}
     exhaustively, and the maps factoring through Hom(R, R).
@@ -371,8 +364,7 @@ def brute_ext1_vanishes(R: FiniteRing, ideal, gens: Optional[Sequence] = None,
     if R.order > size_cap:
         raise CapExceededError(f"Ext^1 enumeration capped at order {size_cap}")
     budget = ensure_budget(budget)
-    if gens is None:
-        gens = minimal_generators(R, ideal, budget)
+    gens = minimal_generators(R, ideal, budget)
     k = len(gens)
     if k == 0:
         return True  # the zero ideal presents R/0 = R with no relations
@@ -419,27 +411,25 @@ class BruteCheck:
         return self.holds
 
 
-def brute_is_dq(R: FiniteRing, ideal_cap: int = DEFAULT_IDEAL_CAP,
-                budget: Optional[Budget] = None) -> BruteCheck:
+def brute_is_dq(R: FiniteRing, budget: Optional[Budget] = None) -> BruteCheck:
     """Every proper ideal has a nonzero annihilator (no semi-regular proper
     ideal); the witness is a violating ideal when the check fails."""
-    return _first_proper_ideal(R, ideal_cap, None, budget)
+    return _first_proper_ideal(R, None, budget)
 
 
-def brute_is_dw(R: FiniteRing, ideal_cap: int = DEFAULT_IDEAL_CAP,
-                size_cap: int = DEFAULT_EXT_CAP,
+def brute_is_dw(R: FiniteRing, size_cap: int = DEFAULT_EXT_CAP,
                 budget: Optional[Budget] = None) -> BruteCheck:
     """The only GV-ideal is R itself, checked over every enumerated ideal."""
-    return _first_proper_ideal(R, ideal_cap, size_cap, budget)
+    return _first_proper_ideal(R, size_cap, budget)
 
 
-def _first_proper_ideal(R: FiniteRing, ideal_cap: int, ext_cap: Optional[int],
+def _first_proper_ideal(R: FiniteRing, ext_cap: Optional[int],
                         budget: Optional[Budget]) -> BruteCheck:
     """The first proper ideal, smallest first, with Ann(I) = 0 and, unless
     ext_cap is None (DQ), Ext^1(R/I, R) = 0 (DW) is the witness."""
     budget = ensure_budget(budget)
     full = frozenset(range(R.order))
-    for I in enumerate_ideals(R, ideal_cap, budget):
+    for I in enumerate_ideals(R, budget):
         if I == full:
             continue
         budget.tick_coarse()

@@ -27,9 +27,6 @@ from .rings import (GREVLEX, IdealPresentation, Polynomial, PolynomialRing,
                     RingPresentation, block_order, mono_degree, mono_div,
                     mono_divides, mono_lcm, mono_mul, mono_one)
 
-REDUCED_FIELD = "reduced_field"
-STRONG_INTEGER = "strong_integer"
-
 
 def _xgcd(a: int, b: int):
     """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g."""
@@ -498,12 +495,11 @@ class GroebnerBasis:
     reduce against; `basis` holds the same elements as polynomials.
     """
 
-    def __init__(self, ambient: PolynomialRing, vecs: VecBasis, kind: str):
+    def __init__(self, ambient: PolynomialRing, vecs: VecBasis):
         self.ambient = ambient
         self.order = ambient.order
         self.vecs = vecs
         self.basis = tuple(vec_to_poly(v, ambient) for v in vecs.vecs)
-        self.kind = kind
 
     def leading_monomials(self) -> tuple:
         return tuple(p.leading_monomial() for p in self.basis)
@@ -520,9 +516,7 @@ def groebner_basis_of_polys(ambient: PolynomialRing, polys: Sequence,
         if p.ring != ambient:
             raise StructuralError("generator from a different ambient ring")
     vecs = [poly_to_vec(p) for p in polys if not p.is_zero]
-    G = vec_groebner(vecs, ambient, budget, rank1=True)
-    kind = REDUCED_FIELD if ambient.domain.is_field else STRONG_INTEGER
-    return GroebnerBasis(ambient, G, kind)
+    return GroebnerBasis(ambient, vec_groebner(vecs, ambient, budget, rank1=True))
 
 
 def groebner_basis(I: IdealPresentation, budget: Budget = None) -> GroebnerBasis:
@@ -575,7 +569,7 @@ def is_unit_ideal(I: IdealPresentation, budget: Budget = None) -> UnitIdealResul
 
 
 # ---------------------------------------------------------------------------
-# Elimination, intersection, quotient, annihilator
+# Elimination, intersection, annihilator
 
 def fresh_variable_name(taken: Sequence, base: str = "_t") -> str:
     if base not in taken:
@@ -641,21 +635,19 @@ def exact_poly_div(g: Polynomial, f: Polynomial) -> Polynomial:
     return ring.from_dict(out)
 
 
-def _colon(ring: RingPresentation, pre: Sequence, divisors: Sequence,
-           budget: Budget) -> tuple:
-    """Reduced generators of (<pre> : <divisors>) mod J, for nonzero divisors
-    and J inside <pre>: the intersection over f of (<pre> cap <f>) / f in the
-    ambient ring.
+def _colon(ring: RingPresentation, divisors: Sequence, budget: Budget) -> tuple:
+    """Reduced generators of (J : <divisors>) mod J, for nonzero divisors:
+    the intersection over f of (J cap <f>) / f in the ambient ring.
 
     The generators of each running intersection are reduced modulo J once,
     and the loop stops when they all reduce to zero.  The stop is exact:
     every later intersection lies inside that one, and J lies inside every
-    (<pre> : f), so the full loop would reduce to () as well.
+    (J : f), so the full loop would reduce to () as well.
     """
     ambient = ring.ambient
     current: Optional[list] = None
     for f in divisors:
-        meet = ideal_intersection_polys(ambient, pre, [f], budget)
+        meet = ideal_intersection_polys(ambient, ring.relations, [f], budget)
         try:
             q = [exact_poly_div(p, f) for p in meet]
         except StructuralError as exc:
@@ -674,32 +666,9 @@ def _colon(ring: RingPresentation, pre: Sequence, divisors: Sequence,
     return tuple(reduced)
 
 
-def ideal_quotient(I: IdealPresentation, divisor, budget: Budget = None) -> IdealPresentation:
-    """(I : f) for a ring element, or (I : J) for an ideal, inside R.
-
-    (I : 0) = R by convention; the result carries a note when it applies.
-    The colon stops at the first divisor whose running quotient is already
-    zero in R, since the full quotient lies inside it (which needs I = 0).
-    """
-    budget = ensure_budget(budget)
-    ring = I.ring
-    if isinstance(divisor, IdealPresentation):
-        if divisor.ring != ring:
-            raise StructuralError("ideal quotient across different rings")
-        divisors = [ring.normal_form(f, budget) for f in divisor.generators]
-        note = "quotient by the zero ideal is R"
-    else:
-        divisors = [ring.normal_form(ring.poly(divisor), budget)]
-        note = "quotient by zero is R"
-    divisors = [f for f in divisors if not f.is_zero]
-    if not divisors:
-        return IdealPresentation(ring, (ring.ambient.one(),), notes=(note,))
-    return IdealPresentation(ring, _colon(ring, I.preimage_generators(),
-                                          divisors, budget))
-
-
 def annihilator(I: IdealPresentation, budget: Budget = None) -> IdealPresentation:
-    """Ann_R(I) = (J : <gens I>) mod J; the zero ideal exactly when I is dense.
+    """Ann_R(I) = (J : <gens I>) mod J; the zero ideal exactly when I is dense,
+    and R when I is the zero ideal.
 
     Computed by elimination, one generator at a time, and stopped once the
     annihilator of the generators so far is already zero in R: the
@@ -710,9 +679,8 @@ def annihilator(I: IdealPresentation, budget: Budget = None) -> IdealPresentatio
     gens = [ring.normal_form(g, budget) for g in I.generators]
     gens = [g for g in gens if not g.is_zero]
     if not gens:
-        return IdealPresentation(ring, (ring.ambient.one(),),
-                                 notes=("annihilator of the zero ideal is R",))
-    return IdealPresentation(ring, _colon(ring, ring.relations, gens, budget))
+        return IdealPresentation(ring, (ring.ambient.one(),))
+    return IdealPresentation(ring, _colon(ring, gens, budget))
 
 
 # ---------------------------------------------------------------------------

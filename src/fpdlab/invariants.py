@@ -61,7 +61,7 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
     value = None
     notes = ()
     for i in range(max_degree + 1):
-        vanished = computer.ext_is_zero(i, budget).is_zero
+        vanished = computer.ext_is_zero(i, budget)
         profile.append(vanished)
         if not vanished:
             value = GradeValue.finite(i)

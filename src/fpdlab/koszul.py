@@ -52,14 +52,6 @@ def koszul_chain(ring: RingPresentation, gens: Sequence, top: int,
         raise InternalError(f"internal: Koszul complex: {exc}") from exc
 
 
-def koszul_complex(ring: RingPresentation, gens: Sequence,
-                   budget: Budget = None) -> ChainComplex:
-    """The full Koszul complex on a nonempty generator tuple."""
-    if not gens:
-        raise StructuralError("Koszul complex needs at least one generator")
-    return koszul_chain(ring, gens, len(gens), budget)
-
-
 def koszul_homology_is_zero(K: ChainComplex, i: int, budget: Budget = None) -> bool:
     """H_i(K) = 0?  (d_0 and d_{m+1} are treated as zero maps.)"""
     budget = ensure_budget(budget)
@@ -81,7 +73,9 @@ def koszul_grade(I: IdealPresentation, gens: Sequence = None,
     gens = tuple(I.ring.poly(g) for g in (I.generators if gens is None else gens))
     known, key = ext_computer(I, shared).koszul, generator_key(I.ring, gens)
     if key not in known:
-        K = koszul_complex(I.ring, gens, budget)
+        if not gens:
+            raise StructuralError("Koszul complex needs at least one generator")
+        K = koszul_chain(I.ring, gens, len(gens), budget)
         m = K.length
         top = next((i for i in range(m, -1, -1)
                     if not koszul_homology_is_zero(K, i, budget)), None)

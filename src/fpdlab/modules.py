@@ -4,8 +4,8 @@ A free-module element is an engine vector {(position, monomial): coefficient}
 (see `groebner`).  A map keeps one such vector per column, reduced modulo
 J*e_t, and a submodule keeps its generators as vectors.  Tuples of
 `Polynomial`s, one entry per position, appear only at the public edges: the
-constructors, `matrix`, `column(s)`, `generators`, `apply`, `normal_form`
-and `__str__`.  All submodule computations happen in the ambient ring with
+constructors, `matrix`, `column(s)`, `generators`, `contains` and
+`__str__`.  All submodule computations happen in the ambient ring with
 the relation multiples J*e_i adjoined, so membership and syzygies are taken
 over R.
 """
@@ -90,12 +90,6 @@ class FreeModuleMap:
         phi._set(ring, target_rank, cols, budget)
         return phi
 
-    @classmethod
-    def from_columns(cls, ring: RingPresentation, columns: Sequence, target_rank: int,
-                     budget: Budget = None) -> "FreeModuleMap":
-        return cls.of_vectors(ring, target_rank,
-                              [_to_vec(ring, c, target_rank) for c in columns], budget)
-
     @property
     def matrix(self) -> tuple:
         cols = self.columns()
@@ -106,10 +100,6 @@ class FreeModuleMap:
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.source_rank)]
-
-    def apply(self, vector: Sequence) -> tuple:
-        out = _combine(self.cols, _to_vec(self.ring, vector, self.source_rank), self.ring)
-        return vec_to_polys(out, self.target_rank, self.ring.ambient)
 
     def transpose(self, budget: Budget = None) -> "FreeModuleMap":
         cols = [{} for _ in range(self.target_rank)]
@@ -180,10 +170,6 @@ class SubmodulePresentation:
         budget = ensure_budget(budget)
         return vec_normal_form(vec, self.groebner_vectors(budget), budget)
 
-    def normal_form(self, vector: Sequence, budget: Budget = None) -> tuple:
-        r = self.reduce(_to_vec(self.ring, vector, self.ambient_rank), budget)
-        return vec_to_polys(r, self.ambient_rank, self.ring.ambient)
-
     def contains(self, vector: Sequence, budget: Budget = None) -> bool:
         return not self.reduce(_to_vec(self.ring, vector, self.ambient_rank), budget)
 
@@ -191,12 +177,6 @@ class SubmodulePresentation:
         gens = "; ".join("(" + ", ".join(str(p) for p in g) + ")"
                          for g in self.generators)
         return f"<{gens}> in R^{self.ambient_rank}"
-
-
-def module_normal_form(vector: Sequence, S: SubmodulePresentation,
-                       budget: Budget = None) -> tuple:
-    """Reduce a free element against S (with J*e relations); zero iff member."""
-    return S.normal_form(vector, budget)
 
 
 def image(phi: FreeModuleMap) -> SubmodulePresentation:

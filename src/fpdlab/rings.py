@@ -138,9 +138,6 @@ class CoefficientDomain:
             return -1 if a < 0 else 1
         return self.inv(a)
 
-    def format(self, a) -> str:
-        return str(a)
-
     def __str__(self) -> str:
         if self.kind == RATIONALS:
             return "QQ"
@@ -205,13 +202,6 @@ class MonomialOrder:
             return m
         return (self.left.key(m[:self.split]), self.right.key(m[self.split:]))
 
-    def compare(self, u: Monomial, v: Monomial) -> int:
-        """-1, 0 or 1 as u <, =, > v.  Lengths must agree."""
-        if len(u) != len(v):
-            raise StructuralError(f"monomial length mismatch: {len(u)} vs {len(v)}")
-        ku, kv = self.key(u), self.key(v)
-        return (ku > kv) - (ku < kv)
-
     def __str__(self) -> str:
         if self.kind == BLOCK_KIND:
             return f"block({self.split}; {self.left}, {self.right})"
@@ -224,9 +214,6 @@ GREVLEX = MonomialOrder(GREVLEX_KIND)
 def block_order(split: int, left: MonomialOrder = GREVLEX,
                 right: MonomialOrder = GREVLEX) -> MonomialOrder:
     return MonomialOrder(BLOCK_KIND, split, left, right)
-
-def monomial_compare(u: Monomial, v: Monomial, order: MonomialOrder) -> int:
-    return order.compare(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +283,6 @@ class PolynomialRing:
         from .script import parse_polynomial_text
         return parse_polynomial_text(self, source)
 
-    def with_order(self, order: MonomialOrder) -> "PolynomialRing":
-        """Same ring under another order; resorting polynomials is explicit."""
-        return PolynomialRing(self.domain, self.variables, order)
-
     def __str__(self) -> str:
         return f"{self.domain}[{','.join(self.variables)}]"
 
@@ -334,14 +317,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(mono_degree(m) for m, _ in self.terms)
-
-    def constant_value(self):
-        """The coefficient of 1 when the polynomial is constant."""
-        if self.is_zero:
-            return self.ring.domain.zero()
-        if len(self.terms) == 1 and mono_degree(self.terms[0][0]) == 0:
-            return self.terms[0][1]
-        raise StructuralError("polynomial is not constant")
 
     def _check_ring(self, other: "Polynomial"):
         if self.ring != other.ring:
@@ -397,10 +372,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def with_order(self, order: MonomialOrder) -> "Polynomial":
-        """Explicitly re-sort the terms under another order."""
-        return self.ring.with_order(order).from_dict(dict(self.terms))
-
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
@@ -423,11 +394,11 @@ class Polynomial:
             neg = (c < 0) if dom.kind != PRIME_FIELD else False
             mag = -c if neg else c
             if not body:
-                piece = dom.format(mag)
+                piece = str(mag)
             elif mag == dom.one():
                 piece = body
             else:
-                piece = f"{dom.format(mag)}*{body}"
+                piece = f"{mag}*{body}"
             if not parts:
                 parts.append(f"-{piece}" if neg else piece)
             else:
@@ -494,11 +465,8 @@ class RingPresentation:
     def is_zero_ring(self, budget=None) -> bool:
         return self.is_zero_element(self.ambient.one(), budget)
 
-    def ideal(self, *gens, notes: tuple = ()) -> "IdealPresentation":
-        return IdealPresentation(self, gens, notes=notes)
-
-    def zero_ideal(self) -> "IdealPresentation":
-        return IdealPresentation(self, ())
+    def ideal(self, *gens) -> "IdealPresentation":
+        return IdealPresentation(self, gens)
 
     def has_homogeneous_relations(self) -> bool:
         return all(r.is_homogeneous() for r in self.relations)
@@ -522,15 +490,12 @@ class IdealPresentation:
     """An ideal of R given by finitely many generators (ambient representatives).
 
     The preimage in A[x1..xn] is <generators> + J; its Groebner basis is
-    cached lazily.  `notes` records conventions applied while producing the
-    ideal (e.g. quotient by zero).
+    cached lazily.
     """
 
-    def __init__(self, ring: RingPresentation, generators: Sequence,
-                 notes: tuple = ()):
+    def __init__(self, ring: RingPresentation, generators: Sequence):
         self.ring = ring
         self.generators = tuple(ring.poly(g) for g in generators)
-        self.notes = tuple(notes)
         self._gb = None
 
     def preimage_generators(self) -> tuple:

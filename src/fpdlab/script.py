@@ -198,19 +198,6 @@ def _parse_poly_list(cur: _Cursor, ring: PolynomialRing) -> tuple:
 # AST
 
 @dataclass(frozen=True)
-class RingDecl:
-    name: str
-    ring: RingPresentation
-
-
-@dataclass(frozen=True)
-class IdealDecl:
-    name: str
-    ring_name: str
-    ideal: IdealPresentation
-
-
-@dataclass(frozen=True)
 class OracleRingSpec:
     """A finite ring for the brute-force oracle: Z/n, optionally mod a monic poly."""
     modulus: int
@@ -223,14 +210,10 @@ class OracleRingSpec:
             return base
         return f"{base}[{self.variable}]/({self.relation})"
 
-    def coefficients(self) -> Optional[list]:
-        """The relation's little-endian coefficients, or None for Z/n."""
-        if self.relation is None:
-            return None
-        coeffs = [0] * (self.relation.total_degree() + 1)
-        for m, c in self.relation.terms:
-            coeffs[m[0]] = c
-        return coeffs
+    def coefficients(self) -> dict:
+        """The relation as {exponent: coefficient}: sparse, so a huge degree
+        costs nothing before the build cap refuses it."""
+        return {m[0]: c for m, c in self.relation.terms}
 
 
 @dataclass(frozen=True)
@@ -246,7 +229,7 @@ class Command:
 
 @dataclass(frozen=True)
 class SessionScript:
-    items: tuple  # RingDecl | IdealDecl | Command, in source order
+    items: tuple  # the Commands, in source order
     rings: dict
     ideals: dict
     finite_rings: dict = field(default_factory=dict, compare=False, repr=False)
@@ -254,15 +237,17 @@ class SessionScript:
     shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     def commands(self) -> list:
-        return [it for it in self.items if isinstance(it, Command)]
+        return list(self.items)
 
     def finite_ring(self, spec: OracleRingSpec, budget: Optional[Budget] = None):
         """The explicit tables of an oracle ring (cached): built under the
         budget of the script's first command on it, shared by the later ones."""
         if spec not in self.finite_rings:
-            from .finite_rings import build_finite_ring
-            self.finite_rings[spec] = build_finite_ring(
-                spec.modulus, spec.coefficients(), spec.variable or "x", budget=budget)
+            from .finite_rings import FiniteRing
+            self.finite_rings[spec] = (
+                FiniteRing.integers_mod(spec.modulus, budget) if spec.relation is None
+                else FiniteRing.quotient(spec.modulus, spec.coefficients(),
+                                         spec.variable, budget))
         return self.finite_rings[spec]
 
 
@@ -321,10 +306,8 @@ def parse(text: str, order: MonomialOrder = GREVLEX) -> SessionScript:
             if name_tok.text in rings:
                 raise ParseError(f"ring {name_tok.text!r} already declared",
                                  name_tok.line, name_tok.column)
-            decl = RingDecl(name_tok.text, RingPresentation(ambient, relations))
-            rings[name_tok.text] = decl.ring
+            rings[name_tok.text] = RingPresentation(ambient, relations)
             active_ring = name_tok.text
-            items.append(decl)
 
         elif word == "ideal":
             name_tok = cur.expect(NAME_TOK, what="an ideal name")
@@ -336,10 +319,8 @@ def parse(text: str, order: MonomialOrder = GREVLEX) -> SessionScript:
             if name_tok.text in ideals:
                 raise ParseError(f"ideal {name_tok.text!r} already declared",
                                  name_tok.line, name_tok.column)
-            ideal = IdealPresentation(rings[ring_name], gens)
-            ideals[name_tok.text] = ideal
+            ideals[name_tok.text] = IdealPresentation(rings[ring_name], gens)
             ideal_rings[name_tok.text] = ring_name
-            items.append(IdealDecl(name_tok.text, ring_name, ideal))
 
         elif word in _IDEAL_CMDS:
             ring_name = require_active(tok)
@@ -390,13 +371,15 @@ def _parse_domain(cur: _Cursor) -> CoefficientDomain:
         return CoefficientDomain.QQ()
     if tok.text == "ZZ":
         return CoefficientDomain.ZZ()
+    return _prime_field(cur, tok, "domain")
+
+
+def _prime_field(cur: _Cursor, tok: Token, what: str) -> CoefficientDomain:
+    """FF<p> (or FF p) named by `tok`, with p prime."""
     m = re.fullmatch(r"FF([0-9]*)", tok.text)
     if m is None:
-        raise ParseError(f"unknown domain {tok.text!r}", tok.line, tok.column)
-    if m.group(1):
-        p = int(m.group(1))
-    else:
-        p = int(cur.expect(INT_TOK, what="a prime").text)
+        raise ParseError(f"unknown {what} {tok.text!r}", tok.line, tok.column)
+    p = int(m.group(1)) if m.group(1) else int(cur.expect(INT_TOK, what="a prime").text)
     try:
         return CoefficientDomain.FF(p)
     except StructuralError as exc:
@@ -409,10 +392,7 @@ def _parse_oracle_ring(cur: _Cursor) -> OracleRingSpec:
         cur.expect(PUNCT_TOK, "/")
         n = int(cur.expect(INT_TOK, what="a modulus").text)
     else:
-        m = re.fullmatch(r"FF([0-9]*)", tok.text)
-        if m is None:
-            raise ParseError(f"unknown oracle ring {tok.text!r}", tok.line, tok.column)
-        n = int(m.group(1)) if m.group(1) else int(cur.expect(INT_TOK, what="a prime").text)
+        n = _prime_field(cur, tok, "oracle ring").p
     if n < 2:
         raise ParseError("modulus must be at least 2", tok.line, tok.column)
     if not cur.at(PUNCT_TOK, "["):
@@ -426,31 +406,3 @@ def _parse_oracle_ring(cur: _Cursor) -> OracleRingSpec:
     rel = _parse_expr(cur, ambient)
     cur.expect(PUNCT_TOK, ")")
     return OracleRingSpec(n, var, rel)
-
-
-# ---------------------------------------------------------------------------
-# Canonical printer (parse . print . parse == parse)
-
-def format_item(item) -> str:
-    if isinstance(item, RingDecl):
-        ring = item.ring
-        text = f"ring {item.name} = {ring.domain}[{','.join(ring.variables)}]"
-        if ring.relations:
-            text += "/(" + ", ".join(str(r) for r in ring.relations) + ")"
-        return text + ";"
-    if isinstance(item, IdealDecl):
-        gens = ", ".join(str(g) for g in item.ideal.generators)
-        return f"ideal {item.name} = ({gens});"
-    cmd = item
-    if cmd.kind == "oracle":
-        return f"oracle {cmd.oracle_check} {cmd.oracle_ring};"
-    parts = [cmd.kind, *cmd.ideal_names]
-    if cmd.degree is not None:
-        parts.append(str(cmd.degree))
-    if cmd.exhaustive:
-        parts.append("--exhaustive")
-    return " ".join(parts) + ";"
-
-
-def format_script(script: SessionScript) -> str:
-    return "\n".join(format_item(it) for it in script.items) + "\n"

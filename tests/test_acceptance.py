@@ -175,7 +175,7 @@ def test_criterion_7_oracle_equivalence():
                 gens = [A.from_dict({(e,): c for e, c in
                                      enumerate(fin.element_coeffs[i]) if c})
                         for i in gens_idx]
-                I = P.ideal(*gens) if gens else P.zero_ideal()
+                I = P.ideal(*gens)
                 assert is_semiregular(I) == brute_hom_vanishes(fin, ideal_set), \
                     f"semiregular mismatch in FF{p}[x]/(x^{k}) on {sorted(ideal_set)}"
                 assert is_gv(I) == brute_is_gv(fin, ideal_set, size_cap=1024), \

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -293,4 +294,22 @@ def test_oracle_ring_cache_lives_on_the_parsed_script(monkeypatch):
     second, _ = run(ORACLE_SESSION)
     assert counts == {"quotient": 2, "integers_mod": 2, "ideals": 4}
     assert render_json(first) == render_json(second)
+
+
+def test_a_huge_oracle_relation_is_an_error_record_between_ok_ones():
+    records, code = run("oracle dq ZZ/4; oracle dq ZZ/2[x]/(x^20000); oracle dq ZZ/4;")
+    assert [r["status"] for r in records] == ["ok", "error", "ok"]
+    assert records[1]["error"] == "ring order 2^20000 exceeds the cap 4096"
+    assert code == EXIT_COMMAND_ERROR
+
+
+def test_a_huge_oracle_relation_is_refused_before_anything_is_built():
+    tracemalloc.start()
+    try:
+        records, _ = run("oracle dq ZZ/2[x]/(x^10000000);")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records[0]["status"] == "error"
+    assert peak < 10 * 2 ** 20
 

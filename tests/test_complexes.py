@@ -1,9 +1,9 @@
 """Chain complexes, free resolutions, dualization, Ext vanishing decisions."""
 import pytest
-from fpdlab import (Budget, ChainComplex, FreeModuleMap, StructuralError,
-                    annihilator, ext_is_zero, ext_vanishing_profile,
-                    koszul_complex)
+from fpdlab import (Budget, ChainComplex, ExtComputer, FreeModuleMap,
+                    StructuralError, annihilator, ext_vanishing_profile)
 from fpdlab.complexes import ResolutionCache, cyclic_presentation
+from fpdlab.koszul import koszul_chain
 from fpdlab.modules import image, is_zero_subquotient
 from helpers import (FF, QQ, ZZ, dualize, free_resolution,
                      free_resolution_of_quotient, presentation)
@@ -22,7 +22,7 @@ def test_resolution_of_maximal_ideal_is_koszul_shaped():
     C = free_resolution_of_quotient(I, 2)
     assert C.ranks == (1, 2, 1)
     # mutual reduction against the Koszul differentials: equal images
-    K = koszul_complex(P, I.generators)
+    K = koszul_chain(P, I.generators, 2)
     for i in (1, 2):
         im_res = image(C.differential(i))
         im_kos = image(K.differential(i))
@@ -86,7 +86,7 @@ def test_dualize_transposes_and_reverses():
 
 def test_dualize_koszul_first_step():
     P = presentation(QQ, ("x", "y"))
-    K = koszul_complex(P, (P.poly("x"), P.poly("y")))
+    K = koszul_chain(P, (P.poly("x"), P.poly("y")), 2)
     D = dualize(K)
     # the last dual differential is the column map R -> R^2 with entries x, y
     d_top = D.diffs[-1]
@@ -106,9 +106,10 @@ def test_dualize_is_an_involution_on_matrices():
 def test_ext_profile_of_regular_sequence():
     P = presentation(QQ, ("x", "y"))
     I = P.ideal("x", "y")
-    assert ext_is_zero(I, 0).is_zero
-    assert ext_is_zero(I, 1).is_zero
-    assert not ext_is_zero(I, 2).is_zero
+    E = ExtComputer(I)
+    assert E.ext_is_zero(0)
+    assert E.ext_is_zero(1)
+    assert not E.ext_is_zero(2)
     assert ext_vanishing_profile(I, 1) == (True, True)
 
 
@@ -119,8 +120,7 @@ def test_ext_of_unit_ideal_always_vanishes():
 
 def test_ext_zero_detects_socle():
     P = presentation(QQ, ("x",), ["x^2"])
-    rep = ext_is_zero(P.ideal("x"), 0)
-    assert not rep.is_zero
+    assert not ExtComputer(P.ideal("x")).ext_is_zero(0)
 
 
 def test_ext_profile_of_principal_ideal():
@@ -146,7 +146,7 @@ def test_ext0_matches_annihilator_on_assorted_ideals():
         presentation(FF(2), ("x", "y"), ["x^2", "x*y"]).ideal("x", "y"),
     ]
     for I in cases:
-        assert ext_is_zero(I, 0).is_zero == annihilator(I).is_zero()
+        assert ExtComputer(I).ext_is_zero(0) == annihilator(I).is_zero()
 
 
 def test_cyclic_presentation_drops_zero_generators():

@@ -10,8 +10,8 @@ from fpdlab.errors import Budget, ResourceBudgetExceeded
 from fpdlab.finite_rings import (FiniteRing, _row_chunks, annihilator_set,
                                  brute_ext1_vanishes, brute_hom_vanishes,
                                  brute_is_dq, brute_is_dw, brute_is_gv,
-                                 build_finite_ring, enumerate_ideals,
-                                 ideal_closure, minimal_generators)
+                                 enumerate_ideals, ideal_closure,
+                                 minimal_generators)
 
 from helpers import reference_annihilator_set, reference_quotient_tables
 
@@ -280,11 +280,15 @@ def test_non_monic_relation_rejected():
 
 
 def test_build_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="ring order 5000 exceeds the cap 4096"):
         FiniteRing.integers_mod(5000)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="ring order 8192 exceeds the cap 4096"):
         FiniteRing.quotient(2, [0] * 13 + [1])  # 2^13 elements
-    assert build_finite_ring(7).order == 7
+    # too large to form: named as a power, from the relation's sparse terms
+    with pytest.raises(CapExceededError, match=r"ring order 3\^20000 exceeds"):
+        FiniteRing.quotient(3, {20000: 1, 0: 1})
+    # the top coefficient vanishes mod n, so the degree is 1
+    assert FiniteRing.quotient(7, {20000: 7, 1: 1}).order == 7
 
 
 def test_ideal_enumeration_chain_rings():

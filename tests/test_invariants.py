@@ -1,9 +1,9 @@
 """Grade reports, semi-regular/GV tests, the bounded-dimension criterion,
 fPD bounds, Cohen-Macaulay and DQ/DW detection."""
 import pytest
-from fpdlab import (GradeValue, StructuralError, UnsupportedDomainError,
-                    UnsupportedInputError, dq_dw_local, ext_is_zero, fpd_bound,
-                    fpd_criterion_check, grade, irrelevant_ideal,
+from fpdlab import (ExtComputer, GradeValue, StructuralError,
+                    UnsupportedDomainError, UnsupportedInputError, dq_dw_local,
+                    fpd_bound, fpd_criterion_check, grade, irrelevant_ideal,
                     is_cohen_macaulay_graded, is_gv, is_semiregular)
 from fpdlab.invariants import COUNTEREXAMPLE, EXACT, LOWER_BOUND, PASS
 from helpers import FF, QQ, ZZ, presentation
@@ -80,7 +80,7 @@ def test_semiregular_agrees_with_ext0():
         presentation(FF(3), ("x", "y"), ["x^2"]).ideal("y"),
     ]
     for I in cases:
-        assert is_semiregular(I) == ext_is_zero(I, 0).is_zero
+        assert is_semiregular(I) == ExtComputer(I).ext_is_zero(0)
 
 
 def test_gv_cases():
@@ -153,7 +153,7 @@ def test_fpd_bound_exact_for_graded_question():
 def test_fpd_bound_of_a_field_is_zero():
     from fpdlab import PolynomialRing, RingPresentation
     K = RingPresentation(PolynomialRing(QQ, ()))
-    rep = fpd_bound(K, [K.zero_ideal()], exhaustive=True)
+    rep = fpd_bound(K, [K.ideal()], exhaustive=True)
     assert rep.bound == 0
     assert rep.conclusion == EXACT
 

@@ -1,21 +1,21 @@
 """Koszul complexes, Koszul-route grade, and the dual-top-cokernel module."""
 import pytest
 from fpdlab import (GradeValue, StructuralError, dual_koszul_cokernel,
-                    koszul_complex, koszul_grade)
-from fpdlab.koszul import koszul_homology_is_zero
+                    koszul_grade)
+from fpdlab.koszul import koszul_chain, koszul_homology_is_zero
 from helpers import QQ, ZZ, presentation
 
 
 def test_single_generator_complex():
     P = presentation(QQ, ("x",))
-    K = koszul_complex(P, ("x",))
+    K = koszul_chain(P, ("x",), 1)
     assert K.ranks == (1, 1)
     assert [[str(e) for e in row] for row in K.differential(1).matrix] == [["x"]]
 
 
 def test_two_generator_complex_shape_and_signs():
     P = presentation(QQ, ("x", "y"))
-    K = koszul_complex(P, ("x", "y"))
+    K = koszul_chain(P, ("x", "y"), 2)
     assert K.ranks == (1, 2, 1)
     assert [[str(e) for e in row] for row in K.differential(1).matrix] == [["x", "y"]]
     assert [[str(e) for e in row] for row in K.differential(2).matrix] == [["-y"], ["x"]]
@@ -23,7 +23,7 @@ def test_two_generator_complex_shape_and_signs():
 
 def test_three_generator_complex_composes_to_zero():
     P = presentation(QQ, ("x", "y", "z"))
-    K = koszul_complex(P, ("x", "y", "z"))
+    K = koszul_chain(P, ("x", "y", "z"), 3)
     assert K.ranks == (1, 3, 3, 1)
     for i in range(1, 3):
         assert K.differential(i).compose(K.differential(i + 1)).is_zero()
@@ -32,14 +32,14 @@ def test_three_generator_complex_composes_to_zero():
 def test_empty_generator_tuple_rejected():
     P = presentation(QQ, ("x",))
     with pytest.raises(StructuralError):
-        koszul_complex(P, ())
+        koszul_grade(P.ideal("x"), ())
 
 
 def test_degree_zero_homology_presents_the_quotient():
     # coker d_1 and the ideal have mutually reducing generators
     P = presentation(QQ, ("x", "y"), ["y^2"])
     gens = ("x + y", "x*y")
-    K = koszul_complex(P, gens)
+    K = koszul_chain(P, gens, 2)
     row = K.differential(1).matrix[0]
     I = P.ideal(*gens)
     for entry in row:
@@ -54,7 +54,7 @@ def test_koszul_grade_of_regular_sequence():
     I = P.ideal("x", "y")
     assert koszul_grade(I) == GradeValue.finite(2)
     # H_1 = H_2 = 0 and H_0 != 0, directly
-    K = koszul_complex(P, I.generators)
+    K = koszul_chain(P, I.generators, 2)
     assert koszul_homology_is_zero(K, 1)
     assert koszul_homology_is_zero(K, 2)
     assert not koszul_homology_is_zero(K, 0)
@@ -63,7 +63,7 @@ def test_koszul_grade_of_regular_sequence():
 def test_koszul_grade_detects_socle():
     P = presentation(QQ, ("x",), ["x^2"])
     assert koszul_grade(P.ideal("x")) == GradeValue.finite(0)
-    K = koszul_complex(P, (P.poly("x"),))
+    K = koszul_chain(P, (P.poly("x"),), 1)
     assert not koszul_homology_is_zero(K, 1)  # H_1 = Ann(x) != 0
 
 

@@ -68,3 +68,37 @@ def test_cli_records_pass_the_gate():
     assert records[0]["certificates"]["unit_cofactors"]
     for record, e in zip(records, expected, strict=True):
         assert check_record(record, e, facts) == []
+
+
+# The Groebner route on small finite rings against the tables: ZZ[x]/(n, f)
+# on the strong-basis engine (n <= 16, f of degree 1-3, monomial or not, at
+# most 256 elements), and FF_p[x]/(x^2 + x + 1) on the field engine.
+ZZ_SWEEP = [(4, [1, 1]), (8, [3, 1]), (15, [1, 1]), (16, [0, 1]),
+            (2, [1, 1, 1]), (3, [2, 0, 1]), (4, [1, 0, 1]), (6, [1, 1, 1]),
+            (10, [0, 0, 1]), (12, [5, 1, 1]), (16, [2, 0, 1]),
+            (2, [1, 1, 0, 1]), (5, [1, 1, 0, 1]), (6, [0, 1, 0, 1])]
+FIELD_SWEEP = [(p, [1, 1, 1]) for p in (2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("domain, n, f", [("ZZ", n, f) for n, f in ZZ_SWEEP]
+                         + [("FF", p, f) for p, f in FIELD_SWEEP],
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_small_finite_rings_agree_with_the_tables(domain, n, f):
+    from corpus import format_poly
+    # (p), (x), (x + 1) and (p, x), p the smallest prime dividing n
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    ideals = [[[p]], [[0, 1]], [[1, 1]], [[p], [0, 1]]]
+    decl = (f"ring R = ZZ[x]/({n}, {format_poly(f)});" if domain == "ZZ"
+            else f"ring R = FF{n}[x]/({format_poly(f)});")
+    lines, expected = [decl], []
+    for j, gens in enumerate(ideals):
+        lines.append(f"ideal I{j} = ({', '.join(format_poly(g) for g in gens)});")
+        e = {"n": n, "f": f, "gens": gens}
+        lines += [f"semiregular I{j};", f"gv I{j};", f"criterion I{j} 1;"]
+        expected += [dict(e, command="semiregular"), dict(e, command="gv"),
+                     dict(e, command="criterion", degree=1)]
+    script = parse("\n".join(lines))
+    facts = OracleFacts()
+    for command, e in zip(script.commands(), expected, strict=True):
+        record = run_command(script, command, CliConfig())
+        assert check_record(record, e, facts) == [], (command, record)

@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fpdlab import (RingPresentation, grade, is_gv, is_semiregular,
-                    koszul_complex, normal_form_polys)
+                    normal_form_polys)
 from fpdlab.errors import Budget
 from fpdlab.groebner import groebner_basis_of_polys, polys_to_vec, vec_groebner
+from fpdlab.koszul import koszul_chain
 from fpdlab.modules import _relation_block
 from helpers import (FF, QQ, ZZ, assert_is_vec_groebner, free_resolution_of_quotient,
                      poly_ring, reference_vec_groebner)
@@ -63,7 +64,7 @@ def test_koszul_differentials_compose_to_zero(domain, term_lists):
     gens = _mk_polys(P.ambient, term_lists)
     if not gens:
         return
-    K = koszul_complex(P, gens)  # the constructor verifies d.d = 0
+    K = koszul_chain(P, gens, len(gens))  # the constructor verifies d.d = 0
     for i in range(1, K.length):
         assert K.differential(i).compose(K.differential(i + 1)).is_zero()
 

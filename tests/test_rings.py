@@ -3,48 +3,41 @@ from fractions import Fraction
 
 import pytest
 from fpdlab import (GREVLEX, LEX, CoefficientDomain, RingPresentation,
-                    StructuralError, block_order, monomial_compare)
+                    StructuralError, block_order)
 from helpers import FF, QQ, ZZ, poly_ring
 
 
 def test_grevlex_equal_degree_ties_on_last_exponent():
     # xz vs y^2 in (x, y, z): equal degree, y^2 wins
-    assert monomial_compare((1, 0, 1), (0, 2, 0), GREVLEX) == -1
-    assert monomial_compare((0, 2, 0), (1, 0, 1), GREVLEX) == 1
+    assert GREVLEX.key((1, 0, 1)) < GREVLEX.key((0, 2, 0))
 
 
 def test_lex_compares_left_to_right():
-    assert monomial_compare((1, 0), (0, 5), LEX) == 1
+    assert LEX.key((1, 0)) > LEX.key((0, 5))
 
 
 def test_any_order_equal_monomials():
     for order in (LEX, GREVLEX, block_order(1)):
-        assert monomial_compare((0, 0), (0, 0), order) == 0
-
-
-def test_compare_length_mismatch_raises():
-    with pytest.raises(StructuralError):
-        monomial_compare((1, 0), (1, 0, 0), GREVLEX)
+        assert order.key((0, 1)) == order.key((0, 1))
+        assert order.key((0, 1)) != order.key((1, 0))
 
 
 def test_order_is_total_and_multiplicative():
     import itertools
     monos = [m for m in itertools.product(range(3), repeat=2)]
-    for order in (LEX, GREVLEX):
+    for order in (LEX, GREVLEX, block_order(1)):
+        key = order.key
         for u in monos:
             for v in monos:
-                c = monomial_compare(u, v, order)
-                assert c == -monomial_compare(v, u, order)
-                assert (c == 0) == (u == v)
+                assert (key(u) == key(v)) == (u == v)
                 for w in monos:
                     uw = tuple(a + b for a, b in zip(u, w))
                     vw = tuple(a + b for a, b in zip(v, w))
-                    if c != 0:
-                        assert monomial_compare(uw, vw, order) == c
+                    assert (key(uw) < key(vw)) == (key(u) < key(v))
         # one is the minimum
         for u in monos:
             if u != (0, 0):
-                assert monomial_compare((0, 0), u, order) == -1
+                assert key((0, 0)) < key(u)
 
 
 def test_poly_product_difference_of_squares():
@@ -73,7 +66,7 @@ def test_mixed_rings_raise():
 
 def test_mixed_orders_raise():
     R1 = poly_ring(QQ, "x", "y")
-    R2 = R1.with_order(LEX)
+    R2 = poly_ring(QQ, "x", "y", order=LEX)
     with pytest.raises(StructuralError):
         R1.poly("x") * R2.poly("y")
 
@@ -89,11 +82,11 @@ def test_normalization_is_idempotent_and_drops_zeros():
     assert keys == sorted(keys, reverse=True)
 
 
-def test_with_order_resorts_explicitly():
+def test_from_dict_resorts_under_the_ring_order():
     R = poly_ring(QQ, "x", "y")
     f = R.poly("x + y^2")
     assert f.leading_monomial() == (0, 2)  # grevlex: y^2 first
-    g = f.with_order(LEX)
+    g = poly_ring(QQ, "x", "y", order=LEX).from_dict(dict(f.terms))
     assert g.leading_monomial() == (1, 0)  # lex x > y
     assert g.ring.order == LEX
 
@@ -116,7 +109,7 @@ def test_exact_arithmetic_no_floats():
     f = R.poly("1/3*x") * R.poly("3*x")
     assert f == R.poly("x^2")
     big = R.constant(10 ** 40) * R.constant(10 ** 40)
-    assert big.constant_value() == 10 ** 80
+    assert big.terms == (((0,), 10 ** 80),)
 
 
 def test_rational_values_are_int_when_integral():
@@ -124,11 +117,11 @@ def test_rational_values_are_int_when_integral():
     R = poly_ring(QQ, "x")
     integral = [dom.zero(), dom.one(), dom.coerce(Fraction(4, 2)), dom.inv(1),
                 dom.inv(-1), dom.exact_div(6, 3), dom.exact_div(Fraction(3, 2), Fraction(1, 2)),
-                dom.lc_normalizer(Fraction(1, 3)), R.poly("4/2").constant_value()]
+                dom.lc_normalizer(Fraction(1, 3)), R.poly("4/2").terms[0][1]]
     assert integral == [0, 1, 2, 1, -1, 2, 3, 3, 2]
     assert all(type(v) is int for v in integral)
     proper = [dom.coerce(Fraction(1, 2)), dom.inv(2), dom.inv(Fraction(2, 3)),
-              dom.exact_div(1, 2), dom.exact_div(-4, 6), R.poly("1/2").constant_value()]
+              dom.exact_div(1, 2), dom.exact_div(-4, 6), R.poly("1/2").terms[0][1]]
     assert proper == [Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(1, 2),
                       Fraction(-2, 3), Fraction(1, 2)]
     assert all(type(v) is Fraction for v in proper)
