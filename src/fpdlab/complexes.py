@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .groebner import annihilator
-from .modules import (FreeModuleMap, SubmodulePresentation, image,
-                      is_zero_subquotient, kernel, prune_generators)
+from .modules import (FreeModuleMap, is_zero_subquotient, kernel,
+                      prune_generators)
 from .rings import IdealPresentation, RingPresentation, mono_one
 
 
@@ -61,25 +61,17 @@ def cyclic_presentation(I: IdealPresentation, budget: Budget = None) -> FreeModu
 def cycles_and_boundaries(d_out: Optional[FreeModuleMap],
                           d_in: Optional[FreeModuleMap],
                           budget: Budget = None) -> tuple:
-    """(ker d_out, im d_in) in the free module where d_out starts and d_in
-    ends.  None is a zero map (at most one of the two): with no d_out every
-    element is a cycle, and with no d_in nothing is a boundary."""
+    """Maps onto (ker d_out, im d_in) in the free module where d_out starts
+    and d_in ends.  None is a zero map (at most one of the two): with no
+    d_out every element is a cycle, and with no d_in nothing is a boundary."""
     if d_out is not None:
         Z = kernel(d_out, budget)
     else:
         ring, rank = d_in.ring, d_in.target_rank
         one, unit = ring.domain.one(), mono_one(ring.ambient.nvars)
-        Z = SubmodulePresentation.of_vectors(ring, rank,
-                                             [{(j, unit): one} for j in range(rank)])
-    B = (image(d_in) if d_in is not None
-         else SubmodulePresentation(Z.ring, Z.ambient_rank, ()))
+        Z = FreeModuleMap._of_reduced(ring, rank, [{(j, unit): one} for j in range(rank)])
+    B = d_in if d_in is not None else FreeModuleMap._of_reduced(Z.ring, Z.target_rank, ())
     return Z, B
-
-
-def _next_differential(last: FreeModuleMap, budget: Budget) -> FreeModuleMap:
-    """The pruned kernel of `last` as the next differential of a resolution."""
-    K = prune_generators(kernel(last, budget), budget)
-    return FreeModuleMap.of_vectors(last.ring, last.source_rank, K.vecs, budget)
 
 
 class ResolutionCache:
@@ -98,7 +90,7 @@ class ResolutionCache:
         budget = ensure_budget(budget)
         for n in range(len(self._diffs), i):
             last = self._diffs[-1]
-            d = _next_differential(last, budget)
+            d = prune_generators(kernel(last, budget), budget)
             if not last.compose(d, budget).is_zero():
                 raise InternalError(f"internal: resolution: d_{n} . d_{n + 1} is not zero")
             self._diffs.append(d)

@@ -451,8 +451,6 @@ def completion(vecs: Sequence, ring: PolynomialRing, budget: Budget,
     `Completion`)."""
     if ring.domain.is_field:
         return _groebner_field(vecs, ring, budget, rank1, block)
-    if ring.domain.kind != "integers":
-        raise UnsupportedDomainError(f"no engine for domain {ring.domain}")
     return _groebner_integer(vecs, ring, budget, rank1, block)
 
 

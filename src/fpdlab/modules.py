@@ -1,10 +1,11 @@
-"""Free modules over R = A[x]/J: maps, submodules, kernels, subquotient tests.
+"""Free modules over R = A[x]/J: maps, their images, kernels, subquotient
+tests.
 
 A free-module element is an engine vector {(position, monomial): coefficient}
 (see `groebner`).  A map keeps one such vector per column, reduced modulo
-J*e_t, and a submodule keeps its generators as vectors.  Tuples of
-`Polynomial`s, one entry per position, appear only at the public edges: the
-constructors, `matrix`, `column(s)`, `generators`, `contains` and
+J*e_t, and a submodule is the image of a map: its columns are the
+generators.  Tuples of `Polynomial`s, one entry per position, appear only at
+the public edges: the constructor, `matrix`, `generators`, `contains` and
 `__str__`.  All submodule computations happen in the ambient ring with
 the relation multiples J*e_i adjoined, so membership and syzygies are taken
 over R.
@@ -33,11 +34,14 @@ def _relation_block(ring: RingPresentation, rank: int, budget: Budget) -> VecBas
     return block
 
 
-def _to_vec(ring: RingPresentation, entries: Sequence, rank: int) -> dict:
-    """A free element given by `rank` polynomials (or texts) as a vector."""
-    if len(entries) != rank:
-        raise StructuralError(f"vector length {len(entries)} does not match rank {rank}")
-    return polys_to_vec([ring.poly(e) for e in entries])
+def _normal_forms(ring: RingPresentation, rank: int, cols: Sequence,
+                  budget: Budget) -> Sequence:
+    """The vectors `cols` of R^rank reduced modulo J*e_t."""
+    if not cols or not rank:
+        return cols
+    block = _relation_block(ring, rank, budget)
+    budget = ensure_budget(budget)
+    return [vec_normal_form(c, block, budget) if c else c for c in cols]
 
 
 def _combine(cols: Sequence, vec: dict, ring: RingPresentation) -> dict:
@@ -55,7 +59,9 @@ def _combine(cols: Sequence, vec: dict, ring: RingPresentation) -> dict:
 
 class FreeModuleMap:
     """A map R^source -> R^target, kept as its source_rank columns: vectors
-    of R^target in normal form modulo J*e_t."""
+    of R^target in normal form modulo J*e_t.  The columns generate the
+    map's image; its Groebner data always adjoins the relation multiples
+    J*e_t, so `reduce` and `contains` decide membership over R."""
 
     def __init__(self, ring: RingPresentation, source_rank: int, target_rank: int,
                  matrix: Sequence, budget: Budget = None):
@@ -69,37 +75,41 @@ class FreeModuleMap:
             for j, e in enumerate(row):
                 for m, c in ring.poly(e).terms:
                     cols[j][(t, m)] = c
-        self._set(ring, target_rank, cols, budget)
+        self._set(ring, target_rank, _normal_forms(ring, target_rank, cols, budget))
 
-    def _set(self, ring: RingPresentation, target_rank: int, cols: Sequence,
-             budget: Budget):
+    def _set(self, ring: RingPresentation, target_rank: int, cols: Sequence):
         self.ring = ring
         self.source_rank = len(cols)
         self.target_rank = target_rank
-        if cols and target_rank:
-            block = _relation_block(ring, target_rank, budget)
-            budget = ensure_budget(budget)
-            cols = [vec_normal_form(c, block, budget) if c else c for c in cols]
         self.cols = tuple(cols)
+        self._gb = None
 
     @classmethod
     def of_vectors(cls, ring: RingPresentation, target_rank: int, cols: Sequence,
                    budget: Budget = None) -> "FreeModuleMap":
         """The map whose columns are the vectors `cols` of R^target_rank."""
+        return cls._of_reduced(ring, target_rank,
+                               _normal_forms(ring, target_rank, cols, budget))
+
+    @classmethod
+    def _of_reduced(cls, ring: RingPresentation, target_rank: int,
+                    cols: Sequence) -> "FreeModuleMap":
+        """The map whose columns are the vectors `cols`, taken as they are:
+        for vectors that need no reduction modulo J*e_t."""
         phi = cls.__new__(cls)
-        phi._set(ring, target_rank, cols, budget)
+        phi._set(ring, target_rank, cols)
         return phi
 
     @property
+    def generators(self) -> tuple:
+        """The columns, each a tuple of target_rank polynomials."""
+        return tuple(vec_to_polys(c, self.target_rank, self.ring.ambient)
+                     for c in self.cols)
+
+    @property
     def matrix(self) -> tuple:
-        cols = self.columns()
-        return tuple(tuple(c[t] for c in cols) for t in range(self.target_rank))
-
-    def column(self, j: int) -> tuple:
-        return vec_to_polys(self.cols[j], self.target_rank, self.ring.ambient)
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.source_rank)]
+        gens = self.generators
+        return tuple(tuple(g[t] for g in gens) for t in range(self.target_rank))
 
     def transpose(self, budget: Budget = None) -> "FreeModuleMap":
         cols = [{} for _ in range(self.target_rank)]
@@ -123,76 +133,45 @@ class FreeModuleMap:
         # every column is in normal form modulo J
         return not any(self.cols)
 
+    def groebner_vectors(self, budget: Budget = None) -> VecBasis:
+        """Module Groebner basis of the image + J*e_t (cached)."""
+        if self._gb is None:
+            budget = ensure_budget(budget)
+            block = _relation_block(self.ring, self.target_rank, budget)
+            self._gb = vec_groebner([v for v in self.cols if v], self.ring.ambient,
+                                    budget, block=block.vecs)
+        return self._gb
+
+    def reduce(self, vec: dict, budget: Budget = None) -> dict:
+        """The normal form of a vector of R^target modulo the image; empty
+        iff the image contains it."""
+        budget = ensure_budget(budget)
+        return vec_normal_form(vec, self.groebner_vectors(budget), budget)
+
+    def contains(self, vector: Sequence, budget: Budget = None) -> bool:
+        """Whether the image contains the element given by target_rank
+        polynomials or texts."""
+        if len(vector) != self.target_rank:
+            raise StructuralError(
+                f"vector length {len(vector)} does not match rank {self.target_rank}")
+        return not self.reduce(polys_to_vec([self.ring.poly(e) for e in vector]), budget)
+
     def __str__(self):
         rows = ["[" + ", ".join(str(e) for e in row) + "]" for row in self.matrix]
         return f"R^{self.source_rank} -> R^{self.target_rank}: [" + "; ".join(rows) + "]"
 
 
-class SubmodulePresentation:
-    """A submodule of R^rank given by finitely many generators, kept as
-    vectors in `vecs`.
-
-    The module Groebner data always adjoins the relation multiples J*e_i,
-    so normal forms decide membership over R, not over the ambient ring.
-    """
-
-    def __init__(self, ring: RingPresentation, ambient_rank: int,
-                 generators: Sequence):
-        """From generators given as tuples of polynomials or texts."""
-        self.ring = ring
-        self.ambient_rank = ambient_rank
-        self.vecs = tuple(_to_vec(ring, g, ambient_rank) for g in generators)
-        self._gb = None
-
-    @classmethod
-    def of_vectors(cls, ring: RingPresentation, ambient_rank: int,
-                   vecs: Sequence) -> "SubmodulePresentation":
-        S = cls(ring, ambient_rank, ())
-        S.vecs = tuple(vecs)
-        return S
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(vec_to_polys(v, self.ambient_rank, self.ring.ambient)
-                     for v in self.vecs)
-
-    def groebner_vectors(self, budget: Budget = None) -> VecBasis:
-        """Module Groebner basis of <generators> + J*e_i (cached)."""
-        if self._gb is None:
-            budget = ensure_budget(budget)
-            block = _relation_block(self.ring, self.ambient_rank, budget)
-            self._gb = vec_groebner([v for v in self.vecs if v], self.ring.ambient,
-                                    budget, block=block.vecs)
-        return self._gb
-
-    def reduce(self, vec: dict, budget: Budget = None) -> dict:
-        """The normal form of a vector; empty iff it is a member."""
-        budget = ensure_budget(budget)
-        return vec_normal_form(vec, self.groebner_vectors(budget), budget)
-
-    def contains(self, vector: Sequence, budget: Budget = None) -> bool:
-        return not self.reduce(_to_vec(self.ring, vector, self.ambient_rank), budget)
-
-    def __str__(self):
-        gens = "; ".join("(" + ", ".join(str(p) for p in g) + ")"
-                         for g in self.generators)
-        return f"<{gens}> in R^{self.ambient_rank}"
-
-
-def image(phi: FreeModuleMap) -> SubmodulePresentation:
-    return SubmodulePresentation.of_vectors(phi.ring, phi.target_rank, phi.cols)
-
-
-def prune_generators(S: SubmodulePresentation, budget: Budget = None) -> SubmodulePresentation:
-    """The generators, in order of term count, degree and text, that do not
-    reduce to zero against one completion of J*e_i grown by those kept before."""
+def prune_generators(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:
+    """The map onto phi's image whose columns are those of phi, in order of
+    term count, degree and text, that do not reduce to zero against one
+    completion of J*e_t grown by those kept before."""
     budget = ensure_budget(budget)
-    nonzero = [v for v in S.vecs if v]
+    nonzero = [v for v in phi.cols if v]
     if len(nonzero) <= 1:
-        return SubmodulePresentation.of_vectors(S.ring, S.ambient_rank, nonzero)
-    ambient = S.ring.ambient
+        return FreeModuleMap._of_reduced(phi.ring, phi.target_rank, nonzero)
+    ambient = phi.ring.ambient
     size = lambda v: (len(v), max(mono_degree(m) for _, m in v))
-    text = lambda v: str(vec_to_polys(v, S.ambient_rank, ambient))
+    text = lambda v: str(vec_to_polys(v, phi.target_rank, ambient))
     # the text of the generator as a tuple of polynomials breaks ties; it is
     # rendered only for generators tied on term count and degree
     ordered = []
@@ -200,18 +179,18 @@ def prune_generators(S: SubmodulePresentation, budget: Budget = None) -> Submodu
         tied = list(tied)
         ordered += sorted(tied, key=text) if len(tied) > 1 else tied
     spanned = completion([], ambient, budget,
-                         block=_relation_block(S.ring, S.ambient_rank, budget).vecs)
+                         block=_relation_block(phi.ring, phi.target_rank, budget).vecs)
     kept = []
     for v in ordered:
         if spanned.insert(v):
             kept.append(v)
             spanned.run()
-    return SubmodulePresentation.of_vectors(S.ring, S.ambient_rank, kept)
+    return FreeModuleMap._of_reduced(phi.ring, phi.target_rank, kept)
 
 
-def kernel(phi: FreeModuleMap, budget: Budget = None) -> SubmodulePresentation:
-    """Generators of ker(phi) in R^source, in normal form modulo J*e_j and
-    not pruned.
+def kernel(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:
+    """A map onto ker(phi) in R^source: its columns are in normal form
+    modulo J*e_j and not pruned.
 
     The graph of phi, generated by (phi(e_j), e_j) in R^(target + source),
     gets its Groebner basis with J adjoined in every position; the elements
@@ -220,7 +199,7 @@ def kernel(phi: FreeModuleMap, budget: Budget = None) -> SubmodulePresentation:
     budget = ensure_budget(budget)
     ring, r, n = phi.ring, phi.target_rank, phi.source_rank
     one, unit = ring.domain.one(), mono_one(ring.ambient.nvars)
-    graph = SubmodulePresentation.of_vectors(
+    graph = FreeModuleMap._of_reduced(
         ring, r + n, [{**col, (r + j, unit): one} for j, col in enumerate(phi.cols)])
     basis = graph.groebner_vectors(budget)
     block = _relation_block(ring, n, budget)
@@ -232,25 +211,26 @@ def kernel(phi: FreeModuleMap, budget: Budget = None) -> SubmodulePresentation:
                                   block, budget)
         if reduced:
             gens.append(reduced)
-    return SubmodulePresentation.of_vectors(ring, n, gens)
+    return FreeModuleMap._of_reduced(ring, n, gens)
 
 
-def is_zero_subquotient(K: SubmodulePresentation, Im: SubmodulePresentation,
+def is_zero_subquotient(K: FreeModuleMap, Im: FreeModuleMap,
                         budget: Budget = None,
                         verify_containment: bool = True) -> bool:
-    """Decide K/Im = 0, i.e. every generator of K reduces to zero against Im.
+    """Decide im K / im Im = 0, i.e. every column of K reduces to zero
+    against the image of Im.
 
-    Im <= K is the caller's responsibility; with `verify_containment` the
-    generators of Im are reduced against K first (skip when the containment
-    is already certified, e.g. by a d.d = 0 check on a complex).
+    im Im <= im K is the caller's responsibility; with `verify_containment`
+    the columns of Im are reduced against im K first (skip when the
+    containment is already certified, e.g. by a d.d = 0 check on a complex).
     """
-    if K.ambient_rank != Im.ambient_rank:
+    if K.target_rank != Im.target_rank:
         raise StructuralError(
-            f"subquotient rank mismatch: {K.ambient_rank} vs {Im.ambient_rank}")
+            f"subquotient rank mismatch: {K.target_rank} vs {Im.target_rank}")
     budget = ensure_budget(budget)
     if verify_containment:
-        for v in Im.vecs:
+        for v in Im.cols:
             if K.reduce(v, budget):
                 raise StructuralError("subquotient denominator is not contained "
                                       "in the numerator")
-    return not any(Im.reduce(v, budget) for v in K.vecs)
+    return not any(Im.reduce(v, budget) for v in K.cols)

@@ -25,19 +25,24 @@ def _rational(f: Fraction):
     return f.numerator if f.denominator == 1 else f
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n < _PRIME_TEST_BOUND: with n - 1 = d * 2^s,
+    d odd, each base a has a^d = 1 or a^(d * 2^r) = -1 mod n for some r < s."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _PRIME_BASES)
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,10 @@ class CoefficientDomain:
         if self.kind not in (RATIONALS, PRIME_FIELD, INTEGERS):
             raise StructuralError(f"unknown coefficient domain kind {self.kind!r}")
         if self.kind == PRIME_FIELD:
+            if self.p is not None and self.p >= _PRIME_TEST_BOUND:
+                raise StructuralError("prime field modulus must be below "
+                                      f"{_PRIME_TEST_BOUND}, the bound of the exact "
+                                      "primality test")
             if self.p is None or not _is_prime(self.p):
                 raise StructuralError(f"prime field modulus must be prime, got {self.p!r}")
         elif self.p is not None:

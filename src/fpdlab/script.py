@@ -109,6 +109,17 @@ class _Cursor:
         return self.advance()
 
 
+def _int(tok: Token, digits: Optional[str] = None) -> int:
+    """The integer literal `digits` (default: the token's text), or a
+    ParseError at `tok` when it is too long for Python to convert."""
+    digits = tok.text if digits is None else digits
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal too long ({len(digits)} digits)",
+                         tok.line, tok.column) from None
+
+
 # ---------------------------------------------------------------------------
 # Polynomial expressions
 
@@ -140,7 +151,7 @@ def _parse_factor(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
     if cur.at(PUNCT_TOK, "^"):
         cur.advance()
         tok = cur.expect(INT_TOK, what="an integer exponent")
-        base = base ** int(tok.text)
+        base = base ** _int(tok)
     return base
 
 
@@ -148,10 +159,10 @@ def _parse_atom(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
     tok = cur.peek()
     if tok.kind == INT_TOK:
         cur.advance()
-        value = Fraction(int(tok.text))
+        value = Fraction(_int(tok))
         if cur.at(PUNCT_TOK, "/") and cur.tokens[cur.i + 1].kind == INT_TOK:
             cur.advance()
-            den = int(cur.advance().text)
+            den = _int(cur.advance())
             if den == 0:
                 raise ParseError("zero denominator", tok.line, tok.column)
             value = value / den
@@ -331,7 +342,7 @@ def parse(text: str, order: MonomialOrder = GREVLEX) -> SessionScript:
             ring_name = require_active(tok)
             name = resolve_ideal(cur.expect(NAME_TOK, what="an ideal name"))
             deg_tok = cur.expect(INT_TOK, what="a non-negative integer")
-            items.append(Command(word, ring_name, (name,), degree=int(deg_tok.text)))
+            items.append(Command(word, ring_name, (name,), degree=_int(deg_tok)))
 
         elif word == "fpd":
             ring_name = require_active(tok)
@@ -379,7 +390,8 @@ def _prime_field(cur: _Cursor, tok: Token, what: str) -> CoefficientDomain:
     m = re.fullmatch(r"FF([0-9]*)", tok.text)
     if m is None:
         raise ParseError(f"unknown {what} {tok.text!r}", tok.line, tok.column)
-    p = int(m.group(1)) if m.group(1) else int(cur.expect(INT_TOK, what="a prime").text)
+    p = (_int(tok, m.group(1)) if m.group(1)
+         else _int(cur.expect(INT_TOK, what="a prime")))
     try:
         return CoefficientDomain.FF(p)
     except StructuralError as exc:
@@ -390,7 +402,7 @@ def _parse_oracle_ring(cur: _Cursor) -> OracleRingSpec:
     tok = cur.expect(NAME_TOK, what="ZZ/n or FF<p>")
     if tok.text == "ZZ":
         cur.expect(PUNCT_TOK, "/")
-        n = int(cur.expect(INT_TOK, what="a modulus").text)
+        n = _int(cur.expect(INT_TOK, what="a modulus"))
     else:
         n = _prime_field(cur, tok, "oracle ring").p
     if n < 2:

@@ -12,15 +12,16 @@ import heapq
 from fractions import Fraction
 from itertools import product
 
-from fpdlab import (ChainComplex, CoefficientDomain, GroebnerBasis,
-                    InternalError, PolynomialRing, RingPresentation,
-                    StructuralError, SubmodulePresentation)
-from fpdlab.complexes import _next_differential, cyclic_presentation
+from fpdlab import (ChainComplex, CoefficientDomain, FreeModuleMap,
+                    GroebnerBasis, InternalError, PolynomialRing,
+                    RingPresentation, StructuralError)
+from fpdlab.complexes import cyclic_presentation
 from fpdlab.errors import ensure_budget
 from fpdlab.groebner import (Completion, _interreduce, _minimalize, _s_vector,
                              _term_key, _xgcd, exact_poly_div,
-                             ideal_intersection_polys, vec_normal_form,
-                             vec_to_polys)
+                             ideal_intersection_polys, polys_to_vec,
+                             vec_normal_form, vec_to_polys)
+from fpdlab.modules import kernel, prune_generators
 from fpdlab.rings import mono_degree, mono_div, mono_lcm, mono_mul
 
 QQ = CoefficientDomain.QQ()
@@ -235,7 +236,7 @@ def reference_compose(phi, psi, budget) -> tuple:
 
 def reference_transpose(phi, budget) -> tuple:
     """The transposed matrix, normalized entry by entry."""
-    return reference_normalize(phi.ring, phi.columns(), budget)
+    return reference_normalize(phi.ring, phi.generators, budget)
 
 
 def reference_kernel(phi, budget) -> tuple:
@@ -245,9 +246,9 @@ def reference_kernel(phi, budget) -> tuple:
     entry."""
     ring, r, n = phi.ring, phi.target_rank, phi.source_rank
     one, zero = ring.ambient.one(), ring.ambient.zero()
-    graph = SubmodulePresentation(ring, r + n, [
-        col + tuple(one if k == j else zero for k in range(n))
-        for j, col in enumerate(phi.columns())])
+    graph = FreeModuleMap._of_reduced(ring, r + n, [
+        polys_to_vec(col + tuple(one if k == j else zero for k in range(n)))
+        for j, col in enumerate(phi.generators)])
     gens = []
     for g in graph.groebner_vectors(budget).vecs:
         if any(pos < r for pos, _ in g):
@@ -438,7 +439,7 @@ def free_resolution(presentation, length: int, budget=None) -> ChainComplex:
     budget = ensure_budget(budget)
     diffs = [presentation] if length else []
     while len(diffs) < length:
-        diffs.append(_next_differential(diffs[-1], budget))
+        diffs.append(prune_generators(kernel(diffs[-1], budget), budget))
     ranks = [presentation.target_rank] + [d.source_rank for d in diffs]
     try:
         return ChainComplex(presentation.ring, ranks, diffs, budget)

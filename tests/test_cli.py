@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 from fpdlab import finite_rings
-from fpdlab import (LEX, FreeModuleMap, GradeValue, SubmodulePresentation,
-                    complexes, koszul)
+from fpdlab import LEX, FreeModuleMap, GradeValue, complexes, koszul
 from fpdlab.cli import (EXIT_COMMAND_ERROR, EXIT_INTERNAL, EXIT_OK,
                         EXIT_PARSE_ERROR, EXIT_RESOURCE, CliConfig,
                         build_arg_parser, config_from_args, execute_script,
                         main, render_json, render_text)
+from fpdlab.rings import mono_one
 from fpdlab.script import parse
 
 SESSION = """
@@ -145,11 +145,10 @@ def test_resolution_that_breaks_d_d_is_internal(monkeypatch):
     # that is no syzygy is a library defect
     prune = complexes.prune_generators
 
-    def broken(S, budget=None):
-        one, zero = S.ring.ambient.one(), S.ring.ambient.zero()
-        e1 = tuple(one if t == 0 else zero for t in range(S.ambient_rank))
-        return SubmodulePresentation(S.ring, S.ambient_rank,
-                                     prune(S, budget).generators + (e1,))
+    def broken(K, budget=None):
+        pruned = prune(K, budget)
+        e1 = {(0, mono_one(K.ring.ambient.nvars)): K.ring.domain.one()}
+        return FreeModuleMap.of_vectors(K.ring, K.target_rank, pruned.cols + (e1,))
 
     monkeypatch.setattr("fpdlab.complexes.prune_generators", broken)
     records, code = run("ring R = QQ[x,y]/(x*y); ideal m = (x, y); ext m 1;")
@@ -178,6 +177,26 @@ def test_main_exit_codes(tmp_path, capsys):
     bad.write_text("ideal I = (x);")
     assert main([str(bad)]) == EXIT_PARSE_ERROR
     assert "parse error" in capsys.readouterr().err
+
+
+_HUGE = "9" * 5000  # past Python's 4,300-digit limit on int(str)
+
+
+@pytest.mark.parametrize("script", [
+    f"ring R = QQ[x]; ideal I = ({_HUGE}*x); grade I;",
+    f"ring R = QQ[x]; ideal I = (1/{_HUGE}*x); grade I;",
+    f"ring R = QQ[x]; ideal I = (x^{_HUGE}); grade I;",
+    f"ring R = QQ[x]; ideal I = (x); ext I {_HUGE};",
+    f"ring R = FF{_HUGE}[x];",
+    f"ring R = FF {_HUGE}[x];",
+    f"oracle dq ZZ/{_HUGE};",
+])
+def test_main_reports_a_huge_integer_literal_as_a_parse_error(tmp_path, capsys,
+                                                              script):
+    f = tmp_path / "huge.fpd"
+    f.write_text(script)
+    assert main([str(f)]) == EXIT_PARSE_ERROR
+    assert "integer literal too long (5000 digits)" in capsys.readouterr().err
 
 
 def test_main_json_flag(tmp_path, capsys):

@@ -6,9 +6,8 @@ from itertools import count
 
 import pytest
 from fpdlab import (GREVLEX, LEX, Budget, FreeModuleMap, RingPresentation,
-                    StructuralError, SubmodulePresentation,
-                    UnsupportedDomainError, annihilator, is_unit_ideal,
-                    krull_dimension, normal_form_polys)
+                    StructuralError, UnsupportedDomainError, annihilator,
+                    is_unit_ideal, krull_dimension, normal_form_polys)
 from fpdlab import groebner
 from fpdlab.cli import EXIT_INTERNAL, CliConfig, execute_script
 from fpdlab.finite_rings import FiniteRing, enumerate_ideals
@@ -16,7 +15,7 @@ from fpdlab.groebner import (VecBasis, _interreduce, _minimalize, _term_key,
                              completion, groebner_basis_of_polys, poly_to_vec,
                              polys_to_vec, vec_groebner, vec_normal_form,
                              vec_to_poly)
-from fpdlab.modules import kernel
+from fpdlab.modules import _relation_block, kernel
 from fpdlab.rings import block_order, mono_divides
 from fpdlab.script import parse
 from helpers import (FF, QQ, ZZ, assert_is_groebner, assert_is_vec_groebner,
@@ -107,11 +106,11 @@ def test_zz_product_criterion_needs_coprime_lead_coefficients():
 def test_zz_g_pairs_join_generators_to_the_relation_block():
     # (3x, y) meets the marked block vector (2x, 0) in an S-pair, whose
     # S-vector 2*(3x, y) - 3*(2x, 0) = (0, 2y), and in a G-pair, whose
-    # G-vector (3x, y) - (2x, 0) = (x, y) only it gives
+    # G-vector (3x, y) - (2x, 0) = (x, y) only it gives; (3x, y) goes in
+    # unreduced, since a map's constructor would make it (x, y)
     R = presentation(ZZ, ("x", "y"), ["2*x", "x*y"])
-    S = SubmodulePresentation(R, 2, [("3*x", "y")])
-    assert S.contains(("x", "y"))
-    B = S.groebner_vectors()
+    B = vec_groebner([{(0, (1, 0)): 3, (1, (0, 1)): 1}], R.ambient, Budget(),
+                     block=_relation_block(R, 2, Budget()).vecs)
     assert {(0, (1, 0)): 1, (1, (0, 1)): 1} in B.vecs
     assert_is_vec_groebner(B)
 
@@ -289,8 +288,7 @@ def test_vec_groebner_returns_its_canonical_vec_basis():
             [vec_to_poly(v, R.ambient).terms for v in G.vecs.vecs]
     # a rank-2 submodule over ZZ, with the relation multiples J*e_i
     R = presentation(ZZ, ("x", "y"), ["6", "x^2 - y"])
-    S = SubmodulePresentation(R, 2, [("2*x + 4", "x*y"), ("3*y", "x + 2"),
-                                     ("x*y", "4")])
+    S = FreeModuleMap(R, 3, 2, [["2*x + 4", "3*y", "x*y"], ["x*y", "x + 2", "4"]])
     B = S.groebner_vectors()
     _assert_canonical(B)
     assert {pos for pos, _ in B.lts} == {0, 1}

@@ -1,11 +1,11 @@
-"""Free-module maps, module normal forms, kernels, and subquotient tests."""
+"""Free-module maps, membership in their images, kernels, and subquotient
+tests."""
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fpdlab import (Budget, FreeModuleMap, ResourceBudgetExceeded,
-                    StructuralError, SubmodulePresentation, image,
-                    is_zero_subquotient, kernel)
+                    StructuralError, is_zero_subquotient, kernel)
 from fpdlab.modules import prune_generators
 from helpers import (FF, QQ, ZZ, brute_linear_syzygies, presentation,
                      reference_compose, reference_kernel, reference_normalize,
@@ -13,14 +13,8 @@ from helpers import (FF, QQ, ZZ, brute_linear_syzygies, presentation,
 
 
 def _submodule(P, rank, *gens):
-    return SubmodulePresentation(P, rank, [tuple(P.poly(e) for e in g) for g in gens])
-
-
-def _maps_to_zero(phi, K) -> bool:
-    """phi kills every generator of K: phi after the map whose columns are
-    K's generators is zero."""
-    return phi.compose(FreeModuleMap.of_vectors(phi.ring, phi.source_rank,
-                                                K.vecs)).is_zero()
+    """The map R^len(gens) -> R^rank whose columns are `gens`."""
+    return FreeModuleMap(P, len(gens), rank, [[g[t] for g in gens] for t in range(rank)])
 
 
 def test_module_normal_form_member_is_zero():
@@ -57,7 +51,7 @@ def _assert_kernel_complete(P, phi, K, degree):
     zero = P.ambient.zero()
     rels = [tuple(g if s == t else zero for s in range(r))
             for t in range(r) for g in P.relations]
-    for h in brute_linear_syzygies(P.ambient, phi.columns() + rels, degree):
+    for h in brute_linear_syzygies(P.ambient, list(phi.generators) + rels, degree):
         assert K.contains(h[:n])
 
 
@@ -67,7 +61,7 @@ def test_kernel_of_two_variable_row():
     K = kernel(phi)
     assert len(K.generators) == 1
     # the reported generator multiplies to zero
-    assert _maps_to_zero(phi, K)
+    assert phi.compose(K).is_zero()
     _assert_kernel_complete(P, phi, K, 4)
 
 
@@ -81,7 +75,7 @@ def test_kernel_is_complete_over_quotient_rings(variables, relations, rows):
     P = presentation(QQ, variables, relations)
     phi = FreeModuleMap(P, len(rows[0]), len(rows), rows)
     K = kernel(phi)
-    assert _maps_to_zero(phi, K)
+    assert phi.compose(K).is_zero()
     _assert_kernel_complete(P, phi, K, 3)
 
 
@@ -103,7 +97,7 @@ def test_kernel_generators_multiply_to_zero_over_integers():
     phi = FreeModuleMap(P, 3, 1, [["2*x", "3*y", "x*y"]])
     K = kernel(phi)
     assert K.generators
-    assert _maps_to_zero(phi, K)
+    assert phi.compose(K).is_zero()
 
 
 def test_is_zero_subquotient_equal_modules():
@@ -171,9 +165,20 @@ def test_matrix_entries_normalized_modulo_relations():
 def test_image_submodule():
     P = presentation(QQ, ("x", "y"))
     phi = FreeModuleMap(P, 2, 2, [["x", "0"], ["0", "y"]])
-    Im = image(phi)
-    assert Im.contains(("x", "0"))
-    assert not Im.contains(("1", "0"))
+    assert phi.contains(("x", "0"))
+    assert not phi.contains(("1", "0"))
+
+
+def test_image_membership_over_integers_needs_the_relations():
+    # over ZZ[x]/(2x), 2 = 2*(x + 1) - 2x lies in the image of (x + 1), but
+    # not over ZZ[x], where x = -1 sends x + 1 to 0 and 2 to 2
+    P = presentation(ZZ, ("x",), ["2*x"])
+    phi = FreeModuleMap(P, 1, 1, [["x + 1"]])
+    assert [[str(e) for e in row] for row in phi.matrix] == [["x + 1"]]
+    assert phi.contains(("2",))
+    assert not phi.contains(("1",))
+    free = presentation(ZZ, ("x",))
+    assert not FreeModuleMap(free, 1, 1, [["x + 1"]]).contains(("2",))
 
 
 def test_compose_and_transpose_reduce_under_the_callers_budget():
@@ -219,33 +224,32 @@ def _prune_order(g):
 def test_prune_keeps_an_ordered_spanning_subsequence(domain, variables,
                                                      relations, rank, gens):
     P = presentation(domain, variables, relations)
-    S = _submodule(P, rank, *gens)
-    phi = FreeModuleMap.of_vectors(P, rank, S.vecs)
+    phi = _submodule(P, rank, *gens)
     K = kernel(phi)
     # the kernel is not pruned, and every generator of it maps to zero
     assert K.generators
-    assert _maps_to_zero(phi, K)
+    assert phi.compose(K).is_zero()
     if rank == 1:
         # the Koszul syzygies f_j*e_i - f_i*e_j of the row lie in its kernel
-        f = [c[0] for c in phi.columns()]
+        f = [c[0] for c in phi.generators]
         zero = P.ambient.zero()
         for i in range(len(f)):
             for j in range(i + 1, len(f)):
                 assert K.contains(tuple(f[j] if k == i else -f[i] if k == j else zero
                                         for k in range(len(f))))
-    for full in (S, K):
+    for full in (phi, K):
         kept = list(prune_generators(full).generators)
         candidates = sorted(full.generators, key=_prune_order)
         # a subsequence of the candidates in the documented order
         rest = iter(candidates)
         assert all(any(g == c for c in rest) for g in kept)
         # same module, by mutual containment
-        pruned = SubmodulePresentation(P, full.ambient_rank, kept)
+        pruned = _submodule(P, full.target_rank, *kept)
         assert all(pruned.contains(g) for g in full.generators)
         assert all(full.contains(g) for g in kept)
         # no kept generator lies in the span of those kept before it
         for i, g in enumerate(kept):
-            assert not SubmodulePresentation(P, full.ambient_rank, kept[:i]).contains(g)
+            assert not _submodule(P, full.target_rank, *kept[:i]).contains(g)
 
 
 # --- the vector module layer against the Polynomial-matrix path ---------------

@@ -1,4 +1,5 @@
 """Coefficient domains, monomial orders, polynomial arithmetic, presentations."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -92,9 +93,26 @@ def test_from_dict_resorts_under_the_ring_order():
 
 
 def test_prime_field_requires_prime():
-    with pytest.raises(StructuralError):
-        CoefficientDomain.FF(6)
-    assert CoefficientDomain.FF(2).p == 2
+    for n in range(-1, 2000):
+        if n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1)):
+            assert CoefficientDomain.FF(n).p == n
+        else:
+            with pytest.raises(StructuralError):
+                CoefficientDomain.FF(n)
+
+
+def test_large_prime_fields_are_decided_at_once():
+    start = time.perf_counter()
+    assert CoefficientDomain.FF(2 ** 61 - 1).p == 2 ** 61 - 1
+    with pytest.raises(StructuralError, match="must be prime"):
+        CoefficientDomain.FF(2 ** 61 + 1)
+    # the least strong pseudoprime to the bases 2..37 is composite
+    with pytest.raises(StructuralError, match="must be prime"):
+        CoefficientDomain.FF(318665857834031151167461)
+    bound = 3317044064679887385961981
+    with pytest.raises(StructuralError, match=f"must be below {bound}"):
+        CoefficientDomain.FF(bound)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_integer_domain_rejects_proper_fractions():
