@@ -1,6 +1,6 @@
-"""Chain complexes, free resolutions by iterated syzygies, the Ext^i(R/I, R)
-vanishing decisions, and the store in which one script's commands share
-them.
+"""Chain complexes, free resolutions by iterated syzygies, and the
+Ext^i(R/I, R) vanishing decisions, kept on the ring of I so that later calls
+on I reuse them.
 
 Resolutions are not minimal (Ext does not depend on the resolution); they
 are built step by step with the kernel operation, so quotient rings of
@@ -46,10 +46,6 @@ class ChainComplex:
         if not 1 <= i <= self.length:
             raise StructuralError(f"no differential d_{i} in a length-{self.length} complex")
         return self.diffs[i - 1]
-
-    def __str__(self):
-        arrows = " <- ".join(f"R^{r}" for r in self.ranks)
-        return f"{arrows} over {self.ring}"
 
 
 def cyclic_presentation(I: IdealPresentation, budget: Budget = None) -> FreeModuleMap:
@@ -113,8 +109,7 @@ class ExtComputer:
     demand, the Ext^i(R/I, R) decisions read off it, whether Ann(I) = 0, and
     Koszul grades on generator tuples of I.  A decision (Ext^0 once the
     annihilator agrees) or Koszul grade is stored only once its check has
-    passed.  Not for concurrent use; see `ext_computer` for sharing one
-    between commands."""
+    passed.  Not for concurrent use; `ext_computer` keeps one per ideal."""
 
     def __init__(self, I: IdealPresentation):
         self.ideal = I
@@ -152,19 +147,15 @@ class ExtComputer:
         return self.decided[i]
 
 
-def ext_computer(I: IdealPresentation, shared: dict = None) -> ExtComputer:
-    """I's computer in `shared`, a store of one script's derived work keyed by
-    ring and `generator_key` (its `ideal` is the first one asked about);
-    without a store, a fresh computer no other call sees."""
-    if shared is None:
-        return ExtComputer(I)
-    return shared.setdefault((I.ring, generator_key(I.ring, I.generators)), ExtComputer(I))
+def ext_computer(I: IdealPresentation) -> ExtComputer:
+    """I's computer in `I.ring.derived`, the ring's store of derived work
+    keyed by `generator_key` (its `ideal` is the first one asked about)."""
+    return I.ring.derived.setdefault(generator_key(I.ring, I.generators), ExtComputer(I))
 
 
-def ext_vanishing_profile(I: IdealPresentation, n: int, budget: Budget = None,
-                          shared: dict = None) -> tuple:
+def ext_vanishing_profile(I: IdealPresentation, n: int, budget: Budget = None) -> tuple:
     """(Ext^0 = 0?, ..., Ext^n = 0?) from one resolution of R/I."""
     if n < 0:
         raise StructuralError("profile bound must be >= 0")
-    computer, budget = ext_computer(I, shared), ensure_budget(budget)
+    computer, budget = ext_computer(I), ensure_budget(budget)
     return tuple(computer.ext_is_zero(i, budget) for i in range(n + 1))

@@ -63,9 +63,9 @@ class Budget:
     """Step and deadline accounting for one logical computation.
 
     A Budget is handed through every engine call of a computation so that
-    nested Groebner runs share a single limit.  It is the one deliberately
-    mutable object in the library; do not share an instance between
-    concurrent computations.
+    nested Groebner runs share a single limit.  It is, with a ring's
+    `derived` store, a deliberately mutable object of the library; do not
+    share an instance between concurrent computations.
     """
 
     __slots__ = ("max_steps", "deadline_at", "steps", "_stride_left")

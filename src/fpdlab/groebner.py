@@ -136,35 +136,17 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
         k = max(work, key=keys.__getitem__)
         c = work.pop(k)
         pos, m = k
-        reduced = False
         for j in at.get(pos, ()):
             lt_j = lts[j]
             q = mono_div(m, lt_j[1])
             if q is None:
                 continue
             budget.tick()
-            if field:
-                # basis vector is monic: subtract c * x^q * vecs[j]
-                for bk, bc in vecs[j].items():
-                    if bk == lt_j:
-                        continue
-                    kk = (bk[0], mono_mul(bk[1], q))
-                    if kk not in keys:
-                        keys[kk] = tkey(kk)
-                    nc = work.get(kk, 0) - c * bc
-                    if p:
-                        nc %= p
-                    if nc:
-                        work[kk] = nc
-                    else:
-                        work.pop(kk, None)
-                reduced = True
-                break
-            a = lcs[j]
-            qq = c // a
+            # a field's basis vector is monic, so its quotient is c itself
+            qq, r = (c, 0) if field else divmod(c, lcs[j])
             if qq == 0:
                 continue
-            r = c - qq * a
+            # subtract qq * x^q * vecs[j]
             for bk, bc in vecs[j].items():
                 if bk == lt_j:
                     continue
@@ -172,15 +154,16 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
                 if kk not in keys:
                     keys[kk] = tkey(kk)
                 nc = work.get(kk, 0) - qq * bc
+                if p:
+                    nc %= p
                 if nc:
                     work[kk] = nc
                 else:
                     work.pop(kk, None)
             if r:
                 work[k] = r
-            reduced = True
             break
-        if not reduced:
+        else:
             rem[k] = c
     return rem
 
@@ -400,17 +383,15 @@ def _minimalize(basis: VecBasis) -> VecBasis:
     """The elements whose leads no other lead dominates, in ascending lead
     order (ties over ZZ by ascending |lead coefficient|), as a new basis."""
     ring = basis.ring
-    field = ring.domain.is_field
     tkey = _term_key(ring)
+    # a field basis is monic, so its ties and divisibility tests are trivial
     idx = sorted(range(len(basis)),
-                 key=lambda i: (tkey(basis.lts[i]), abs(basis.lcs[i])
-                                if not field else 0))
+                 key=lambda i: (tkey(basis.lts[i]), abs(basis.lcs[i])))
     kept = VecBasis([], ring)
     for i in idx:
         pos, m = basis.lts[i]
         a = basis.lcs[i]
-        if not any(mono_divides(kept.lts[j][1], m)
-                   and (field or a % kept.lcs[j] == 0)
+        if not any(mono_divides(kept.lts[j][1], m) and a % kept.lcs[j] == 0
                    for j in kept.at.get(pos, ())):
             kept.append(basis.vecs[i], basis.lts[i])
     return kept

@@ -31,22 +31,16 @@ class GradeReport:
     koszul_cross_check: Optional[GradeValue] = None
     notes: tuple = ()
 
-    def __str__(self):
-        extra = f", Koszul cross-check {self.koszul_cross_check}" \
-            if self.koszul_cross_check is not None else ""
-        return f"grade = {self.value} (Ext profile {list(self.ext_profile)}{extra})"
-
 
 def grade(I: IdealPresentation, max_degree: Optional[int] = None,
-          with_koszul: Optional[bool] = None, budget: Budget = None,
-          shared: dict = None) -> GradeReport:
+          with_koszul: Optional[bool] = None, budget: Budget = None) -> GradeReport:
     """Grade of I on R from the Ext-vanishing profile.
 
     The profile is searched up to `max_degree` (default: the number of
     nonzero generators, which always suffices for a proper ideal); a proper
     ideal with an all-true profile is reported UNDETERMINED beyond the bound.
-    With a `shared` store (`complexes.ext_computer`), earlier Ext decisions
-    and Koszul grades on I are reused; a reused Koszul grade is still checked.
+    Earlier Ext decisions and Koszul grades on I's ring are reused
+    (`complexes.ext_computer`); a reused Koszul grade is still checked.
     """
     budget = ensure_budget(budget)
     ring = I.ring
@@ -56,7 +50,7 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
     if max_degree < 0:
         raise StructuralError("grade search bound must be >= 0")
     unit = is_unit_ideal(I, budget)
-    computer = ext_computer(I, shared)
+    computer = ext_computer(I)
     profile = []
     value = None
     notes = ()
@@ -78,23 +72,22 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
         with_koszul = ring.domain.is_field
     cross = None
     if with_koszul and nonzero_gens and not value.is_undetermined:
-        cross = koszul_grade(I, nonzero_gens, budget, shared)
+        cross = koszul_grade(I, nonzero_gens, budget)
         if cross != value:
             raise InternalError(
                 f"internal: Koszul grade {cross} disagrees with Ext grade {value}")
     return GradeReport(I, value, tuple(profile), cross, notes)
 
 
-def is_semiregular(I: IdealPresentation, budget: Budget = None,
-                   shared: dict = None) -> bool:
-    """Hom(R/I, R) = 0, decided through the annihilator (kept in `shared`
-    for the Ext^0 cross-check of a later command on I)."""
-    return ext_computer(I, shared).annihilator_is_zero(budget)
+def is_semiregular(I: IdealPresentation, budget: Budget = None) -> bool:
+    """Hom(R/I, R) = 0, decided through the annihilator (kept on I's ring
+    for the Ext^0 cross-check of a later call on I)."""
+    return ext_computer(I).annihilator_is_zero(budget)
 
 
-def is_gv(J: IdealPresentation, budget: Budget = None, shared: dict = None) -> bool:
+def is_gv(J: IdealPresentation, budget: Budget = None) -> bool:
     """Hom(R/J, R) = Ext^1(R/J, R) = 0."""
-    return all(ext_vanishing_profile(J, 1, budget, shared))
+    return all(ext_vanishing_profile(J, 1, budget))
 
 
 PASS = "PASS"
@@ -117,17 +110,9 @@ class CriterionResult:
     def __bool__(self):
         return self.verdict == PASS
 
-    def __str__(self):
-        if self.verdict == COUNTEREXAMPLE:
-            return (f"COUNTEREXAMPLE: proper ideal with Ext^0..Ext^{self.bound} "
-                    f"all zero (dimension bound {self.bound} fails)")
-        if self.first_nonvanishing is not None:
-            return f"PASS: Ext^{self.first_nonvanishing} is nonzero"
-        return "PASS: unit ideal (certificate attached)"
 
-
-def fpd_criterion_check(I: IdealPresentation, n: int, budget: Budget = None,
-                        shared: dict = None) -> CriterionResult:
+def fpd_criterion_check(I: IdealPresentation, n: int,
+                        budget: Budget = None) -> CriterionResult:
     """Test I against the bound fPD(R) <= n.
 
     PASS when some Ext^i(R/I, R) with i <= n is nonzero, or when I = R
@@ -137,7 +122,7 @@ def fpd_criterion_check(I: IdealPresentation, n: int, budget: Budget = None,
     budget = ensure_budget(budget)
     if n < 0:
         raise StructuralError("criterion bound must be >= 0")
-    profile = ext_vanishing_profile(I, n, budget, shared)
+    profile = ext_vanishing_profile(I, n, budget)
     if not all(profile):
         first = min(i for i, z in enumerate(profile) if not z)
         return CriterionResult(I, n, PASS, profile, first_nonvanishing=first)
@@ -168,14 +153,9 @@ class FpdReport:
     conclusion: str
     notes: tuple = ()
 
-    def __str__(self):
-        rel = "=" if self.conclusion == EXACT else ">="
-        return f"fPD(R) {rel} {self.bound} over {len(self.maximal_ideals)} maximal ideal(s)"
-
 
 def fpd_bound(R: RingPresentation, max_ideals: Sequence, exhaustive: bool = False,
-              max_degree: Optional[int] = None, budget: Budget = None,
-              shared: dict = None) -> FpdReport:
+              max_degree: Optional[int] = None, budget: Budget = None) -> FpdReport:
     """max of grade(m, R) over the listed ideals (claimed maximal by the caller)."""
     budget = ensure_budget(budget)
     ideals = tuple(max_ideals)
@@ -188,7 +168,7 @@ def fpd_bound(R: RingPresentation, max_ideals: Sequence, exhaustive: bool = Fals
     for m in ideals:
         if m.ring != R:
             raise StructuralError("listed ideal lives in a different ring")
-        rep = grade(m, max_degree=max_degree, budget=budget, shared=shared)
+        rep = grade(m, max_degree=max_degree, budget=budget)
         reports.append(rep)
         if rep.value.is_infinite:
             raise StructuralError("the unit ideal was listed as a maximal ideal")
@@ -226,14 +206,9 @@ class CohenMacaulayReport:
     dimension: int
     finitistic_identity: Optional[str] = None
 
-    def __str__(self):
-        verdict = "Cohen-Macaulay" if self.is_cm else "not Cohen-Macaulay"
-        tail = f"; {self.finitistic_identity}" if self.finitistic_identity else ""
-        return f"{verdict}: depth {self.depth}, dim {self.dimension}{tail}"
 
-
-def is_cohen_macaulay_graded(R: RingPresentation, budget: Budget = None,
-                             shared: dict = None) -> CohenMacaulayReport:
+def is_cohen_macaulay_graded(R: RingPresentation,
+                             budget: Budget = None) -> CohenMacaulayReport:
     """depth = dim test at the irrelevant maximal ideal of a graded-local ring.
 
     When the ring is Cohen-Macaulay the report records that both finitistic
@@ -241,7 +216,7 @@ def is_cohen_macaulay_graded(R: RingPresentation, budget: Budget = None,
     """
     budget = ensure_budget(budget)
     _require_graded_local(R, budget)
-    rep = grade(irrelevant_ideal(R), budget=budget, shared=shared)
+    rep = grade(irrelevant_ideal(R), budget=budget)
     if not rep.value.is_finite:
         raise InternalError("internal: depth of a graded-local ring must be finite")
     depth = rep.value.value
@@ -259,27 +234,21 @@ class DqDwReport:
     depth: int
     gv_witness: Optional[IdealPresentation] = None
 
-    def __str__(self):
-        parts = [f"DQ: {self.is_dq}", f"DW: {self.is_dw}", f"depth {self.depth}"]
-        if self.gv_witness is not None:
-            parts.append(f"GV witness {self.gv_witness}")
-        return ", ".join(parts)
 
-
-def dq_dw_local(R: RingPresentation, budget: Budget = None, shared: dict = None) -> DqDwReport:
+def dq_dw_local(R: RingPresentation, budget: Budget = None) -> DqDwReport:
     """DQ (depth 0) and DW (depth <= 1) for a graded-local ring; when the
     ring is not DW, the irrelevant ideal is returned as a verified proper
     GV-ideal witness."""
     budget = ensure_budget(budget)
     _require_graded_local(R, budget)
     m = irrelevant_ideal(R)
-    rep = grade(m, budget=budget, shared=shared)
+    rep = grade(m, budget=budget)
     if not rep.value.is_finite:
         raise InternalError("internal: depth of a graded-local ring must be finite")
     depth = rep.value.value
     witness = None
     if depth >= 2:
-        if not is_gv(m, budget, shared):
+        if not is_gv(m, budget):
             raise InternalError("internal: depth >= 2 but the irrelevant ideal "
                                 "is not a GV-ideal")
         witness = m

@@ -65,13 +65,13 @@ def koszul_homology_is_zero(K: ChainComplex, i: int, budget: Budget = None) -> b
 
 
 def koszul_grade(I: IdealPresentation, gens: Sequence = None,
-                 budget: Budget = None, shared: dict = None) -> GradeValue:
+                 budget: Budget = None) -> GradeValue:
     """len(gens) minus the top nonvanishing Koszul homology degree; INFINITE
-    when every homology module vanishes (the unit ideal).  With a `shared`
-    store, a grade already computed on unit multiples of gens is reused."""
+    when every homology module vanishes (the unit ideal).  A grade already
+    computed on unit multiples of gens in I's ring is reused."""
     budget = ensure_budget(budget)
     gens = tuple(I.ring.poly(g) for g in (I.generators if gens is None else gens))
-    known, key = ext_computer(I, shared).koszul, generator_key(I.ring, gens)
+    known, key = ext_computer(I).koszul, generator_key(I.ring, gens)
     if key not in known:
         if not gens:
             raise StructuralError("Koszul complex needs at least one generator")
@@ -102,16 +102,9 @@ class DualKoszulCokernel:
     def projective_dimension_bound(self) -> Optional[int]:
         return self.index if self.exactness_verified else None
 
-    def __str__(self):
-        status = ("dual complex exact below the top"
-                  if self.exactness_verified else "exactness not certified")
-        return (f"coker(d*_{self.index}) presented by "
-                f"{self.presentation.target_rank}x{self.presentation.source_rank}; "
-                f"{status}")
 
-
-def dual_koszul_cokernel(I: IdealPresentation, n: int, budget: Budget = None,
-                         shared: dict = None) -> DualKoszulCokernel:
+def dual_koszul_cokernel(I: IdealPresentation, n: int,
+                         budget: Budget = None) -> DualKoszulCokernel:
     """coker(d*_{n+1}) of the dualized Koszul complex on I's generators.
 
     When Ext^i(R/I, R) = 0 for i = 0..n, exactness of the dualized sequence
@@ -125,7 +118,7 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int, budget: Budget = None,
         raise StructuralError("the dual Koszul cokernel needs generators")
     chain = koszul_chain(I.ring, gens, n + 1, budget)
     presentation = chain.differential(n + 1).transpose(budget)
-    profile = ext_vanishing_profile(I, n, budget, shared)
+    profile = ext_vanishing_profile(I, n, budget)
     verified = False
     if all(profile):
         duals = [chain.differential(i).transpose(budget) for i in range(1, n + 2)]

@@ -5,10 +5,9 @@ A free-module element is an engine vector {(position, monomial): coefficient}
 (see `groebner`).  A map keeps one such vector per column, reduced modulo
 J*e_t, and a submodule is the image of a map: its columns are the
 generators.  Tuples of `Polynomial`s, one entry per position, appear only at
-the public edges: the constructor, `matrix`, `generators`, `contains` and
-`__str__`.  All submodule computations happen in the ambient ring with
-the relation multiples J*e_i adjoined, so membership and syzygies are taken
-over R.
+the public edges: the constructor, `matrix`, `generators` and `contains`.
+All submodule computations happen in the ambient ring with the relation
+multiples J*e_i adjoined, so membership and syzygies are taken over R.
 """
 from __future__ import annotations
 
@@ -155,10 +154,6 @@ class FreeModuleMap:
             raise StructuralError(
                 f"vector length {len(vector)} does not match rank {self.target_rank}")
         return not self.reduce(polys_to_vec([self.ring.poly(e) for e in vector]), budget)
-
-    def __str__(self):
-        rows = ["[" + ", ".join(str(e) for e in row) + "]" for row in self.matrix]
-        return f"R^{self.source_rank} -> R^{self.target_rank}: [" + "; ".join(rows) + "]"
 
 
 def prune_generators(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:

@@ -1,9 +1,10 @@
 """Exact coefficient domains, monomial orders, polynomials, and presentations
 of rings and ideals.
 
-Every value here is immutable after construction (presentations carry lazy,
-idempotent caches) and safe for concurrent reads.  The ambient polynomial
-ring A[x1..xn] is a `PolynomialRing`; a quotient R = A[x1..xn]/J is a
+Every value here is immutable after construction, apart from lazy,
+idempotent Groebner caches and a ring's `derived` store, which, like a
+`Budget`, is not for concurrent use.  The ambient polynomial ring
+A[x1..xn] is a `PolynomialRing`; a quotient R = A[x1..xn]/J is a
 `RingPresentation` holding the relation ideal J.
 """
 from __future__ import annotations
@@ -426,8 +427,9 @@ class RingPresentation:
     """R = A[x1..xn]/J presented by relation generators for J.
 
     Empty relations give the polynomial ring itself.  The reduced (field) or
-    normalized strong (ZZ) Groebner basis of J is computed lazily and cached;
-    the cache fill is idempotent, so concurrent reads stay safe.
+    normalized strong (ZZ) Groebner basis of J is computed lazily and cached.
+    `derived` keeps the work on the ring's ideals that `complexes.ext_computer`
+    shares between calls; an equal ring built afresh starts cold.
     """
 
     def __init__(self, ambient: PolynomialRing, relations: Sequence = ()):
@@ -439,6 +441,7 @@ class RingPresentation:
                 rels.append(p)
         self.relations = tuple(rels)
         self._relations_gb = None
+        self.derived = {}
 
     @property
     def domain(self) -> CoefficientDomain:

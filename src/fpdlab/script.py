@@ -20,6 +20,7 @@ each command runs against the most recently declared ring.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -120,6 +121,23 @@ def _int(tok: Token, digits: Optional[str] = None) -> int:
                          tok.line, tok.column) from None
 
 
+# Python renders an int of at most this many digits (4,300 unless configured)
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", int)() or 4300
+_TOO_LONG = 10 ** _MAX_DIGITS
+
+
+def _bounded(poly: Polynomial, op: Token, e: int = 1) -> Polynomial:
+    """poly, or a ParseError at `op` when a ZZ or QQ coefficient c has c^e too
+    long to render; bit lengths bound c^e below before it is built.  (FF(p)
+    coefficients stay below p.)"""
+    if poly.ring.domain.p is None:
+        for n in (abs(x) for _, c in poly.terms for x in (c.numerator, c.denominator)):
+            if e * (n.bit_length() - 1) >= _TOO_LONG.bit_length() or n ** e >= _TOO_LONG:
+                raise ParseError(f"coefficient too long (over {_MAX_DIGITS} digits)",
+                                 op.line, op.column)
+    return poly
+
+
 # ---------------------------------------------------------------------------
 # Polynomial expressions
 
@@ -132,26 +150,28 @@ def _parse_expr(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
     if sign < 0:
         poly = -poly
     while cur.at(PUNCT_TOK, "+") or cur.at(PUNCT_TOK, "-"):
-        op = cur.advance().text
+        op = cur.advance()
         rhs = _parse_term(cur, ring)
-        poly = poly + rhs if op == "+" else poly - rhs
+        poly = _bounded(poly + rhs if op.text == "+" else poly - rhs, op)
     return poly
 
 
 def _parse_term(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
     poly = _parse_factor(cur, ring)
     while cur.at(PUNCT_TOK, "*"):
-        cur.advance()
-        poly = poly * _parse_factor(cur, ring)
+        op = cur.advance()
+        poly = _bounded(poly * _parse_factor(cur, ring), op)
     return poly
 
 
 def _parse_factor(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
     base = _parse_atom(cur, ring)
     if cur.at(PUNCT_TOK, "^"):
-        cur.advance()
-        tok = cur.expect(INT_TOK, what="an integer exponent")
-        base = base ** _int(tok)
+        op = cur.advance()
+        e = _int(cur.expect(INT_TOK, what="an integer exponent"))
+        # lc(base^e) = lc(base)^e: a huge power is refused before it is built
+        _bounded(Polynomial(ring, base.terms[:1]), op, e)
+        base = _bounded(base ** e, op)
     return base
 
 
@@ -244,8 +264,6 @@ class SessionScript:
     rings: dict
     ideals: dict
     finite_rings: dict = field(default_factory=dict, compare=False, repr=False)
-    # derived work the commands share (`complexes.ext_computer`); per parse
-    shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     def commands(self) -> list:
         return list(self.items)

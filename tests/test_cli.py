@@ -180,6 +180,7 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 _HUGE = "9" * 5000  # past Python's 4,300-digit limit on int(str)
+_NINES = "9" * 4300  # the longest literal Python converts
 
 
 @pytest.mark.parametrize("script", [
@@ -197,6 +198,39 @@ def test_main_reports_a_huge_integer_literal_as_a_parse_error(tmp_path, capsys,
     f.write_text(script)
     assert main([str(f)]) == EXIT_PARSE_ERROR
     assert "integer literal too long (5000 digits)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script, column", [
+    ("ring R = ZZ[x]; ideal I = (2^20000*x); grade I;", 29),
+    # two legal powers whose product has 6,001 digits
+    ("ring R = ZZ[x]; ideal I = ((10^3000)*(10^3000)); grade I;", 37),
+    ("ring R = QQ[x]; ideal I = (1/3^10000*x); grade I;", 31),
+    # refused from the lead coefficient's size, before 2^(10^11) is built
+    ("ring R = ZZ[x]; ideal I = (2^99999999999*x); grade I;", 29),
+    # a sum of two legal terms gains a digit
+    (f"ring R = ZZ[x]; ideal I = ({_NINES}*x + {_NINES}*x); grade I;", 4331),
+])
+def test_main_reports_a_coefficient_too_long_to_render_as_a_parse_error(
+        tmp_path, capsys, script, column):
+    f = tmp_path / "long.fpd"
+    f.write_text(script)
+    assert main([str(f)]) == EXIT_PARSE_ERROR
+    assert (f"coefficient too long (over 4300 digits) (line 1, column {column})"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("script, generator", [
+    # FF(p) coefficients stay below p
+    ("ring R = FF7[x]; ideal I = (3^100000*x); grade I;", "4*x"),
+    # 4,300 digits is the longest that renders
+    ("ring R = ZZ[x]; ideal I = (10^4299*x); grade I;", "1" + "0" * 4299 + "*x"),
+])
+def test_main_accepts_a_power_that_renders(tmp_path, capsys, script, generator):
+    f = tmp_path / "ok.fpd"
+    f.write_text(script)
+    assert main(["--json", str(f)]) == EXIT_OK
+    record = json.loads(capsys.readouterr().out)
+    assert record["inputs"]["ideals"]["I"] == [generator]
 
 
 def test_main_json_flag(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Derived work shared by the commands of one parsed script: resolutions,
-Ext decisions and Koszul grades, keyed by ring and unit-normalized
-generators.  Sharing may move step counts, never an answer."""
+"""Derived work shared by the calls on one ring, and so by the commands of
+one parsed script: resolutions, Ext decisions and Koszul grades, kept on the
+ring and keyed by unit-normalized generators.  Sharing may move step counts,
+never an answer."""
 import pytest
-from fpdlab import complexes, groebner, koszul
+from fpdlab import (Budget, CoefficientDomain, PolynomialRing, RingPresentation,
+                    complexes, dq_dw_local, grade, groebner, is_gv, koszul)
 from fpdlab.cli import CliConfig, render_json, run_command
 from fpdlab.script import parse
 from golden_diff import differences
@@ -53,11 +55,11 @@ def test_unit_rescaled_generators_share_an_entry_and_other_ideals_do_not():
     steps = [r["budget"]["steps"] for r in records]
     assert steps[0] > 0 and steps[1] == 0 and steps[2] > 0
     assert steps[3] > 0 and steps[4] == 0 and steps[5] > 0
-    assert len(script.shared) == 4
+    assert [len(ring.derived) for ring in script.rings.values()] == [2, 2]
     assert [r["result"] for r in records[:2]] == [{"vanishes_through": [True, False]}] * 2
-    # a new parse starts cold
+    # a new parse builds new rings, which start cold
     fresh = parse(text)
-    assert fresh.shared == {}
+    assert all(ring.derived == {} for ring in fresh.rings.values())
     assert run_command(fresh, fresh.commands()[1], CliConfig())["budget"]["steps"] > 0
 
 
@@ -81,7 +83,7 @@ def test_a_command_cut_short_leaves_a_prefix_the_next_one_extends():
     first, second = script.commands()
     cut = run_command(script, first, CliConfig(budget_steps=budget))
     assert cut["status"] == "resource"
-    (work,) = script.shared.values()
+    (work,) = script.rings["R"].derived.values()
     assert work.resolution is not None and len(work.decided) < 4
     # no budget is stored with the shared work: the next command runs under
     # its own, finishes and answers as a cold run does
@@ -124,3 +126,25 @@ def test_a_shared_annihilator_verdict_is_still_cross_checked(monkeypatch):
     assert [r["status"] for r in records] == ["ok", "internal"]
     assert records[0]["result"] == {"semiregular": True}
     assert "disagrees with the annihilator" in records[1]["error"]
+
+
+def test_library_calls_on_one_ring_share_its_store():
+    def ring():
+        A = PolynomialRing(CoefficientDomain.FF(7), ("x", "y", "z", "w"))
+        return RingPresentation(A, [A.poly("x*w - y*z")])
+
+    def steps(call, arg):
+        budget = Budget()
+        call(arg, budget=budget)
+        return budget.steps
+
+    R = ring()
+    first = steps(grade, R.ideal("x", "y", "z", "w"))
+    assert first > 0
+    # grade decided Ext^0 and Ext^1 on the same generators
+    assert steps(is_gv, R.ideal("x", "y", "z", "w")) == 0
+    assert steps(dq_dw_local, R) < steps(dq_dw_local, ring())
+    # an equal ring built afresh shares nothing
+    fresh = ring()
+    assert fresh == R and fresh.derived == {}
+    assert steps(grade, fresh.ideal("x", "y", "z", "w")) == first
