@@ -323,11 +323,6 @@ class Polynomial:
             raise StructuralError("zero polynomial has no leading term")
         return self.terms[0][1]
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m, _ in self.terms)
-
     def _check_ring(self, other: "Polynomial"):
         if self.ring != other.ring:
             raise StructuralError(

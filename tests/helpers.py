@@ -133,20 +133,24 @@ def _all_pairs_s_vector(basis, entry: tuple) -> dict:
     return _s_vector(basis, i, j, l // a, -(l // b))
 
 
-def reference_completion(vecs, ring: PolynomialRing, budget, block=()) -> Completion:
-    """`groebner.completion` with no pair eliminated: every S-pair (and every
+class ReferenceCompletion(Completion):
+    """`groebner.Completion` with no pair eliminated: every S-pair (and every
     G-pair over ZZ) of two leads in one position is reduced, those inside the
     relation block included."""
-    return Completion(vecs, ring, ensure_budget(budget), _all_pairs,
-                      _all_pairs_s_vector, block)
+
+    def push_pairs(self, f: int):
+        _all_pairs(self.basis, self.heap, f, self.marked)
+
+    def s_vector(self, entry: tuple) -> dict:
+        return _all_pairs_s_vector(self.basis, entry)
 
 
 def reference_vec_groebner(vecs, ring: PolynomialRing, budget, block=()):
     """The canonical basis `vec_groebner` must return, from
-    `reference_completion`."""
+    `ReferenceCompletion`."""
     budget = ensure_budget(budget)
-    return _interreduce(_minimalize(reference_completion(vecs, ring, budget,
-                                                         block).basis), budget)
+    return _interreduce(_minimalize(ReferenceCompletion(vecs, ring, budget,
+                                                        block=block).basis), budget)
 
 
 def reference_normal_form(v: dict, basis, budget) -> dict:

@@ -1,4 +1,4 @@
-"""Groebner engines (field and strong integer), normal forms, ideal
+"""The Groebner engine over fields and ZZ, normal forms, ideal
 operations, and the Krull dimension combinatorics."""
 import random
 from fractions import Fraction
@@ -379,6 +379,18 @@ def test_step_budget_exhaustion_reports_partial_state():
         groebner_basis_of_polys(A, gens, budget=Budget(max_steps=5))
     assert err.value.steps > 5
     assert err.value.basis_size is not None
+
+
+@pytest.mark.parametrize("domain", [QQ, FF(3), ZZ])
+def test_a_stop_during_the_initial_inserts_names_the_basis_size(domain):
+    from fpdlab import ResourceBudgetExceeded
+    # x^3 reduces by the first generator before any pair is queued
+    A = poly_ring(domain, "x", "y")
+    vecs = [poly_to_vec(A.poly(p)) for p in ("x^2 - y", "x^3")]
+    with pytest.raises(ResourceBudgetExceeded) as err:
+        completion(vecs, A, Budget(max_steps=0))
+    assert (err.value.basis_size, err.value.pending_pairs) == (1, 0)
+    assert str(err.value).endswith("(basis size 1, pending pairs 0)")
 
 
 def test_deadline_exhaustion():

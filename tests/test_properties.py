@@ -185,13 +185,14 @@ def test_gv_implies_semiregular(domain, relation, gens):
 
 # relation sets of two or more relations, so that the relation block can
 # hold pairs of marked vectors; over ZZ the last three have lead
-# coefficients that are not units (a relation that is zero mod p is dropped)
+# coefficients that are not units (a relation that is zero mod p is dropped),
+# and over QQ they are normalized to monic leads held as Fraction(1)
 _BLOCK_POOL = [None, ("x^2", "x*y"), ("x^2 - y", "x*y^2"), ("x*y - 1", "y^3"),
                ("2*x", "x*y"), ("2*x^2 - y", "3*y^2", "x*y"), ("4*x - y^2", "6*y")]
 
 
 @SUITE
-@given(st.sampled_from([ZZ, FF(2), ZZ, FF(3), ZZ, FF(5)]), st.integers(1, 3),
+@given(st.sampled_from([ZZ, FF(2), ZZ, FF(3), ZZ, FF(5), QQ]), st.integers(1, 3),
        st.sampled_from(_BLOCK_POOL),
        st.lists(st.lists(_poly_strategy(3), min_size=3, max_size=3),
                 min_size=1, max_size=3))
