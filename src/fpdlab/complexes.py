@@ -54,12 +54,13 @@ def cyclic_presentation(I: IdealPresentation, budget: Budget = None) -> FreeModu
     return FreeModuleMap(I.ring, len(gens), 1, [gens], budget)
 
 
-def cycles_and_boundaries(d_out: Optional[FreeModuleMap],
-                          d_in: Optional[FreeModuleMap],
-                          budget: Budget = None) -> tuple:
-    """Maps onto (ker d_out, im d_in) in the free module where d_out starts
-    and d_in ends.  None is a zero map (at most one of the two): with no
-    d_out every element is a cycle, and with no d_in nothing is a boundary."""
+def homology_is_zero(d_out: Optional[FreeModuleMap], d_in: Optional[FreeModuleMap],
+                     budget: Budget = None) -> bool:
+    """ker d_out / im d_in = 0 in the free module where d_out starts and d_in
+    ends.  None is a zero map (at most one of the two): with no d_out every
+    element is a cycle, and with no d_in nothing is a boundary.  The caller
+    vouches for d_out . d_in = 0, so im d_in <= ker d_out is not re-checked."""
+    budget = ensure_budget(budget)
     if d_out is not None:
         Z = kernel(d_out, budget)
     else:
@@ -67,7 +68,7 @@ def cycles_and_boundaries(d_out: Optional[FreeModuleMap],
         one, unit = ring.domain.one(), mono_one(ring.ambient.nvars)
         Z = FreeModuleMap._of_reduced(ring, rank, [{(j, unit): one} for j in range(rank)])
     B = d_in if d_in is not None else FreeModuleMap._of_reduced(Z.ring, Z.target_rank, ())
-    return Z, B
+    return is_zero_subquotient(Z, B, budget, verify_containment=False)
 
 
 class ResolutionCache:
@@ -107,8 +108,8 @@ def generator_key(ring: RingPresentation, gens: Sequence) -> tuple:
 class ExtComputer:
     """The derived work on one ideal I: a resolution of R/I extended on
     demand, the Ext^i(R/I, R) decisions read off it, whether Ann(I) = 0, and
-    Koszul grades on generator tuples of I.  A decision (Ext^0 once the
-    annihilator agrees) or Koszul grade is stored only once its check has
+    the Koszul homology decisions on generator tuples of I.  An Ext decision
+    (Ext^0 once the annihilator agrees) is stored only once its check has
     passed.  Not for concurrent use; `ext_computer` keeps one per ideal."""
 
     def __init__(self, I: IdealPresentation):
@@ -116,7 +117,7 @@ class ExtComputer:
         self.resolution = None  # ResolutionCache of R/I, made on first use
         self.decided = {}       # i -> Ext^i(R/I, R) = 0
         self.ann_zero = None    # Ann(I) = 0, once computed
-        self.koszul = {}        # generator_key -> Koszul grade on those generators
+        self.koszul = {}        # generator_key -> {i: H_i of their Koszul chain = 0}
 
     def annihilator_is_zero(self, budget: Budget = None) -> bool:
         """Ann(I) = 0, i.e. Hom(R/I, R) = 0, through the annihilator."""
@@ -136,10 +137,8 @@ class ExtComputer:
             d_out = self.resolution.differential(i + 1, budget).transpose(budget)
             d_in = (self.resolution.differential(i, budget).transpose(budget)
                     if i >= 1 else None)
-            K, Im = cycles_and_boundaries(d_out, d_in, budget)
-            # im d*_i <= ker d*_{i+1} because d_i . d_{i+1} = 0, which the
-            # resolution checks as it builds d_{i+1}
-            zero = is_zero_subquotient(K, Im, budget, verify_containment=False)
+            # d_i . d_{i+1} = 0 is checked as the resolution builds d_{i+1}
+            zero = homology_is_zero(d_out, d_in, budget)
             if i == 0 and self.annihilator_is_zero(budget) != zero:
                 raise InternalError(
                     "internal: Hom(R/I, R) decision disagrees with the annihilator")

@@ -39,8 +39,9 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
     The profile is searched up to `max_degree` (default: the number of
     nonzero generators, which always suffices for a proper ideal); a proper
     ideal with an all-true profile is reported UNDETERMINED beyond the bound.
-    Earlier Ext decisions and Koszul grades on I's ring are reused
-    (`complexes.ext_computer`); a reused Koszul grade is still checked.
+    Earlier Ext and Koszul homology decisions on I's ring are reused
+    (`complexes.ext_computer`); the Koszul grade read from reused decisions
+    is still checked.
     """
     budget = ensure_budget(budget)
     ring = I.ring
@@ -162,9 +163,7 @@ def fpd_bound(R: RingPresentation, max_ideals: Sequence, exhaustive: bool = Fals
     if not ideals:
         raise StructuralError("at least one maximal ideal is required")
     reports = []
-    contributions = []
     notes = []
-    determined = True
     for m in ideals:
         if m.ring != R:
             raise StructuralError("listed ideal lives in a different ring")
@@ -173,10 +172,9 @@ def fpd_bound(R: RingPresentation, max_ideals: Sequence, exhaustive: bool = Fals
         if rep.value.is_infinite:
             raise StructuralError("the unit ideal was listed as a maximal ideal")
         if rep.value.is_undetermined:
-            determined = False
             notes.append(f"grade of {m} undetermined beyond {rep.value.bound}")
-        contributions.append(rep.value.lower_bound())
-    bound = max(contributions)
+    determined = not notes
+    bound = max(rep.value.lower_bound() for rep in reports)
     conclusion = EXACT if exhaustive and determined else LOWER_BOUND
     if exhaustive and not determined:
         notes.append("exhaustive flag set but a grade stayed undetermined")
@@ -189,13 +187,19 @@ def irrelevant_ideal(R: RingPresentation) -> IdealPresentation:
     return IdealPresentation(R, R.ambient.gens())
 
 
-def _require_graded_local(R: RingPresentation, budget: Budget):
+def _graded_depth(R: RingPresentation, budget: Budget) -> int:
+    """depth R = grade of the irrelevant ideal, for a graded-local ring:
+    field coefficients, homogeneous relations, not the zero ring."""
     if not R.domain.is_field:
         raise UnsupportedDomainError("graded-local analysis needs field coefficients")
     if not R.has_homogeneous_relations():
         raise UnsupportedInputError("relations must be homogeneous")
     if R.is_zero_ring(budget):
         raise StructuralError("the zero ring is not graded-local")
+    value = grade(irrelevant_ideal(R), budget=budget).value
+    if not value.is_finite:
+        raise InternalError("internal: depth of a graded-local ring must be finite")
+    return value.value
 
 
 @dataclass(frozen=True)
@@ -215,11 +219,7 @@ def is_cohen_macaulay_graded(R: RingPresentation,
     dimensions coincide with the Krull dimension.
     """
     budget = ensure_budget(budget)
-    _require_graded_local(R, budget)
-    rep = grade(irrelevant_ideal(R), budget=budget)
-    if not rep.value.is_finite:
-        raise InternalError("internal: depth of a graded-local ring must be finite")
-    depth = rep.value.value
+    depth = _graded_depth(R, budget)
     dim = krull_dimension(R, budget)
     is_cm = depth == dim
     identity = (f"fPD(R) = FPD(R) = K.dim(R) = {dim}" if is_cm else None)
@@ -237,19 +237,8 @@ class DqDwReport:
 
 def dq_dw_local(R: RingPresentation, budget: Budget = None) -> DqDwReport:
     """DQ (depth 0) and DW (depth <= 1) for a graded-local ring; when the
-    ring is not DW, the irrelevant ideal is returned as a verified proper
-    GV-ideal witness."""
-    budget = ensure_budget(budget)
-    _require_graded_local(R, budget)
-    m = irrelevant_ideal(R)
-    rep = grade(m, budget=budget)
-    if not rep.value.is_finite:
-        raise InternalError("internal: depth of a graded-local ring must be finite")
-    depth = rep.value.value
-    witness = None
-    if depth >= 2:
-        if not is_gv(m, budget):
-            raise InternalError("internal: depth >= 2 but the irrelevant ideal "
-                                "is not a GV-ideal")
-        witness = m
+    ring is not DW, the irrelevant ideal is returned as a proper GV-ideal
+    witness: its grade of at least 2 says Ext^0 and Ext^1 vanish."""
+    depth = _graded_depth(R, ensure_budget(budget))
+    witness = irrelevant_ideal(R) if depth >= 2 else None
     return DqDwReport(R, depth == 0, depth <= 1, depth, witness)

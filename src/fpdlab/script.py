@@ -124,6 +124,8 @@ def _int(tok: Token, digits: Optional[str] = None) -> int:
 # Python renders an int of at most this many digits (4,300 unless configured)
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", int)() or 4300
 _TOO_LONG = 10 ** _MAX_DIGITS
+# a power of a sum is expanded at parse time, with no budget, up to this size
+_MAX_POWER_TERMS = 1000
 
 
 def _bounded(poly: Polynomial, op: Token, e: int = 1) -> Polynomial:
@@ -171,6 +173,13 @@ def _parse_factor(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
         e = _int(cur.expect(INT_TOK, what="an integer exponent"))
         # lc(base^e) = lc(base)^e: a huge power is refused before it is built
         _bounded(Polynomial(ring, base.terms[:1]), op, e)
+        # a t-term base has at most C(e + t - 1, t - 1) terms in its e-th power
+        terms = 1
+        for k in range(1, len(base.terms)):
+            terms = terms * (e + k) // k
+            if terms > _MAX_POWER_TERMS:
+                raise ParseError(f"power too large (over {_MAX_POWER_TERMS} terms "
+                                 f"when expanded)", op.line, op.column)
         base = _bounded(base ** e, op)
     return base
 

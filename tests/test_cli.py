@@ -233,6 +233,28 @@ def test_main_accepts_a_power_that_renders(tmp_path, capsys, script, generator):
     assert record["inputs"]["ideals"]["I"] == [generator]
 
 
+@pytest.mark.parametrize("script, column", [
+    ("ring R = QQ[x]; ideal I = ((x + 1)^1000000); grade I;", 35),
+    # C(44 + 2, 2) = 1,035 terms
+    ("ring R = FF7[x,y,z]; ideal I = (x, (x + y + z)^44); grade I;", 47),
+])
+def test_a_power_of_a_sum_too_large_to_expand_is_refused_at_parse(script, column):
+    """The term bound is checked before the power is expanded, so the CLI
+    exits at once; a run that expands it would not finish within the limit."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", "fpdlab.cli", "-"], input=script,
+                         env=env, capture_output=True, text=True, timeout=30)
+    assert out.returncode == EXIT_PARSE_ERROR
+    assert (f"power too large (over 1000 terms when expanded) (line 1, column {column})"
+            in out.stderr)
+
+
+def test_a_power_of_a_sum_at_the_term_bound_is_expanded():
+    script = parse("ring R = QQ[x,y]; ideal I = ((x + 1)^999, (x + y + 1)^43);")
+    assert [len(g.terms) for g in script.ideals["I"].generators] == [1000, 990]
+
+
 def test_main_json_flag(tmp_path, capsys):
     f = tmp_path / "s.fpd"
     f.write_text("ring R = QQ[x]; dim;")

@@ -278,8 +278,7 @@ def test_vec_groebner_returns_its_canonical_vec_basis():
     for domain, variables, relations, gens in cases:
         R = presentation(domain, variables, relations)
         polys = [R.poly(g) for g in relations + gens]
-        B = vec_groebner([poly_to_vec(p) for p in polys], R.ambient, Budget(),
-                         rank1=True)
+        B = vec_groebner([poly_to_vec(p) for p in polys], R.ambient, Budget())
         _assert_canonical(B)
         assert any(len(v) > 1 for v in B.vecs)
         G = R.ideal(*gens).groebner()
@@ -496,11 +495,11 @@ def test_lead_position_index_follows_every_basis_operation():
         _interreduce(M, Budget())
         assert M.lts == leads
         _assert_indexed(M)
-        C = completion(vecs, A, Budget(), rank1=rank == 1)
+        C = completion(vecs, A, Budget())
         _assert_indexed(C.basis)
         C.insert({(rank - 1, (1, 0)): 1, (0, (0, 0)): 1})
         _assert_indexed(C.basis)
         C.run()
         _assert_indexed(C.basis)
-        G = vec_groebner(vecs, A, Budget(), rank1=rank == 1)
+        G = vec_groebner(vecs, A, Budget())
         _assert_indexed(G)

@@ -1,9 +1,11 @@
 """Koszul complexes, Koszul-route grade, and the dual-top-cokernel module."""
 import pytest
-from fpdlab import (GradeValue, StructuralError, dual_koszul_cokernel,
-                    koszul_grade)
+from fpdlab import (Budget, FreeModuleMap, GradeValue, ResourceBudgetExceeded,
+                    StructuralError, dual_koszul_cokernel, koszul_grade)
+from fpdlab.complexes import ext_computer, generator_key
 from fpdlab.koszul import koszul_chain, koszul_homology_is_zero
-from helpers import QQ, ZZ, presentation
+from fpdlab.modules import is_zero_subquotient, kernel
+from helpers import FF, QQ, ZZ, dualize, presentation
 
 
 def test_single_generator_complex():
@@ -130,3 +132,66 @@ def test_dual_cokernel_of_unit_ideal_split_exact():
     # S is presented by the transposed top differential with full expected ranks
     assert res.presentation.target_rank == 1  # C(2, 2)
     assert res.presentation.source_rank == 2  # C(2, 1)
+
+
+def _dual_exact_through(I, n):
+    """The direct check: the dual of the Koszul chain on I's m generators is
+    exact at positions 0..min(n, m), kernel and image compared both ways.
+    Position i of the dual is index m - i of `dualize`'s chain."""
+    gens = I.generators
+    m = len(gens)
+    D = dualize(koszul_chain(I.ring, gens, m))
+    for i in range(min(n, m) + 1):
+        p = m - i
+        d_in = D.differential(p + 1) if p < m else None
+        if p > 0:
+            Z = kernel(D.differential(p))
+        else:  # nothing leaves the top: every element is a cycle
+            Z = FreeModuleMap(I.ring, D.ranks[0], D.ranks[0],
+                              [[1 if r == c else 0 for c in range(D.ranks[0])]
+                               for r in range(D.ranks[0])])
+        B = d_in if d_in is not None else FreeModuleMap(I.ring, 0, Z.target_rank,
+                                                        [[]] * Z.target_rank)
+        if not (is_zero_subquotient(Z, B, verify_containment=False)
+                and is_zero_subquotient(B, Z, verify_containment=False)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("domain, variables, relations, gens, n", [
+    (QQ, ("x", "y"), [], ("x", "y"), 1),           # regular sequence
+    (QQ, ("x", "y"), [], ("1", "x"), 1),           # unit ideal
+    (QQ, ("x", "y"), [], ("1", "x"), 3),           # unit ideal, n >= m
+    (QQ, ("x", "y"), [], ("x", "y"), 2),           # n >= m, H_0 = R/I != 0
+    (QQ, ("x", "y"), ["x*y"], ("x", "y"), 1),      # profile (True, False)
+    (QQ, ("x",), ["x^2"], ("x",), 0),              # profile (False,)
+    (FF(7), ("x", "y", "z", "w"), ["x*w - y*z"], ("x", "y", "z", "w"), 2),
+    (ZZ, ("x",), [], ("2", "x"), 1),               # ZZ, grade 2
+    (ZZ, ("x",), [], ("2", "x"), 2),               # ZZ, n >= m
+    (ZZ, ("x",), ["2*x"], ("2", "x"), 0),          # ZZ, profile (True,)
+    (ZZ, ("x",), ["2*x"], ("x",), 0),              # ZZ, Ann(x) = (2)
+])
+def test_exactness_verified_agrees_with_the_dual_complex(domain, variables,
+                                                         relations, gens, n):
+    I = presentation(domain, variables, relations).ideal(*gens)
+    assert dual_koszul_cokernel(I, n).exactness_verified == _dual_exact_through(I, n)
+
+
+def test_a_koszul_grade_cut_short_keeps_its_decisions():
+    def ideal():
+        P = presentation(FF(7), ("x", "y", "z", "w"), ["x*w - y*z"])
+        return P.ideal("x", "y", "z", "w")
+
+    cold = Budget()
+    assert koszul_grade(ideal(), budget=cold) == GradeValue.finite(3)
+    # the steps that build the chain and decide the top module H_4
+    top = Budget()
+    I = ideal()
+    koszul_homology_is_zero(koszul_chain(I.ring, I.generators, 4, top), 4, top)
+    I = ideal()
+    with pytest.raises(ResourceBudgetExceeded):
+        koszul_grade(I, budget=Budget(max_steps=top.steps))
+    assert ext_computer(I).koszul == {generator_key(I.ring, I.generators): {4: True}}
+    resumed = Budget()
+    assert koszul_grade(I, budget=resumed) == GradeValue.finite(3)
+    assert resumed.steps < cold.steps

@@ -207,7 +207,7 @@ def test_pair_elimination_returns_the_all_pairs_basis(domain, rank, relations,
         block = _relation_block(P, rank, Budget()).vecs
     if not vecs and not block:
         return
-    G = vec_groebner(vecs, A, Budget(), rank1=rank == 1, block=block)
+    G = vec_groebner(vecs, A, Budget(), block=block)
     ref = reference_vec_groebner(vecs, A, Budget(), block=block)
     assert G.vecs == ref.vecs and G.lts == ref.lts
     assert_is_vec_groebner(G)

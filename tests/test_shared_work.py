@@ -1,5 +1,5 @@
 """Derived work shared by the calls on one ring, and so by the commands of
-one parsed script: resolutions, Ext decisions and Koszul grades, kept on the
+one parsed script: resolutions, Ext and Koszul homology decisions, kept on the
 ring and keyed by unit-normalized generators.  Sharing may move step counts,
 never an answer."""
 import pytest
@@ -73,6 +73,19 @@ def test_a_reused_koszul_grade_is_still_cross_checked(monkeypatch):
     assert records[0]["result"]["koszul_grade"] == "INFINITE"
     assert all("Koszul grade INFINITE disagrees with Ext grade 2" in r["error"]
                for r in records[1:])
+
+
+@pytest.mark.parametrize("text", [
+    "ring R = FF7[x,y,z,w]/(x*w - y*z); ideal m = (x, y, z, w); "
+    "ext m 1; koszul m; smodule m 1;",
+    # over ZZ no grade cross-checks by Koszul: the koszul command decides
+    "ring R = ZZ[x,y]; ideal m = (2, x, y); ext m 2; koszul m; smodule m 2;",
+])
+def test_smodule_after_ext_and_koszul_reads_both_and_takes_no_steps(text):
+    _, records = _shared(text)
+    assert records[2]["result"]["exactness_verified"] is True
+    assert records[2]["budget"]["steps"] == 0
+    assert differences(render_json(_cold(text)), render_json(records)) == []
 
 
 def test_a_command_cut_short_leaves_a_prefix_the_next_one_extends():
