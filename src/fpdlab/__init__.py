@@ -8,8 +8,8 @@ from .errors import (Budget, CapExceededError, InternalError, ParseError,
 from .rings import (GREVLEX, LEX, CoefficientDomain, IdealPresentation,
                     MonomialOrder, Polynomial, PolynomialRing,
                     RingPresentation, block_order)
-from .groebner import (GroebnerBasis, annihilator, groebner_basis,
-                       is_unit_ideal, krull_dimension, normal_form_polys)
+from .groebner import (annihilator, is_unit_ideal, krull_dimension,
+                       normal_form_polys)
 from .modules import FreeModuleMap, is_zero_subquotient, kernel
 from .complexes import ChainComplex, ExtComputer, ext_vanishing_profile
 from .koszul import DualKoszulCokernel, dual_koszul_cokernel, koszul_grade

@@ -1,6 +1,7 @@
-"""Chain complexes, free resolutions by iterated syzygies, and the
-Ext^i(R/I, R) vanishing decisions, kept on the ring of I so that later calls
-on I reuse them.
+"""Chain complexes, free resolutions by iterated syzygies, and
+`ExtComputer`, the one home of an ideal's derived work (Ext^i(R/I, R)
+vanishing decisions among it), kept on the ring of I so that later calls on
+I reuse them.
 
 Resolutions are not minimal (Ext does not depend on the resolution); they
 are built step by step with the kernel operation, so quotient rings of
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import Budget, InternalError, StructuralError, ensure_budget
-from .groebner import annihilator
+from .groebner import UnitIdealResult, annihilator, is_unit_ideal
 from .modules import (FreeModuleMap, is_zero_subquotient, kernel,
                       prune_generators)
 from .rings import IdealPresentation, RingPresentation, mono_one
@@ -49,9 +50,10 @@ class ChainComplex:
 
 
 def cyclic_presentation(I: IdealPresentation, budget: Budget = None) -> FreeModuleMap:
-    """R^k -> R with row (a_1 .. a_k): the cokernel is R/I."""
-    gens = [g for g in I.generators if not I.ring.is_zero_element(g, budget)]
-    return FreeModuleMap(I.ring, len(gens), 1, [gens], budget)
+    """R^k -> R whose columns are I's generators, each reduced modulo J once,
+    with the zero ones dropped: the cokernel is R/I."""
+    full = FreeModuleMap(I.ring, len(I.generators), 1, [I.generators], budget)
+    return FreeModuleMap._of_reduced(I.ring, 1, [c for c in full.cols if c])
 
 
 def homology_is_zero(d_out: Optional[FreeModuleMap], d_in: Optional[FreeModuleMap],
@@ -106,7 +108,8 @@ def generator_key(ring: RingPresentation, gens: Sequence) -> tuple:
 
 
 class ExtComputer:
-    """The derived work on one ideal I: a resolution of R/I extended on
+    """All the derived work on one ideal I: whether 1 is in I (with unit
+    cofactors), its generators modulo J, a resolution of R/I extended on
     demand, the Ext^i(R/I, R) decisions read off it, whether Ann(I) = 0, and
     the Koszul homology decisions on generator tuples of I.  An Ext decision
     (Ext^0 once the annihilator agrees) is stored only once its check has
@@ -114,10 +117,29 @@ class ExtComputer:
 
     def __init__(self, I: IdealPresentation):
         self.ideal = I
+        self.unit = None        # is_unit_ideal(ideal), once computed
+        self.presentation = None  # cyclic_presentation(I), made on first use
         self.resolution = None  # ResolutionCache of R/I, made on first use
         self.decided = {}       # i -> Ext^i(R/I, R) = 0
         self.ann_zero = None    # Ann(I) = 0, once computed
         self.koszul = {}        # generator_key -> {i: H_i of their Koszul chain = 0}
+
+    def unit_ideal(self, I: IdealPresentation, budget: Budget = None) -> UnitIdealResult:
+        """`is_unit_ideal(ideal)`, decided once, for an I with this key.  Its
+        generators are unit multiples of those of `ideal`, so the verdict is
+        shared; when they differ, a unit I's cofactors are its own."""
+        if self.unit is None:
+            self.unit = is_unit_ideal(self.ideal, budget)
+        if self.unit and I.generators != self.ideal.generators:
+            return is_unit_ideal(I, budget)
+        return self.unit
+
+    def cyclic_presentation(self, budget: Budget = None) -> FreeModuleMap:
+        """`cyclic_presentation(I)`, made once: its columns are I's
+        generators that are nonzero in R, in normal form modulo J."""
+        if self.presentation is None:
+            self.presentation = cyclic_presentation(self.ideal, budget)
+        return self.presentation
 
     def annihilator_is_zero(self, budget: Budget = None) -> bool:
         """Ann(I) = 0, i.e. Hom(R/I, R) = 0, through the annihilator."""
@@ -133,7 +155,7 @@ class ExtComputer:
         budget = ensure_budget(budget)
         if i not in self.decided:
             if self.resolution is None:
-                self.resolution = ResolutionCache(cyclic_presentation(self.ideal, budget))
+                self.resolution = ResolutionCache(self.cyclic_presentation(budget))
             d_out = self.resolution.differential(i + 1, budget).transpose(budget)
             d_in = (self.resolution.differential(i, budget).transpose(budget)
                     if i >= 1 else None)

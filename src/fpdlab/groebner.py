@@ -10,10 +10,10 @@ coefficient): the chain criterion, one pair per minimal lcm, the product
 criterion for vectors in one position, and no pair between two vectors
 of the relation block that went in unchanged.  Over a field every lead is
 monic, so no G-pair arises and the engine is Buchberger (normal selection).
-Membership certificates (unit cofactors) come from the same engine run on
-generators tagged in an extended free module, where the tag block sits
-below every original position; kernels are taken in `modules`, from the
-Groebner basis of a map's graph.
+Membership certificates (unit cofactors) and kernels (in `modules`) both
+read the engine's basis of a map's graph, `graph_groebner`: each generator
+is tagged in an extended free module, whose tag block sits below every
+original position.
 """
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 
 from .errors import (Budget, InternalError, ResourceBudgetExceeded,
                      StructuralError, UnsupportedDomainError, ensure_budget)
-from .rings import (GREVLEX, IdealPresentation, Polynomial, PolynomialRing,
-                    RingPresentation, block_order, mono_degree, mono_div,
-                    mono_divides, mono_lcm, mono_mul, mono_one)
+from .rings import (GREVLEX, RATIONALS, IdealPresentation, Polynomial,
+                    PolynomialRing, RingPresentation, block_order, mono_degree,
+                    mono_div, mono_divides, mono_lcm, mono_mul, mono_one)
 
 
 def _xgcd(a: int, b: int):
@@ -99,8 +99,9 @@ class VecBasis:
         lt = max(v, key=_term_key(self.ring))
         dom = self.ring.domain
         u = dom.lc_normalizer(v[lt])
-        if u != dom.one():
-            v = {k: dom.mul(u, c) for k, c in v.items()}
+        if u != dom.one() or dom.kind == RATIONALS:
+            # coerce makes QQ values canonical: an integral value is an int
+            v = {k: dom.coerce(dom.mul(u, c)) for k, c in v.items()}
         self.append(v, lt)
 
     def append(self, v: dict, lt):
@@ -314,7 +315,7 @@ class Completion:
         if w is None:
             return None
         # w[1] is lcm(a, b) as `_term_lcm` gives it, so a field's monic
-        # leads (QQ's held as Fraction(1)) give 1 and -1 without a gcd
+        # leads (the int 1, over QQ too) give 1 and -1 without a gcd
         return _s_vector(self.basis, i, j, w[1] // a, -(w[1] // b))
 
     def run(self):
@@ -409,16 +410,23 @@ def vec_groebner(vecs: Sequence, ring: PolynomialRing, budget: Budget,
 
 
 # ---------------------------------------------------------------------------
-# Membership lifts via a tagged extended module
+# Graphs of maps, membership lifts, polynomial-level bases
+
+def graph_groebner(vecs: Sequence, rank: int, ring: PolynomialRing, budget: Budget,
+                   block: Sequence = ()) -> VecBasis:
+    """Canonical Groebner basis of the graph of e_j -> vecs[j], generated by
+    (vecs[j], e_(rank + j)) in the free module of rank rank + len(vecs),
+    whose tag block sits below every original position, and `block`."""
+    one = mono_one(ring.nvars)
+    tagged = [{**v, (rank + j, one): ring.domain.one()} for j, v in enumerate(vecs)]
+    return vec_groebner(tagged, ring, budget, block)
+
 
 def vec_lift(target: dict, vecs: Sequence, rank: int, ring: PolynomialRing,
              budget: Budget) -> Optional[list]:
     """Polynomials h with target = sum h_j vecs[j], or None if no member:
-    each vecs[j] carries the tag e_(rank + j), below every original position."""
-    one = mono_one(ring.nvars)
-    tagged = [{**v, (rank + j, one): ring.domain.one()} for j, v in enumerate(vecs)]
-    G = vec_groebner(tagged, ring, budget)
-    r = vec_normal_form(target, G, budget)
+    the normal form of target against the graph of e_j -> vecs[j]."""
+    r = vec_normal_form(target, graph_groebner(vecs, rank, ring, budget), budget)
     if any(pos < rank for pos, _ in r):
         return None
     dom = ring.domain
@@ -428,55 +436,27 @@ def vec_lift(target: dict, vecs: Sequence, rank: int, ring: PolynomialRing,
     return [ring.from_dict(d) for d in cof]
 
 
-# ---------------------------------------------------------------------------
-# Polynomial-level Groebner bases
-
-class GroebnerBasis:
-    """A canonical Groebner basis: reduced monic over fields, normalized
-    strong basis (positive leading coefficients, reduced tails) over ZZ.
-
-    `vecs` is the basis as `vec_groebner` returned it, which normal forms
-    reduce against; `basis` holds the same elements as polynomials.
-    """
-
-    def __init__(self, ambient: PolynomialRing, vecs: VecBasis):
-        self.ambient = ambient
-        self.order = ambient.order
-        self.vecs = vecs
-        self.basis = tuple(vec_to_poly(v, ambient) for v in vecs.vecs)
-
-    def leading_monomials(self) -> tuple:
-        return tuple(p.leading_monomial() for p in self.basis)
-
-    def contains_one(self) -> bool:
-        one = self.ambient.one()
-        return normal_form_polys(one, self).is_zero
-
-
 def groebner_basis_of_polys(ambient: PolynomialRing, polys: Sequence,
-                            budget: Budget = None) -> GroebnerBasis:
+                            budget: Budget = None) -> VecBasis:
+    """The canonical Groebner basis of <polys> in the ambient ring: reduced
+    monic over fields, normalized strong basis over ZZ."""
     budget = ensure_budget(budget)
     for p in polys:
         if p.ring != ambient:
             raise StructuralError("generator from a different ambient ring")
     vecs = [poly_to_vec(p) for p in polys if not p.is_zero]
-    return GroebnerBasis(ambient, vec_groebner(vecs, ambient, budget))
+    return vec_groebner(vecs, ambient, budget)
 
 
-def groebner_basis(I: IdealPresentation, budget: Budget = None) -> GroebnerBasis:
-    """Groebner basis of the preimage of I in the ambient polynomial ring."""
-    return groebner_basis_of_polys(I.ring.ambient, I.preimage_generators(), budget)
-
-
-def normal_form_polys(f: Polynomial, G: GroebnerBasis,
+def normal_form_polys(f: Polynomial, G: VecBasis,
                       budget: Budget = None) -> Polynomial:
-    if f.ring != G.ambient:
+    if f.ring != G.ring:
         raise StructuralError(
             f"normal form order/ring mismatch: {f.ring} with order {f.ring.order} "
-            f"vs basis over {G.ambient} with order {G.order}")
+            f"vs basis over {G.ring} with order {G.ring.order}")
     budget = ensure_budget(budget)
-    r = vec_normal_form(poly_to_vec(f), G.vecs, budget)
-    return vec_to_poly(r, G.ambient)
+    r = vec_normal_form(poly_to_vec(f), G, budget)
+    return vec_to_poly(r, G.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +476,10 @@ def is_unit_ideal(I: IdealPresentation, budget: Budget = None) -> UnitIdealResul
     g_i over I's generators with sum g_i a_i = 1 in R."""
     budget = ensure_budget(budget)
     ambient = I.ring.ambient
-    if not normal_form_polys(ambient.one(), I.groebner(budget), budget).is_zero:
-        return UnitIdealResult(False)
     gens = I.preimage_generators()
+    G = groebner_basis_of_polys(ambient, gens, budget)
+    if not normal_form_polys(ambient.one(), G, budget).is_zero:
+        return UnitIdealResult(False)
     lifted = vec_lift(poly_to_vec(ambient.one()),
                       [poly_to_vec(g) for g in gens], 1, ambient, budget)
     if lifted is None:
@@ -528,10 +509,6 @@ def _extend_poly(p: Polynomial, ext: PolynomialRing) -> Polynomial:
     return ext.from_dict({(0,) + m: c for m, c in p.terms})
 
 
-def _restrict_poly(p: Polynomial, ambient: PolynomialRing) -> Polynomial:
-    return ambient.from_dict({m[1:]: c for m, c in p.terms})
-
-
 def ideal_intersection_polys(ambient: PolynomialRing, gens_a: Sequence,
                              gens_b: Sequence, budget: Budget = None) -> list:
     """Generators of <gens_a> cap <gens_b> in the ambient polynomial ring."""
@@ -545,9 +522,9 @@ def ideal_intersection_polys(ambient: PolynomialRing, gens_a: Sequence,
     gens += [one_minus_t * _extend_poly(b, ext) for b in gens_b if not b.is_zero]
     G = groebner_basis_of_polys(ext, gens, budget)
     out = []
-    for p in G.basis:
-        if all(m[0] == 0 for m, _ in p.terms):
-            out.append(_restrict_poly(p, ambient))
+    for v in G.vecs:
+        if all(m[0] == 0 for _, m in v):
+            out.append(ambient.from_dict({m[1:]: c for (_, m), c in v.items()}))
     return out
 
 
@@ -637,12 +614,12 @@ def krull_dimension(R: RingPresentation, budget: Budget = None) -> int:
     if not R.domain.is_field:
         raise UnsupportedDomainError(
             "Krull dimension is only computed over field coefficients")
-    G = R.relations_groebner(budget)
-    if G.contains_one():
+    if R.is_zero_ring(budget):
         raise StructuralError("the zero ring has empty spectrum")
     n = R.ambient.nvars
+    G = R.relations_groebner(budget)
     supports = []
-    for m in G.leading_monomials():
+    for _, m in G.lts:
         supports.append(frozenset(i for i, e in enumerate(m) if e > 0))
     from itertools import combinations
     for size in range(n, -1, -1):

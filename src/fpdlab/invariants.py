@@ -15,7 +15,7 @@ from .errors import (Budget, InternalError, StructuralError,
                      UnsupportedDomainError, UnsupportedInputError,
                      ensure_budget)
 from .complexes import ext_computer, ext_vanishing_profile
-from .groebner import is_unit_ideal, krull_dimension
+from .groebner import krull_dimension
 from .koszul import koszul_grade
 from .rings import IdealPresentation, RingPresentation
 from .values import GradeValue
@@ -39,19 +39,18 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
     The profile is searched up to `max_degree` (default: the number of
     nonzero generators, which always suffices for a proper ideal); a proper
     ideal with an all-true profile is reported UNDETERMINED beyond the bound.
-    Earlier Ext and Koszul homology decisions on I's ring are reused
-    (`complexes.ext_computer`); the Koszul grade read from reused decisions
-    is still checked.
+    The unit verdict, the generators modulo J, and earlier Ext and Koszul
+    homology decisions on I's ring are reused (`complexes.ext_computer`);
+    the Koszul grade read from reused decisions is still checked.
     """
     budget = ensure_budget(budget)
-    ring = I.ring
-    nonzero_gens = [g for g in I.generators if not ring.is_zero_element(g, budget)]
+    computer = ext_computer(I)
+    nonzero = computer.cyclic_presentation(budget).source_rank
     if max_degree is None:
-        max_degree = len(nonzero_gens)
+        max_degree = nonzero
     if max_degree < 0:
         raise StructuralError("grade search bound must be >= 0")
-    unit = is_unit_ideal(I, budget)
-    computer = ext_computer(I)
+    unit = computer.unit_ideal(I, budget)
     profile = []
     value = None
     notes = ()
@@ -70,10 +69,10 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
         value = GradeValue.undetermined(max_degree)
         notes = (f"Ext vanishes through degree {max_degree}; grade exceeds the bound",)
     if with_koszul is None:
-        with_koszul = ring.domain.is_field
+        with_koszul = I.ring.domain.is_field
     cross = None
-    if with_koszul and nonzero_gens and not value.is_undetermined:
-        cross = koszul_grade(I, nonzero_gens, budget)
+    if with_koszul and nonzero and not value.is_undetermined:
+        cross = koszul_grade(I, budget=budget)
         if cross != value:
             raise InternalError(
                 f"internal: Koszul grade {cross} disagrees with Ext grade {value}")
@@ -127,7 +126,7 @@ def fpd_criterion_check(I: IdealPresentation, n: int,
     if not all(profile):
         first = min(i for i, z in enumerate(profile) if not z)
         return CriterionResult(I, n, PASS, profile, first_nonvanishing=first)
-    unit = is_unit_ideal(I, budget)
+    unit = ext_computer(I).unit_ideal(I, budget)
     if unit:
         return CriterionResult(I, n, PASS, profile, unit_cofactors=unit.cofactors)
     return CriterionResult(I, n, COUNTEREXAMPLE, profile)

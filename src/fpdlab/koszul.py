@@ -83,10 +83,15 @@ def _top_nonvanishing(I: IdealPresentation, gens: tuple, low: int,
 def koszul_grade(I: IdealPresentation, gens: Sequence = None,
                  budget: Budget = None) -> GradeValue:
     """len(gens) minus the top nonvanishing Koszul homology degree; INFINITE
-    when every homology module vanishes (the unit ideal).  Homology decisions
-    already made on unit multiples of gens in I's ring are reused."""
+    when every homology module vanishes (the unit ideal).  No `gens` means
+    the columns of I's cyclic presentation, as in `grade` (a zero generator
+    only shifts the top degree), or I's generators when all are zero in R.
+    Decisions already made on unit multiples of gens in I's ring are reused."""
     budget = ensure_budget(budget)
-    gens = tuple(I.ring.poly(g) for g in (I.generators if gens is None else gens))
+    if gens is None:
+        columns = ext_computer(I).cyclic_presentation(budget).generators
+        gens = tuple(g for (g,) in columns) or I.generators
+    gens = tuple(I.ring.poly(g) for g in gens)
     if not gens:
         raise StructuralError("Koszul complex needs at least one generator")
     top = _top_nonvanishing(I, gens, 0, budget)
@@ -123,6 +128,10 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int,
     gens = tuple(I.generators)
     if not gens:
         raise StructuralError("the dual Koszul cokernel needs generators")
+    # none zero in R: the same chain modulo J, keyed as `koszul` keys it
+    columns = ext_computer(I).cyclic_presentation(budget).generators
+    if len(columns) == len(gens):
+        gens = tuple(g for (g,) in columns)
     chain = koszul_chain(I.ring, gens, n + 1, budget)
     presentation = chain.differential(n + 1).transpose(budget)
     profile = ext_vanishing_profile(I, n, budget)

@@ -15,9 +15,9 @@ from itertools import groupby
 from typing import Sequence
 
 from .errors import Budget, StructuralError, ensure_budget
-from .groebner import (VecBasis, completion, polys_to_vec, vec_groebner,
-                       vec_normal_form, vec_to_polys)
-from .rings import RingPresentation, mono_degree, mono_mul, mono_one
+from .groebner import (VecBasis, completion, graph_groebner, polys_to_vec,
+                       vec_groebner, vec_normal_form, vec_to_polys)
+from .rings import RingPresentation, mono_degree, mono_mul
 
 
 def _relation_block(ring: RingPresentation, rank: int, budget: Budget) -> VecBasis:
@@ -25,7 +25,7 @@ def _relation_block(ring: RingPresentation, rank: int, budget: Budget) -> VecBas
     in its own order, the reducers one entry meets modulo J.  It reduces a
     whole vector entry by entry, and module completions take it as their
     `block`, whose internal pairs they never queue."""
-    G = ring.relations_groebner(budget).vecs
+    G = ring.relations_groebner(budget)
     block = VecBasis([], ring.ambient)
     for t in range(rank):
         for v, (_, lm) in zip(G.vecs, G.lts):
@@ -193,10 +193,8 @@ def kernel(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:
     """
     budget = ensure_budget(budget)
     ring, r, n = phi.ring, phi.target_rank, phi.source_rank
-    one, unit = ring.domain.one(), mono_one(ring.ambient.nvars)
-    graph = FreeModuleMap._of_reduced(
-        ring, r + n, [{**col, (r + j, unit): one} for j, col in enumerate(phi.cols)])
-    basis = graph.groebner_vectors(budget)
+    basis = graph_groebner(phi.cols, r, ring.ambient, budget,
+                           _relation_block(ring, r + n, budget).vecs)
     block = _relation_block(ring, n, budget)
     gens = []
     for g in basis.vecs:

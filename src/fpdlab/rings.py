@@ -1,10 +1,10 @@
 """Exact coefficient domains, monomial orders, polynomials, and presentations
 of rings and ideals.
 
-Every value here is immutable after construction, apart from lazy,
-idempotent Groebner caches and a ring's `derived` store, which, like a
-`Budget`, is not for concurrent use.  The ambient polynomial ring
-A[x1..xn] is a `PolynomialRing`; a quotient R = A[x1..xn]/J is a
+Every value here is immutable after construction, apart from a ring's
+lazily cached basis of J and its `derived` store, which, like a `Budget`,
+is not for concurrent use; an ideal keeps no cache.  The ambient polynomial
+ring A[x1..xn] is a `PolynomialRing`; a quotient R = A[x1..xn]/J is a
 `RingPresentation` holding the relation ideal J.
 """
 from __future__ import annotations
@@ -97,7 +97,7 @@ class CoefficientDomain:
     def coerce(self, value):
         """Map an int / Fraction / domain element to canonical form."""
         if self.kind == RATIONALS:
-            return _rational(Fraction(value))
+            return value if type(value) is int else _rational(Fraction(value))
         if self.kind == PRIME_FIELD:
             if isinstance(value, Fraction):
                 if value.denominator % self.p == 0:
@@ -422,8 +422,8 @@ class RingPresentation:
     """R = A[x1..xn]/J presented by relation generators for J.
 
     Empty relations give the polynomial ring itself.  The reduced (field) or
-    normalized strong (ZZ) Groebner basis of J is computed lazily and cached.
-    `derived` keeps the work on the ring's ideals that `complexes.ext_computer`
+    normalized strong (ZZ) Groebner basis of J, a `VecBasis`, is cached lazily.
+    `derived` keeps all the work on the ring's ideals that `ext_computer`
     shares between calls; an equal ring built afresh starts cold.
     """
 
@@ -454,7 +454,7 @@ class RingPresentation:
         return self.ambient.poly(source)
 
     def relations_groebner(self, budget=None):
-        """Groebner basis of the relation ideal J (cached)."""
+        """The engine's `VecBasis` of the relation ideal J (cached)."""
         if self._relations_gb is None:
             from .groebner import groebner_basis_of_polys
             self._relations_gb = groebner_basis_of_polys(
@@ -496,28 +496,22 @@ class RingPresentation:
 class IdealPresentation:
     """An ideal of R given by finitely many generators (ambient representatives).
 
-    The preimage in A[x1..xn] is <generators> + J; its Groebner basis is
-    cached lazily.
+    The preimage in A[x1..xn] is <generators> + J.  The ideal keeps no
+    derived work: `complexes.ext_computer` keeps it on the ring.
     """
 
     def __init__(self, ring: RingPresentation, generators: Sequence):
         self.ring = ring
         self.generators = tuple(ring.poly(g) for g in generators)
-        self._gb = None
 
     def preimage_generators(self) -> tuple:
         return self.generators + self.ring.relations
 
-    def groebner(self, budget=None):
-        """Groebner basis of the preimage ideal <gens> + J (cached)."""
-        if self._gb is None:
-            from .groebner import groebner_basis
-            self._gb = groebner_basis(self, budget=budget)
-        return self._gb
-
     def contains(self, f, budget=None) -> bool:
-        from .groebner import normal_form_polys
-        return normal_form_polys(self.ring.poly(f), self.groebner(budget), budget).is_zero
+        """Whether f lies in I, by a basis of <gens> + J made for this call."""
+        from .groebner import groebner_basis_of_polys, normal_form_polys
+        G = groebner_basis_of_polys(self.ring.ambient, self.preimage_generators(), budget)
+        return normal_form_polys(self.ring.poly(f), G, budget).is_zero
 
     def is_zero(self, budget=None) -> bool:
         """True when the ideal is the zero ideal of R."""

@@ -13,14 +13,14 @@ from fractions import Fraction
 from itertools import product
 
 from fpdlab import (ChainComplex, CoefficientDomain, FreeModuleMap,
-                    GroebnerBasis, InternalError, PolynomialRing,
-                    RingPresentation, StructuralError)
+                    InternalError, PolynomialRing, RingPresentation,
+                    StructuralError)
 from fpdlab.complexes import cyclic_presentation
 from fpdlab.errors import ensure_budget
-from fpdlab.groebner import (Completion, _interreduce, _minimalize, _s_vector,
-                             _term_key, _xgcd, exact_poly_div,
+from fpdlab.groebner import (Completion, VecBasis, _interreduce, _minimalize,
+                             _s_vector, _term_key, _xgcd, exact_poly_div,
                              ideal_intersection_polys, polys_to_vec,
-                             vec_normal_form, vec_to_polys)
+                             vec_normal_form, vec_to_poly, vec_to_polys)
 from fpdlab.modules import kernel, prune_generators
 from fpdlab.rings import mono_degree, mono_div, mono_lcm, mono_mul
 
@@ -99,9 +99,10 @@ def assert_is_vec_groebner(B, budget=None):
                     f"a pair vector of {B.vecs[i]} and {B.vecs[j]} does not reduce to zero"
 
 
-def assert_is_groebner(G: GroebnerBasis):
-    """Every S-polynomial (and G-polynomial over ZZ) reduces to zero."""
-    assert_is_vec_groebner(G.vecs)
+def basis_polys(G: VecBasis) -> list:
+    """The elements of a polynomial basis (all led in position 0) as
+    polynomials."""
+    return [vec_to_poly(v, G.ring) for v in G.vecs]
 
 
 def _all_pairs(basis, heap: list, f: int, marked):

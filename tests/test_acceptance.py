@@ -20,7 +20,7 @@ from fpdlab.finite_rings import (FiniteRing, brute_hom_vanishes, brute_is_dq,
 from fpdlab.groebner import groebner_basis_of_polys, normal_form_polys
 from fpdlab.invariants import COUNTEREXAMPLE, PASS
 from fpdlab.rings import GREVLEX, PolynomialRing, RingPresentation
-from helpers import FF, QQ, ZZ, poly_ring, presentation
+from helpers import FF, QQ, ZZ, basis_polys, poly_ring, presentation
 
 
 class _Gate:
@@ -60,7 +60,7 @@ def test_criterion_1_integer_monomial_curve():
     E = PolynomialRing(ZZ, ("X", "a", "b", "c"), block_order(1, GREVLEX, GREVLEX))
     G = groebner_basis_of_polys(E, [E.poly("a - 2*X"), E.poly("b - X^2"),
                                     E.poly("c - X^3")])
-    kernel_gens_ext = [p for p in G.basis if all(m[0] == 0 for m, _ in p.terms)]
+    kernel_gens_ext = [p for p in basis_polys(G) if all(m[0] == 0 for m, _ in p.terms)]
     assert kernel_gens_ext, "elimination produced no relations"
 
     # every eliminated relation maps to zero on the curve

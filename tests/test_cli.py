@@ -112,7 +112,7 @@ def test_internal_failure_is_not_a_command_error(monkeypatch):
     # a Koszul cross-check that disagrees with the Ext grade is a library
     # defect: it gets its own status and exit code, even next to a user error
     monkeypatch.setattr("fpdlab.invariants.koszul_grade",
-                        lambda *args: GradeValue.finite(99))
+                        lambda *args, **kwargs: GradeValue.finite(99))
     records, code = run("ring R = QQ[x]; ideal I = (x); grade I; "
                         "ring Z = ZZ[x]; dim;")
     assert code == EXIT_INTERNAL

@@ -10,6 +10,7 @@ from fpdlab import (GREVLEX, LEX, Budget, FreeModuleMap, RingPresentation,
                     is_unit_ideal, krull_dimension, normal_form_polys)
 from fpdlab import groebner
 from fpdlab.cli import EXIT_INTERNAL, CliConfig, execute_script
+from fpdlab.complexes import cyclic_presentation
 from fpdlab.finite_rings import FiniteRing, enumerate_ideals
 from fpdlab.groebner import (VecBasis, _interreduce, _minimalize, _term_key,
                              completion, groebner_basis_of_polys, poly_to_vec,
@@ -18,7 +19,7 @@ from fpdlab.groebner import (VecBasis, _interreduce, _minimalize, _term_key,
 from fpdlab.modules import _relation_block, kernel
 from fpdlab.rings import block_order, mono_divides
 from fpdlab.script import parse
-from helpers import (FF, QQ, ZZ, assert_is_groebner, assert_is_vec_groebner,
+from helpers import (FF, QQ, ZZ, assert_is_vec_groebner, basis_polys,
                      monomials_up_to, poly_ring, presentation, reference_colon,
                      reference_normal_form)
 
@@ -53,45 +54,45 @@ def test_normal_form_order_mismatch_raises():
 def test_reduced_basis_of_linear_span():
     A = poly_ring(QQ, "x", "y")
     G = groebner_basis_of_polys(A, [A.poly("x + y"), A.poly("x - y")])
-    assert [str(p) for p in G.basis] == ["y", "x"]
+    assert [str(p) for p in basis_polys(G)] == ["y", "x"]
 
 
 def test_monomial_ideal_is_its_own_basis():
     A = poly_ring(QQ, "x", "y")
     G = groebner_basis_of_polys(A, [A.poly("x^2"), A.poly("x*y")])
-    assert {str(p) for p in G.basis} == {"x^2", "x*y"}
-    assert_is_groebner(G)
+    assert {str(p) for p in basis_polys(G)} == {"x^2", "x*y"}
+    assert_is_vec_groebner(G)
 
 
 def test_strong_integer_basis_gcd_combination():
     A = poly_ring(ZZ, "x")
     two_x, three_x = A.poly("2*x"), A.poly("3*x")
     G = groebner_basis_of_polys(A, [two_x, three_x])
-    assert [str(p) for p in G.basis] == ["x"]
+    assert [str(p) for p in basis_polys(G)] == ["x"]
     # the gcd combination 1*x = (-1)(2x) + (1)(3x), and both inputs reduce to 0
     assert A.poly("x") == -1 * two_x + three_x
     assert normal_form_polys(two_x, G).is_zero
     assert normal_form_polys(three_x, G).is_zero
-    assert_is_groebner(G)
+    assert_is_vec_groebner(G)
 
 
 def test_strong_integer_basis_keeps_non_unit_content():
     A = poly_ring(ZZ, "x")
     G = groebner_basis_of_polys(A, [A.poly("2"), A.poly("x")])
-    assert {str(p) for p in G.basis} == {"2", "x"}
+    assert {str(p) for p in basis_polys(G)} == {"2", "x"}
     assert not normal_form_polys(A.poly("1"), G).is_zero
     assert normal_form_polys(A.poly("3*x + 4"), G).is_zero  # 3x + 4 = 3*x + 2*2
     assert normal_form_polys(A.poly("3*x + 5"), G) == A.poly("1")
-    assert_is_groebner(G)
+    assert_is_vec_groebner(G)
 
 
 def test_strong_integer_basis_on_mixed_generators():
     A = poly_ring(ZZ, "x", "y")
     G = groebner_basis_of_polys(A, [A.poly("2*x - y"), A.poly("3*y"), A.poly("x^2")])
-    assert_is_groebner(G)
+    assert_is_vec_groebner(G)
     # determinism of repeated runs
     H = groebner_basis_of_polys(A, [A.poly("2*x - y"), A.poly("3*y"), A.poly("x^2")])
-    assert [str(p) for p in G.basis] == [str(p) for p in H.basis]
+    assert [str(p) for p in basis_polys(G)] == [str(p) for p in basis_polys(H)]
 
 
 def test_zz_product_criterion_needs_coprime_lead_coefficients():
@@ -99,8 +100,8 @@ def test_zz_product_criterion_needs_coprime_lead_coefficients():
     # S-polynomial, and no G-pair is queued since 2 divides 2
     A = poly_ring(ZZ, "x", "y")
     G = groebner_basis_of_polys(A, [A.poly("2*x + 1"), A.poly("2*y")])
-    assert [str(p) for p in G.basis] == ["y", "2*x + 1"]
-    assert_is_groebner(G)
+    assert [str(p) for p in basis_polys(G)] == ["y", "2*x + 1"]
+    assert_is_vec_groebner(G)
 
 
 def test_zz_g_pairs_join_generators_to_the_relation_block():
@@ -120,7 +121,7 @@ def test_field_basis_unique_under_generator_permutation():
     gens = [A.poly("x^2 + y"), A.poly("x*y - 1"), A.poly("y^3 - x")]
     G1 = groebner_basis_of_polys(A, gens)
     G2 = groebner_basis_of_polys(A, list(reversed(gens)))
-    assert [p.terms for p in G1.basis] == [p.terms for p in G2.basis]
+    assert [p.terms for p in basis_polys(G1)] == [p.terms for p in basis_polys(G2)]
 
 
 def test_unit_ideal_with_certificate():
@@ -281,16 +282,26 @@ def test_vec_groebner_returns_its_canonical_vec_basis():
         B = vec_groebner([poly_to_vec(p) for p in polys], R.ambient, Budget())
         _assert_canonical(B)
         assert any(len(v) > 1 for v in B.vecs)
-        G = R.ideal(*gens).groebner()
-        _assert_canonical(G.vecs)
-        assert [p.terms for p in G.basis] == \
-            [vec_to_poly(v, R.ambient).terms for v in G.vecs.vecs]
+        # the cyclic presentation's basis (its image + J) is the same basis
+        G = cyclic_presentation(R.ideal(*gens)).groebner_vectors()
+        _assert_canonical(G)
+        assert (G.vecs, G.lts) == (B.vecs, B.lts)
     # a rank-2 submodule over ZZ, with the relation multiples J*e_i
     R = presentation(ZZ, ("x", "y"), ["6", "x^2 - y"])
     S = FreeModuleMap(R, 3, 2, [["2*x + 4", "3*y", "x*y"], ["x*y", "x + 2", "4"]])
     B = S.groebner_vectors()
     _assert_canonical(B)
     assert {pos for pos, _ in B.lts} == {0, 1}
+
+
+def test_qq_basis_vectors_hold_integral_values_as_int():
+    # 2*x^2 - 4*y is stored monic as x^2 - 2*y: the lead 1 and the tail -2
+    # are canonical QQ values, int rather than Fraction
+    A = poly_ring(QQ, "x", "y")
+    B = vec_groebner([poly_to_vec(A.poly("2*x^2 - 4*y"))], A, Budget())
+    assert B.vecs == [{(0, (2, 0)): 1, (0, (0, 1)): -2}]
+    assert [type(c) for c in B.vecs[0].values()] == [int, int]
+    assert type(B.lcs[0]) is int
 
 
 def test_unstable_interreduction_is_an_internal_error(monkeypatch):

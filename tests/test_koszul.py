@@ -90,6 +90,14 @@ def test_koszul_grade_extra_generator_invariant():
     assert extra == base
 
 
+def test_koszul_grade_on_generators_all_zero_in_r_uses_the_given_tuple():
+    # with no nonzero generator left modulo J, the Koszul chain is taken on
+    # the generators as given, whose top homology is all of R
+    P = presentation(QQ, ("x", "y"), ["x*y"])
+    assert koszul_grade(P.ideal("0")) == GradeValue.finite(0)
+    assert koszul_grade(P.ideal("x*y", "0")) == GradeValue.finite(0)
+
+
 def test_koszul_grade_over_integers():
     P = presentation(ZZ, ("x",))
     assert koszul_grade(P.ideal("x")) == GradeValue.finite(1)

@@ -80,6 +80,8 @@ def test_a_reused_koszul_grade_is_still_cross_checked(monkeypatch):
     "ext m 1; koszul m; smodule m 1;",
     # over ZZ no grade cross-checks by Koszul: the koszul command decides
     "ring R = ZZ[x,y]; ideal m = (2, x, y); ext m 2; koszul m; smodule m 2;",
+    # x^2 is y modulo J: smodule, like koszul, takes the generators modulo J
+    "ring R = QQ[x,y]/(x^2 - y); ideal m = (x^2, x); ext m 1; koszul m; smodule m 0;",
 ])
 def test_smodule_after_ext_and_koszul_reads_both_and_takes_no_steps(text):
     _, records = _shared(text)
@@ -161,3 +163,49 @@ def test_library_calls_on_one_ring_share_its_store():
     fresh = ring()
     assert fresh == R and fresh.derived == {}
     assert steps(grade, fresh.ideal("x", "y", "z", "w")) == first
+
+
+@pytest.mark.parametrize("ring", [
+    "ring R = FF7[x,y,z,w]/(x*w - y*z); ideal m = (x, y, z, w);",
+    "ring R = FF101[x,y,z]/(x*y, y*z); ideal m = (x, y, z);",
+])
+def test_cm_and_dqdw_after_grade_take_no_steps(ring):
+    # the irrelevant ideal they build shares m's store, unit verdict included
+    _, records = _shared(ring + "grade m; cm; dqdw;")
+    assert [r["status"] for r in records] == ["ok"] * 3
+    assert [r["budget"]["steps"] for r in records[1:]] == [0, 0]
+
+
+def test_koszul_after_grade_reads_the_nonzero_generators_decisions():
+    # grade's cross-check and the koszul command both take the generators
+    # modulo J with the zero one dropped, so they share one decision set
+    text = ("ring R = FF7[x,y,z,w]/(x*w - y*z); ideal m = (x, 0, y, z, w); "
+            "grade m; koszul m;")
+    _, records = _shared(text)
+    assert records[1]["result"] == {"ranks": [1, 5, 10, 10, 5, 1], "koszul_grade": "3"}
+    assert records[1]["budget"]["steps"] == 0
+    assert differences(render_json(_cold(text)), render_json(records)) == []
+
+
+@pytest.mark.parametrize("ring, cofactors", [
+    ("ring R = QQ[x]; ideal u = (x, x + 1); ideal v = (2*x, -1/3*x - 1/3);",
+     [["-1", "1"], ["-1/2", "-3"]]),
+    # over ZZ a sign flip moves remainders out of [0, a): v's cofactors are
+    # not a rescaling of u's
+    ("ring R = ZZ[x]; ideal u = (2, 3); ideal v = (-2, 3);",
+     [["-1", "1"], ["-2", "-1"]]),
+])
+def test_grade_then_criterion_decide_the_unit_ideal_once(monkeypatch, ring, cofactors):
+    # v's generators are unit multiples of u's, so v shares u's verdict; a
+    # unit v's cofactors are computed for its own generators, as cold
+    text = ring + "grade u; criterion u 1; criterion v 1;"
+    cold = _cold(text)
+    calls = []
+    decide = complexes.is_unit_ideal
+    monkeypatch.setattr(complexes, "is_unit_ideal",
+                        lambda *args: calls.append(1) or decide(*args))
+    _, shared = _shared(text)
+    assert len(calls) == 2  # u's, for grade and criterion u, then v's
+    assert shared[1]["budget"]["steps"] == 0
+    assert [r["certificates"]["unit_cofactors"] for r in shared[1:]] == cofactors
+    assert differences(render_json(cold), render_json(shared)) == []
