@@ -81,6 +81,7 @@ class ResolutionCache:
 
     def __init__(self, presentation: FreeModuleMap):
         self._diffs = [presentation]
+        self._duals = {}
 
     def differential(self, i: int, budget: Budget = None) -> FreeModuleMap:
         """d_i: F_i -> F_{i-1} (1-based), computing new syzygy steps as needed."""
@@ -94,6 +95,12 @@ class ResolutionCache:
                 raise InternalError(f"internal: resolution: d_{n} . d_{n + 1} is not zero")
             self._diffs.append(d)
         return self._diffs[i - 1]
+
+    def dual(self, i: int, budget: Budget = None) -> FreeModuleMap:
+        """d_i^T, made once: degree i reuses the image basis it kept."""
+        if i not in self._duals:
+            self._duals[i] = self.differential(i, budget).transpose(budget)
+        return self._duals[i]
 
 
 def generator_key(ring: RingPresentation, gens: Sequence) -> tuple:
@@ -117,7 +124,7 @@ class ExtComputer:
 
     def __init__(self, I: IdealPresentation):
         self.ideal = I
-        self.unit = None        # is_unit_ideal(ideal), once computed
+        self.unit = {}          # generators -> whether 1 is in I, with cofactors
         self.presentation = None  # cyclic_presentation(I), made on first use
         self.resolution = None  # ResolutionCache of R/I, made on first use
         self.decided = {}       # i -> Ext^i(R/I, R) = 0
@@ -125,14 +132,17 @@ class ExtComputer:
         self.koszul = {}        # generator_key -> {i: H_i of their Koszul chain = 0}
 
     def unit_ideal(self, I: IdealPresentation, budget: Budget = None) -> UnitIdealResult:
-        """`is_unit_ideal(ideal)`, decided once, for an I with this key.  Its
-        generators are unit multiples of those of `ideal`, so the verdict is
-        shared; when they differ, a unit I's cofactors are its own."""
-        if self.unit is None:
-            self.unit = is_unit_ideal(self.ideal, budget)
-        if self.unit and I.generators != self.ideal.generators:
-            return is_unit_ideal(I, budget)
-        return self.unit
+        """Whether 1 is in I, for an I with this key, decided once per generator
+        tuple against the cyclic presentation's image basis; only a unit I
+        gets `is_unit_ideal`, for cofactors over its own generators."""
+        if I.generators not in self.unit:
+            lifted = UnitIdealResult(False)
+            if self.cyclic_presentation(budget).contains((I.ring.ambient.one(),), budget):
+                lifted = is_unit_ideal(I, budget)
+                if not lifted:
+                    raise InternalError("internal: unit ideal without a lift")
+            self.unit[I.generators] = lifted
+        return self.unit[I.generators]
 
     def cyclic_presentation(self, budget: Budget = None) -> FreeModuleMap:
         """`cyclic_presentation(I)`, made once: its columns are I's
@@ -156,9 +166,8 @@ class ExtComputer:
         if i not in self.decided:
             if self.resolution is None:
                 self.resolution = ResolutionCache(self.cyclic_presentation(budget))
-            d_out = self.resolution.differential(i + 1, budget).transpose(budget)
-            d_in = (self.resolution.differential(i, budget).transpose(budget)
-                    if i >= 1 else None)
+            d_out = self.resolution.dual(i + 1, budget)
+            d_in = self.resolution.dual(i, budget) if i >= 1 else None
             # d_i . d_{i+1} = 0 is checked as the resolution builds d_{i+1}
             zero = homology_is_zero(d_out, d_in, budget)
             if i == 0 and self.annihilator_is_zero(budget) != zero:

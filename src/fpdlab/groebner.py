@@ -10,10 +10,10 @@ coefficient): the chain criterion, one pair per minimal lcm, the product
 criterion for vectors in one position, and no pair between two vectors
 of the relation block that went in unchanged.  Over a field every lead is
 monic, so no G-pair arises and the engine is Buchberger (normal selection).
-Membership certificates (unit cofactors) and kernels (in `modules`) both
-read the engine's basis of a map's graph, `graph_groebner`: each generator
-is tagged in an extended free module, whose tag block sits below every
-original position.
+Membership certificates (unit cofactors), kernels and image bases (in
+`modules`) read the engine's basis of a map's graph, `graph_groebner`:
+each generator is tagged in an extended free module, whose tag block sits
+below every original position.
 """
 from __future__ import annotations
 
@@ -472,18 +472,15 @@ class UnitIdealResult:
 
 
 def is_unit_ideal(I: IdealPresentation, budget: Budget = None) -> UnitIdealResult:
-    """Decide 1 in I + J; on success return re-multiplication-verified cofactors
-    g_i over I's generators with sum g_i a_i = 1 in R."""
+    """Decide 1 in I + J by `vec_lift` alone; on success return cofactors g_i
+    over I's generators with sum g_i a_i = 1 in R, verified by re-multiplication."""
     budget = ensure_budget(budget)
     ambient = I.ring.ambient
     gens = I.preimage_generators()
-    G = groebner_basis_of_polys(ambient, gens, budget)
-    if not normal_form_polys(ambient.one(), G, budget).is_zero:
-        return UnitIdealResult(False)
     lifted = vec_lift(poly_to_vec(ambient.one()),
                       [poly_to_vec(g) for g in gens], 1, ambient, budget)
     if lifted is None:
-        raise InternalError("internal: unit ideal without a lift")
+        return UnitIdealResult(False)
     cof = tuple(lifted[:len(I.generators)])
     total = ambient.zero()
     for c, a in zip(lifted, gens):

@@ -50,7 +50,6 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
         max_degree = nonzero
     if max_degree < 0:
         raise StructuralError("grade search bound must be >= 0")
-    unit = computer.unit_ideal(I, budget)
     profile = []
     value = None
     notes = ()
@@ -60,7 +59,7 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
         if not vanished:
             value = GradeValue.finite(i)
             break
-    if unit:
+    if computer.unit_ideal(I, budget):
         if value is not None:
             raise InternalError("internal: nonvanishing Ext for the unit ideal")
         value = GradeValue.infinite()

@@ -133,7 +133,7 @@ class FreeModuleMap:
         return not any(self.cols)
 
     def groebner_vectors(self, budget: Budget = None) -> VecBasis:
-        """Module Groebner basis of the image + J*e_t (cached)."""
+        """Canonical Groebner basis of the image + J*e_t (cached; `kernel` fills it)."""
         if self._gb is None:
             budget = ensure_budget(budget)
             block = _relation_block(self.ring, self.target_rank, budget)
@@ -188,22 +188,27 @@ def kernel(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:
     modulo J*e_j and not pruned.
 
     The graph of phi, generated by (phi(e_j), e_j) in R^(target + source),
-    gets its Groebner basis with J adjoined in every position; the elements
-    that vanish in the target block generate ker(phi) + J*R^source there.
+    gets its Groebner basis with J adjoined in every position.  Its elements
+    led in the target block, cut to it, are phi's image basis, which they
+    fill when it is empty; the others generate ker(phi) + J*R^source there.
     """
     budget = ensure_budget(budget)
     ring, r, n = phi.ring, phi.target_rank, phi.source_rank
     basis = graph_groebner(phi.cols, r, ring.ambient, budget,
                            _relation_block(ring, r + n, budget).vecs)
     block = _relation_block(ring, n, budget)
+    image = VecBasis([], ring.ambient)
     gens = []
-    for g in basis.vecs:
-        if any(pos < r for pos, _ in g):
+    for g, lt in zip(basis.vecs, basis.lts):
+        if lt[0] < r:
+            image.append({k: c for k, c in g.items() if k[0] < r}, lt)
             continue
         reduced = vec_normal_form({(pos - r, m): c for (pos, m), c in g.items()},
                                   block, budget)
         if reduced:
             gens.append(reduced)
+    if phi._gb is None:
+        phi._gb = image
     return FreeModuleMap._of_reduced(ring, n, gens)
 
 

@@ -8,7 +8,9 @@ N, pending pairs M)" parts of `error`.  Otherwise it prints every other
 difference with its 0-based record index and exits 1; a changed status,
 such as `resource` becoming `ok`, is a difference.  This is the check for a
 change that may move step counts but no answer, e.g. before re-recording
-`tests/data/golden_session.jsonl`.
+`tests/data/golden_session.jsonl`.  It also prints one line to standard
+error, "steps: OLD -> NEW", the summed `budget.steps` of each stream, so a
+log of the comparison shows how far the step counts moved.
 """
 from __future__ import annotations
 
@@ -43,6 +45,17 @@ def differences(old_text: str, new_text: str) -> list:
     return out
 
 
+def steps(text: str) -> int:
+    """The summed `budget.steps` of a record stream."""
+    total = 0
+    for line in text.splitlines():
+        if line.strip():
+            budget = json.loads(line).get("budget")
+            if isinstance(budget, dict):
+                total += budget.get("steps", 0)
+    return total
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -53,6 +66,7 @@ def main(argv=None) -> int:
         with open(path, encoding="utf-8") as fh:
             texts.append(fh.read())
     found = differences(*texts)
+    print(f"steps: {steps(texts[0])} -> {steps(texts[1])}", file=sys.stderr)
     for line in found:
         print(line)
     return 1 if found else 0

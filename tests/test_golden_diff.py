@@ -47,3 +47,14 @@ def test_changed_status_is_a_difference(tmp_path, capsys):
     records[index]["status"] = "ok"
     assert _diff(tmp_path, records) == 1
     assert f"record {index}: status:" in capsys.readouterr().out
+
+
+def test_summed_steps_go_to_stderr(tmp_path, capsys):
+    records = _records()
+    old = sum(r["budget"]["steps"] for r in records)
+    for r in records:
+        r["budget"]["steps"] += 7
+    assert _diff(tmp_path, records) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"steps: {old} -> {old + 7 * len(records)}\n"

@@ -142,6 +142,31 @@ def test_unit_ideal_negative_cases():
     assert not is_unit_ideal(Z.ideal("2", "x")).is_unit
 
 
+def test_unit_ideal_decides_by_its_lift_basis_alone(monkeypatch):
+    # one completion per call, the graph basis of `vec_lift`, for a unit
+    # ideal and a proper one alike
+    P = presentation(QQ, ("x", "y"))
+    P.relations_groebner()
+    calls = []
+    complete = groebner.vec_groebner
+    monkeypatch.setattr(groebner, "vec_groebner",
+                        lambda *args, **kwargs: calls.append(1) or complete(*args, **kwargs))
+    assert is_unit_ideal(P.ideal("x", "x + 1"))
+    assert not is_unit_ideal(P.ideal("x", "y"))
+    assert len(calls) == 2
+
+
+def test_unit_ideal_without_a_lift_is_internal(monkeypatch):
+    # the cyclic presentation says 1 is in I; a lift that fails is a
+    # library defect, not a proper ideal
+    monkeypatch.setattr(groebner, "vec_lift", lambda *args: None)
+    records, code = execute_script(
+        parse("ring R = QQ[x]; ideal u = (x, x + 1); criterion u 1;"), CliConfig())
+    assert code == EXIT_INTERNAL
+    assert records[0]["status"] == "internal"
+    assert "unit ideal without a lift" in records[0]["error"]
+
+
 def test_unit_ideal_through_relations():
     # 1 = x + (1 - x) where 1 - x lies in the relation ideal
     A = poly_ring(QQ, "x")

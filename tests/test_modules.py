@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from fpdlab import (Budget, FreeModuleMap, ResourceBudgetExceeded,
                     StructuralError, is_zero_subquotient, kernel)
-from fpdlab.modules import prune_generators
+from fpdlab.groebner import vec_groebner
+from fpdlab.modules import _relation_block, prune_generators
 from fpdlab.rings import mono_degree
 from helpers import (FF, QQ, ZZ, brute_linear_syzygies, presentation,
                      reference_compose, reference_kernel, reference_normalize,
@@ -294,6 +295,23 @@ def test_vector_maps_match_the_polynomial_matrix_path(ring, t, k, s, data):
     assert (dual.matrix, steps) == _steps(lambda b: reference_transpose(phi, b))
     K, steps = _steps(lambda b: kernel(phi, b))
     assert (K.generators, steps) == _steps(lambda b: reference_kernel(phi, b))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.sampled_from(_RINGS), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_kernel_leaves_the_canonical_image_basis(ring, t, k, data):
+    # the graph basis elements led in the target block, cut to it, are the
+    # basis `groebner_vectors` would complete, element for element
+    P = presentation(ring[0], ("x", "y"), ring[1])
+    phi = FreeModuleMap(P, k, t, _matrix(P, t, k, data.draw))
+    kernel(phi)
+    left = phi._gb
+    assert left is not None
+    block = _relation_block(P, t, Budget())
+    ref = vec_groebner([v for v in phi.cols if v], P.ambient, Budget(), block=block.vecs)
+    assert (left.vecs, left.lts, left.lcs) == (ref.vecs, ref.lts, ref.lcs)
+    assert phi.groebner_vectors() is left
 
 
 def test_renormalizing_a_normal_entry_over_integers_ticks():

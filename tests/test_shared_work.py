@@ -4,7 +4,8 @@ ring and keyed by unit-normalized generators.  Sharing may move step counts,
 never an answer."""
 import pytest
 from fpdlab import (Budget, CoefficientDomain, PolynomialRing, RingPresentation,
-                    complexes, dq_dw_local, grade, groebner, is_gv, koszul)
+                    complexes, dq_dw_local, grade, groebner, is_gv, koszul,
+                    modules)
 from fpdlab.cli import CliConfig, render_json, run_command
 from fpdlab.script import parse
 from golden_diff import differences
@@ -185,6 +186,34 @@ def test_koszul_after_grade_reads_the_nonzero_generators_decisions():
     assert records[1]["result"] == {"ranks": [1, 5, 10, 10, 5, 1], "koszul_grade": "3"}
     assert records[1]["budget"]["steps"] == 0
     assert differences(render_json(_cold(text)), render_json(records)) == []
+
+
+@pytest.mark.parametrize("command", ["ext m 3;", "koszul m;", "grade m;"])
+def test_only_kernel_completes_image_bases_on_the_twisted_cubic(monkeypatch, command):
+    # each Ext degree and each Koszul degree reduces against the image basis
+    # that `kernel` left on the map the degree before, and the unit verdict
+    # against the presentation's: no map completes its image on its own
+    calls = []
+    complete = modules.vec_groebner
+    monkeypatch.setattr(modules, "vec_groebner",
+                        lambda *args, **kwargs: calls.append(1) or complete(*args, **kwargs))
+    _, records = _shared("ring T = QQ[x,y,z,w]/(x*z - y^2, x*w - y*z, y*w - z^2); "
+                         "ideal m = (x, y, z, w); " + command)
+    assert records[0]["status"] == "ok"
+    assert calls == []
+
+
+def test_grade_then_criterion_on_a_proper_ideal_never_lift(monkeypatch):
+    # (2, x) has grade 2, so both commands ask whether it is the unit ideal;
+    # the cyclic presentation says no, and no cofactors are sought
+    calls = []
+    decide = complexes.is_unit_ideal
+    monkeypatch.setattr(complexes, "is_unit_ideal",
+                        lambda *args: calls.append(1) or decide(*args))
+    _, records = _shared("ring R = ZZ[x]; ideal u = (2, x); grade u; criterion u 1;")
+    assert [r["result"].get("value") for r in records] == ["2", None]
+    assert records[1]["result"]["verdict"] == "COUNTEREXAMPLE"
+    assert calls == []
 
 
 @pytest.mark.parametrize("ring, cofactors", [
