@@ -4,14 +4,17 @@ Ext^1 vanishing by exhaustive enumeration, and the DQ/DW ring properties.
 
 Nothing here shares code with the Groebner path; everything is table
 arithmetic, which is the point of the oracle.  A ring keeps one numpy index
-table per operation.  Tables are built and checked with numpy array
-arithmetic, in row chunks that keep working memory small; numpy is imported
-on first use, so importing the package stays cheap.
+table per operation, built and checked in row chunks that keep working
+memory small; numpy is imported on first use, so importing the package
+stays cheap.  Both operations are additive in each argument, so the rows of
+a quotient ring's tables are gathered from earlier rows, and the sums of an
+ideal with many principal ideals come out of one batch over its cosets.
 
 The builders, `enumerate_ideals` and the DQ/DW/Ext^1 checks take an optional
 `Budget` last: one clock-reading step per table row chunk (building,
 verifying, and reading off the principal ideals), per reachability search,
-ideal sum and proper ideal tested, and one plain step per Ext^1 candidate.
+ideal sum (a batch takes its sums' steps before its work) and proper ideal
+tested, and one plain step per Ext^1 candidate.
 """
 from __future__ import annotations
 
@@ -104,29 +107,45 @@ def _quotient_ring(n: int, modulus_coeffs: dict, variable: str,
     # element i has the little-endian base-n digits of i as coefficients
     weights = n ** np.arange(d, dtype=np.int64)
     digits = np.arange(size, dtype=np.int64)[:, None] // weights % n
-    # x^d = sum reducer[i] x^i; only its nonzero terms are pushed down
-    reducer = [(i, (-c) % n) for i, c in enumerate(coeffs[:-1]) if c]
-    columns = digits.T.copy()  # columns[i][b]: coefficient of x^i in b
+    # x*b: the digits of b move up one place, and the top one comes back
+    # down through x^d = -(coeffs[0] + ... + coeffs[d-1] x^(d-1))
+    times_x = (np.roll(digits, 1, axis=1) * (np.arange(d) > 0)
+               - np.outer(digits[:, -1], coeffs[:-1])) % n @ weights
 
-    def add_rows(start, stop):
-        return sum((digits[start:stop, i, None] + columns[i]) % n * n ** i
-                   for i in range(d))
+    def translate(c, k):
+        # b -> c*x^k + b: digit k of each b moves by c
+        return np.arange(size) + ((digits[:, k] + c) % n - digits[:, k]) * n ** k
 
-    def mul_rows(start, stop):
-        # prod[k][a, b]: the coefficient of x^k in a*b before reduction,
-        # then x^k reduced from the top degree down (poly_mul on every
-        # pair of the chunk at once; entries stay below 2 d n^2)
-        prod = np.zeros((2 * d - 1, stop - start, size), dtype=np.int64)
-        for i in range(d):
-            prod[i:i + d] += digits[start:stop, i, None] * columns[:, None, :]
-        for k in range(2 * d - 2, d - 1, -1):
-            top = prod[k] % n
-            for i, r in reducer:
-                prod[k - d + i] += top * r
-        return np.tensordot(weights, prod[:d] % n, axes=1)
+    def table(per_row, small, scaled, combine):
+        # rows below n are small(lo, hi), row c*n^k (k >= 1) is
+        # scaled(T, c, k), and row c*n^k + a' (a' < n^k) is combine(row a',
+        # row c*n^k): both operations are additive in their first argument
+        T = np.empty((size, size), dtype=np.min_scalar_type(size - 1))
+        for start, stop in _row_chunks(size, per_row):
+            budget.tick_coarse()
+            if start < n:
+                T[start:min(stop, n)] = small(start, min(stop, n))
+                start = min(stop, n)
+            while start < stop:
+                k = int(np.flatnonzero(digits[start])[-1])
+                base = start - start % n ** k
+                if start == base:
+                    T[base] = scaled(T, base // n ** k, k)
+                end = min(stop, base + n ** k)
+                T[start:end] = combine(T[start - base:end - base], T[base])
+                start = end
+        return T
 
-    add = _build_table(size, size * d, add_rows, budget)
-    mul = _build_table(size, size * (2 * d - 1), mul_rows, budget)
+    # rows below n scale or translate each digit; row c*x^k of mul is c
+    # times row x^k, and row x^k is row x^(k-1) after x; the row chunks are
+    # those of d and 2d - 1 working digits per entry
+    add = table(size * d, lambda lo, hi: translate(np.arange(lo, hi)[:, None], 0),
+                lambda T, c, k: translate(c, k),
+                lambda rows, base: np.take(rows, base, axis=1))
+    mul = table(size * (2 * d - 1),
+                lambda lo, hi: np.arange(lo, hi)[:, None, None] * digits % n @ weights,
+                lambda T, c, k: T[c, T[n ** k]] if c > 1 else T[n ** (k - 1), times_x],
+                lambda rows, base: add[rows, base])
     elems = tuple(map(tuple, digits.tolist()))
 
     def label(t):
@@ -155,17 +174,6 @@ def _row_chunks(rows: int, per_row: int):
     width = max(1, _CHUNK_ENTRIES // max(per_row, 1))
     for start in range(0, rows, width):
         yield start, min(start + width, rows)
-
-
-def _build_table(order: int, per_row: int, fill, budget: Budget):
-    """An order x order index table of the narrowest unsigned type;
-    fill(start, stop) gives those rows."""
-    import numpy as np
-    table = np.empty((order, order), dtype=np.min_scalar_type(order - 1))
-    for start, stop in _row_chunks(order, per_row):
-        budget.tick_coarse()
-        table[start:stop] = fill(start, stop)
-    return table
 
 
 def _as_table(table, order: int, name: str):
@@ -265,11 +273,6 @@ def _associative_on(T, X, G, budget: Budget) -> bool:
 # ---------------------------------------------------------------------------
 # Ideal enumeration
 
-def principal_ideal(R: FiniteRing, a: int) -> frozenset:
-    """R*a = {r*a}: already closed under + and ring multiplication."""
-    return frozenset(R.mul[a].tolist())  # row a, as multiplication commutes
-
-
 def _ideal_sum(R: FiniteRing, I: frozenset, P: frozenset,
                budget: Budget) -> frozenset:
     budget.tick_coarse()
@@ -285,7 +288,7 @@ def ideal_closure(R: FiniteRing, seeds) -> frozenset:
     """Smallest ideal containing the seeds: the sum of their principal ideals."""
     current = frozenset({R.zero})
     for s in seeds:
-        current = _ideal_sum(R, current, principal_ideal(R, s), Budget())
+        current = _ideal_sum(R, current, frozenset(R.mul[s].tolist()), Budget())
     return current
 
 
@@ -301,23 +304,38 @@ def enumerate_ideals(R: FiniteRing, budget: Optional[Budget] = None) -> list:
 
 def _all_ideals(R: FiniteRing, budget: Budget) -> list:
     """Every ideal is a sum of principal ideals, so a breadth-first sweep over
-    the distinct principal ideals reaches all of them."""
-    principals = {}
-    for s, e in _row_chunks(R.order, R.order):
+    the distinct principal ideals, as boolean rows, reaches all of them.
+    I + P is the union of the cosets of I that meet P: with each coset of I
+    labelled by its least element, one hit matrix gives many sums at once."""
+    import numpy as np
+    n = R.order
+    rows = {}
+    for s, e in _row_chunks(n, n):
         budget.tick_coarse()
-        principals.update(dict.fromkeys(map(frozenset, R.mul[s:e].tolist())))
-    found = {frozenset({R.zero})}
-    queue = [frozenset({R.zero})]
+        member = np.zeros((e - s, n), dtype=bool)
+        member[np.arange(e - s)[:, None], R.mul[s:e]] = True
+        rows.update((row.tobytes(), row) for row in member)
+    principals = np.array(list(rows.values()))
+    zero = np.arange(n) == R.zero
+    found, queue = {zero.tobytes(): zero}, [zero]
     while queue:
         I = queue.pop()
-        for P in principals:
-            if P <= I:
-                continue
-            J = _ideal_sum(R, I, P, budget)
-            if J not in found:
-                found.add(J)
-                queue.append(J)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+        outside = principals[principals @ ~I]
+        for _ in outside:
+            budget.tick_coarse()
+        members = np.flatnonzero(I)
+        labels = np.arange(n, dtype=R.add.dtype)
+        for s, e in _row_chunks(len(members), n):
+            np.minimum(labels, R.add[members[s:e]].min(axis=0), out=labels)
+        for s, e in _row_chunks(len(outside), n):
+            hit = np.zeros((e - s, n), dtype=bool)
+            which, y = np.nonzero(outside[s:e])
+            hit[which, labels[y]] = True
+            for J in hit[:, labels]:
+                if found.setdefault(J.tobytes(), J) is J:
+                    queue.append(J)
+    ideals = (frozenset(np.flatnonzero(J).tolist()) for J in found.values())
+    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
 
 
 def minimal_generators(R: FiniteRing, ideal: frozenset,
@@ -329,7 +347,7 @@ def minimal_generators(R: FiniteRing, ideal: frozenset,
     for a in sorted(ideal):
         if a not in closure:
             gens.append(a)
-            closure = _ideal_sum(R, closure, principal_ideal(R, a), budget)
+            closure = _ideal_sum(R, closure, frozenset(R.mul[a].tolist()), budget)
             if closure == ideal:
                 break
     if closure != ideal:

@@ -127,14 +127,19 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
     ring = basis.ring
     dom = ring.domain
     field, p = dom.is_field, dom.p
-    tkey = _term_key(ring)
+    dkey = ring.order.descending_key
     vecs, lts, lcs, at = basis.vecs, basis.lts, basis.lcs, basis.at
     work = dict(v)
-    # each term's order key, computed once when the term first appears
-    keys = {k: tkey(k) for k in work}
+    # the largest term of `work` tops a heap of descending keys; a term is
+    # pushed when it enters `work`, and entries of terms gone are skipped
+    heap = [(pos, dkey(m), (pos, m)) for pos, m in work]
+    heapq.heapify(heap)
     rem = {}
-    while work:
-        k = max(work, key=keys.__getitem__)
+    while heap:
+        entry = heapq.heappop(heap)
+        k = entry[2]
+        if k not in work:
+            continue
         c = work.pop(k)
         pos, m = k
         for j in at.get(pos, ()):
@@ -152,17 +157,18 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
                 if bk == lt_j:
                     continue
                 kk = (bk[0], mono_mul(bk[1], q))
-                if kk not in keys:
-                    keys[kk] = tkey(kk)
                 nc = work.get(kk, 0) - qq * bc
                 if p:
                     nc %= p
-                if nc:
-                    work[kk] = nc
-                else:
+                if not nc:
                     work.pop(kk, None)
+                    continue
+                if kk not in work:
+                    heapq.heappush(heap, (kk[0], dkey(kk[1]), kk))
+                work[kk] = nc
             if r:
                 work[k] = r
+                heapq.heappush(heap, entry)
             break
         else:
             rem[k] = c
@@ -476,7 +482,7 @@ def is_unit_ideal(I: IdealPresentation, budget: Budget = None) -> UnitIdealResul
     over I's generators with sum g_i a_i = 1 in R, verified by re-multiplication."""
     budget = ensure_budget(budget)
     ambient = I.ring.ambient
-    gens = I.preimage_generators()
+    gens = I.generators + I.ring.relations
     lifted = vec_lift(poly_to_vec(ambient.one()),
                       [poly_to_vec(g) for g in gens], 1, ambient, budget)
     if lifted is None:

@@ -212,6 +212,15 @@ class MonomialOrder:
             return m
         return (self.left.key(m[:self.split]), self.right.key(m[self.split:]))
 
+    def descending_key(self, m: Monomial):
+        """A sort key that orders monomials the reverse way of `key`."""
+        if self.kind == GREVLEX_KIND:
+            return (-sum(m), m[::-1])
+        if self.kind == LEX_KIND:
+            return tuple(map(operator.neg, m))
+        return (self.left.descending_key(m[:self.split]),
+                self.right.descending_key(m[self.split:]))
+
     def __str__(self) -> str:
         if self.kind == BLOCK_KIND:
             return f"block({self.split}; {self.left}, {self.right})"
@@ -504,14 +513,11 @@ class IdealPresentation:
         self.ring = ring
         self.generators = tuple(ring.poly(g) for g in generators)
 
-    def preimage_generators(self) -> tuple:
-        return self.generators + self.ring.relations
-
     def contains(self, f, budget=None) -> bool:
-        """Whether f lies in I, by a basis of <gens> + J made for this call."""
-        from .groebner import groebner_basis_of_polys, normal_form_polys
-        G = groebner_basis_of_polys(self.ring.ambient, self.preimage_generators(), budget)
-        return normal_form_polys(self.ring.poly(f), G, budget).is_zero
+        """Whether f lies in I, by the basis of I's cyclic presentation that
+        the ring's derived store keeps."""
+        from .complexes import ext_computer
+        return ext_computer(self).cyclic_presentation(budget).contains((f,), budget)
 
     def is_zero(self, budget=None) -> bool:
         """True when the ideal is the zero ideal of R."""

@@ -3,9 +3,9 @@ algebra for syzygies, monomial sweeps for membership), a direct
 Groebner-property checker that reduces every S- and G-vector, a completion
 that eliminates no pair, a rescanning reference for the vector normal form,
 the Polynomial-matrix path of the module layer, the colon without its early
-stop, the row loop for finite-ring annihilators, a pure-Python build of
-finite quotient-ring tables, and whole free resolutions and their duals as
-`ChainComplex`es."""
+stop, the row loop for finite-ring annihilators, the frozenset sweep over
+finite-ring ideals, a pure-Python build of finite quotient-ring tables, and
+whole free resolutions and their duals as `ChainComplex`es."""
 from __future__ import annotations
 
 import heapq
@@ -290,6 +290,32 @@ def reference_annihilator_set(R, subset) -> frozenset:
     table's rows that its array test replaced."""
     return frozenset(r for r in range(R.order)
                      if all(R.mul[r][a] == R.zero for a in subset))
+
+
+def reference_all_ideals(R, budget) -> list:
+    """`finite_rings._all_ideals` as the breadth-first sweep over frozensets
+    that its coset-label batches replaced: one `tick_coarse` per principal
+    row chunk and per sum I + P with P not inside I, each sum read off the
+    addition table pair by pair."""
+    from fpdlab.finite_rings import _row_chunks
+    principals = {}
+    for s, e in _row_chunks(R.order, R.order):
+        budget.tick_coarse()
+        principals.update(dict.fromkeys(map(frozenset, R.mul[s:e].tolist())))
+    add = R.add.tolist()
+    found = {frozenset({R.zero})}
+    queue = [frozenset({R.zero})]
+    while queue:
+        I = queue.pop()
+        for P in principals:
+            if P <= I:
+                continue
+            budget.tick_coarse()
+            J = frozenset(add[i][p] for i in I for p in P)
+            if J not in found:
+                found.add(J)
+                queue.append(J)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def reference_quotient_tables(n: int, modulus_coeffs, variable: str = "x") -> dict:

@@ -13,7 +13,8 @@ from fpdlab.finite_rings import (FiniteRing, _row_chunks, annihilator_set,
                                  enumerate_ideals, ideal_closure,
                                  minimal_generators)
 
-from helpers import reference_annihilator_set, reference_quotient_tables
+from helpers import (reference_all_ideals, reference_annihilator_set,
+                     reference_quotient_tables)
 
 
 def _oracle_rings() -> tuple:
@@ -80,7 +81,7 @@ def test_zero_and_one_must_be_element_indices():
             FiniteRing(R.labels, add, mul, zero, one, "ZZ/2")
 
 
-@pytest.mark.parametrize("n, coeffs", [
+_TABLE_RINGS = [
     *_oracle_rings(),
     (4, (0, 1, 1)),       # golden session: ZZ/4[x]/(x^2 + x)
     (2, (0, 0, 0, 1)),    # golden session: FF2[x]/(x^3)
@@ -90,14 +91,20 @@ def test_zero_and_one_must_be_element_indices():
     (4, (7, 5, 1)),       # coefficients beyond the modulus
     (6, None),            # golden session: ZZ/6
     (2, None), (257, None), (300, None),   # ZZ/n past the uint8 tables
-])
+    (17, (1, 0, 1)),      # ZZ/17[x]/(x^2 + 1): rows c*x + a' past uint8
+]
+
+
+def _ring(n, coeffs):
+    return (FiniteRing.integers_mod(n) if coeffs is None
+            else FiniteRing.quotient(n, list(coeffs)))
+
+
+@pytest.mark.parametrize("n, coeffs", _TABLE_RINGS)
 def test_tables_match_the_reference_build(n, coeffs):
-    if coeffs is None:
-        R = FiniteRing.integers_mod(n)
-        coeffs = (0, 1)   # ZZ/n = ZZ/n[x]/(x), with the same digits and labels
-    else:
-        R = FiniteRing.quotient(n, list(coeffs))
-    ref = reference_quotient_tables(n, coeffs)
+    R = _ring(n, coeffs)
+    # ZZ/n = ZZ/n[x]/(x), with the same digits and labels
+    ref = reference_quotient_tables(n, coeffs or (0, 1))
     assert R.labels == ref["labels"]
     assert np.array_equal(R.add, ref["add"])
     assert np.array_equal(R.mul, ref["mul"])
@@ -299,6 +306,16 @@ def test_ideal_enumeration_chain_rings():
     Z6 = FiniteRing.integers_mod(6)
     assert [sorted(I) for I in enumerate_ideals(Z6)] == \
         [[0], [0, 3], [0, 2, 4], [0, 1, 2, 3, 4, 5]]
+
+
+@pytest.mark.parametrize("n, coeffs", _TABLE_RINGS)
+def test_ideals_and_steps_match_the_reference_sweep(n, coeffs):
+    R = _ring(n, coeffs)
+    budget, ref_budget = Budget(), Budget()
+    ideals = enumerate_ideals(R, budget)
+    assert ideals == reference_all_ideals(R, ref_budget)
+    # one step per principal row chunk and per sum I + P with P not in I
+    assert budget.steps == ref_budget.steps
 
 
 def test_ideal_closure_is_an_ideal():

@@ -23,6 +23,15 @@ def test_any_order_equal_monomials():
         assert order.key((0, 1)) != order.key((1, 0))
 
 
+def test_descending_key_reverses_the_order_key():
+    import random
+    rng = random.Random(5)
+    for order in (LEX, GREVLEX, block_order(1), block_order(2, LEX, GREVLEX)):
+        monos = list({tuple(rng.randrange(4) for _ in range(4)) for _ in range(200)})
+        assert (sorted(monos, key=order.descending_key)
+                == sorted(monos, key=order.key, reverse=True))
+
+
 def test_order_is_total_and_multiplicative():
     import itertools
     monos = [m for m in itertools.product(range(3), repeat=2)]
@@ -178,6 +187,21 @@ def test_ideal_presentation_contains():
     assert I.contains("x*y^5")  # through the relations
     assert I.contains("x^2 + x*y")
     assert not I.contains("y")
+
+
+def test_ideal_contains_reuses_the_stored_basis():
+    from fpdlab.complexes import ext_computer
+    from fpdlab.errors import Budget
+    A = poly_ring(ZZ, "x", "y")
+    P = RingPresentation(A, [A.poly("x^2 - 2*y")])
+    I = P.ideal("x*y + 2", "y^2")
+    first, again = Budget(), Budget()
+    assert not I.contains("x", first)
+    basis = ext_computer(I).cyclic_presentation().groebner_vectors()
+    assert I.contains("x^3*y + 2*x^2 - 2*y^2", again)
+    # the second call only reduces, against the one basis the ring keeps
+    assert ext_computer(I).cyclic_presentation().groebner_vectors() is basis
+    assert 0 < again.steps < first.steps
 
 
 def test_polynomial_str_parses_back():
