@@ -99,7 +99,7 @@ class ResolutionCache:
     def dual(self, i: int, budget: Budget = None) -> FreeModuleMap:
         """d_i^T, made once: degree i reuses the image basis it kept."""
         if i not in self._duals:
-            self._duals[i] = self.differential(i, budget).transpose(budget)
+            self._duals[i] = self.differential(i, budget).transpose()
         return self._duals[i]
 
 

@@ -350,11 +350,18 @@ def _groebner_integer(vecs: Sequence, ring: PolynomialRing, budget: Budget,
 
 
 # ---------------------------------------------------------------------------
-# Minimalization, tail interreduction, canonical form
+# Canonical form: minimal and tail-reduced in one pass
 
-def _minimalize(basis: VecBasis) -> VecBasis:
-    """The elements whose leads no other lead dominates, in ascending lead
-    order (ties over ZZ by ascending |lead coefficient|), as a new basis."""
+def _interreduce(basis: VecBasis, budget: Budget) -> VecBasis:
+    """The reduced basis, as a new basis in ascending lead order (ties over
+    ZZ by ascending |lead coefficient|): each element whose lead no element
+    kept before it dominates, with its tail reduced against those.
+
+    A lead that divides a term is no larger than it, and a tail lies below
+    its lead, so only the elements kept before one can reduce its tail, and
+    they are final already.  Tail reduction never touches a lead, so the
+    leads (and the Groebner property) are preserved.
+    """
     ring = basis.ring
     tkey = _term_key(ring)
     # a field basis is monic, so its ties and divisibility tests are trivial
@@ -362,40 +369,13 @@ def _minimalize(basis: VecBasis) -> VecBasis:
                  key=lambda i: (tkey(basis.lts[i]), abs(basis.lcs[i])))
     kept = VecBasis([], ring)
     for i in idx:
-        pos, m = basis.lts[i]
-        a = basis.lcs[i]
-        if not any(mono_divides(kept.lts[j][1], m) and a % kept.lcs[j] == 0
-                   for j in kept.at.get(pos, ())):
-            kept.append(basis.vecs[i], basis.lts[i])
+        v, (pos, m), a = basis.vecs[i], basis.lts[i], basis.lcs[i]
+        if any(mono_divides(kept.lts[j][1], m) and a % kept.lcs[j] == 0
+               for j in kept.at.get(pos, ())):
+            continue
+        tail = {k: c for k, c in v.items() if k != (pos, m)}
+        kept.append({(pos, m): a, **vec_normal_form(tail, kept, budget)}, (pos, m))
     return kept
-
-
-def _interreduce(basis: VecBasis, budget: Budget) -> VecBasis:
-    """Tail-reduce every element in place against the whole basis.
-
-    A lead never divides a term of its own tail, and tail reduction never
-    touches a lead, so the leads (and the Groebner property) are preserved
-    and a pass in ascending lead order leaves every tail irreducible.  When
-    that pass changed something, a second pass confirms it; if the second
-    pass changes anything too, an invariant is broken.
-    """
-    def sweep() -> bool:
-        changed = False
-        for i, lt in enumerate(basis.lts):
-            v = basis.vecs[i]
-            tail = {k: c for k, c in v.items() if k != lt}
-            if not tail:
-                continue
-            new = {lt: v[lt]}
-            new.update(vec_normal_form(tail, basis, budget))
-            if new != v:
-                basis.vecs[i] = new
-                changed = True
-        return changed
-
-    if sweep() and sweep():
-        raise InternalError("internal: interreduction failed to stabilize")
-    return basis
 
 
 def completion(vecs: Sequence, ring: PolynomialRing, budget: Budget,
@@ -411,8 +391,7 @@ def vec_groebner(vecs: Sequence, ring: PolynomialRing, budget: Budget,
                  block: Sequence = ()) -> VecBasis:
     """Canonical Groebner basis of the submodule generated by `vecs` and
     `block`, in ascending lead order."""
-    return _interreduce(_minimalize(completion(vecs, ring, budget, block).basis),
-                        budget)
+    return _interreduce(completion(vecs, ring, budget, block).basis, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +575,13 @@ def annihilator(I: IdealPresentation, budget: Budget = None) -> IdealPresentatio
 
     Computed by elimination, one generator at a time, and stopped once the
     annihilator of the generators so far is already zero in R: the
-    annihilator of more generators lies inside it.
+    annihilator of more generators lies inside it.  The generators are the
+    columns of the cyclic presentation kept for I (`complexes.ext_computer`).
     """
+    from .complexes import ext_computer
     budget = ensure_budget(budget)
     ring = I.ring
-    gens = [ring.normal_form(g, budget) for g in I.generators]
-    gens = [g for g in gens if not g.is_zero]
+    gens = [g for (g,) in ext_computer(I).cyclic_presentation(budget).generators]
     if not gens:
         return IdealPresentation(ring, (ring.ambient.one(),))
     return IdealPresentation(ring, _colon(ring, gens, budget))

@@ -22,10 +22,10 @@ from .values import GradeValue
 
 
 def _koszul_differentials(ring: RingPresentation, gens: Sequence, top: int,
-                          budget: Budget = None) -> list:
-    """d_1..d_top of the Koszul chain on gens (ranks vanish above len(gens))."""
+                          negated: Sequence) -> list:
+    """d_1..d_top of the Koszul chain on gens (ranks vanish above len(gens)),
+    from the generators and their negatives in normal form modulo J."""
     m = len(gens)
-    neg = ring.domain.neg
     diffs = []
     for i in range(1, top + 1):
         rows = list(combinations(range(m), i - 1))
@@ -35,18 +35,24 @@ def _koszul_differentials(ring: RingPresentation, gens: Sequence, top: int,
             col = {}
             for k, j in enumerate(S):
                 t = row_index[S[:k] + S[k + 1:]]
-                for mono, c in gens[j].terms:
-                    col[(t, mono)] = c if k % 2 == 0 else neg(c)
+                for mono, c in (gens[j] if k % 2 == 0 else negated[j]).terms:
+                    col[(t, mono)] = c
             cols.append(col)
-        diffs.append(FreeModuleMap.of_vectors(ring, len(rows), cols, budget))
+        diffs.append(FreeModuleMap._of_reduced(ring, len(rows), cols))
     return diffs
 
 
 def koszul_chain(ring: RingPresentation, gens: Sequence, top: int,
                  budget: Budget = None) -> ChainComplex:
+    """The chain up to d_top from each generator reduced modulo J once and,
+    for d_2 on, the negative of each a_j with j >= 1 reduced once: over ZZ,
+    the normal form of -g need not be minus that of g."""
     gens = tuple(ring.poly(g) for g in gens)
     ranks = [comb(len(gens), i) for i in range(top + 1)]
-    diffs = _koszul_differentials(ring, gens, top, budget)
+    reduced = [ring.normal_form(g, budget) for g in gens]
+    negated = [ring.normal_form(-g, budget) if j and top > 1 else None
+               for j, g in enumerate(gens)]
+    diffs = _koszul_differentials(ring, reduced, top, negated)
     try:
         return ChainComplex(ring, ranks, diffs, budget)
     except StructuralError as exc:
@@ -133,7 +139,7 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int,
     if len(columns) == len(gens):
         gens = tuple(g for (g,) in columns)
     chain = koszul_chain(I.ring, gens, n + 1, budget)
-    presentation = chain.differential(n + 1).transpose(budget)
+    presentation = chain.differential(n + 1).transpose()
     profile = ext_vanishing_profile(I, n, budget)
     if all(profile):
         top = _top_nonvanishing(I, gens, max(len(gens) - n, 0), budget)

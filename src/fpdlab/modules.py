@@ -110,12 +110,13 @@ class FreeModuleMap:
         gens = self.generators
         return tuple(tuple(g[t] for g in gens) for t in range(self.target_rank))
 
-    def transpose(self, budget: Budget = None) -> "FreeModuleMap":
+    def transpose(self) -> "FreeModuleMap":
+        """The transposed map: its entries are this map's, normal already."""
         cols = [{} for _ in range(self.target_rank)]
         for j, col in enumerate(self.cols):
             for (t, m), c in col.items():
                 cols[t][(j, m)] = c
-        return FreeModuleMap.of_vectors(self.ring, self.source_rank, cols, budget)
+        return FreeModuleMap._of_reduced(self.ring, self.source_rank, cols)
 
     def compose(self, other: "FreeModuleMap", budget: Budget = None) -> "FreeModuleMap":
         """self after other (rank-compatible)."""

@@ -67,10 +67,7 @@ def tokenize(text: str) -> list:
         kind = m.lastgroup
         chunk = m.group()
         if kind not in ("ws", "comment"):
-            if kind == "flag":
-                tokens.append(Token(FLAG_TOK, chunk[2:], line, col))
-            else:
-                tokens.append(Token(kind, chunk, line, col))
+            tokens.append(Token(kind, chunk, line, col))
         newlines = chunk.count("\n")
         if newlines:
             line += newlines
@@ -377,7 +374,7 @@ def parse(text: str, order: MonomialOrder = GREVLEX) -> SessionScript:
             while cur.at(NAME_TOK):
                 names.append(resolve_ideal(cur.advance()))
             exhaustive = False
-            if cur.at(FLAG_TOK, "exhaustive"):
+            if cur.at(FLAG_TOK, "--exhaustive"):
                 cur.advance()
                 exhaustive = True
             items.append(Command(word, ring_name, tuple(names), exhaustive=exhaustive))

@@ -9,8 +9,10 @@ difference with its 0-based record index and exits 1; a changed status,
 such as `resource` becoming `ok`, is a difference.  This is the check for a
 change that may move step counts but no answer, e.g. before re-recording
 `tests/data/golden_session.jsonl`.  It also prints one line to standard
-error, "steps: OLD -> NEW", the summed `budget.steps` of each stream, so a
-log of the comparison shows how far the step counts moved.
+error, "steps: OLD -> NEW", the summed `budget.steps` of each stream, and
+then one line per record whose `budget.steps` rose, "record I COMMAND:
+steps OLD -> NEW", so a log of the comparison shows how far the step counts
+moved and where any of them went up.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ def _strip(record: dict) -> dict:
 
 def differences(old_text: str, new_text: str) -> list:
     """One line per difference that is not a step count."""
-    old = [_strip(json.loads(line)) for line in old_text.splitlines() if line.strip()]
-    new = [_strip(json.loads(line)) for line in new_text.splitlines() if line.strip()]
+    old = [_strip(r) for r in _records(old_text)]
+    new = [_strip(r) for r in _records(new_text)]
     out = []
     if len(old) != len(new):
         out.append(f"record count: {len(old)} -> {len(new)}")
@@ -45,15 +47,25 @@ def differences(old_text: str, new_text: str) -> list:
     return out
 
 
+def _steps(record: dict) -> int:
+    budget = record.get("budget")
+    return budget.get("steps", 0) if isinstance(budget, dict) else 0
+
+
+def _records(text: str) -> list:
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
 def steps(text: str) -> int:
     """The summed `budget.steps` of a record stream."""
-    total = 0
-    for line in text.splitlines():
-        if line.strip():
-            budget = json.loads(line).get("budget")
-            if isinstance(budget, dict):
-                total += budget.get("steps", 0)
-    return total
+    return sum(_steps(r) for r in _records(text))
+
+
+def rises(old_text: str, new_text: str) -> list:
+    """One line per record, by index, whose `budget.steps` rose."""
+    return [f"record {index} {b.get('command')}: steps {_steps(a)} -> {_steps(b)}"
+            for index, (a, b) in enumerate(zip(_records(old_text), _records(new_text)))
+            if _steps(b) > _steps(a)]
 
 
 def main(argv=None) -> int:
@@ -67,6 +79,8 @@ def main(argv=None) -> int:
             texts.append(fh.read())
     found = differences(*texts)
     print(f"steps: {steps(texts[0])} -> {steps(texts[1])}", file=sys.stderr)
+    for line in rises(*texts):
+        print(line, file=sys.stderr)
     for line in found:
         print(line)
     return 1 if found else 0

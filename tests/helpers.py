@@ -1,11 +1,12 @@
 """Shared test helpers: ring shortcuts, brute-force oracles (exact linear
 algebra for syzygies, monomial sweeps for membership), a direct
 Groebner-property checker that reduces every S- and G-vector, a completion
-that eliminates no pair, a rescanning reference for the vector normal form,
-the Polynomial-matrix path of the module layer, the colon without its early
-stop, the row loop for finite-ring annihilators, the frozenset sweep over
-finite-ring ideals, a pure-Python build of finite quotient-ring tables, and
-whole free resolutions and their duals as `ChainComplex`es."""
+that eliminates no pair, the two-step interreduction, a rescanning
+reference for the vector normal form, the Polynomial-matrix path of the
+module layer, the colon without its early stop, the row loop for
+finite-ring annihilators, the frozenset sweep over finite-ring ideals, a
+pure-Python build of finite quotient-ring tables, and whole free
+resolutions and their duals as `ChainComplex`es."""
 from __future__ import annotations
 
 import heapq
@@ -17,12 +18,13 @@ from fpdlab import (ChainComplex, CoefficientDomain, FreeModuleMap,
                     StructuralError)
 from fpdlab.complexes import cyclic_presentation
 from fpdlab.errors import ensure_budget
-from fpdlab.groebner import (Completion, VecBasis, _interreduce, _minimalize,
-                             _s_vector, _term_key, _xgcd, exact_poly_div,
+from fpdlab.groebner import (Completion, VecBasis, _interreduce, _s_vector,
+                             _term_key, _xgcd, exact_poly_div,
                              ideal_intersection_polys, polys_to_vec,
                              vec_normal_form, vec_to_poly, vec_to_polys)
 from fpdlab.modules import kernel, prune_generators
-from fpdlab.rings import mono_degree, mono_div, mono_lcm, mono_mul
+from fpdlab.rings import (mono_degree, mono_div, mono_divides, mono_lcm,
+                          mono_mul)
 
 QQ = CoefficientDomain.QQ()
 ZZ = CoefficientDomain.ZZ()
@@ -150,8 +152,51 @@ def reference_vec_groebner(vecs, ring: PolynomialRing, budget, block=()):
     """The canonical basis `vec_groebner` must return, from
     `ReferenceCompletion`."""
     budget = ensure_budget(budget)
-    return _interreduce(_minimalize(ReferenceCompletion(vecs, ring, budget,
-                                                        block=block).basis), budget)
+    return _interreduce(ReferenceCompletion(vecs, ring, budget, block=block).basis,
+                        budget)
+
+
+def _minimalize(basis: VecBasis) -> VecBasis:
+    """The elements whose leads no other lead dominates, in ascending lead
+    order (ties over ZZ by ascending |lead coefficient|), as a new basis."""
+    ring = basis.ring
+    tkey = _term_key(ring)
+    # a field basis is monic, so its ties and divisibility tests are trivial
+    idx = sorted(range(len(basis)),
+                 key=lambda i: (tkey(basis.lts[i]), abs(basis.lcs[i])))
+    kept = VecBasis([], ring)
+    for i in idx:
+        pos, m = basis.lts[i]
+        a = basis.lcs[i]
+        if not any(mono_divides(kept.lts[j][1], m) and a % kept.lcs[j] == 0
+                   for j in kept.at.get(pos, ())):
+            kept.append(basis.vecs[i], basis.lts[i])
+    return kept
+
+
+def reference_interreduce(basis: VecBasis, budget) -> VecBasis:
+    """`groebner._interreduce` as two steps: minimalization, then tail
+    reduction of every element in place against the whole basis, in
+    ascending lead order, with a second pass that confirms the first."""
+    basis = _minimalize(basis)
+
+    def sweep() -> bool:
+        changed = False
+        for i, lt in enumerate(basis.lts):
+            v = basis.vecs[i]
+            tail = {k: c for k, c in v.items() if k != lt}
+            if not tail:
+                continue
+            new = {lt: v[lt]}
+            new.update(vec_normal_form(tail, basis, budget))
+            if new != v:
+                basis.vecs[i] = new
+                changed = True
+        return changed
+
+    if sweep() and sweep():
+        raise InternalError("internal: interreduction failed to stabilize")
+    return basis
 
 
 def reference_normal_form(v: dict, basis, budget) -> dict:
@@ -458,7 +503,7 @@ def dualize(C: ChainComplex, budget=None) -> ChainComplex:
     """Hom(-, R): arrows reversed, matrices transposed, d.d = 0 re-verified."""
     L = C.length
     ranks = tuple(reversed(C.ranks))
-    diffs = [C.diffs[L - 1 - j].transpose(budget) for j in range(L)]
+    diffs = [C.diffs[L - 1 - j].transpose() for j in range(L)]
     return ChainComplex(C.ring, ranks, diffs, budget)
 
 

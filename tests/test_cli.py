@@ -125,8 +125,8 @@ def test_broken_library_complex_is_internal(monkeypatch):
     # library defect, not a fault of the input
     build = koszul._koszul_differentials
 
-    def broken(ring, gens, top, budget=None):
-        diffs = build(ring, gens, top, budget)
+    def broken(ring, gens, top, negated):
+        diffs = build(ring, gens, top, negated)
         if top >= 2:
             d2 = diffs[1]
             diffs[1] = FreeModuleMap(ring, d2.source_rank, d2.target_rank,

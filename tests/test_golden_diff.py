@@ -57,4 +57,20 @@ def test_summed_steps_go_to_stderr(tmp_path, capsys):
     assert _diff(tmp_path, records) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"steps: {old} -> {old + 7 * len(records)}\n"
+    assert captured.err.splitlines()[0] == f"steps: {old} -> {old + 7 * len(records)}"
+
+
+def test_step_rises_are_listed_on_stderr(tmp_path, capsys):
+    # one record rises, one falls, one changes its answer: only the rise is
+    # listed, and the exit code is that of the answer change
+    records = _records()
+    old = [r["budget"]["steps"] for r in records]
+    records[3]["budget"]["steps"] += 5
+    records[4]["budget"]["steps"] -= 1
+    index = next(i for i, r in enumerate(records) if "result" in r and i > 4)
+    records[index]["result"] = {"value": "changed"}
+    assert _diff(tmp_path, records) == 1
+    captured = capsys.readouterr()
+    assert f"record {index}: result:" in captured.out
+    assert captured.err.splitlines()[1:] == [
+        f"record 3 {records[3]['command']}: steps {old[3]} -> {old[3] + 5}"]

@@ -2,9 +2,10 @@
 operations, and the Krull dimension combinatorics."""
 import random
 from fractions import Fraction
-from itertools import count
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from fpdlab import (GREVLEX, LEX, Budget, FreeModuleMap, RingPresentation,
                     StructuralError, UnsupportedDomainError, annihilator,
                     is_unit_ideal, krull_dimension, normal_form_polys)
@@ -12,7 +13,7 @@ from fpdlab import groebner
 from fpdlab.cli import EXIT_INTERNAL, CliConfig, execute_script
 from fpdlab.complexes import cyclic_presentation
 from fpdlab.finite_rings import FiniteRing, enumerate_ideals
-from fpdlab.groebner import (VecBasis, _interreduce, _minimalize, _term_key,
+from fpdlab.groebner import (VecBasis, _interreduce, _term_key,
                              completion, groebner_basis_of_polys, poly_to_vec,
                              polys_to_vec, vec_groebner, vec_normal_form,
                              vec_to_poly)
@@ -21,7 +22,7 @@ from fpdlab.rings import block_order, mono_divides
 from fpdlab.script import parse
 from helpers import (FF, QQ, ZZ, assert_is_vec_groebner, basis_polys,
                      monomials_up_to, poly_ring, presentation, reference_colon,
-                     reference_normal_form)
+                     reference_interreduce, reference_normal_form)
 
 
 def test_normal_form_single_division_step():
@@ -329,35 +330,6 @@ def test_qq_basis_vectors_hold_integral_values_as_int():
     assert type(B.lcs[0]) is int
 
 
-def test_unstable_interreduction_is_an_internal_error(monkeypatch):
-    # tails that change on every reduction break the invariant that one pass
-    # settles them: that is a library defect, not a budget or input problem
-    real_interreduce = groebner._interreduce
-    real_normal_form = groebner.vec_normal_form
-
-    def drifting_interreduce(basis, budget):
-        drift = count(1)
-
-        def drifting_normal_form(v, b, budget):
-            r = real_normal_form(v, b, budget)
-            k = next(iter(v))
-            r[k] = r.get(k, 0) + next(drift)
-            return r
-
-        monkeypatch.setattr(groebner, "vec_normal_form", drifting_normal_form)
-        try:
-            return real_interreduce(basis, budget)
-        finally:
-            monkeypatch.setattr(groebner, "vec_normal_form", real_normal_form)
-
-    monkeypatch.setattr(groebner, "_interreduce", drifting_interreduce)
-    records, code = execute_script(
-        parse("ring R = QQ[x,y]; ideal I = (x - y); grade I;"), CliConfig())
-    assert code == EXIT_INTERNAL
-    assert records[0]["status"] == "internal"
-    assert "interreduction failed to stabilize" in records[0]["error"]
-
-
 def test_annihilator_coordinate_cross_brute_sweep():
     # Ann((x, y)) in QQ[x,y]/(xy) is zero: no nonzero normal form of degree <= 3
     # kills both x and y
@@ -506,6 +478,29 @@ def _assert_indexed(B):
                     for p in {lt[0] for lt in B.lts}}
 
 
+_TERM = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                  st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([QQ, FF(3), FF(5), ZZ]), st.integers(1, 3), st.booleans(),
+       st.lists(st.lists(_TERM, min_size=1, max_size=5), min_size=1, max_size=6))
+def test_one_pass_interreduction_matches_the_two_step_reference(domain, rank, complete,
+                                                                terms):
+    # arbitrary bases and completed ones: the one pass keeps the same minimal
+    # elements with the same reduced tails, and saves the confirming sweep
+    A = poly_ring(domain, "x", "y")
+    vecs = [{(pos % rank, m): domain.coerce(c) for pos, m, c in ts} for ts in terms]
+    vecs = [{k: c for k, c in v.items() if c} for v in vecs]
+    B = completion(vecs, A, Budget()).basis if complete else VecBasis(vecs, A)
+    fast, slow = Budget(), Budget()
+    got, ref = _interreduce(B, fast), reference_interreduce(B, slow)
+    assert (got.vecs, got.lts, got.lcs) == (ref.vecs, ref.lts, ref.lcs)
+    assert fast.steps <= slow.steps
+    _assert_indexed(got)
+
+
 def test_lead_position_index_follows_every_basis_operation():
     # a rank-1 ideal and a rank-3 module (with J*e_i), over QQ and over ZZ
     cases = []
@@ -525,11 +520,8 @@ def test_lead_position_index_follows_every_basis_operation():
         _assert_indexed(B)
         B.append({(0, (0, 0)): 1}, (0, (0, 0)))
         _assert_indexed(B)
-        M = _minimalize(B)
-        _assert_indexed(M)
-        leads = list(M.lts)
-        _interreduce(M, Budget())
-        assert M.lts == leads
+        M = _interreduce(B, Budget())
+        assert M.lts == reference_interreduce(B, Budget()).lts
         _assert_indexed(M)
         C = completion(vecs, A, Budget())
         _assert_indexed(C.basis)

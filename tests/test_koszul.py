@@ -1,4 +1,6 @@
 """Koszul complexes, Koszul-route grade, and the dual-top-cokernel module."""
+from itertools import combinations
+
 import pytest
 from fpdlab import (Budget, FreeModuleMap, GradeValue, ResourceBudgetExceeded,
                     StructuralError, dual_koszul_cokernel, koszul_grade)
@@ -21,6 +23,23 @@ def test_two_generator_complex_shape_and_signs():
     assert K.ranks == (1, 2, 1)
     assert [[str(e) for e in row] for row in K.differential(1).matrix] == [["x", "y"]]
     assert [[str(e) for e in row] for row in K.differential(2).matrix] == [["-y"], ["x"]]
+
+
+def test_koszul_entries_are_the_normal_forms_of_the_signed_generators():
+    # over ZZ[x,y]/(2x) the normal form of -x is x, not -x: every entry is
+    # the normal form the matrix constructor gives the signed generator
+    P = presentation(ZZ, ("x", "y"), ["2*x"])
+    gens = [P.poly(g) for g in ("x + y", "3*x + y^2", "-x", "5*x*y")]
+    K = koszul_chain(P, gens, 4)
+    for i in range(1, 5):
+        rows = list(combinations(range(4), i - 1))
+        cols = list(combinations(range(4), i))
+        matrix = [[P.ambient.zero()] * len(cols) for _ in rows]
+        for c, S in enumerate(cols):
+            for k, j in enumerate(S):
+                matrix[rows.index(S[:k] + S[k + 1:])][c] = gens[j] * (-1) ** k
+        assert K.differential(i).matrix == FreeModuleMap(P, len(cols), len(rows),
+                                                         matrix).matrix
 
 
 def test_three_generator_complex_composes_to_zero():

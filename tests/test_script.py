@@ -94,6 +94,16 @@ def test_fpd_command_with_flag():
     assert cmd.exhaustive
 
 
+@pytest.mark.parametrize("text, found", [
+    ("grade I --exhaustive;", "expected ;, found '--exhaustive'"),
+    ("fpd I --exhaustiv;", "expected ;, found '--exhaustiv'"),
+])
+def test_misplaced_or_misspelt_flag_is_reported_as_typed(text, found):
+    with pytest.raises(ParseError) as err:
+        parse("ring R = QQ[x]; ideal I = (x); " + text)
+    assert found in str(err.value)
+
+
 def test_oracle_specs():
     s = parse("oracle dq ZZ/4; oracle dw FF2[x]/(x^2); oracle ideals ZZ/6;")
     checks = [(c.oracle_check, str(c.oracle_ring)) for c in s.commands()]
