@@ -41,7 +41,6 @@ class CliConfig:
     order: MonomialOrder = GREVLEX
     budget_steps: int = DEFAULT_MAX_STEPS
     deadline: Optional[float] = None
-    max_degree: Optional[int] = None
     json_output: bool = False
     timings: bool = False
 
@@ -80,9 +79,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--deadline", type=float,
                     default=_env_default("DEADLINE", None),
                     help="wall-clock seconds per command")
-    ap.add_argument("--max-degree", type=int,
-                    default=_env_default("MAX_DEGREE", None),
-                    help="grade search bound (default: generator count)")
     ap.add_argument("--json", action="store_true",
                     default=str(_env_default("JSON", "")).lower() in ("1", "true"),
                     help="machine-readable output, one JSON object per command")
@@ -93,8 +89,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> CliConfig:
     return CliConfig(order=ORDERS[args.order], budget_steps=args.budget,
-                     deadline=args.deadline, max_degree=args.max_degree,
-                     json_output=args.json, timings=args.timings)
+                     deadline=args.deadline, json_output=args.json,
+                     timings=args.timings)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +104,6 @@ def _ideal_inputs(script: SessionScript, cmd: Command) -> dict:
             for name in cmd.ideal_names}
     if cmd.degree is not None:
         inputs["degree"] = cmd.degree
-    if cmd.exhaustive:
-        inputs["exhaustive"] = True
     return inputs
 
 
@@ -122,7 +116,7 @@ def run_command(script: SessionScript, cmd: Command, config: CliConfig) -> dict:
         record["inputs"] = _ideal_inputs(script, cmd)
     started = time.monotonic()
     try:
-        record["result"] = _dispatch(script, cmd, config, budget, record)
+        record["result"] = _dispatch(script, cmd, budget, record)
     except ResourceBudgetExceeded as exc:
         record["status"] = "resource"
         record["error"] = str(exc)
@@ -138,8 +132,8 @@ def run_command(script: SessionScript, cmd: Command, config: CliConfig) -> dict:
     return record
 
 
-def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
-              budget: Budget, record: dict) -> dict:
+def _dispatch(script: SessionScript, cmd: Command, budget: Budget,
+              record: dict) -> dict:
     kind = cmd.kind
     if kind == "oracle":
         return _run_oracle(script, cmd, budget)
@@ -147,7 +141,7 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
     ideal_of = lambda i=0: script.ideals[cmd.ideal_names[i]]
 
     if kind == "grade":
-        rep = grade(ideal_of(), max_degree=config.max_degree, budget=budget)
+        rep = grade(ideal_of(), budget=budget)
         return {"value": str(rep.value),
                 "ext_profile": list(rep.ext_profile),
                 "koszul_cross_check": (str(rep.koszul_cross_check)
@@ -169,12 +163,12 @@ def _dispatch(script: SessionScript, cmd: Command, config: CliConfig,
                 "first_nonvanishing": res.first_nonvanishing}
     if kind == "fpd":
         ideals = [script.ideals[n] for n in cmd.ideal_names]
-        rep = fpd_bound(ring, ideals, exhaustive=cmd.exhaustive,
-                        max_degree=config.max_degree, budget=budget)
+        rep = fpd_bound(ring, ideals, budget)
+        # every grade is determined, so an fpd record's notes are empty
         return {"bound": rep.bound, "conclusion": rep.conclusion,
                 "grades": {name: str(g.value) for name, g in
                            zip(cmd.ideal_names, rep.grades)},
-                "notes": list(rep.notes)}
+                "notes": []}
     if kind == "cm":
         rep = is_cohen_macaulay_graded(ring, budget)
         return {"cohen_macaulay": rep.is_cm, "depth": rep.depth,

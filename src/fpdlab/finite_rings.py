@@ -1,6 +1,6 @@
 """Explicit finite commutative rings with full operation tables, and the
 brute-force checks used as an independent oracle: annihilators, Hom and
-Ext^1 vanishing by exhaustive enumeration, and the DQ/DW ring properties.
+Ext^1 vanishing by full enumeration, and the DQ/DW ring properties.
 
 Nothing here shares code with the Groebner path; everything is table
 arithmetic, which is the point of the oracle.  A ring keeps one numpy index
@@ -237,7 +237,7 @@ def _verify_tables(R: FiniteRing, budget: Budget):
         budget.tick_coarse()
         # a(b + g) against ab + ag = (ag) + (ab), indexed [a, g, b]
         if not np.array_equal(np.take(M[s:e], AG.T, axis=1),
-                              np.take_along_axis(A[MG[s:e]], M[s:e, None, :], axis=2)):
+                              A[MG[s:e, :, None], M[s:e, None, :]]):
             raise StructuralError("multiplication does not distribute over addition")
     if not _associative_on(M, G, G, budget):
         raise StructuralError("multiplication is not associative")
@@ -377,7 +377,7 @@ def brute_ext1_vanishes(R: FiniteRing, ideal, size_cap: int = DEFAULT_EXT_CAP,
     the greedy generators of J.
 
     Enumerates Hom(R^k, R) = R^k, the syzygy set {v : sum v_i g_i = 0}
-    exhaustively, and the maps factoring through Hom(R, R).
+    in full, and the maps factoring through Hom(R, R).
     """
     if R.order > size_cap:
         raise CapExceededError(f"Ext^1 enumeration capped at order {size_cap}")

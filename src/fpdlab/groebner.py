@@ -592,7 +592,7 @@ def annihilator(I: IdealPresentation, budget: Budget = None) -> IdealPresentatio
 
 def krull_dimension(R: RingPresentation, budget: Budget = None) -> int:
     """dim A[x1..xn]/J as the largest variable set independent modulo the
-    initial ideal of J (field coefficients only)."""
+    initial ideal of J (field coefficients only); one step per set tested."""
     budget = ensure_budget(budget)
     if not R.domain.is_field:
         raise UnsupportedDomainError(
@@ -607,6 +607,7 @@ def krull_dimension(R: RingPresentation, budget: Budget = None) -> int:
     from itertools import combinations
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
+            budget.tick()
             s = set(subset)
             if all(not sup <= s for sup in supports):
                 return size

@@ -32,28 +32,25 @@ class GradeReport:
     notes: tuple = ()
 
 
-def grade(I: IdealPresentation, max_degree: Optional[int] = None,
-          with_koszul: Optional[bool] = None, budget: Budget = None) -> GradeReport:
+def grade(I: IdealPresentation, with_koszul: Optional[bool] = None,
+          budget: Budget = None) -> GradeReport:
     """Grade of I on R from the Ext-vanishing profile.
 
-    The profile is searched up to `max_degree` (default: the number of
-    nonzero generators, which always suffices for a proper ideal); a proper
-    ideal with an all-true profile is reported UNDETERMINED beyond the bound.
-    The unit verdict, the generators modulo J, and earlier Ext and Koszul
-    homology decisions on I's ring are reused (`complexes.ext_computer`);
-    the Koszul grade read from reused decisions is still checked.
+    The profile is searched through Ext^mu, mu the number of generators
+    nonzero modulo J: a proper ideal has grade I <= ht I <= mu by Krull's
+    height theorem, so a proper ideal whose profile vanishes that far is an
+    internal error.  The unit verdict, the generators modulo J, and earlier
+    Ext and Koszul homology decisions on I's ring are reused
+    (`complexes.ext_computer`); the Koszul grade read from reused decisions
+    is still checked.
     """
     budget = ensure_budget(budget)
     computer = ext_computer(I)
     nonzero = computer.cyclic_presentation(budget).source_rank
-    if max_degree is None:
-        max_degree = nonzero
-    if max_degree < 0:
-        raise StructuralError("grade search bound must be >= 0")
     profile = []
     value = None
     notes = ()
-    for i in range(max_degree + 1):
+    for i in range(nonzero + 1):
         vanished = computer.ext_is_zero(i, budget)
         profile.append(vanished)
         if not vanished:
@@ -65,12 +62,13 @@ def grade(I: IdealPresentation, max_degree: Optional[int] = None,
         value = GradeValue.infinite()
         notes = (UNIT_IDEAL_NOTE,)
     elif value is None:
-        value = GradeValue.undetermined(max_degree)
-        notes = (f"Ext vanishes through degree {max_degree}; grade exceeds the bound",)
+        raise InternalError(
+            f"internal: Ext vanishes through degree {nonzero} for a proper "
+            f"ideal with {nonzero} nonzero generators")
     if with_koszul is None:
         with_koszul = I.ring.domain.is_field
     cross = None
-    if with_koszul and nonzero and not value.is_undetermined:
+    if with_koszul and nonzero:
         cross = koszul_grade(I, budget=budget)
         if cross != value:
             raise InternalError(
@@ -137,47 +135,43 @@ EXACT = "EXACT"
 
 @dataclass(frozen=True)
 class FpdReport:
-    """sup of grades over a supplied list of maximal ideals.
+    """max of grades over a list of maximal ideals: a lower bound on fPD(R).
 
-    The supremum over all of Max(R) is never claimed by the artifact itself:
-    the conclusion is EXACT only when the caller asserts the list exhausts
-    the maximal ideals relevant to the question.
+    A finitely presented ring is Noetherian, so fPD(R) <= FPD(R) = K.dim R
+    (Raynaud-Gruson), and the conclusion is EXACT when the largest grade
+    reaches `dimension`.  The Krull dimension is computed over field
+    coefficients only: over ZZ `dimension` is None and the conclusion stays
+    LOWER_BOUND.
     """
 
     ring: RingPresentation
     maximal_ideals: tuple
     grades: tuple  # GradeReport per ideal
     bound: int
-    exhaustive: bool
+    dimension: Optional[int]
     conclusion: str
-    notes: tuple = ()
 
 
-def fpd_bound(R: RingPresentation, max_ideals: Sequence, exhaustive: bool = False,
-              max_degree: Optional[int] = None, budget: Budget = None) -> FpdReport:
-    """max of grade(m, R) over the listed ideals (claimed maximal by the caller)."""
+def fpd_bound(R: RingPresentation, max_ideals: Sequence,
+              budget: Budget = None) -> FpdReport:
+    """max of grade(m, R) over the listed ideals (claimed maximal by the
+    caller), EXACT when it equals K.dim R."""
     budget = ensure_budget(budget)
     ideals = tuple(max_ideals)
     if not ideals:
         raise StructuralError("at least one maximal ideal is required")
     reports = []
-    notes = []
     for m in ideals:
         if m.ring != R:
             raise StructuralError("listed ideal lives in a different ring")
-        rep = grade(m, max_degree=max_degree, budget=budget)
-        reports.append(rep)
+        rep = grade(m, budget=budget)
         if rep.value.is_infinite:
             raise StructuralError("the unit ideal was listed as a maximal ideal")
-        if rep.value.is_undetermined:
-            notes.append(f"grade of {m} undetermined beyond {rep.value.bound}")
-    determined = not notes
-    bound = max(rep.value.lower_bound() for rep in reports)
-    conclusion = EXACT if exhaustive and determined else LOWER_BOUND
-    if exhaustive and not determined:
-        notes.append("exhaustive flag set but a grade stayed undetermined")
-    return FpdReport(R, ideals, tuple(reports), bound, exhaustive, conclusion,
-                     tuple(notes))
+        reports.append(rep)
+    bound = max(rep.value.value for rep in reports)
+    dimension = krull_dimension(R, budget) if R.domain.is_field else None
+    conclusion = EXACT if bound == dimension else LOWER_BOUND
+    return FpdReport(R, ideals, tuple(reports), bound, dimension, conclusion)
 
 
 def irrelevant_ideal(R: RingPresentation) -> IdealPresentation:

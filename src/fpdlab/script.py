@@ -7,7 +7,7 @@ Grammar (names lexed as identifiers, `#` starts a comment to end of line):
              | "ideal" NAME "=" "(" polys ")"
     domain  := "QQ" | "ZZ" | "FF" INT          (FF2 also accepted)
     cmd     := "grade" NAME | "ext" NAME INT | "semiregular" NAME | "gv" NAME
-             | "criterion" NAME INT | "fpd" NAME+ ["--exhaustive"]
+             | "criterion" NAME INT | "fpd" NAME+
              | "cm" | "dqdw" | "dim"
              | "koszul" NAME | "smodule" NAME INT
              | "oracle" ("dq" | "dw" | "ideals") oraclering
@@ -35,9 +35,10 @@ from .rings import (CoefficientDomain, IdealPresentation, Polynomial,
 NAME_TOK = "name"
 INT_TOK = "int"
 PUNCT_TOK = "punct"
-FLAG_TOK = "flag"
 EOF_TOK = "eof"
 
+# No command takes a `--flag`; it is one token so that a stray option is
+# reported as typed.
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
@@ -259,7 +260,6 @@ class Command:
     ring_name: str
     ideal_names: tuple = ()
     degree: Optional[int] = None
-    exhaustive: bool = False
     oracle_check: Optional[str] = None
     oracle_ring: Optional[OracleRingSpec] = None
 
@@ -373,11 +373,7 @@ def parse(text: str, order: MonomialOrder = GREVLEX) -> SessionScript:
             names = [resolve_ideal(cur.expect(NAME_TOK, what="an ideal name"))]
             while cur.at(NAME_TOK):
                 names.append(resolve_ideal(cur.advance()))
-            exhaustive = False
-            if cur.at(FLAG_TOK, "--exhaustive"):
-                cur.advance()
-                exhaustive = True
-            items.append(Command(word, ring_name, tuple(names), exhaustive=exhaustive))
+            items.append(Command(word, ring_name, tuple(names)))
 
         elif word in _RING_CMDS:
             ring_name = require_active(tok)

@@ -1,5 +1,4 @@
-"""The grade value type: a natural number, INFINITE, or undetermined beyond
-a search bound."""
+"""The grade value type: a natural number, or INFINITE for the unit ideal."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,14 +6,12 @@ from typing import Optional
 
 FINITE = "finite"
 INFINITE_KIND = "infinite"
-UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
 class GradeValue:
     kind: str
     value: Optional[int] = None
-    bound: Optional[int] = None
 
     @staticmethod
     def finite(n: int) -> "GradeValue":
@@ -24,10 +21,6 @@ class GradeValue:
     def infinite() -> "GradeValue":
         return GradeValue(INFINITE_KIND)
 
-    @staticmethod
-    def undetermined(bound: int) -> "GradeValue":
-        return GradeValue(UNDETERMINED, bound=bound)
-
     @property
     def is_finite(self) -> bool:
         return self.kind == FINITE
@@ -36,21 +29,5 @@ class GradeValue:
     def is_infinite(self) -> bool:
         return self.kind == INFINITE_KIND
 
-    @property
-    def is_undetermined(self) -> bool:
-        return self.kind == UNDETERMINED
-
-    def lower_bound(self) -> Optional[int]:
-        """A certified lower bound; None for INFINITE (larger than any bound)."""
-        if self.kind == FINITE:
-            return self.value
-        if self.kind == UNDETERMINED:
-            return self.bound + 1
-        return None
-
     def __str__(self) -> str:
-        if self.kind == FINITE:
-            return str(self.value)
-        if self.kind == INFINITE_KIND:
-            return "INFINITE"
-        return f"UNDETERMINED(>{self.bound})"
+        return str(self.value) if self.kind == FINITE else "INFINITE"

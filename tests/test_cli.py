@@ -29,7 +29,7 @@ koszul I;
 smodule I 0;
 criterion I 1;
 ext I 1;
-fpd I --exhaustive;
+fpd I;
 oracle dq ZZ/4;
 """
 
@@ -108,6 +108,17 @@ def test_command_error_exit_code():
     assert "field" in records[0]["error"]
 
 
+def test_krull_dimension_answers_to_the_budget():
+    # dimension 0, found only after all 2^20 variable sets: one step per set
+    xs = [f"x{i}" for i in range(1, 21)]
+    text = (f"ring R = FF2[{', '.join(xs)}]/({', '.join(x + '^2' for x in xs)}); "
+            "dim;")
+    records, code = run(text, CliConfig(budget_steps=1000))
+    assert code == EXIT_RESOURCE
+    assert records[0]["status"] == "resource"
+    assert records[0]["budget"]["steps"] == 1001
+
+
 def test_internal_failure_is_not_a_command_error(monkeypatch):
     # a Koszul cross-check that disagrees with the Ext grade is a library
     # defect: it gets its own status and exit code, even next to a user error
@@ -118,6 +129,17 @@ def test_internal_failure_is_not_a_command_error(monkeypatch):
     assert code == EXIT_INTERNAL
     assert [r["status"] for r in records] == ["internal", "error"]
     assert "Koszul grade 99 disagrees" in records[0]["error"]
+
+
+def test_a_proper_ideal_with_no_nonvanishing_ext_is_internal(monkeypatch):
+    # grade I <= ht I <= the generator count (Krull's height theorem), so a
+    # proper ideal whose Ext vanishes through that degree is a library defect
+    monkeypatch.setattr(complexes.ExtComputer, "ext_is_zero",
+                        lambda self, i, budget=None: True)
+    records, code = run("ring R = QQ[x,y]; ideal m = (x, y); grade m;")
+    assert code == EXIT_INTERNAL
+    assert records[0]["status"] == "internal"
+    assert "Ext vanishes through degree 2 for a proper ideal" in records[0]["error"]
 
 
 def test_broken_library_complex_is_internal(monkeypatch):
@@ -299,6 +321,14 @@ def test_bad_env_values_are_usage_errors(monkeypatch):
     # a flag overrides the env value, which then goes unparsed
     monkeypatch.setenv("FPDLAB_BUDGET", "lots")
     assert build_arg_parser().parse_args(["--budget", "7"]).budget == 7
+
+
+def test_retired_options_are_usage_errors(capsys):
+    # the grade search bound is the generator count, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-degree", "1", "-"])
+    assert exc.value.code == 2
+    assert "--max-degree" in capsys.readouterr().err
 
 
 def test_text_rendering_mentions_inputs_and_steps():

@@ -31,16 +31,8 @@ def test_grade_of_unit_ideal_is_flagged_infinite():
     assert any("convention" in n for n in rep.notes)
 
 
-def test_grade_undetermined_under_forced_low_bound():
-    P = presentation(QQ, ("x", "y"))
-    rep = grade(P.ideal("x", "y"), max_degree=1)
-    assert rep.value == GradeValue.undetermined(1)
-    assert rep.ext_profile == (True, True)
-    assert rep.koszul_cross_check is None
-
-
 def test_grade_default_bound_always_determines_proper_ideals():
-    # grade <= generator count, so the default search bound suffices
+    # grade <= height <= generator count, so the search always ends in a value
     for gens in [("x",), ("x", "y"), ("x^2", "x*y", "y^3")]:
         P = presentation(QQ, ("x", "y"))
         rep = grade(P.ideal(*gens))
@@ -144,25 +136,39 @@ def test_criterion_matches_grade_threshold():
 
 
 def test_fpd_bound_exact_for_graded_question():
+    # grade 2 reaches K.dim 2, and fPD <= FPD = K.dim (Raynaud-Gruson)
     P = presentation(QQ, ("x", "y"))
-    rep = fpd_bound(P, [P.ideal("x", "y")], exhaustive=True)
-    assert rep.bound == 2
-    assert rep.conclusion == EXACT
+    rep = fpd_bound(P, [P.ideal("x", "y")])
+    assert (rep.bound, rep.dimension, rep.conclusion) == (2, 2, EXACT)
+
+
+def test_fpd_bound_of_the_twisted_cubic_is_exact():
+    P = presentation(QQ, ("a", "b", "c", "d"),
+                     ["a*c - b^2", "b*d - c^2", "a*d - b*c"])
+    rep = fpd_bound(P, [irrelevant_ideal(P)])
+    assert (rep.bound, rep.dimension, rep.conclusion) == (2, 2, EXACT)
+
+
+def test_fpd_bound_below_the_dimension_is_a_lower_bound():
+    # a line through a plane: depth 1 at the origin, but the plane's points
+    # off the line have depth 2, so fPD = K.dim = 2
+    P = presentation(FF(101), ("x", "y", "z"), ["x*y", "y*z"])
+    rep = fpd_bound(P, [P.ideal("x", "y", "z")])
+    assert (rep.bound, rep.dimension, rep.conclusion) == (1, 2, LOWER_BOUND)
 
 
 def test_fpd_bound_of_a_field_is_zero():
     from fpdlab import PolynomialRing, RingPresentation
     K = RingPresentation(PolynomialRing(QQ, ()))
-    rep = fpd_bound(K, [K.ideal()], exhaustive=True)
-    assert rep.bound == 0
-    assert rep.conclusion == EXACT
+    rep = fpd_bound(K, [K.ideal()])
+    assert (rep.bound, rep.dimension, rep.conclusion) == (0, 0, EXACT)
 
 
-def test_fpd_bound_without_exhaustive_is_lower_bound():
-    P = presentation(QQ, ("x", "y"))
-    rep = fpd_bound(P, [P.ideal("x", "y")])
-    assert rep.bound == 2
-    assert rep.conclusion == LOWER_BOUND
+def test_fpd_bound_over_integers_is_lower_bound():
+    # no Krull dimension over ZZ yet, so even a grade of 2 stays a lower bound
+    P = presentation(ZZ, ("x",))
+    rep = fpd_bound(P, [P.ideal("2", "x")])
+    assert (rep.bound, rep.dimension, rep.conclusion) == (2, None, LOWER_BOUND)
 
 
 def test_fpd_bound_input_validation():

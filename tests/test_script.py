@@ -87,11 +87,12 @@ def test_unknown_command_and_variable():
 
 
 def test_fpd_command_with_flag():
-    s = parse("ring R = QQ[x,y]; ideal M = (x, y); ideal N = (x); "
-              "fpd M N --exhaustive;")
-    cmd = s.commands()[0]
-    assert cmd.ideal_names == ("M", "N")
-    assert cmd.exhaustive
+    # fpd takes ideal names only: a retired option is refused, not ignored
+    s = parse("ring R = QQ[x,y]; ideal M = (x, y); ideal N = (x); fpd M N;")
+    assert s.commands()[0].ideal_names == ("M", "N")
+    with pytest.raises(ParseError) as err:
+        parse("ring R = QQ[x,y]; ideal M = (x, y); fpd M --exhaustive;")
+    assert "expected ;, found '--exhaustive'" in str(err.value)
 
 
 @pytest.mark.parametrize("text, found", [
