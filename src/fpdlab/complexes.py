@@ -15,7 +15,7 @@ from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .groebner import UnitIdealResult, annihilator, is_unit_ideal
 from .modules import (FreeModuleMap, is_zero_subquotient, kernel,
                       prune_generators)
-from .rings import IdealPresentation, RingPresentation, mono_one
+from .rings import IdealPresentation, RingPresentation
 
 
 class ChainComplex:
@@ -67,8 +67,8 @@ def homology_is_zero(d_out: Optional[FreeModuleMap], d_in: Optional[FreeModuleMa
         Z = kernel(d_out, budget)
     else:
         ring, rank = d_in.ring, d_in.target_rank
-        one, unit = ring.domain.one(), mono_one(ring.ambient.nvars)
-        Z = FreeModuleMap._of_reduced(ring, rank, [{(j, unit): one} for j in range(rank)])
+        one, shift = ring.domain.one(), ring.ambient.codec.shift
+        Z = FreeModuleMap._of_reduced(ring, rank, [{-(j << shift): one} for j in range(rank)])
     B = d_in if d_in is not None else FreeModuleMap._of_reduced(Z.ring, Z.target_rank, ())
     return is_zero_subquotient(Z, B, budget, verify_containment=False)
 

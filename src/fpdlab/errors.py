@@ -17,7 +17,8 @@ class UnsupportedInputError(StructuralError):
 
 
 class CapExceededError(StructuralError):
-    """A finite-ring size or enumeration cap was exceeded."""
+    """A finite-ring size or enumeration cap, or the Groebner engine's
+    exponent cap, was exceeded."""
 
 
 class ParseError(ValueError):

@@ -1,9 +1,9 @@
 """The Groebner engine and the ideal operations built on it.
 
 One engine, `Completion`, handles every coefficient domain and both rings
-and free modules: a term is keyed by (position, monomial) under the
-position-over-term extension of the ring order (lower position index
-dominates).  It is the strong-basis completion over a Euclidean domain,
+and free modules: a term is one int, the key of its position and monomial
+in the ring's `MonomialCodec`, and keys compare as the position-over-term
+extension of the ring order (lower position index dominates).  It is the strong-basis completion over a Euclidean domain,
 with S- and G-vectors and Euclidean coefficient reduction, and its pairs
 come from Gebauer-Moeller elimination on lead terms (monomial,
 coefficient): the chain criterion, one pair per minimal lcm, the product
@@ -21,11 +21,11 @@ import heapq
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import (Budget, InternalError, ResourceBudgetExceeded,
-                     StructuralError, UnsupportedDomainError, ensure_budget)
+from .errors import (Budget, CapExceededError, InternalError,
+                     ResourceBudgetExceeded, StructuralError,
+                     UnsupportedDomainError, ensure_budget)
 from .rings import (GREVLEX, RATIONALS, IdealPresentation, Polynomial,
-                    PolynomialRing, RingPresentation, block_order, mono_degree,
-                    mono_div, mono_divides, mono_lcm, mono_mul, mono_one)
+                    PolynomialRing, RingPresentation, block_order)
 
 
 def _xgcd(a: int, b: int):
@@ -44,35 +44,36 @@ def _xgcd(a: int, b: int):
 
 
 # ---------------------------------------------------------------------------
-# Vector terms: Vec = {(position, monomial): coefficient}
-
-def _term_key(ring: PolynomialRing):
-    okey = ring.order.key
-    return lambda k: (-k[0], okey(k[1]))
-
+# Vectors: Vec = {key: coefficient}, a key being a position and a monomial
+# in the ring's codec (`MonomialCodec.key`); the larger key is the larger term
 
 def poly_to_vec(p: Polynomial, position: int = 0) -> dict:
-    return {(position, m): c for m, c in p.terms}
+    codec = p.ring.codec
+    encode, offset = codec.encode, position << codec.shift
+    return {encode(m) - offset: c for m, c in p.terms}
 
 
 def polys_to_vec(entries: Sequence) -> dict:
     """A free-module element given as a tuple of polynomials, one per position."""
     vec = {}
     for pos, p in enumerate(entries):
-        for m, c in p.terms:
-            vec[(pos, m)] = c
+        vec.update(poly_to_vec(p, pos))
     return vec
 
 
 def vec_to_poly(vec: dict, ring: PolynomialRing) -> Polynomial:
-    return ring.from_dict({m: c for (_, m), c in vec.items()})
+    return vec_to_polys(vec, 1, ring)[0]
 
 
 def vec_to_polys(vec: dict, rank: int, ring: PolynomialRing) -> tuple:
-    split = [dict() for _ in range(rank)]
-    for (pos, m), c in vec.items():
-        split[pos][m] = c
-    return tuple(ring.from_dict(d) for d in split)
+    """The entries of vec, one polynomial per position: its terms in
+    descending key order are each entry's terms in descending order."""
+    codec = ring.codec
+    decode, shift, coerce = codec.decode, codec.shift, ring.domain.coerce
+    split = [[] for _ in range(rank)]
+    for k in sorted(vec, reverse=True):
+        split[-(k >> shift)].append((decode(k), coerce(vec[k])))
+    return tuple(Polynomial(ring, tuple(terms)) for terms in split)
 
 
 class VecBasis:
@@ -96,7 +97,7 @@ class VecBasis:
 
     def add(self, v: dict):
         """Append v scaled by the unit that normalizes its leading coefficient."""
-        lt = max(v, key=_term_key(self.ring))
+        lt = max(v)
         dom = self.ring.domain
         u = dom.lc_normalizer(v[lt])
         if u != dom.one() or dom.kind == RATIONALS:
@@ -107,7 +108,7 @@ class VecBasis:
     def append(self, v: dict, lt):
         """Append v with leading term lt as it is (the caller vouches for
         its normalization)."""
-        self.at.setdefault(lt[0], []).append(len(self.vecs))
+        self.at.setdefault(self.ring.codec.position(lt), []).append(len(self.vecs))
         self.vecs.append(v)
         self.lts.append(lt)
         self.lcs.append(v[lt])
@@ -122,31 +123,35 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
     Over ZZ a term c*m is reducible by a leading term a*u (a > 0) when u
     divides m and floor(c / a) is nonzero; the remainder coefficient lands
     in [0, a).  Reducers are tried in basis order, which makes the result
-    deterministic.
+    deterministic.  Each term taken from `work` has its guard bits checked
+    (`MonomialCodec.check`), so every product formed here has two operands
+    within the exponent cap.
     """
     ring = basis.ring
     dom = ring.domain
     field, p = dom.is_field, dom.p
-    dkey = ring.order.descending_key
+    codec = ring.codec
+    guard, shift = codec.guard, codec.shift
     vecs, lts, lcs, at = basis.vecs, basis.lts, basis.lcs, basis.at
     work = dict(v)
-    # the largest term of `work` tops a heap of descending keys; a term is
+    # the largest term of `work` tops a heap of negated keys; a term is
     # pushed when it enters `work`, and entries of terms gone are skipped
-    heap = [(pos, dkey(m), (pos, m)) for pos, m in work]
+    heap = [-k for k in work]
     heapq.heapify(heap)
     rem = {}
     while heap:
-        entry = heapq.heappop(heap)
-        k = entry[2]
+        k = -heapq.heappop(heap)
         if k not in work:
             continue
+        if k & guard:
+            codec.check(k)
         c = work.pop(k)
-        pos, m = k
-        for j in at.get(pos, ()):
+        kg = k | guard
+        for j in at.get(-(k >> shift), ()):
             lt_j = lts[j]
-            q = mono_div(m, lt_j[1])
-            if q is None:
+            if (kg - lt_j) & guard != guard:
                 continue
+            q = k - lt_j
             budget.tick()
             # a field's basis vector is monic, so its quotient is c itself
             qq, r = (c, 0) if field else divmod(c, lcs[j])
@@ -156,7 +161,7 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
             for bk, bc in vecs[j].items():
                 if bk == lt_j:
                     continue
-                kk = (bk[0], mono_mul(bk[1], q))
+                kk = bk + q
                 nc = work.get(kk, 0) - qq * bc
                 if p:
                     nc %= p
@@ -164,11 +169,11 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
                     work.pop(kk, None)
                     continue
                 if kk not in work:
-                    heapq.heappush(heap, (kk[0], dkey(kk[1]), kk))
+                    heapq.heappush(heap, -kk)
                 work[kk] = nc
             if r:
                 work[k] = r
-                heapq.heappush(heap, entry)
+                heapq.heappush(heap, -k)
             break
         else:
             rem[k] = c
@@ -180,12 +185,12 @@ def _s_vector(basis: VecBasis, i: int, j: int, si, sj) -> dict:
     leading monomials of the two vectors and w = lcm(u, v)."""
     dom = basis.ring.domain
     zero = dom.zero()
-    u, v = basis.lts[i][1], basis.lts[j][1]
-    w = mono_lcm(u, v)
-    qi, qj = mono_div(w, u), mono_div(w, v)
-    out = {(p, mono_mul(m, qi)): dom.mul(si, c) for (p, m), c in basis.vecs[i].items()}
-    for (p, m), c in basis.vecs[j].items():
-        k = (p, mono_mul(m, qj))
+    u, v = basis.lts[i], basis.lts[j]
+    w = basis.ring.codec.lcm(u, v)
+    qi, qj = w - u, w - v
+    out = {k + qi: dom.mul(si, c) for k, c in basis.vecs[i].items()}
+    for k, c in basis.vecs[j].items():
+        k += qj
         nc = dom.add(out.get(k, zero), dom.mul(sj, c))
         if nc == zero:
             out.pop(k, None)
@@ -197,10 +202,10 @@ def _s_vector(basis: VecBasis, i: int, j: int, si, sj) -> dict:
 # ---------------------------------------------------------------------------
 # Completion: one growable basis, one pair rule for every domain
 
-def _term_lcm(m, c, n, d):
+def _term_lcm(codec, m, c, n, d):
     """lcm of the lead terms c*x^m and d*x^n (coefficients positive), as
-    (monomial, coefficient)."""
-    return mono_lcm(m, n), c if c == d else c * d // gcd(c, d)
+    (key, coefficient), for keys m and n in one position."""
+    return codec.lcm(m, n), c if c == d else c * d // gcd(c, d)
 
 
 class Completion:
@@ -238,11 +243,11 @@ class Completion:
     def __init__(self, vecs: Sequence, ring: PolynomialRing, budget: Budget,
                  block: Sequence = ()):
         self.basis = VecBasis([], ring)
-        self.heap = []  # (degree, position, order key, i, j, G-pair flag)
+        self.heap = []  # (degree, position, lcm key, i, j, G-pair flag)
         self.marked = set()
         self.single = set()  # elements whose terms all lie in one position
         self.open = {}  # position -> {(i, j): lcm of the lead terms}
-        self.okey = ring.order.key
+        self.codec = ring.codec
         self.budget = budget
         for v in vecs:
             self.insert(v)
@@ -264,50 +269,54 @@ class Completion:
         f = len(self.basis) - 1
         if from_block and r == v:
             self.marked.add(f)
-        if len({pos for pos, _ in r}) == 1:
+        shift = self.codec.shift
+        if max(r) >> shift == min(r) >> shift:
             self.single.add(f)
         self.push_pairs(f)
         return True
 
     def push_pairs(self, f: int):
         """Queue the pairs of the new element f, the last in the basis."""
-        okey, heap, marked = self.okey, self.heap, self.marked
+        heap, marked = self.heap, self.marked
+        codec = self.codec
+        degree, guard = codec.degree, codec.guard
         lts, lcs = self.basis.lts, self.basis.lcs
-        fpos, fm = lts[f]
-        fc = lcs[f]
+        fk, fc = lts[f], lcs[f]
+        fpos = codec.position(fk)
+        fm = fk & codec.mask  # f's monomial code
         fmarked = f in marked
         opens = self.open.setdefault(fpos, {})
         dead = []
         for (i, j), w in opens.items():
-            if (w[1] % fc == 0 and mono_divides(fm, w[0])
-                    and _term_lcm(lts[i][1], lcs[i], fm, fc) != w
-                    and _term_lcm(lts[j][1], lcs[j], fm, fc) != w):
+            if (w[1] % fc == 0 and ((w[0] | guard) - fk) & guard == guard
+                    and _term_lcm(codec, lts[i], lcs[i], fk, fc) != w
+                    and _term_lcm(codec, lts[j], lcs[j], fk, fc) != w):
                 dead.append((i, j))
         for pair in dead:
             del opens[pair]
         cand = {}
         for i in self.basis.at[fpos][:-1]:
-            w = _term_lcm(lts[i][1], lcs[i], fm, fc)
+            w = _term_lcm(codec, lts[i], lcs[i], fk, fc)
             cand.setdefault(w, []).append(i)
             c = lcs[i]
             if fc % c and c % fc and not (fmarked and i in marked):
-                heapq.heappush(heap, (mono_degree(w[0]), fpos, okey(w[0]), i, f, 1))
+                heapq.heappush(heap, (degree(w[0]), fpos, w[0], i, f, 1))
         kept = []
-        for w in sorted(cand, key=lambda w: (okey(w[0]), w[1])):
+        for w in sorted(cand):
             wm, wc = w
-            if any(wc % pc == 0 and mono_divides(pm, wm) for pm, pc in kept):
+            if any(wc % pc == 0 and ((wm | guard) - pm) & guard == guard
+                   for pm, pc in kept):
                 continue
             kept.append(w)
             ids = cand[w]
             if fmarked and any(i in marked for i in ids):
                 continue
             if f in self.single and any(
-                    i in self.single and w == (mono_mul(lts[i][1], fm), lcs[i] * fc)
-                    for i in ids):
+                    i in self.single and w == (lts[i] + fm, lcs[i] * fc) for i in ids):
                 continue
             i = min(ids)
             opens[(i, f)] = w
-            heapq.heappush(heap, (mono_degree(wm), fpos, okey(wm), i, f, 0))
+            heapq.heappush(heap, (degree(wm), fpos, wm, i, f, 0))
 
     def s_vector(self, entry: tuple):
         """A popped entry's S- or G-vector, or None when its S-pair was
@@ -363,18 +372,17 @@ def _interreduce(basis: VecBasis, budget: Budget) -> VecBasis:
     leads (and the Groebner property) are preserved.
     """
     ring = basis.ring
-    tkey = _term_key(ring)
+    codec = ring.codec
     # a field basis is monic, so its ties and divisibility tests are trivial
-    idx = sorted(range(len(basis)),
-                 key=lambda i: (tkey(basis.lts[i]), abs(basis.lcs[i])))
+    idx = sorted(range(len(basis)), key=lambda i: (basis.lts[i], abs(basis.lcs[i])))
     kept = VecBasis([], ring)
     for i in idx:
-        v, (pos, m), a = basis.vecs[i], basis.lts[i], basis.lcs[i]
-        if any(mono_divides(kept.lts[j][1], m) and a % kept.lcs[j] == 0
-               for j in kept.at.get(pos, ())):
+        v, lt, a = basis.vecs[i], basis.lts[i], basis.lcs[i]
+        if any(codec.divides(kept.lts[j], lt) and a % kept.lcs[j] == 0
+               for j in kept.at.get(codec.position(lt), ())):
             continue
-        tail = {k: c for k, c in v.items() if k != (pos, m)}
-        kept.append({(pos, m): a, **vec_normal_form(tail, kept, budget)}, (pos, m))
+        tail = {k: c for k, c in v.items() if k != lt}
+        kept.append({lt: a, **vec_normal_form(tail, kept, budget)}, lt)
     return kept
 
 
@@ -402,8 +410,8 @@ def graph_groebner(vecs: Sequence, rank: int, ring: PolynomialRing, budget: Budg
     """Canonical Groebner basis of the graph of e_j -> vecs[j], generated by
     (vecs[j], e_(rank + j)) in the free module of rank rank + len(vecs),
     whose tag block sits below every original position, and `block`."""
-    one = mono_one(ring.nvars)
-    tagged = [{**v, (rank + j, one): ring.domain.one()} for j, v in enumerate(vecs)]
+    shift = ring.codec.shift
+    tagged = [{**v, -((rank + j) << shift): ring.domain.one()} for j, v in enumerate(vecs)]
     return vec_groebner(tagged, ring, budget, block)
 
 
@@ -412,13 +420,12 @@ def vec_lift(target: dict, vecs: Sequence, rank: int, ring: PolynomialRing,
     """Polynomials h with target = sum h_j vecs[j], or None if no member:
     the normal form of target against the graph of e_j -> vecs[j]."""
     r = vec_normal_form(target, graph_groebner(vecs, rank, ring, budget), budget)
-    if any(pos < rank for pos, _ in r):
+    shift = ring.codec.shift
+    if r and max(r) >= (1 - rank) << shift:  # a term in a position below rank
         return None
-    dom = ring.domain
-    cof = [dict() for _ in vecs]
-    for (pos, m), c in r.items():
-        cof[pos - rank][m] = dom.neg(c)
-    return [ring.from_dict(d) for d in cof]
+    dom, offset = ring.domain, rank << shift
+    return list(vec_to_polys({k + offset: dom.neg(c) for k, c in r.items()},
+                             len(vecs), ring))
 
 
 def groebner_basis_of_polys(ambient: PolynomialRing, polys: Sequence,
@@ -503,10 +510,11 @@ def ideal_intersection_polys(ambient: PolynomialRing, gens_a: Sequence,
     gens = [t * _extend_poly(a, ext) for a in gens_a if not a.is_zero]
     gens += [one_minus_t * _extend_poly(b, ext) for b in gens_b if not b.is_zero]
     G = groebner_basis_of_polys(ext, gens, budget)
+    codec, t_code = ext.codec, ext.codec.encode(t.leading_monomial())
     out = []
     for v in G.vecs:
-        if all(m[0] == 0 for _, m in v):
-            out.append(ambient.from_dict({m[1:]: c for (_, m), c in v.items()}))
+        if not any(codec.divides(t_code, k) for k in v):
+            out.append(ambient.from_dict({m[1:]: c for m, c in vec_to_poly(v, ext).terms}))
     return out
 
 
@@ -516,26 +524,29 @@ def exact_poly_div(g: Polynomial, f: Polynomial) -> Polynomial:
     dom = ring.domain
     if f.is_zero:
         raise StructuralError("division by the zero polynomial")
-    okey = ring.order.key
-    fm, fc = f.leading_monomial(), f.leading_coefficient()
-    work = dict(g.terms)
+    codec = ring.codec
+    fv = poly_to_vec(f)
+    fm = max(fv)
+    fc = fv.pop(fm)
+    work = poly_to_vec(g)
     out = {}
     while work:
-        m = max(work, key=okey)
+        m = max(work)
+        codec.check(m)
         c = work.pop(m)
-        q = mono_div(m, fm)
-        if q is None:
+        if not codec.divides(fm, m):
             raise StructuralError("inexact polynomial division")
+        q = m - fm
         qc = dom.exact_div(c, fc)
         out[q] = qc
-        for m2, c2 in f.terms[1:]:
-            k = mono_mul(m2, q)
+        for m2, c2 in fv.items():
+            k = m2 + q
             nc = dom.sub(work.get(k, dom.zero()), dom.mul(qc, c2))
             if nc == dom.zero():
                 work.pop(k, None)
             else:
                 work[k] = nc
-    return ring.from_dict(out)
+    return vec_to_poly(out, ring)
 
 
 def _colon(ring: RingPresentation, divisors: Sequence, budget: Budget) -> tuple:
@@ -553,6 +564,8 @@ def _colon(ring: RingPresentation, divisors: Sequence, budget: Budget) -> tuple:
         meet = ideal_intersection_polys(ambient, ring.relations, [f], budget)
         try:
             q = [exact_poly_div(p, f) for p in meet]
+        except CapExceededError:
+            raise
         except StructuralError as exc:
             raise InternalError(f"internal: colon by {f}: the intersection with "
                                 f"<{f}> has an element it does not divide ({exc})"
@@ -592,7 +605,11 @@ def annihilator(I: IdealPresentation, budget: Budget = None) -> IdealPresentatio
 
 def krull_dimension(R: RingPresentation, budget: Budget = None) -> int:
     """dim A[x1..xn]/J as the largest variable set independent modulo the
-    initial ideal of J (field coefficients only); one step per set tested."""
+    initial ideal of J (field coefficients only); one step per set tested.
+
+    A variable with a pure power among the leading monomials lies in no
+    independent set, so only the others are searched: a zero-dimensional
+    in(J) holds a pure power of every variable and takes one test."""
     budget = ensure_budget(budget)
     if not R.domain.is_field:
         raise UnsupportedDomainError(
@@ -601,12 +618,12 @@ def krull_dimension(R: RingPresentation, budget: Budget = None) -> int:
         raise StructuralError("the zero ring has empty spectrum")
     n = R.ambient.nvars
     G = R.relations_groebner(budget)
-    supports = []
-    for _, m in G.lts:
-        supports.append(frozenset(i for i, e in enumerate(m) if e > 0))
+    decode = R.ambient.codec.decode
+    supports = [frozenset(i for i, e in enumerate(decode(lt)) if e > 0) for lt in G.lts]
+    free = [i for i in range(n) if frozenset((i,)) not in supports]
     from itertools import combinations
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
+    for size in range(len(free), -1, -1):
+        for subset in combinations(free, size):
             budget.tick()
             s = set(subset)
             if all(not sup <= s for sup in supports):

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .complexes import (ChainComplex, ext_computer, ext_vanishing_profile,
                         generator_key, homology_is_zero)
+from .groebner import poly_to_vec
 from .modules import FreeModuleMap
 from .rings import IdealPresentation, RingPresentation
 from .values import GradeValue
@@ -35,8 +36,7 @@ def _koszul_differentials(ring: RingPresentation, gens: Sequence, top: int,
             col = {}
             for k, j in enumerate(S):
                 t = row_index[S[:k] + S[k + 1:]]
-                for mono, c in (gens[j] if k % 2 == 0 else negated[j]).terms:
-                    col[(t, mono)] = c
+                col.update(poly_to_vec(gens[j] if k % 2 == 0 else negated[j], t))
             cols.append(col)
         diffs.append(FreeModuleMap._of_reduced(ring, len(rows), cols))
     return diffs

@@ -1,10 +1,10 @@
 """Free modules over R = A[x]/J: maps, their images, kernels, subquotient
 tests.
 
-A free-module element is an engine vector {(position, monomial): coefficient}
-(see `groebner`).  A map keeps one such vector per column, reduced modulo
-J*e_t, and a submodule is the image of a map: its columns are the
-generators.  Tuples of `Polynomial`s, one entry per position, appear only at
+A free-module element is an engine vector {key: coefficient}, a key being
+a position and a monomial in the ring's codec (see `groebner`).  A map
+keeps one such vector per column, reduced modulo J*e_t, and a submodule is
+the image of a map: its columns are the generators.  Tuples of `Polynomial`s, one entry per position, appear only at
 the public edges: the constructor, `matrix`, `generators` and `contains`.
 All submodule computations happen in the ambient ring with the relation
 multiples J*e_i adjoined, so membership and syzygies are taken over R.
@@ -15,9 +15,9 @@ from itertools import groupby
 from typing import Sequence
 
 from .errors import Budget, StructuralError, ensure_budget
-from .groebner import (VecBasis, completion, graph_groebner, polys_to_vec,
-                       vec_groebner, vec_normal_form, vec_to_polys)
-from .rings import RingPresentation, mono_degree, mono_mul
+from .groebner import (VecBasis, completion, graph_groebner, poly_to_vec,
+                       polys_to_vec, vec_groebner, vec_normal_form, vec_to_polys)
+from .rings import RingPresentation
 
 
 def _relation_block(ring: RingPresentation, rank: int, budget: Budget) -> VecBasis:
@@ -26,10 +26,12 @@ def _relation_block(ring: RingPresentation, rank: int, budget: Budget) -> VecBas
     whole vector entry by entry, and module completions take it as their
     `block`, whose internal pairs they never queue."""
     G = ring.relations_groebner(budget)
+    shift = ring.ambient.codec.shift
     block = VecBasis([], ring.ambient)
     for t in range(rank):
-        for v, (_, lm) in zip(G.vecs, G.lts):
-            block.append({(t, m): c for (_, m), c in v.items()}, (t, lm))
+        offset = t << shift
+        for v, lt in zip(G.vecs, G.lts):
+            block.append({k - offset: c for k, c in v.items()}, lt - offset)
     return block
 
 
@@ -47,10 +49,13 @@ def _combine(cols: Sequence, vec: dict, ring: RingPresentation) -> dict:
     """The sum of c*x^m*cols[k] over the terms c*x^m*e_k of vec."""
     dom = ring.domain
     add, mul, zero = dom.add, dom.mul, dom.zero()
+    codec = ring.ambient.codec
+    shift, mask = codec.shift, codec.mask
     out = {}
-    for (k, m2), c2 in vec.items():
-        for (t, m1), c1 in cols[k].items():
-            key = (t, mono_mul(m1, m2))
+    for k2, c2 in vec.items():
+        m2 = k2 & mask
+        for k1, c1 in cols[-(k2 >> shift)].items():
+            key = k1 + m2
             prev = out.get(key)
             out[key] = mul(c1, c2) if prev is None else add(prev, mul(c1, c2))
     return {k: c for k, c in out.items() if c != zero}
@@ -72,8 +77,7 @@ class FreeModuleMap:
             if len(row) != source_rank:
                 raise StructuralError(f"expected {source_rank} columns, got {len(row)}")
             for j, e in enumerate(row):
-                for m, c in ring.poly(e).terms:
-                    cols[j][(t, m)] = c
+                cols[j].update(poly_to_vec(ring.poly(e), t))
         self._set(ring, target_rank, _normal_forms(ring, target_rank, cols, budget))
 
     def _set(self, ring: RingPresentation, target_rank: int, cols: Sequence):
@@ -112,10 +116,13 @@ class FreeModuleMap:
 
     def transpose(self) -> "FreeModuleMap":
         """The transposed map: its entries are this map's, normal already."""
+        codec = self.ring.ambient.codec
+        shift, mask = codec.shift, codec.mask
         cols = [{} for _ in range(self.target_rank)]
         for j, col in enumerate(self.cols):
-            for (t, m), c in col.items():
-                cols[t][(j, m)] = c
+            offset = j << shift
+            for k, c in col.items():
+                cols[-(k >> shift)][(k & mask) - offset] = c
         return FreeModuleMap._of_reduced(self.ring, self.source_rank, cols)
 
     def compose(self, other: "FreeModuleMap", budget: Budget = None) -> "FreeModuleMap":
@@ -166,7 +173,8 @@ def prune_generators(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap
     if len(nonzero) <= 1:
         return FreeModuleMap._of_reduced(phi.ring, phi.target_rank, nonzero)
     ambient = phi.ring.ambient
-    size = lambda v: (len(v), max(mono_degree(m) for _, m in v))
+    degree = ambient.codec.degree
+    size = lambda v: (len(v), max(map(degree, v)))
     text = lambda v: str(vec_to_polys(v, phi.target_rank, ambient))
     # the text of the generator as a tuple of polynomials breaks ties; it is
     # rendered only for generators tied on term count and degree
@@ -199,13 +207,15 @@ def kernel(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:
                            _relation_block(ring, r + n, budget).vecs)
     block = _relation_block(ring, n, budget)
     image = VecBasis([], ring.ambient)
+    shift = ring.ambient.codec.shift
+    target = (1 - r) << shift   # the keys of positions below r are at least this
     gens = []
     for g, lt in zip(basis.vecs, basis.lts):
-        if lt[0] < r:
-            image.append({k: c for k, c in g.items() if k[0] < r}, lt)
+        if lt >= target:
+            image.append({k: c for k, c in g.items() if k >= target}, lt)
             continue
-        reduced = vec_normal_form({(pos - r, m): c for (pos, m), c in g.items()},
-                                  block, budget)
+        offset = r << shift
+        reduced = vec_normal_form({k + offset: c for k, c in g.items()}, block, budget)
         if reduced:
             gens.append(reduced)
     if phi._gb is None:

@@ -10,11 +10,13 @@ ring A[x1..xn] is a `PolynomialRing`; a quotient R = A[x1..xn]/J is a
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .errors import StructuralError
+from .errors import CapExceededError, StructuralError
 
 RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
@@ -167,21 +169,6 @@ def mono_one(nvars: int) -> Monomial:
 def mono_mul(u: Monomial, v: Monomial) -> Monomial:
     return tuple(map(operator.add, u, v))
 
-def mono_divides(u: Monomial, v: Monomial) -> bool:
-    return all(a <= b for a, b in zip(u, v))
-
-def mono_div(v: Monomial, u: Monomial) -> Optional[Monomial]:
-    """v / u, or None when u does not divide v."""
-    out = []
-    for a, b in zip(u, v):
-        if a > b:
-            return None
-        out.append(b - a)
-    return tuple(out)
-
-def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(u, v))
-
 def mono_degree(u: Monomial) -> int:
     return sum(u)
 
@@ -212,14 +199,19 @@ class MonomialOrder:
             return m
         return (self.left.key(m[:self.split]), self.right.key(m[self.split:]))
 
-    def descending_key(self, m: Monomial):
-        """A sort key that orders monomials the reverse way of `key`."""
+    def weights(self, nvars: int, bits: int) -> list:
+        """Weights w_i such that sum e_i * w_i compares as `key` does, for
+        exponents e_i below 2^bits: grevlex w_i = 2^(n*bits) - 2^(i*bits)
+        (the degree first, then the smaller last exponent wins), lex
+        w_i = 2^((n-1-i)*bits), and a block order shifts its left weights
+        past the largest weight its right block can reach."""
         if self.kind == GREVLEX_KIND:
-            return (-sum(m), m[::-1])
+            return [(1 << (nvars * bits)) - (1 << (i * bits)) for i in range(nvars)]
         if self.kind == LEX_KIND:
-            return tuple(map(operator.neg, m))
-        return (self.left.descending_key(m[:self.split]),
-                self.right.descending_key(m[self.split:]))
+            return [1 << ((nvars - 1 - i) * bits) for i in range(nvars)]
+        right = self.right.weights(nvars - self.split, bits)
+        shift = (sum(right) * ((1 << bits) - 1)).bit_length()
+        return [w << shift for w in self.left.weights(self.split, bits)] + right
 
     def __str__(self) -> str:
         if self.kind == BLOCK_KIND:
@@ -233,6 +225,86 @@ GREVLEX = MonomialOrder(GREVLEX_KIND)
 def block_order(split: int, left: MonomialOrder = GREVLEX,
                 right: MonomialOrder = GREVLEX) -> MonomialOrder:
     return MonomialOrder(BLOCK_KIND, split, left, right)
+
+
+# ---------------------------------------------------------------------------
+# Monomial codes: the Groebner engine's monomials and terms as one int each.
+
+FIELD_BITS = 32
+EXPONENT_CAP = (1 << (FIELD_BITS - 1)) - 1
+
+
+class MonomialCodec:
+    """A ring's monomials as ints that add as the monomials multiply and
+    compare as the ring's order does.
+
+    code(m) = K(m) * 2^(n*W) + P(m), with W = FIELD_BITS.  P packs exponent
+    e_i into field i (bits i*W up to i*W + W - 1), whose top bit, the guard,
+    stays clear: every exponent is at most EXPONENT_CAP.  K(m) = sum e_i * w_i
+    is linear, and compares as the order (`MonomialOrder.weights`).  So a
+    product is the sum of codes, u divides v exactly when
+    ((P_v | G) - P_u) & G == G for the guard mask G (no field borrows), and
+    the quotient is v - u.  A sum of two codes still has every field below
+    2^W, and so still compares as the order; the engine checks the guard
+    bits of every term a normal form keeps (`check`), so it never adds to a
+    term past the cap, and no field can carry into the next.
+
+    An engine term is a monomial in a position: key(pos, m) =
+    code(m) - pos * 2^shift, with `shift` past every code and every sum of
+    two, so a lower position dominates, keys of one position compare as
+    their monomials, a key times a monomial is key + code, and the position
+    is -(key >> shift).
+    """
+
+    def __init__(self, nvars: int, order: MonomialOrder):
+        width = FIELD_BITS
+        pbits = nvars * width
+        self.weights = order.weights(nvars, width)
+        # the code of each variable: its weight above its field
+        self.units = [(w << pbits) | (1 << (i * width)) for i, w in enumerate(self.weights)]
+        self.guard = sum(1 << (i * width + width - 1) for i in range(nvars))
+        self.pbits = pbits
+        self.shift = (sum(self.weights) * ((1 << width) - 1)).bit_length() + pbits
+        self.mask = (1 << self.shift) - 1       # a key's monomial code
+        self.pmask = (1 << pbits) - 1
+        self.fields = struct.Struct(f"<{nvars}I")
+
+    def encode(self, m: Monomial) -> int:
+        if m and max(m) > EXPONENT_CAP:
+            raise CapExceededError(f"exponent {max(m)} is above the cap {EXPONENT_CAP} "
+                                   "(2^31 - 1) of the Groebner engine")
+        return sum(map(operator.mul, m, self.units))
+
+    def decode(self, code: int) -> Monomial:
+        """The exponents of a code or of a key."""
+        return self.fields.unpack((code & self.pmask).to_bytes(self.fields.size, "little"))
+
+    def position(self, key: int) -> int:
+        return -(key >> self.shift)
+
+    def divides(self, u: int, v: int) -> bool:
+        """Whether u divides v (codes, or keys in one position)."""
+        return ((v | self.guard) - u) & self.guard == self.guard
+
+    def lcm(self, u: int, v: int) -> int:
+        """The lcm of two codes, or of two keys in one position: the larger
+        field of the two in each field, and K recomputed from the fields."""
+        guard, pmask = self.guard, self.pmask
+        pu, pv = u & pmask, v & pmask
+        ge = ((pu | guard) - pv) & guard            # the fields where u_i >= v_i
+        sel = ge - (ge >> (FIELD_BITS - 1))         # their exponent bits
+        p = (pu & sel) | (pv & ~sel)
+        k = sum(map(operator.mul, self.decode(p), self.weights))
+        return ((u >> self.shift) << self.shift) + ((k << self.pbits) | p)
+
+    def degree(self, code: int) -> int:
+        return sum(self.decode(code))
+
+    def check(self, key: int):
+        """Raise `CapExceededError` when an exponent of key is past the cap."""
+        if key & self.guard:
+            raise CapExceededError(f"an exponent above the cap {EXPONENT_CAP} (2^31 - 1) "
+                                   "of the Groebner engine arose in a computation")
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +328,11 @@ class PolynomialRing:
     @property
     def nvars(self) -> int:
         return len(self.variables)
+
+    @cached_property
+    def codec(self) -> MonomialCodec:
+        """The engine's monomial codes for this ring's variables and order."""
+        return MonomialCodec(self.nvars, self.order)
 
     def from_dict(self, coeffs: dict) -> "Polynomial":
         """Normalize {monomial: coefficient} into a Polynomial."""

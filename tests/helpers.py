@@ -18,13 +18,10 @@ from fpdlab import (ChainComplex, CoefficientDomain, FreeModuleMap,
                     StructuralError)
 from fpdlab.complexes import cyclic_presentation
 from fpdlab.errors import ensure_budget
-from fpdlab.groebner import (Completion, VecBasis, _interreduce, _s_vector,
-                             _term_key, _xgcd, exact_poly_div,
-                             ideal_intersection_polys, polys_to_vec,
-                             vec_normal_form, vec_to_poly, vec_to_polys)
+from fpdlab.groebner import (Completion, VecBasis, _interreduce, _xgcd,
+                             exact_poly_div, ideal_intersection_polys,
+                             polys_to_vec, vec_normal_form, vec_to_poly)
 from fpdlab.modules import kernel, prune_generators
-from fpdlab.rings import (mono_degree, mono_div, mono_divides, mono_lcm,
-                          mono_mul)
 
 QQ = CoefficientDomain.QQ()
 ZZ = CoefficientDomain.ZZ()
@@ -54,8 +51,64 @@ def monomials_up_to(ring: PolynomialRing, max_degree: int):
     return out
 
 
+# Exponent tuples, independent of the engine's monomial codes: the reference
+# engines below work on vectors {(position, exponents): coefficient}, and
+# meet the engine only through `encode_vec` and `decode_vec`.
+
+def mono_mul(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def mono_div(v, u):
+    """v / u, or None when u does not divide v."""
+    if any(a > b for a, b in zip(u, v)):
+        return None
+    return tuple(b - a for a, b in zip(u, v))
+
+
+def mono_divides(u, v) -> bool:
+    return all(a <= b for a, b in zip(u, v))
+
+
+def mono_lcm(u, v):
+    return tuple(max(a, b) for a, b in zip(u, v))
+
+
+def term_key(ring: PolynomialRing):
+    """The ascending sort key of a term (position, exponents): position over
+    term, the lower position dominating."""
+    okey = ring.order.key
+    return lambda k: (-k[0], okey(k[1]))
+
+
+def encode_term(ring: PolynomialRing, pos: int, m) -> int:
+    """The engine's key of the term x^m in position pos."""
+    return ring.codec.encode(m) - (pos << ring.codec.shift)
+
+
+def decode_term(ring: PolynomialRing, key: int) -> tuple:
+    """(position, exponents) of an engine key."""
+    return ring.codec.position(key), ring.codec.decode(key)
+
+
+def decode_vec(vec: dict, ring: PolynomialRing) -> dict:
+    """An engine vector as {(position, exponents): coefficient}."""
+    return {decode_term(ring, k): c for k, c in vec.items()}
+
+
+def encode_vec(vec: dict, ring: PolynomialRing) -> dict:
+    """{(position, exponents): coefficient} as an engine vector."""
+    return {encode_term(ring, pos, m): c for (pos, m), c in vec.items()}
+
+
+def decode_basis(B: VecBasis) -> tuple:
+    """(vectors, leads) of a `VecBasis`, decoded."""
+    return ([decode_vec(v, B.ring) for v in B.vecs],
+            [decode_term(B.ring, lt) for lt in B.lts])
+
+
 def _shifted(v: dict, q, c, dom) -> dict:
-    """c * x^q * v for an engine vector v."""
+    """c * x^q * v for a decoded vector v."""
     return {(pos, mono_mul(m, q)): dom.mul(c, a) for (pos, m), a in v.items()}
 
 
@@ -66,35 +119,43 @@ def _vec_sum(u: dict, w: dict, dom) -> dict:
     return {k: c for k, c in out.items() if c != dom.zero()}
 
 
+def _pair_vector(u: dict, v: dict, su, sv, ring: PolynomialRing) -> dict:
+    """su * x^(w/mu) * u + sv * x^(w/mv) * v for decoded vectors with leads
+    mu and mv in one position, w = lcm(mu, mv)."""
+    tkey = term_key(ring)
+    (_, mu), (_, mv) = max(u, key=tkey), max(v, key=tkey)
+    w = mono_lcm(mu, mv)
+    dom = ring.domain
+    return _vec_sum(_shifted(u, mono_div(w, mu), su, dom),
+                    _shifted(v, mono_div(w, mv), sv, dom), dom)
+
+
 def pair_vectors(u: dict, v: dict, ring: PolynomialRing) -> list:
     """The S-vector of two engine vectors led in one position (lcm
     coefficients over ZZ, monic over fields) and, over ZZ, their G-vector
-    when neither lead coefficient divides the other; built from the vectors
-    alone, without the engine's lead data."""
+    when neither lead coefficient divides the other; built on exponent
+    tuples from the vectors alone, without the engine's lead data."""
     dom = ring.domain
-    tkey = _term_key(ring)
-    lu, lv = max(u, key=tkey), max(v, key=tkey)
-    (_, mu), (_, mv), a, b = lu, lv, u[lu], v[lv]
-    w = mono_lcm(mu, mv)
-    qu, qv = mono_div(w, mu), mono_div(w, mv)
+    u, v = decode_vec(u, ring), decode_vec(v, ring)
+    tkey = term_key(ring)
+    a, b = u[max(u, key=tkey)], v[max(v, key=tkey)]
     if dom.is_field:
-        return [_vec_sum(_shifted(u, qu, dom.inv(a), dom),
-                         _shifted(v, qv, dom.neg(dom.inv(b)), dom), dom)]
-    g, s, t = _xgcd(a, b)
-    l = a * b // g
-    out = [_vec_sum(_shifted(u, qu, l // a, dom), _shifted(v, qv, -(l // b), dom), dom)]
-    if a % b and b % a:
-        out.append(_vec_sum(_shifted(u, qu, s, dom), _shifted(v, qv, t, dom), dom))
-    return out
+        pairs = [(dom.inv(a), dom.neg(dom.inv(b)))]
+    else:
+        g, s, t = _xgcd(a, b)
+        l = a * b // g
+        pairs = [(l // a, -(l // b))] + ([(s, t)] if a % b and b % a else [])
+    return [encode_vec(_pair_vector(u, v, su, sv, ring), ring) for su, sv in pairs]
 
 
 def assert_is_vec_groebner(B, budget=None):
     """Every S-vector (and G-vector over ZZ) of two elements of the
     `VecBasis` B led in one position reduces to zero against B."""
     budget = ensure_budget(budget)
+    position = B.ring.codec.position
     for i in range(len(B)):
         for j in range(i + 1, len(B)):
-            if B.lts[i][0] != B.lts[j][0]:
+            if position(B.lts[i]) != position(B.lts[j]):
                 continue
             for s in pair_vectors(B.vecs[i], B.vecs[j], B.ring):
                 assert not vec_normal_form(s, B, budget), \
@@ -111,29 +172,31 @@ def _all_pairs(basis, heap: list, f: int, marked):
     """Every pair of leads in one position, plus a G-pair over ZZ when neither
     lead coefficient divides the other: the pair rule of both engines before
     pair elimination; `marked` is ignored."""
-    okey = basis.ring.order.key
-    field = basis.ring.domain.is_field
-    fpos, fm = basis.lts[f]
+    ring = basis.ring
+    okey = ring.order.key
+    field = ring.domain.is_field
+    fpos, fm = decode_term(ring, basis.lts[f])
     a = basis.lcs[f]
     for i in basis.at[fpos][:-1]:
-        w = mono_lcm(basis.lts[i][1], fm)
-        heapq.heappush(heap, (mono_degree(w), fpos, okey(w), i, f, 0))
+        w = mono_lcm(decode_term(ring, basis.lts[i])[1], fm)
+        heapq.heappush(heap, (sum(w), fpos, okey(w), i, f, 0))
         b = basis.lcs[i]
         if not field and a % b and b % a:
-            heapq.heappush(heap, (mono_degree(w), fpos, okey(w), i, f, 1))
+            heapq.heappush(heap, (sum(w), fpos, okey(w), i, f, 1))
 
 
 def _all_pairs_s_vector(basis, entry: tuple) -> dict:
     i, j, gpair = entry[3:]
-    dom = basis.ring.domain
+    ring = basis.ring
+    dom = ring.domain
     if dom.is_field:
-        return _s_vector(basis, i, j, dom.one(), dom.neg(dom.one()))
-    a, b = basis.lcs[i], basis.lcs[j]
-    g, s, t = _xgcd(a, b)
-    if gpair:
-        return _s_vector(basis, i, j, s, t)
-    l = a * b // g
-    return _s_vector(basis, i, j, l // a, -(l // b))
+        su, sv = dom.one(), dom.neg(dom.one())
+    else:
+        a, b = basis.lcs[i], basis.lcs[j]
+        g, s, t = _xgcd(a, b)
+        su, sv = (s, t) if gpair else (a * b // g // a, -(a * b // g // b))
+    u, v = decode_vec(basis.vecs[i], ring), decode_vec(basis.vecs[j], ring)
+    return encode_vec(_pair_vector(u, v, su, sv, ring), ring)
 
 
 class ReferenceCompletion(Completion):
@@ -160,15 +223,16 @@ def _minimalize(basis: VecBasis) -> VecBasis:
     """The elements whose leads no other lead dominates, in ascending lead
     order (ties over ZZ by ascending |lead coefficient|), as a new basis."""
     ring = basis.ring
-    tkey = _term_key(ring)
+    tkey = term_key(ring)
+    term = lambda k: decode_term(ring, k)
     # a field basis is monic, so its ties and divisibility tests are trivial
     idx = sorted(range(len(basis)),
-                 key=lambda i: (tkey(basis.lts[i]), abs(basis.lcs[i])))
+                 key=lambda i: (tkey(term(basis.lts[i])), abs(basis.lcs[i])))
     kept = VecBasis([], ring)
     for i in idx:
-        pos, m = basis.lts[i]
+        pos, m = term(basis.lts[i])
         a = basis.lcs[i]
-        if not any(mono_divides(kept.lts[j][1], m) and a % kept.lcs[j] == 0
+        if not any(mono_divides(term(kept.lts[j])[1], m) and a % kept.lcs[j] == 0
                    for j in kept.at.get(pos, ())):
             kept.append(basis.vecs[i], basis.lts[i])
     return kept
@@ -188,7 +252,7 @@ def reference_interreduce(basis: VecBasis, budget) -> VecBasis:
             if not tail:
                 continue
             new = {lt: v[lt]}
-            new.update(vec_normal_form(tail, basis, budget))
+            new.update(reference_normal_form(tail, basis, budget))
             if new != v:
                 basis.vecs[i] = new
                 changed = True
@@ -200,17 +264,20 @@ def reference_interreduce(basis: VecBasis, budget) -> VecBasis:
 
 
 def reference_normal_form(v: dict, basis, budget) -> dict:
-    """`groebner.vec_normal_form` without its lead-position index or its
-    per-call key table: every term scans the whole basis in order, and each
-    selection recomputes the order key of every remaining term.  The answer
-    and the budget ticks must match the indexed version exactly."""
+    """`groebner.vec_normal_form` on exponent tuples, without its
+    lead-position index or its heap: every term scans the whole basis in
+    order, and each selection recomputes the order key of every remaining
+    term.  It takes and returns engine vectors, decoded on entry and encoded
+    on exit.  The answer and the budget ticks must match the indexed
+    version exactly."""
     ring = basis.ring
     dom = ring.domain
     field = dom.is_field
-    tkey = _term_key(ring)
-    vecs, lts, lcs = basis.vecs, basis.lts, basis.lcs
+    tkey = term_key(ring)
+    vecs, lts = decode_basis(basis)
+    lcs = basis.lcs
     n = len(vecs)
-    work = dict(v)
+    work = decode_vec(v, ring)
     rem = {}
     while work:
         k = max(work, key=tkey)
@@ -257,7 +324,7 @@ def reference_normal_form(v: dict, basis, budget) -> dict:
             break
         if not reduced:
             rem[k] = c
-    return rem
+    return encode_vec(rem, ring)
 
 def reference_normalize(ring: RingPresentation, matrix, budget) -> tuple:
     """Every entry of a matrix reduced modulo J on its own: the per-entry
@@ -301,10 +368,13 @@ def reference_kernel(phi, budget) -> tuple:
         for j, col in enumerate(phi.generators)])
     gens = []
     for g in graph.groebner_vectors(budget).vecs:
+        g = decode_vec(g, ring.ambient)
         if any(pos < r for pos, _ in g):
             continue
-        entries = vec_to_polys({(pos - r, m): c for (pos, m), c in g.items()},
-                               n, ring.ambient)
+        split = [{} for _ in range(n)]
+        for (pos, m), c in g.items():
+            split[pos - r][m] = c
+        entries = [ring.ambient.from_dict(d) for d in split]
         reduced = tuple(ring.normal_form(p, budget) for p in entries)
         if any(not p.is_zero for p in reduced):
             gens.append(reduced)

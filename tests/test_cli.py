@@ -13,8 +13,8 @@ from fpdlab.cli import (EXIT_COMMAND_ERROR, EXIT_INTERNAL, EXIT_OK,
                         EXIT_PARSE_ERROR, EXIT_RESOURCE, CliConfig,
                         build_arg_parser, config_from_args, execute_script,
                         main, render_json, render_text)
-from fpdlab.rings import mono_one
 from fpdlab.script import parse
+from helpers import encode_term
 
 SESSION = """
 ring R = QQ[x,y]/(x*y);
@@ -109,14 +109,52 @@ def test_command_error_exit_code():
 
 
 def test_krull_dimension_answers_to_the_budget():
-    # dimension 0, found only after all 2^20 variable sets: one step per set
+    # the path x1*x2, x2*x3, ..., x19*x20 has dimension 10, found only after
+    # every larger variable set of the 20: one step per set
     xs = [f"x{i}" for i in range(1, 21)]
-    text = (f"ring R = FF2[{', '.join(xs)}]/({', '.join(x + '^2' for x in xs)}); "
-            "dim;")
-    records, code = run(text, CliConfig(budget_steps=1000))
+    path = ", ".join(f"{a}*{b}" for a, b in zip(xs, xs[1:]))
+    records, code = run(f"ring R = FF2[{', '.join(xs)}]/({path}); dim;",
+                        CliConfig(budget_steps=1000))
     assert code == EXIT_RESOURCE
     assert records[0]["status"] == "resource"
     assert records[0]["budget"]["steps"] == 1001
+
+
+def test_a_zero_dimensional_initial_ideal_takes_one_dimension_test():
+    # every variable has a pure power among the leads, so no variable is
+    # searched: one test, where the full search would take 2^30
+    xs = [f"x{i}" for i in range(1, 31)]
+    text = f"ring R = FF2[{', '.join(xs)}]/({', '.join(x + '^2' for x in xs)}); dim;"
+    records, code = run(text, CliConfig(deadline=5))
+    assert code == EXIT_OK
+    assert records[0]["result"] == {"krull_dimension": 0}
+    assert records[0]["budget"]["steps"] == 1
+
+
+def test_an_exponent_past_the_engine_cap_is_an_error_record():
+    # 5,000,000,000 does not fit the engine's 31-bit exponent field: the
+    # command must not wrap it into a wrong grade (1), nor fail as internal
+    records, code = run("ring R = QQ[x,y]; ideal I = (x^5000000000, y); grade I; "
+                        "ideal J = (x^2147483647, y); grade J;")
+    assert code == EXIT_COMMAND_ERROR
+    assert records[0]["status"] == "error"
+    assert "cap 2147483647" in records[0]["error"]
+    assert records[1]["status"] == "ok" and records[1]["result"]["value"] == "2"
+
+
+def test_a_completion_past_the_exponent_cap_is_an_error_record():
+    # under lex, x1 - x2^2, ..., x31 - x32^2 completes to x1 - x32^(2^31),
+    # one past the cap; one variable fewer stays within it
+    for n, status in ((31, "ok"), (32, "error")):
+        xs = [f"x{i}" for i in range(1, n + 1)]
+        chain = ", ".join(f"{a} - {b}^2" for a, b in zip(xs, xs[1:]))
+        text = f"ring R = QQ[{', '.join(xs)}]/({chain}); dim;"
+        records, _ = execute_script(parse(text, order=LEX), CliConfig(order=LEX))
+        assert records[0]["status"] == status
+        if status == "ok":
+            assert records[0]["result"] == {"krull_dimension": 1}
+        else:
+            assert "exponent above the cap 2147483647" in records[0]["error"]
 
 
 def test_internal_failure_is_not_a_command_error(monkeypatch):
@@ -169,7 +207,7 @@ def test_resolution_that_breaks_d_d_is_internal(monkeypatch):
 
     def broken(K, budget=None):
         pruned = prune(K, budget)
-        e1 = {(0, mono_one(K.ring.ambient.nvars)): K.ring.domain.one()}
+        e1 = {encode_term(K.ring.ambient, 0, (0,) * K.ring.ambient.nvars): K.ring.domain.one()}
         return FreeModuleMap.of_vectors(K.ring, K.target_rank, pruned.cols + (e1,))
 
     monkeypatch.setattr("fpdlab.complexes.prune_generators", broken)

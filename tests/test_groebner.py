@@ -13,16 +13,17 @@ from fpdlab import groebner
 from fpdlab.cli import EXIT_INTERNAL, CliConfig, execute_script
 from fpdlab.complexes import cyclic_presentation
 from fpdlab.finite_rings import FiniteRing, enumerate_ideals
-from fpdlab.groebner import (VecBasis, _interreduce, _term_key,
-                             completion, groebner_basis_of_polys, poly_to_vec,
+from fpdlab.groebner import (VecBasis, _interreduce, completion,
+                             groebner_basis_of_polys, poly_to_vec,
                              polys_to_vec, vec_groebner, vec_normal_form,
                              vec_to_poly)
 from fpdlab.modules import _relation_block, kernel
-from fpdlab.rings import block_order, mono_divides
+from fpdlab.rings import block_order
 from fpdlab.script import parse
 from helpers import (FF, QQ, ZZ, assert_is_vec_groebner, basis_polys,
+                     decode_basis, decode_vec, encode_term, encode_vec, mono_divides,
                      monomials_up_to, poly_ring, presentation, reference_colon,
-                     reference_interreduce, reference_normal_form)
+                     reference_interreduce, reference_normal_form, term_key)
 
 
 def test_normal_form_single_division_step():
@@ -111,9 +112,9 @@ def test_zz_g_pairs_join_generators_to_the_relation_block():
     # G-vector (3x, y) - (2x, 0) = (x, y) only it gives; (3x, y) goes in
     # unreduced, since a map's constructor would make it (x, y)
     R = presentation(ZZ, ("x", "y"), ["2*x", "x*y"])
-    B = vec_groebner([{(0, (1, 0)): 3, (1, (0, 1)): 1}], R.ambient, Budget(),
-                     block=_relation_block(R, 2, Budget()).vecs)
-    assert {(0, (1, 0)): 1, (1, (0, 1)): 1} in B.vecs
+    B = vec_groebner([encode_vec({(0, (1, 0)): 3, (1, (0, 1)): 1}, R.ambient)],
+                     R.ambient, Budget(), block=_relation_block(R, 2, Budget()).vecs)
+    assert {(0, (1, 0)): 1, (1, (0, 1)): 1} in decode_basis(B)[0]
     assert_is_vec_groebner(B)
 
 
@@ -281,18 +282,19 @@ def _assert_canonical(B):
     and no tail term is reducible by any lead."""
     assert isinstance(B, VecBasis)
     dom = B.ring.domain
-    tkey = _term_key(B.ring)
-    for v, lt, lc in zip(B.vecs, B.lts, B.lcs):
+    tkey = term_key(B.ring)
+    vecs, lts = decode_basis(B)
+    for v, lt, lc in zip(vecs, lts, B.lcs):
         assert lt == max(v, key=tkey) and lc == v[lt]
         assert dom.lc_normalizer(lc) == dom.one()
         for (pos, m), c in v.items():
             if (pos, m) == lt:
                 continue
-            for (bpos, bm), a in zip(B.lts, B.lcs):
+            for (bpos, bm), a in zip(lts, B.lcs):
                 if bpos == pos and mono_divides(bm, m):
                     # over ZZ c*m is reducible by a*u only when c // a != 0
                     assert not dom.is_field and 0 <= c < a
-    keys = [tkey(lt) for lt in B.lts]
+    keys = [tkey(lt) for lt in lts]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
@@ -317,7 +319,7 @@ def test_vec_groebner_returns_its_canonical_vec_basis():
     S = FreeModuleMap(R, 3, 2, [["2*x + 4", "3*y", "x*y"], ["x*y", "x + 2", "4"]])
     B = S.groebner_vectors()
     _assert_canonical(B)
-    assert {pos for pos, _ in B.lts} == {0, 1}
+    assert {pos for pos, _ in decode_basis(B)[1]} == {0, 1}
 
 
 def test_qq_basis_vectors_hold_integral_values_as_int():
@@ -325,7 +327,7 @@ def test_qq_basis_vectors_hold_integral_values_as_int():
     # are canonical QQ values, int rather than Fraction
     A = poly_ring(QQ, "x", "y")
     B = vec_groebner([poly_to_vec(A.poly("2*x^2 - 4*y"))], A, Budget())
-    assert B.vecs == [{(0, (2, 0)): 1, (0, (0, 1)): -2}]
+    assert decode_basis(B)[0] == [{(0, (2, 0)): 1, (0, (0, 1)): -2}]
     assert [type(c) for c in B.vecs[0].values()] == [int, int]
     assert type(B.lcs[0]) is int
 
@@ -430,6 +432,7 @@ def test_membership_agrees_with_finite_oracle_on_truncated_lines():
 
 
 def _random_vec(rng, domain, monos, rank, nterms):
+    """A random engine vector, built from exponent tuples."""
     vec = {}
     for _ in range(nterms):
         if domain.kind == "rationals":
@@ -439,6 +442,10 @@ def _random_vec(rng, domain, monos, rank, nterms):
         if c:
             vec[(rng.randrange(rank), rng.choice(monos))] = c
     return vec
+
+
+def _enc(ring, *vecs):
+    return [encode_vec(v, ring) for v in vecs]
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)],
@@ -454,28 +461,32 @@ def test_vec_normal_form_matches_the_rescanning_reference(domain, order):
     monos = monomials_up_to(A, 3)
     for _ in range(60):
         rank = rng.randint(1, 3)
-        B = VecBasis([_random_vec(rng, domain, lead_monos, rank, rng.randint(1, 3))
-                      for _ in range(rng.randint(1, 7))], A)
-        v = _random_vec(rng, domain, monos, rank, rng.randint(1, 8))
+        B = VecBasis(_enc(A, *(_random_vec(rng, domain, lead_monos, rank, rng.randint(1, 3))
+                               for _ in range(rng.randint(1, 7)))), A)
+        [v] = _enc(A, _random_vec(rng, domain, monos, rank, rng.randint(1, 8)))
         fast, slow = Budget(), Budget()
-        assert vec_normal_form(v, B, fast) == reference_normal_form(v, B, slow)
+        assert (decode_vec(vec_normal_form(v, B, fast), A)
+                == decode_vec(reference_normal_form(v, B, slow), A))
         assert fast.steps == slow.steps
 
 
 def test_zz_normal_form_falls_through_a_divisible_lead_it_cannot_use():
     # 5*x divides x but 3 // 5 == 0, so 3*x goes on to 2*x, leaving x - 3*y
     A = poly_ring(ZZ, "x", "y")
-    B = VecBasis([{(0, (1, 0)): 5}, {(0, (1, 0)): 2, (0, (0, 1)): 3}], A)
-    v, rem = {(0, (1, 0)): 3}, {(0, (1, 0)): 1, (0, (0, 1)): -3}
+    B = VecBasis(_enc(A, {(0, (1, 0)): 5}, {(0, (1, 0)): 2, (0, (0, 1)): 3}), A)
+    [v] = _enc(A, {(0, (1, 0)): 3})
+    rem = {(0, (1, 0)): 1, (0, (0, 1)): -3}
     budget = Budget()
-    assert vec_normal_form(v, B, budget) == rem == reference_normal_form(v, B, Budget())
+    assert (decode_vec(vec_normal_form(v, B, budget), A) == rem
+            == decode_vec(reference_normal_form(v, B, Budget()), A))
     assert budget.steps == 4
 
 
 def _assert_indexed(B):
     """`at` lists, for every lead position, the vectors led there in basis order."""
-    assert B.at == {p: [i for i, lt in enumerate(B.lts) if lt[0] == p]
-                    for p in {lt[0] for lt in B.lts}}
+    lts = decode_basis(B)[1]
+    assert B.at == {p: [i for i, lt in enumerate(lts) if lt[0] == p]
+                    for p in {lt[0] for lt in lts}}
 
 
 _TERM = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -492,11 +503,11 @@ def test_one_pass_interreduction_matches_the_two_step_reference(domain, rank, co
     # elements with the same reduced tails, and saves the confirming sweep
     A = poly_ring(domain, "x", "y")
     vecs = [{(pos % rank, m): domain.coerce(c) for pos, m, c in ts} for ts in terms]
-    vecs = [{k: c for k, c in v.items() if c} for v in vecs]
+    vecs = _enc(A, *({k: c for k, c in v.items() if c} for v in vecs))
     B = completion(vecs, A, Budget()).basis if complete else VecBasis(vecs, A)
     fast, slow = Budget(), Budget()
     got, ref = _interreduce(B, fast), reference_interreduce(B, slow)
-    assert (got.vecs, got.lts, got.lcs) == (ref.vecs, ref.lts, ref.lcs)
+    assert (decode_basis(got), got.lcs) == (decode_basis(ref), ref.lcs)
     assert fast.steps <= slow.steps
     _assert_indexed(got)
 
@@ -516,16 +527,17 @@ def test_lead_position_index_follows_every_basis_operation():
                  for r in R.relations for i in range(rank)]
         B = VecBasis(vecs, A)
         _assert_indexed(B)
-        B.add({(rank - 1, (0, 1)): 2})
+        B.add(encode_vec({(rank - 1, (0, 1)): 2}, A))
         _assert_indexed(B)
-        B.append({(0, (0, 0)): 1}, (0, (0, 0)))
+        one = encode_term(A, 0, (0, 0))
+        B.append({one: 1}, one)
         _assert_indexed(B)
         M = _interreduce(B, Budget())
         assert M.lts == reference_interreduce(B, Budget()).lts
         _assert_indexed(M)
         C = completion(vecs, A, Budget())
         _assert_indexed(C.basis)
-        C.insert({(rank - 1, (1, 0)): 1, (0, (0, 0)): 1})
+        C.insert(encode_vec({(rank - 1, (1, 0)): 1, (0, (0, 0)): 1}, A))
         _assert_indexed(C.basis)
         C.run()
         _assert_indexed(C.basis)

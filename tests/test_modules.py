@@ -10,7 +10,7 @@ from fpdlab import modules
 from fpdlab.groebner import vec_groebner
 from fpdlab.modules import _relation_block, prune_generators
 from fpdlab.rings import mono_degree
-from helpers import (FF, QQ, ZZ, brute_linear_syzygies, presentation,
+from helpers import (FF, QQ, ZZ, brute_linear_syzygies, encode_term, presentation,
                      reference_compose, reference_kernel, reference_normalize,
                      reference_transpose)
 
@@ -29,8 +29,8 @@ def test_module_normal_form_member_is_zero():
 def test_module_normal_form_basis_vector_survives():
     P = presentation(QQ, ("x",))
     S = _submodule(P, 1, ("x",))
-    e0 = {(0, (0,)): 1}
-    assert S.reduce(e0) == e0
+    e0 = encode_term(P.ambient, 0, (0,))
+    assert S.reduce({e0: 1}) == {e0: 1}
 
 
 def test_module_normal_form_power_reduces():

@@ -3,8 +3,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from fpdlab import (GREVLEX, LEX, CoefficientDomain, RingPresentation,
-                    StructuralError, block_order)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from fpdlab import (GREVLEX, LEX, CapExceededError, CoefficientDomain,
+                    RingPresentation, StructuralError, block_order)
+from fpdlab.rings import EXPONENT_CAP, MonomialCodec
 from helpers import FF, QQ, ZZ, poly_ring
 
 
@@ -23,13 +26,51 @@ def test_any_order_equal_monomials():
         assert order.key((0, 1)) != order.key((1, 0))
 
 
-def test_descending_key_reverses_the_order_key():
-    import random
-    rng = random.Random(5)
-    for order in (LEX, GREVLEX, block_order(1), block_order(2, LEX, GREVLEX)):
-        monos = list({tuple(rng.randrange(4) for _ in range(4)) for _ in range(200)})
-        assert (sorted(monos, key=order.descending_key)
-                == sorted(monos, key=order.key, reverse=True))
+_ORDERS = [GREVLEX, LEX, block_order(1, GREVLEX, GREVLEX), block_order(1, GREVLEX, LEX)]
+_EXPONENT = st.one_of(st.integers(0, 3), st.integers(0, EXPONENT_CAP))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(_ORDERS), st.integers(1, 7).flatmap(
+    lambda n: st.tuples(*[st.lists(_EXPONENT, min_size=n, max_size=n).map(tuple)] * 3)),
+    st.integers(0, 4), st.integers(0, 4))
+def test_codec_agrees_with_exponent_tuples(order, monos, p, q):
+    # codes round-trip, a product is a sum, `<` is the order's key, and
+    # divisibility, quotient, lcm and degree are those of the tuples; keys
+    # compare position over term, and a sum past the cap is caught
+    u, v, w = monos
+    codec = MonomialCodec(len(u), order)
+    cu, cv, cw = map(codec.encode, monos)
+    key = order.key
+    mul = lambda a, b: tuple(x + y for x, y in zip(a, b))
+    assert codec.decode(cu) == u and codec.decode(cu + cv) == mul(u, v)
+    assert (cu < cv) == (key(u) < key(v)) and (cu == cv) == (u == v)
+    # sums of two codes still compare as the order
+    assert (cu + cw < cv + cw) == (key(mul(u, w)) < key(mul(v, w)))
+    divides = all(a <= b for a, b in zip(u, v))
+    assert codec.divides(cu, cv) == divides
+    if divides:
+        assert codec.decode(cv - cu) == tuple(b - a for a, b in zip(u, v))
+    lcm = tuple(map(max, u, v))
+    assert codec.lcm(cu, cv) == codec.encode(lcm)
+    key_of = lambda pos, m: codec.encode(m) - (pos << codec.shift)
+    assert codec.lcm(key_of(p, u), key_of(p, v)) == key_of(p, lcm)
+    assert codec.degree(cu) == sum(u)
+    ku, kv = key_of(p, u), key_of(q, v)
+    assert codec.position(ku) == p and codec.decode(ku) == u and codec.position(kv) == q
+    assert (ku < kv) == ((-p, key(u)) < (-q, key(v)))
+    if max(mul(u, v)) > EXPONENT_CAP:
+        with pytest.raises(CapExceededError):
+            codec.check(ku + cv)
+    else:
+        codec.check(ku + cv)
+
+
+def test_codec_rejects_an_exponent_past_the_cap():
+    codec = MonomialCodec(2, GREVLEX)
+    codec.encode((EXPONENT_CAP, 0))
+    with pytest.raises(CapExceededError, match="cap 2147483647"):
+        codec.encode((EXPONENT_CAP + 1, 0))
 
 
 def test_order_is_total_and_multiplicative():
