@@ -97,10 +97,11 @@ def config_from_args(args) -> CliConfig:
 # Command execution
 
 def _ideal_inputs(script: SessionScript, cmd: Command) -> dict:
+    # each ring and ideal renders its text once and keeps it
     inputs = {"ring": str(script.rings[cmd.ring_name]), "ring_name": cmd.ring_name}
     if cmd.ideal_names:
         inputs["ideals"] = {
-            name: [str(g) for g in script.ideals[name].generators]
+            name: list(script.ideals[name].generator_texts)
             for name in cmd.ideal_names}
     if cmd.degree is not None:
         inputs["degree"] = cmd.degree
@@ -177,7 +178,7 @@ def _dispatch(script: SessionScript, cmd: Command, budget: Budget,
     if kind == "dqdw":
         rep = dq_dw_local(ring, budget)
         return {"dq": rep.is_dq, "dw": rep.is_dw, "depth": rep.depth,
-                "gv_witness": (", ".join(str(g) for g in rep.gv_witness.generators)
+                "gv_witness": (", ".join(rep.gv_witness.generator_texts)
                                if rep.gv_witness is not None else None)}
     if kind == "koszul":
         ideal = ideal_of()

@@ -116,33 +116,44 @@ def generator_key(ring: RingPresentation, gens: Sequence) -> tuple:
 
 class ExtComputer:
     """All the derived work on one ideal I: whether 1 is in I (with unit
-    cofactors), its generators modulo J, a resolution of R/I extended on
-    demand, the Ext^i(R/I, R) decisions read off it, whether Ann(I) = 0, and
-    the Koszul homology decisions on generator tuples of I.  An Ext decision
+    cofactors per generator tuple of a unit I), its generators modulo J, a
+    resolution of R/I extended on demand, the Ext^i(R/I, R) decisions read
+    off it, whether Ann(I) = 0, the default Koszul generators with their key,
+    and, per key of a generator tuple of I, its Koszul chain through d_m
+    (d.d = 0 checked) and the homology decisions on it.  An Ext decision
     (Ext^0 once the annihilator agrees) is stored only once its check has
-    passed.  Not for concurrent use; `ext_computer` keeps one per ideal."""
+    passed, and work cut short by a budget is not stored.  Not for concurrent
+    use; `ext_computer` keeps one per ideal."""
 
     def __init__(self, I: IdealPresentation):
         self.ideal = I
-        self.unit = {}          # generators -> whether 1 is in I, with cofactors
+        self.has_one = None     # whether 1 is in I, once decided
+        self.cofactors = {}     # a unit I's generator terms -> its UnitIdealResult
         self.presentation = None  # cyclic_presentation(I), made on first use
         self.resolution = None  # ResolutionCache of R/I, made on first use
         self.decided = {}       # i -> Ext^i(R/I, R) = 0
         self.ann_zero = None    # Ann(I) = 0, once computed
+        self.koszul_default = None  # (generators, key) that `koszul_grade` defaults to
+        self.chains = {}        # generator_key -> Koszul chain through d_m
         self.koszul = {}        # generator_key -> {i: H_i of their Koszul chain = 0}
 
     def unit_ideal(self, I: IdealPresentation, budget: Budget = None) -> UnitIdealResult:
-        """Whether 1 is in I, for an I with this key, decided once per generator
-        tuple against the cyclic presentation's image basis; only a unit I
-        gets `is_unit_ideal`, for cofactors over its own generators."""
-        if I.generators not in self.unit:
-            lifted = UnitIdealResult(False)
-            if self.cyclic_presentation(budget).contains((I.ring.ambient.one(),), budget):
-                lifted = is_unit_ideal(I, budget)
-                if not lifted:
-                    raise InternalError("internal: unit ideal without a lift")
-            self.unit[I.generators] = lifted
-        return self.unit[I.generators]
+        """Whether 1 is in I, for an I with this key, decided once against
+        the cyclic presentation's image basis (the key fixes the ideal); only
+        a unit I gets `is_unit_ideal`, once per generator tuple, for
+        cofactors over its own generators."""
+        if self.has_one is None:
+            self.has_one = self.cyclic_presentation(budget).contains(
+                (I.ring.ambient.one(),), budget)
+        if not self.has_one:
+            return UnitIdealResult(False)
+        terms = tuple(g.terms for g in I.generators)
+        if terms not in self.cofactors:
+            lifted = is_unit_ideal(I, budget)
+            if not lifted:
+                raise InternalError("internal: unit ideal without a lift")
+            self.cofactors[terms] = lifted
+        return self.cofactors[terms]
 
     def cyclic_presentation(self, budget: Budget = None) -> FreeModuleMap:
         """`cyclic_presentation(I)`, made once: its columns are I's
@@ -150,6 +161,16 @@ class ExtComputer:
         if self.presentation is None:
             self.presentation = cyclic_presentation(self.ideal, budget)
         return self.presentation
+
+    def koszul_generators(self, budget: Budget = None) -> tuple:
+        """(gens, generator_key of gens), made once: the cyclic
+        presentation's columns as polynomials, or I's generators when all
+        are zero in R."""
+        if self.koszul_default is None:
+            columns = self.cyclic_presentation(budget).generators
+            gens = tuple(g for (g,) in columns) or self.ideal.generators
+            self.koszul_default = gens, generator_key(self.ideal.ring, gens)
+        return self.koszul_default
 
     def annihilator_is_zero(self, budget: Budget = None) -> bool:
         """Ann(I) = 0, i.e. Hom(R/I, R) = 0, through the annihilator."""
@@ -179,8 +200,14 @@ class ExtComputer:
 
 def ext_computer(I: IdealPresentation) -> ExtComputer:
     """I's computer in `I.ring.derived`, the ring's store of derived work
-    keyed by `generator_key` (its `ideal` is the first one asked about)."""
-    return I.ring.derived.setdefault(generator_key(I.ring, I.generators), ExtComputer(I))
+    keyed by `generator_key`, which I keeps once computed (the computer's
+    `ideal` is the first one asked about)."""
+    if I.key is None:
+        I.key = generator_key(I.ring, I.generators)
+    computer = I.ring.derived.get(I.key)
+    if computer is None:
+        computer = I.ring.derived[I.key] = ExtComputer(I)
+    return computer
 
 
 def ext_vanishing_profile(I: IdealPresentation, n: int, budget: Budget = None) -> tuple:

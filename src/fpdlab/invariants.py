@@ -175,8 +175,9 @@ def fpd_bound(R: RingPresentation, max_ideals: Sequence,
 
 
 def irrelevant_ideal(R: RingPresentation) -> IdealPresentation:
-    """The ideal generated by all the variables."""
-    return IdealPresentation(R, R.ambient.gens())
+    """The ideal generated by all the variables: one per ring, so its key
+    and its derived work are found, not rebuilt, by later calls."""
+    return R.irrelevant_ideal
 
 
 def _graded_depth(R: RingPresentation, budget: Budget) -> int:

@@ -14,8 +14,8 @@ from math import comb
 from typing import Optional, Sequence
 
 from .errors import Budget, InternalError, StructuralError, ensure_budget
-from .complexes import (ChainComplex, ext_computer, ext_vanishing_profile,
-                        generator_key, homology_is_zero)
+from .complexes import (ChainComplex, ExtComputer, ext_computer,
+                        ext_vanishing_profile, generator_key, homology_is_zero)
 from .groebner import poly_to_vec
 from .modules import FreeModuleMap
 from .rings import IdealPresentation, RingPresentation
@@ -69,17 +69,29 @@ def koszul_homology_is_zero(K: ChainComplex, i: int, budget: Budget = None) -> b
                             K.differential(i + 1) if i < m else None, budget)
 
 
-def _top_nonvanishing(I: IdealPresentation, gens: tuple, low: int,
+def _chain(computer: ExtComputer, gens: tuple, key: tuple,
+           budget: Budget) -> ChainComplex:
+    """The Koszul chain on gens through d_m, built and checked once per key
+    on I's computer: a chain on unit multiples of gens is isomorphic to it."""
+    K = computer.chains.get(key)
+    if K is None:
+        K = computer.chains[key] = koszul_chain(computer.ideal.ring, gens,
+                                                len(gens), budget)
+    return K
+
+
+def _top_nonvanishing(computer: ExtComputer, gens: tuple, key: tuple, low: int,
                       budget: Budget) -> Optional[int]:
-    """The largest i >= low with H_i(K(gens)) != 0, or None.  The scan reads
-    I's store (`ExtComputer.koszul`), builds the chain only for a missing
-    decision and stores each one at once: a scan cut short keeps them."""
-    known = ext_computer(I).koszul.setdefault(generator_key(I.ring, gens), {})
+    """The largest i >= low with H_i(K(gens)) != 0, or None, for gens with
+    generator_key `key`.  The scan reads I's store (`ExtComputer.koszul`),
+    takes the chain only for a missing decision and stores each one at
+    once: a scan cut short keeps them."""
+    known = computer.koszul.setdefault(key, {})
     K = None
     for i in range(len(gens), low - 1, -1):
         if i not in known:
             if K is None:
-                K = koszul_chain(I.ring, gens, len(gens), budget)
+                K = _chain(computer, gens, key, budget)
             known[i] = koszul_homology_is_zero(K, i, budget)
         if not known[i]:
             return i
@@ -91,16 +103,19 @@ def koszul_grade(I: IdealPresentation, gens: Sequence = None,
     """len(gens) minus the top nonvanishing Koszul homology degree; INFINITE
     when every homology module vanishes (the unit ideal).  No `gens` means
     the columns of I's cyclic presentation, as in `grade` (a zero generator
-    only shifts the top degree), or I's generators when all are zero in R.
-    Decisions already made on unit multiples of gens in I's ring are reused."""
+    only shifts the top degree), or I's generators when all are zero in R;
+    that tuple and its key are made once per computer.  Decisions already
+    made on unit multiples of gens in I's ring, and their chain, are reused."""
     budget = ensure_budget(budget)
+    computer = ext_computer(I)
     if gens is None:
-        columns = ext_computer(I).cyclic_presentation(budget).generators
-        gens = tuple(g for (g,) in columns) or I.generators
-    gens = tuple(I.ring.poly(g) for g in gens)
+        gens, key = computer.koszul_generators(budget)
+    else:
+        gens = tuple(I.ring.poly(g) for g in gens)
+        key = generator_key(I.ring, gens)
     if not gens:
         raise StructuralError("Koszul complex needs at least one generator")
-    top = _top_nonvanishing(I, gens, 0, budget)
+    top = _top_nonvanishing(computer, gens, key, 0, budget)
     return GradeValue.infinite() if top is None else GradeValue.finite(len(gens) - top)
 
 
@@ -127,22 +142,27 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int,
 
     Exactness at positions 0..n is claimed when Ext^i(R/I, R) = 0 for
     i = 0..n, and checked: the dual's cohomology at position i is H_{m-i}
-    (Bruns-Herzog, Prop. 1.6.10), which must vanish for i = 0..min(n, m)."""
+    (Bruns-Herzog, Prop. 1.6.10), which must vanish for i = 0..min(n, m).
+    For n < m, d_{n+1} comes from the chain through d_m that I's computer
+    keeps (built here if `koszul_grade` has not), which the check reads too."""
     budget = ensure_budget(budget)
     if n < 0:
         raise StructuralError("index must be >= 0")
-    gens = tuple(I.generators)
-    if not gens:
+    m = len(I.generators)
+    if not m:
         raise StructuralError("the dual Koszul cokernel needs generators")
+    computer = ext_computer(I)
     # none zero in R: the same chain modulo J, keyed as `koszul` keys it
-    columns = ext_computer(I).cyclic_presentation(budget).generators
-    if len(columns) == len(gens):
-        gens = tuple(g for (g,) in columns)
-    chain = koszul_chain(I.ring, gens, n + 1, budget)
+    if computer.cyclic_presentation(budget).source_rank == m:
+        gens, key = computer.koszul_generators(budget)
+    else:
+        gens, key = I.generators, I.key
+    chain = (_chain(computer, gens, key, budget) if n < m
+             else koszul_chain(I.ring, gens, n + 1, budget))
     presentation = chain.differential(n + 1).transpose()
     profile = ext_vanishing_profile(I, n, budget)
     if all(profile):
-        top = _top_nonvanishing(I, gens, max(len(gens) - n, 0), budget)
+        top = _top_nonvanishing(computer, gens, key, max(m - n, 0), budget)
         if top is not None:
             raise InternalError(f"internal: Ext vanishes through degree {n} but "
                                 f"Koszul homology H_{top} does not")

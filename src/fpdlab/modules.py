@@ -185,10 +185,11 @@ def prune_generators(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap
     spanned = completion([], ambient, budget,
                          block=_relation_block(phi.ring, phi.target_rank, budget).vecs)
     kept = []
-    for v in ordered:
+    for n, v in enumerate(ordered, 1):
         if spanned.insert(v):
             kept.append(v)
-            spanned.run()
+            if n < len(ordered):  # only a later candidate needs the completion
+                spanned.run()
     return FreeModuleMap._of_reduced(phi.ring, phi.target_rank, kept)
 
 

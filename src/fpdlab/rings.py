@@ -1,9 +1,11 @@
 """Exact coefficient domains, monomial orders, polynomials, and presentations
 of rings and ideals.
 
-Every value here is immutable after construction, apart from a ring's
-lazily cached basis of J and its `derived` store, which, like a `Budget`,
-is not for concurrent use; an ideal keeps no cache.  The ambient polynomial
+Every value here is immutable after construction, apart from what a ring
+or an ideal computes once and keeps: a ring's basis of J, its text, its
+irrelevant ideal, whether it is the zero ring and whether J is homogeneous,
+and its `derived` store; an ideal's key and generator texts.  Like a
+`Budget`, these are not for concurrent use.  The ambient polynomial
 ring A[x1..xn] is a `PolynomialRing`; a quotient R = A[x1..xn]/J is a
 `RingPresentation` holding the relation ideal J.
 """
@@ -508,9 +510,11 @@ class RingPresentation:
     """R = A[x1..xn]/J presented by relation generators for J.
 
     Empty relations give the polynomial ring itself.  The reduced (field) or
-    normalized strong (ZZ) Groebner basis of J, a `VecBasis`, is cached lazily.
-    `derived` keeps all the work on the ring's ideals that `ext_computer`
-    shares between calls; an equal ring built afresh starts cold.
+    normalized strong (ZZ) Groebner basis of J, a `VecBasis`, the ring's
+    text, its irrelevant ideal, whether it is the zero ring and whether J is
+    homogeneous are each computed once, on first use.  `derived` keeps all
+    the work on the ring's ideals that `ext_computer` shares between calls;
+    an equal ring built afresh starts cold.
     """
 
     def __init__(self, ambient: PolynomialRing, relations: Sequence = ()):
@@ -522,6 +526,8 @@ class RingPresentation:
                 rels.append(p)
         self.relations = tuple(rels)
         self._relations_gb = None
+        self._zero_ring = None
+        self._homogeneous = None
         self.derived = {}
 
     @property
@@ -556,13 +562,24 @@ class RingPresentation:
         return self.normal_form(f, budget).is_zero
 
     def is_zero_ring(self, budget=None) -> bool:
-        return self.is_zero_element(self.ambient.one(), budget)
+        """Whether 1 = 0 in R, decided once."""
+        if self._zero_ring is None:
+            self._zero_ring = self.is_zero_element(self.ambient.one(), budget)
+        return self._zero_ring
 
     def ideal(self, *gens) -> "IdealPresentation":
         return IdealPresentation(self, gens)
 
+    @cached_property
+    def irrelevant_ideal(self) -> "IdealPresentation":
+        """The ideal generated by all the variables, made once: the ideal
+        and so its key and its derived work serve every later call."""
+        return IdealPresentation(self, self.ambient.gens())
+
     def has_homogeneous_relations(self) -> bool:
-        return all(r.is_homogeneous() for r in self.relations)
+        if self._homogeneous is None:
+            self._homogeneous = all(r.is_homogeneous() for r in self.relations)
+        return self._homogeneous
 
     def __eq__(self, other):
         return (isinstance(other, RingPresentation)
@@ -573,6 +590,10 @@ class RingPresentation:
         return hash((self.ambient, self.relations))
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         if not self.relations:
             return str(self.ambient)
         rels = ", ".join(str(r) for r in self.relations)
@@ -582,13 +603,21 @@ class RingPresentation:
 class IdealPresentation:
     """An ideal of R given by finitely many generators (ambient representatives).
 
-    The preimage in A[x1..xn] is <generators> + J.  The ideal keeps no
-    derived work: `complexes.ext_computer` keeps it on the ring.
+    The preimage in A[x1..xn] is <generators> + J.  The ideal remembers
+    its `key` (`complexes.generator_key` of its generators, set by
+    `complexes.ext_computer` on first use) and its generators' texts, but
+    keeps no derived work: `ext_computer` keeps that on the ring.
     """
 
     def __init__(self, ring: RingPresentation, generators: Sequence):
         self.ring = ring
         self.generators = tuple(ring.poly(g) for g in generators)
+        self.key = None
+
+    @cached_property
+    def generator_texts(self) -> tuple:
+        """The generators' texts, rendered once."""
+        return tuple(str(g) for g in self.generators)
 
     def contains(self, f, budget=None) -> bool:
         """Whether f lies in I, by the basis of I's cyclic presentation that
@@ -601,5 +630,5 @@ class IdealPresentation:
         return all(self.ring.is_zero_element(g, budget) for g in self.generators)
 
     def __str__(self) -> str:
-        gens = ", ".join(str(g) for g in self.generators) or "0"
+        gens = ", ".join(self.generator_texts) or "0"
         return f"({gens}) in {self.ring}"

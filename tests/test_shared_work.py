@@ -4,8 +4,8 @@ ring and keyed by unit-normalized generators.  Sharing may move step counts,
 never an answer."""
 import pytest
 from fpdlab import (Budget, CoefficientDomain, PolynomialRing, RingPresentation,
-                    complexes, dq_dw_local, grade, groebner, is_gv, koszul,
-                    modules)
+                    ResourceBudgetExceeded, complexes, dq_dw_local, grade,
+                    groebner, irrelevant_ideal, is_gv, koszul, modules)
 from fpdlab.cli import CliConfig, render_json, run_command
 from fpdlab.script import parse
 from golden_diff import differences
@@ -241,3 +241,67 @@ def test_grade_then_criterion_decide_the_unit_ideal_once(monkeypatch, ring, cofa
     assert shared[1]["budget"]["steps"] == 0
     assert [r["certificates"]["unit_cofactors"] for r in shared[1:]] == cofactors
     assert differences(render_json(cold), render_json(shared)) == []
+
+
+REUSE_RINGS = [
+    "ring T = QQ[x,y,z,w]/(x*z - y^2, x*w - y*z, y*w - z^2); ideal m = (x, y, z, w);",
+    "ring R = FF7[x,y,z,w]/(x*w - y*z); ideal m = (x, y, z, w);",
+]
+
+
+@pytest.mark.parametrize("ring", REUSE_RINGS)
+def test_after_grade_the_graded_commands_key_nothing_twice_and_build_one_chain(
+        monkeypatch, ring):
+    # once `grade m` has keyed its generator tuples and built and checked its
+    # Koszul chain, the other six commands look them up; the only tuple they
+    # key is the irrelevant ideal's, made once by cm for cm and dqdw
+    cold = _cold(ring + GRADED)
+    keyed, chains = [], []  # the tuples keyed, kept alive so ids stay unique
+    generator_key, koszul_chain = complexes.generator_key, koszul.koszul_chain
+
+    def counted_key(R, gens):
+        keyed.append(gens)
+        return generator_key(R, gens)
+
+    monkeypatch.setattr(complexes, "generator_key", counted_key)
+    monkeypatch.setattr(koszul, "generator_key", counted_key)
+    monkeypatch.setattr(koszul, "koszul_chain",
+                        lambda *args: chains.append(1) or koszul_chain(*args))
+    script = parse(ring + GRADED)
+    first, *rest = script.commands()
+    shared = [run_command(script, first, CliConfig())]
+    # m's generators and the cyclic presentation's columns
+    assert len(keyed) == 2 and len(chains) == 1
+    shared += [run_command(script, c, CliConfig()) for c in rest]
+    assert len({id(gens) for gens in keyed}) == len(keyed)
+    (R,) = script.rings.values()
+    assert len(keyed) == 3 and keyed[-1] is irrelevant_ideal(R).generators
+    assert len(chains) == 1
+    assert differences(render_json(cold), render_json(shared)) == []
+
+
+@pytest.mark.parametrize("ring", REUSE_RINGS)
+def test_an_smodule_cut_short_keeps_nothing_half_built(ring):
+    text = ring + "smodule m 1;"
+    cold = _cold(text)[0]
+    script = parse(text)
+    (m,) = script.ideals.values()
+    with pytest.raises(ResourceBudgetExceeded):
+        koszul.dual_koszul_cokernel(m, 1, Budget(1))
+    # what the cut call kept, it finished: each chain reaches d_4
+    (work,) = m.ring.derived.values()
+    assert all(K.length == 4 for K in work.chains.values())
+    done = run_command(script, script.commands()[0], CliConfig())
+    assert differences(render_json([cold]), render_json([done])) == []
+    assert done["status"] == "ok" and done["budget"]["steps"] <= cold["budget"]["steps"]
+
+
+def test_the_irrelevant_ideal_is_made_once_per_ring():
+    text = "ring R = FF7[x,y,z,w]/(x*w - y*z); dqdw;"
+    R = parse(text).rings["R"]
+    assert irrelevant_ideal(R) is irrelevant_ideal(R)
+    assert [str(g) for g in irrelevant_ideal(R).generators] == ["x", "y", "z", "w"]
+    # a fresh parse builds a new ring, with an irrelevant ideal of its own
+    fresh = parse(text).rings["R"]
+    assert fresh == R and irrelevant_ideal(fresh) is not irrelevant_ideal(R)
+    assert fresh.derived == {}
