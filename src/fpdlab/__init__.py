@@ -15,8 +15,8 @@ from .complexes import ChainComplex, ExtComputer, ext_vanishing_profile
 from .koszul import DualKoszulCokernel, dual_koszul_cokernel, koszul_grade
 from .invariants import (CohenMacaulayReport, CriterionResult, DqDwReport,
                          FpdReport, GradeReport, dq_dw_local, fpd_bound,
-                         fpd_criterion_check, grade, irrelevant_ideal,
-                         is_cohen_macaulay_graded, is_gv, is_semiregular)
+                         fpd_criterion_check, grade, is_cohen_macaulay_graded,
+                         is_gv, is_semiregular)
 from .values import GradeValue
 from .finite_rings import FiniteRing, brute_is_dq, brute_is_dw, enumerate_ideals
 from .script import SessionScript, parse

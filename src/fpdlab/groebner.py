@@ -45,12 +45,11 @@ def _xgcd(a: int, b: int):
 
 # ---------------------------------------------------------------------------
 # Vectors: Vec = {key: coefficient}, a key being a position and a monomial
-# in the ring's codec (`MonomialCodec.key`); the larger key is the larger term
+# in the ring's codec (see `MonomialCodec`); the larger key is the larger term
 
 def poly_to_vec(p: Polynomial, position: int = 0) -> dict:
-    codec = p.ring.codec
-    encode, offset = codec.encode, position << codec.shift
-    return {encode(m) - offset: c for m, c in p.terms}
+    offset = position << p.ring.codec.shift
+    return {m - offset: c for m, c in p.terms}
 
 
 def polys_to_vec(entries: Sequence) -> dict:
@@ -61,18 +60,14 @@ def polys_to_vec(entries: Sequence) -> dict:
     return vec
 
 
-def vec_to_poly(vec: dict, ring: PolynomialRing) -> Polynomial:
-    return vec_to_polys(vec, 1, ring)[0]
-
-
 def vec_to_polys(vec: dict, rank: int, ring: PolynomialRing) -> tuple:
     """The entries of vec, one polynomial per position: its terms in
     descending key order are each entry's terms in descending order."""
     codec = ring.codec
-    decode, shift, coerce = codec.decode, codec.shift, ring.domain.coerce
+    mask, shift, coerce = codec.mask, codec.shift, ring.domain.coerce
     split = [[] for _ in range(rank)]
     for k in sorted(vec, reverse=True):
-        split[-(k >> shift)].append((decode(k), coerce(vec[k])))
+        split[-(k >> shift)].append((k & mask, coerce(vec[k])))
     return tuple(Polynomial(ring, tuple(terms)) for terms in split)
 
 
@@ -448,7 +443,7 @@ def normal_form_polys(f: Polynomial, G: VecBasis,
             f"vs basis over {G.ring} with order {G.ring.order}")
     budget = ensure_budget(budget)
     r = vec_normal_form(poly_to_vec(f), G, budget)
-    return vec_to_poly(r, G.ring)
+    return vec_to_polys(r, 1, G.ring)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +490,9 @@ def fresh_variable_name(taken: Sequence, base: str = "_t") -> str:
 
 
 def _extend_poly(p: Polynomial, ext: PolynomialRing) -> Polynomial:
-    return ext.from_dict({(0,) + m: c for m, c in p.terms})
+    """p in ext, whose first variable is new: decoded and encoded again."""
+    decode = p.ring.codec.decode
+    return ext.from_dict({(0,) + decode(m): c for m, c in p.terms})
 
 
 def ideal_intersection_polys(ambient: PolynomialRing, gens_a: Sequence,
@@ -510,11 +507,11 @@ def ideal_intersection_polys(ambient: PolynomialRing, gens_a: Sequence,
     gens = [t * _extend_poly(a, ext) for a in gens_a if not a.is_zero]
     gens += [one_minus_t * _extend_poly(b, ext) for b in gens_b if not b.is_zero]
     G = groebner_basis_of_polys(ext, gens, budget)
-    codec, t_code = ext.codec, ext.codec.encode(t.leading_monomial())
+    codec, t_code = ext.codec, t.terms[0][0]
     out = []
     for v in G.vecs:
         if not any(codec.divides(t_code, k) for k in v):
-            out.append(ambient.from_dict({m[1:]: c for m, c in vec_to_poly(v, ext).terms}))
+            out.append(ambient.from_dict({codec.decode(k)[1:]: c for k, c in v.items()}))
     return out
 
 
@@ -546,7 +543,7 @@ def exact_poly_div(g: Polynomial, f: Polynomial) -> Polynomial:
                 work.pop(k, None)
             else:
                 work[k] = nc
-    return vec_to_poly(out, ring)
+    return vec_to_polys(out, 1, ring)[0]
 
 
 def _colon(ring: RingPresentation, divisors: Sequence, budget: Budget) -> tuple:

@@ -174,12 +174,6 @@ def fpd_bound(R: RingPresentation, max_ideals: Sequence,
     return FpdReport(R, ideals, tuple(reports), bound, dimension, conclusion)
 
 
-def irrelevant_ideal(R: RingPresentation) -> IdealPresentation:
-    """The ideal generated by all the variables: one per ring, so its key
-    and its derived work are found, not rebuilt, by later calls."""
-    return R.irrelevant_ideal
-
-
 def _graded_depth(R: RingPresentation, budget: Budget) -> int:
     """depth R = grade of the irrelevant ideal, for a graded-local ring:
     field coefficients, homogeneous relations, not the zero ring."""
@@ -189,7 +183,7 @@ def _graded_depth(R: RingPresentation, budget: Budget) -> int:
         raise UnsupportedInputError("relations must be homogeneous")
     if R.is_zero_ring(budget):
         raise StructuralError("the zero ring is not graded-local")
-    value = grade(irrelevant_ideal(R), budget=budget).value
+    value = grade(R.irrelevant_ideal, budget=budget).value
     if not value.is_finite:
         raise InternalError("internal: depth of a graded-local ring must be finite")
     return value.value
@@ -233,5 +227,5 @@ def dq_dw_local(R: RingPresentation, budget: Budget = None) -> DqDwReport:
     ring is not DW, the irrelevant ideal is returned as a proper GV-ideal
     witness: its grade of at least 2 says Ext^0 and Ext^1 vanish."""
     depth = _graded_depth(R, ensure_budget(budget))
-    witness = irrelevant_ideal(R) if depth >= 2 else None
+    witness = R.irrelevant_ideal if depth >= 2 else None
     return DqDwReport(R, depth == 0, depth <= 1, depth, witness)

@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import Budget, StructuralError, ensure_budget
 from .groebner import (VecBasis, completion, graph_groebner, poly_to_vec,
                        polys_to_vec, vec_groebner, vec_normal_form, vec_to_polys)
-from .rings import RingPresentation
+from .rings import PolynomialRing, RingPresentation
 
 
 def _relation_block(ring: RingPresentation, rank: int, budget: Budget) -> VecBasis:
@@ -164,6 +164,14 @@ class FreeModuleMap:
         return not self.reduce(polys_to_vec([self.ring.poly(e) for e in vector]), budget)
 
 
+def _tie_text(v: dict, rank: int, ambient: PolynomialRing) -> tuple:
+    """The texts of v's entries, each + " o": they sort as the tuple's text
+    "(<p1 over R>, ...)" does, since a text holds no "<", ">" or " o", and
+    goes on past a shorter one only by a non-space or by " + " or " - ",
+    which compare with " o" as with " over R>"."""
+    return tuple(str(p) + " o" for p in vec_to_polys(v, rank, ambient))
+
+
 def prune_generators(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:
     """The map onto phi's image whose columns are those of phi, in order of
     term count, degree and text, that do not reduce to zero against one
@@ -175,9 +183,9 @@ def prune_generators(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap
     ambient = phi.ring.ambient
     degree = ambient.codec.degree
     size = lambda v: (len(v), max(map(degree, v)))
-    text = lambda v: str(vec_to_polys(v, phi.target_rank, ambient))
-    # the text of the generator as a tuple of polynomials breaks ties; it is
-    # rendered only for generators tied on term count and degree
+    # the texts of the generator's entries break ties; they are rendered only
+    # for generators tied on term count and degree
+    text = lambda v: _tie_text(v, phi.target_rank, ambient)
     ordered = []
     for _, tied in groupby(sorted(nonzero, key=size), key=size):
         tied = list(tied)

@@ -1,6 +1,10 @@
 """Exact coefficient domains, monomial orders, polynomials, and presentations
 of rings and ideals.
 
+A monomial is one int, its code in the ring's `MonomialCodec`, in a
+`Polynomial` as in the Groebner engine, and the codec's weights define the
+order.  Exponent tuples are encoded once (`PolynomialRing.from_dict`).
+
 Every value here is immutable after construction, apart from what a ring
 or an ideal computes once and keeps: a ring's basis of J, its text, its
 irrelevant ideal, whether it is the zero ring and whether J is homogeneous,
@@ -16,7 +20,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import CapExceededError, StructuralError
 
@@ -161,19 +165,7 @@ class CoefficientDomain:
 
 
 # ---------------------------------------------------------------------------
-# Monomials: plain exponent tuples.
-
-Monomial = tuple
-
-def mono_one(nvars: int) -> Monomial:
-    return (0,) * nvars
-
-def mono_mul(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(map(operator.add, u, v))
-
-def mono_degree(u: Monomial) -> int:
-    return sum(u)
-
+# Monomial orders
 
 LEX_KIND = "lex"
 GREVLEX_KIND = "grevlex"
@@ -184,9 +176,12 @@ BLOCK_KIND = "block"
 class MonomialOrder:
     """A global monomial order: lex, grevlex, or a block split of two orders.
 
-    `key(m)` is an ascending sort key; two monomials compare the way their
-    keys do.  Block orders compare the first `split` exponents with `left`,
-    breaking ties on the rest with `right` (used for elimination).
+    The order is linear, and `weights` defines it: x^u < x^v exactly when
+    sum u_i * w_i < sum v_i * w_i.  Grevlex compares the degree first, then
+    the monomial with the smaller last differing exponent is the larger; lex
+    compares exponents left to right; a block order compares the first
+    `split` exponents by `left`, breaking ties on the rest by `right` (used
+    for elimination).
     """
 
     kind: str
@@ -194,19 +189,13 @@ class MonomialOrder:
     left: Optional["MonomialOrder"] = None
     right: Optional["MonomialOrder"] = None
 
-    def key(self, m: Monomial):
-        if self.kind == GREVLEX_KIND:
-            return (sum(m), tuple(map(operator.neg, reversed(m))))
-        if self.kind == LEX_KIND:
-            return m
-        return (self.left.key(m[:self.split]), self.right.key(m[self.split:]))
-
     def weights(self, nvars: int, bits: int) -> list:
-        """Weights w_i such that sum e_i * w_i compares as `key` does, for
-        exponents e_i below 2^bits: grevlex w_i = 2^(n*bits) - 2^(i*bits)
-        (the degree first, then the smaller last exponent wins), lex
-        w_i = 2^((n-1-i)*bits), and a block order shifts its left weights
-        past the largest weight its right block can reach."""
+        """The weights w_i that define the order on exponents e_i below
+        2^bits, where sum e_i * w_i is injective: grevlex w_i = 2^(n*bits) -
+        2^(i*bits) (the degree times 2^(n*bits), less the exponents packed
+        with the last variable highest), lex w_i = 2^((n-1-i)*bits), and a
+        block order shifts its left weights past the largest weight sum its
+        right block can reach."""
         if self.kind == GREVLEX_KIND:
             return [(1 << (nvars * bits)) - (1 << (i * bits)) for i in range(nvars)]
         if self.kind == LEX_KIND:
@@ -230,7 +219,7 @@ def block_order(split: int, left: MonomialOrder = GREVLEX,
 
 
 # ---------------------------------------------------------------------------
-# Monomial codes: the Groebner engine's monomials and terms as one int each.
+# Monomial codes: the one representation of a monomial, as one int.
 
 FIELD_BITS = 32
 EXPONENT_CAP = (1 << (FIELD_BITS - 1)) - 1
@@ -238,18 +227,20 @@ EXPONENT_CAP = (1 << (FIELD_BITS - 1)) - 1
 
 class MonomialCodec:
     """A ring's monomials as ints that add as the monomials multiply and
-    compare as the ring's order does.
+    compare as the ring's order does: the codes are the monomials of
+    every `Polynomial`, and of every vector of the Groebner engine.
 
     code(m) = K(m) * 2^(n*W) + P(m), with W = FIELD_BITS.  P packs exponent
     e_i into field i (bits i*W up to i*W + W - 1), whose top bit, the guard,
     stays clear: every exponent is at most EXPONENT_CAP.  K(m) = sum e_i * w_i
-    is linear, and compares as the order (`MonomialOrder.weights`).  So a
-    product is the sum of codes, u divides v exactly when
-    ((P_v | G) - P_u) & G == G for the guard mask G (no field borrows), and
-    the quotient is v - u.  A sum of two codes still has every field below
-    2^W, and so still compares as the order; the engine checks the guard
-    bits of every term a normal form keeps (`check`), so it never adds to a
-    term past the cap, and no field can carry into the next.
+    with the order's weights (`MonomialOrder.weights`) is injective and
+    orders the monomials, so codes compare as K does.  A product is the sum
+    of codes, u divides v exactly when ((P_v | G) - P_u) & G == G for the
+    guard mask G (no field borrows), and the quotient is v - u.  A sum of
+    two codes still has every field below 2^W, and so still compares as the
+    order; a polynomial product and the engine check the guard bits of every
+    such sum they keep (`check`), so no code past the cap is added to, and
+    no field can carry into the next.
 
     An engine term is a monomial in a position: key(pos, m) =
     code(m) - pos * 2^shift, with `shift` past every code and every sum of
@@ -271,13 +262,14 @@ class MonomialCodec:
         self.pmask = (1 << pbits) - 1
         self.fields = struct.Struct(f"<{nvars}I")
 
-    def encode(self, m: Monomial) -> int:
+    def encode(self, m: tuple) -> int:
+        """The code of an exponent tuple; `CapExceededError` past the cap."""
         if m and max(m) > EXPONENT_CAP:
             raise CapExceededError(f"exponent {max(m)} is above the cap {EXPONENT_CAP} "
                                    "(2^31 - 1) of the Groebner engine")
         return sum(map(operator.mul, m, self.units))
 
-    def decode(self, code: int) -> Monomial:
+    def decode(self, code: int) -> tuple:
         """The exponents of a code or of a key."""
         return self.fields.unpack((code & self.pmask).to_bytes(self.fields.size, "little"))
 
@@ -312,8 +304,6 @@ class MonomialCodec:
 # ---------------------------------------------------------------------------
 # Polynomials over an ambient ring A[x1..xn] with an active order.
 
-Coeff = Union[int, Fraction]
-
 
 @dataclass(frozen=True)
 class PolynomialRing:
@@ -337,19 +327,21 @@ class PolynomialRing:
         return MonomialCodec(self.nvars, self.order)
 
     def from_dict(self, coeffs: dict) -> "Polynomial":
-        """Normalize {monomial: coefficient} into a Polynomial."""
-        dom = self.domain
-        zero = dom.zero()
-        cleaned = {}
+        """Normalize {exponent tuple: coefficient} into a Polynomial, each
+        tuple encoded once (`CapExceededError` past the cap)."""
+        encode, n = self.codec.encode, self.nvars
+        codes = {}
         for m, c in coeffs.items():
-            if len(m) != self.nvars:
+            if len(m) != n:
                 raise StructuralError(f"monomial {m} has wrong length for {self.variables}")
-            c = dom.coerce(c)
-            if c != zero:
-                cleaned[m] = c
-        key = self.order.key
-        terms = tuple(sorted(cleaned.items(), key=lambda t: key(t[0]), reverse=True))
-        return Polynomial(self, terms)
+            codes[encode(m)] = c
+        return self._of_codes(codes)
+
+    def _of_codes(self, coeffs: dict) -> "Polynomial":
+        """Normalize {code: coefficient} into a Polynomial."""
+        coerce = self.domain.coerce
+        terms = ((k, coerce(coeffs[k])) for k in sorted(coeffs, reverse=True))
+        return Polynomial(self, tuple(t for t in terms if t[1] != 0))
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -358,14 +350,12 @@ class PolynomialRing:
         return self.constant(1)
 
     def constant(self, c) -> "Polynomial":
-        return self.from_dict({mono_one(self.nvars): c})
+        return self._of_codes({0: c})
 
     def variable(self, name: str) -> "Polynomial":
         if name not in self.variables:
             raise StructuralError(f"unknown variable {name!r} in {self.variables}")
-        i = self.variables.index(name)
-        expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self.from_dict({expo: 1})
+        return self._of_codes({self.codec.units[self.variables.index(name)]: 1})
 
     def gens(self) -> tuple:
         return tuple(self.variable(v) for v in self.variables)
@@ -387,7 +377,9 @@ class PolynomialRing:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Terms sorted strictly decreasing under the ring's active order.
+    """`terms` are (code, coefficient) pairs, codes of `ring.codec`, in
+    strictly descending code order, which is the ring's order; codes are
+    decoded only to render a polynomial and to read its degrees.
 
     No zero coefficients are stored; the zero polynomial has no terms.
     Construct through `PolynomialRing.from_dict` (or arithmetic), which
@@ -401,16 +393,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise StructuralError("zero polynomial has no leading term")
-        return self.terms[0][0]
-
-    def leading_coefficient(self):
-        if not self.terms:
-            raise StructuralError("zero polynomial has no leading term")
-        return self.terms[0][1]
-
     def _check_ring(self, other: "Polynomial"):
         if self.ring != other.ring:
             raise StructuralError(
@@ -421,11 +403,10 @@ class Polynomial:
         other = self.ring.poly(other)
         self._check_ring(other)
         dom = self.ring.domain
-        zero = dom.zero()
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = dom.add(acc.get(m, zero), c)
-        return self.ring.from_dict(acc)
+            acc[m] = dom.add(acc.get(m, 0), c)
+        return self.ring._of_codes(acc)
 
     __radd__ = __add__
 
@@ -443,13 +424,17 @@ class Polynomial:
         other = self.ring.poly(other)
         self._check_ring(other)
         dom = self.ring.domain
+        codec = self.ring.codec
+        guard = codec.guard
         acc = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
+                m = m1 + m2
+                if m & guard:
+                    codec.check(m)
                 prev = acc.get(m)
                 acc[m] = dom.mul(c1, c2) if prev is None else dom.add(prev, dom.mul(c1, c2))
-        return self.ring.from_dict(acc)
+        return self.ring._of_codes(acc)
 
     __rmul__ = __mul__
 
@@ -466,19 +451,17 @@ class Polynomial:
         return result
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {mono_degree(m) for m, _ in self.terms}
-        return len(degs) == 1
+        return len({self.ring.codec.degree(m) for m, _ in self.terms}) <= 1
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         dom = self.ring.domain
+        decode = self.ring.codec.decode
         parts = []
         for m, c in self.terms:
             factors = []
-            for name, e in zip(self.ring.variables, m):
+            for name, e in zip(self.ring.variables, decode(m)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import Budget, ParseError, StructuralError
-from .rings import (CoefficientDomain, IdealPresentation, Polynomial,
+from .errors import Budget, CapExceededError, ParseError, StructuralError
+from .rings import (EXPONENT_CAP, CoefficientDomain, IdealPresentation, Polynomial,
                     PolynomialRing, RingPresentation, MonomialOrder, GREVLEX)
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,13 @@ def _parse_term(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
     poly = _parse_factor(cur, ring)
     while cur.at(PUNCT_TOK, "*"):
         op = cur.advance()
-        poly = _bounded(poly * _parse_factor(cur, ring), op)
+        rhs = _parse_factor(cur, ring)
+        try:
+            product = poly * rhs
+        except CapExceededError:
+            raise ParseError(f"product with an exponent above the cap {EXPONENT_CAP} "
+                             "(2^31 - 1)", op.line, op.column) from None
+        poly = _bounded(product, op)
     return poly
 
 
@@ -169,7 +175,12 @@ def _parse_factor(cur: _Cursor, ring: PolynomialRing) -> Polynomial:
     if cur.at(PUNCT_TOK, "^"):
         op = cur.advance()
         e = _int(cur.expect(INT_TOK, what="an integer exponent"))
-        # lc(base^e) = lc(base)^e: a huge power is refused before it is built
+        # the largest exponent of base^e is e times that of base (a domain),
+        # and lc(base^e) = lc(base)^e: a huge power is refused before it is built
+        top = e * max((max(ring.codec.decode(m)) for m, _ in base.terms), default=0)
+        if top > EXPONENT_CAP:
+            raise ParseError(f"exponent {top} is above the cap {EXPONENT_CAP} (2^31 - 1)",
+                             op.line, op.column)
         _bounded(Polynomial(ring, base.terms[:1]), op, e)
         # a t-term base has at most C(e + t - 1, t - 1) terms in its e-th power
         terms = 1
@@ -251,7 +262,8 @@ class OracleRingSpec:
     def coefficients(self) -> dict:
         """The relation as {exponent: coefficient}: sparse, so a huge degree
         costs nothing before the build cap refuses it."""
-        return {m[0]: c for m, c in self.relation.terms}
+        decode = self.relation.ring.codec.decode
+        return {decode(m)[0]: c for m, c in self.relation.terms}
 
 
 @dataclass(frozen=True)

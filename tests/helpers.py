@@ -20,8 +20,9 @@ from fpdlab.complexes import cyclic_presentation
 from fpdlab.errors import ensure_budget
 from fpdlab.groebner import (Completion, VecBasis, _interreduce, _xgcd,
                              exact_poly_div, ideal_intersection_polys,
-                             polys_to_vec, vec_normal_form, vec_to_poly)
+                             polys_to_vec, vec_normal_form, vec_to_polys)
 from fpdlab.modules import kernel, prune_generators
+from fpdlab.rings import GREVLEX_KIND, LEX_KIND
 
 QQ = CoefficientDomain.QQ()
 ZZ = CoefficientDomain.ZZ()
@@ -74,11 +75,31 @@ def mono_lcm(u, v):
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
+def order_key(order, m):
+    """The reference monomial order, on exponent tuples: an ascending sort
+    key of m under `order`, independent of the codec's weights.  Grevlex
+    compares the degree, then the negated exponents from the last; lex
+    compares left to right; a block order compares its first `split`
+    exponents by `left` and breaks ties on the rest by `right`."""
+    if order.kind == GREVLEX_KIND:
+        return (sum(m), tuple(-e for e in reversed(m)))
+    if order.kind == LEX_KIND:
+        return tuple(m)
+    return (order_key(order.left, m[:order.split]),
+            order_key(order.right, m[order.split:]))
+
+
 def term_key(ring: PolynomialRing):
     """The ascending sort key of a term (position, exponents): position over
     term, the lower position dominating."""
-    okey = ring.order.key
-    return lambda k: (-k[0], okey(k[1]))
+    order = ring.order
+    return lambda k: (-k[0], order_key(order, k[1]))
+
+
+def decoded_terms(p) -> tuple:
+    """A polynomial's terms as (exponent tuple, coefficient) pairs."""
+    decode = p.ring.codec.decode
+    return tuple((decode(m), c) for m, c in p.terms)
 
 
 def encode_term(ring: PolynomialRing, pos: int, m) -> int:
@@ -165,7 +186,14 @@ def assert_is_vec_groebner(B, budget=None):
 def basis_polys(G: VecBasis) -> list:
     """The elements of a polynomial basis (all led in position 0) as
     polynomials."""
-    return [vec_to_poly(v, G.ring) for v in G.vecs]
+    return [vec_to_polys(v, 1, G.ring)[0] for v in G.vecs]
+
+
+def reference_prune_text(v: dict, rank: int, ring: PolynomialRing) -> str:
+    """The tie-break key `modules.prune_generators` had before its per-entry
+    texts: the text of the generator as a tuple of polynomials, the ring's
+    text rendered in each entry's repr."""
+    return str(vec_to_polys(v, rank, ring))
 
 
 def _all_pairs(basis, heap: list, f: int, marked):
@@ -173,7 +201,7 @@ def _all_pairs(basis, heap: list, f: int, marked):
     lead coefficient divides the other: the pair rule of both engines before
     pair elimination; `marked` is ignored."""
     ring = basis.ring
-    okey = ring.order.key
+    okey = lambda m: order_key(ring.order, m)
     field = ring.domain.is_field
     fpos, fm = decode_term(ring, basis.lts[f])
     a = basis.lcs[f]
@@ -552,7 +580,7 @@ def brute_linear_syzygies(ring: PolynomialRing, columns, max_degree: int):
         for mi, m in enumerate(monos):
             var = j * len(monos) + mi
             for t in range(target_rank):
-                for cm, cc in col[t].terms:
+                for cm, cc in decoded_terms(col[t]):
                     prod_m = tuple(a + b for a, b in zip(m, cm))
                     rows[row_for((t, prod_m))][var] += Fraction(cc)
     out = []

@@ -20,7 +20,7 @@ from fpdlab.finite_rings import (FiniteRing, brute_hom_vanishes, brute_is_dq,
 from fpdlab.groebner import groebner_basis_of_polys, normal_form_polys
 from fpdlab.invariants import COUNTEREXAMPLE, PASS
 from fpdlab.rings import GREVLEX, PolynomialRing, RingPresentation
-from helpers import FF, QQ, ZZ, basis_polys, poly_ring, presentation
+from helpers import FF, QQ, ZZ, basis_polys, decoded_terms, poly_ring, presentation
 
 
 class _Gate:
@@ -44,7 +44,7 @@ def _substitute_monomial_curve(p, target):
     """Map a polynomial in a, b, c to ZZ[X] through a->2X, b->X^2, c->X^3."""
     images = [target.poly("2*X"), target.poly("X^2"), target.poly("X^3")]
     out = target.zero()
-    for mono, coeff in p.terms:
+    for mono, coeff in decoded_terms(p):
         term = target.constant(coeff)
         for img, e in zip(images, mono[-3:]):
             term = term * img ** e
@@ -60,7 +60,8 @@ def test_criterion_1_integer_monomial_curve():
     E = PolynomialRing(ZZ, ("X", "a", "b", "c"), block_order(1, GREVLEX, GREVLEX))
     G = groebner_basis_of_polys(E, [E.poly("a - 2*X"), E.poly("b - X^2"),
                                     E.poly("c - X^3")])
-    kernel_gens_ext = [p for p in basis_polys(G) if all(m[0] == 0 for m, _ in p.terms)]
+    kernel_gens_ext = [p for p in basis_polys(G)
+                       if all(m[0] == 0 for m, _ in decoded_terms(p))]
     assert kernel_gens_ext, "elimination produced no relations"
 
     # every eliminated relation maps to zero on the curve
@@ -69,7 +70,7 @@ def test_criterion_1_integer_monomial_curve():
         assert _substitute_monomial_curve(p, target).is_zero
 
     A = poly_ring(ZZ, "a", "b", "c")
-    kernel_gens = [A.from_dict({m[1:]: c for m, c in p.terms})
+    kernel_gens = [A.from_dict({m[1:]: c for m, c in decoded_terms(p)})
                    for p in kernel_gens_ext]
     # the computed kernel equals the known presentation of the curve ideal
     expected = [A.poly(t) for t in

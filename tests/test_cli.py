@@ -131,15 +131,18 @@ def test_a_zero_dimensional_initial_ideal_takes_one_dimension_test():
     assert records[0]["budget"]["steps"] == 1
 
 
-def test_an_exponent_past_the_engine_cap_is_an_error_record():
-    # 5,000,000,000 does not fit the engine's 31-bit exponent field: the
-    # command must not wrap it into a wrong grade (1), nor fail as internal
-    records, code = run("ring R = QQ[x,y]; ideal I = (x^5000000000, y); grade I; "
-                        "ideal J = (x^2147483647, y); grade J;")
-    assert code == EXIT_COMMAND_ERROR
-    assert records[0]["status"] == "error"
-    assert "cap 2147483647" in records[0]["error"]
-    assert records[1]["status"] == "ok" and records[1]["result"]["value"] == "2"
+def test_an_exponent_past_the_engine_cap_is_a_parse_error(tmp_path, capsys):
+    # 5,000,000,000 does not fit the 31-bit exponent field of a monomial
+    # code: the script is refused at the `^`, before any command runs
+    f = tmp_path / "cap.fpd"
+    f.write_text("ring R = QQ[x,y];\nideal I = (x^5000000000, y); grade I;")
+    assert main([str(f)]) == EXIT_PARSE_ERROR
+    assert ("exponent 5000000000 is above the cap 2147483647 (2^31 - 1) "
+            "(line 2, column 13)") in capsys.readouterr().err
+    # the cap itself is an exponent like any other
+    records, code = run("ring R = QQ[x,y]; ideal J = (x^2147483647, y); grade J;")
+    assert code == EXIT_OK
+    assert records[0]["status"] == "ok" and records[0]["result"]["value"] == "2"
 
 
 def test_a_completion_past_the_exponent_cap_is_an_error_record():

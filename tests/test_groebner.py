@@ -15,8 +15,7 @@ from fpdlab.complexes import cyclic_presentation
 from fpdlab.finite_rings import FiniteRing, enumerate_ideals
 from fpdlab.groebner import (VecBasis, _interreduce, completion,
                              groebner_basis_of_polys, poly_to_vec,
-                             polys_to_vec, vec_groebner, vec_normal_form,
-                             vec_to_poly)
+                             polys_to_vec, vec_groebner, vec_normal_form)
 from fpdlab.modules import _relation_block, kernel
 from fpdlab.rings import block_order
 from fpdlab.script import parse

@@ -3,7 +3,7 @@ fPD bounds, Cohen-Macaulay and DQ/DW detection."""
 import pytest
 from fpdlab import (ExtComputer, GradeValue, StructuralError,
                     UnsupportedDomainError, UnsupportedInputError, dq_dw_local,
-                    fpd_bound, fpd_criterion_check, grade, irrelevant_ideal,
+                    fpd_bound, fpd_criterion_check, grade,
                     is_cohen_macaulay_graded, is_gv, is_semiregular)
 from fpdlab.invariants import COUNTEREXAMPLE, EXACT, LOWER_BOUND, PASS
 from helpers import FF, QQ, ZZ, presentation
@@ -145,7 +145,7 @@ def test_fpd_bound_exact_for_graded_question():
 def test_fpd_bound_of_the_twisted_cubic_is_exact():
     P = presentation(QQ, ("a", "b", "c", "d"),
                      ["a*c - b^2", "b*d - c^2", "a*d - b*c"])
-    rep = fpd_bound(P, [irrelevant_ideal(P)])
+    rep = fpd_bound(P, [P.irrelevant_ideal])
     assert (rep.bound, rep.dimension, rep.conclusion) == (2, 2, EXACT)
 
 
@@ -225,7 +225,7 @@ def test_grade_monotone_under_inclusion_samples():
 
 def test_irrelevant_ideal_generators():
     P = presentation(FF(5), ("x", "y", "z"))
-    m = irrelevant_ideal(P)
+    m = P.irrelevant_ideal
     assert [str(g) for g in m.generators] == ["x", "y", "z"]
 
 

@@ -1,5 +1,7 @@
 """Free-module maps, membership in their images, kernels, and subquotient
 tests."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,12 @@ from hypothesis import strategies as st
 from fpdlab import (Budget, FreeModuleMap, ResourceBudgetExceeded,
                     StructuralError, is_zero_subquotient, kernel)
 from fpdlab import modules
-from fpdlab.groebner import vec_groebner
-from fpdlab.modules import _relation_block, prune_generators
-from fpdlab.rings import mono_degree
-from helpers import (FF, QQ, ZZ, brute_linear_syzygies, encode_term, presentation,
-                     reference_compose, reference_kernel, reference_normalize,
-                     reference_transpose)
+from fpdlab import GREVLEX, LEX
+from fpdlab.groebner import polys_to_vec, vec_groebner
+from fpdlab.modules import _relation_block, _tie_text, prune_generators
+from helpers import (FF, QQ, ZZ, brute_linear_syzygies, decoded_terms, encode_term,
+                     poly_ring, presentation, reference_compose, reference_kernel,
+                     reference_normalize, reference_prune_text, reference_transpose)
 
 
 def _submodule(P, rank, *gens):
@@ -224,7 +226,7 @@ PRUNE_CASES = [
 
 def _prune_order(g):
     return (sum(len(p.terms) for p in g),
-            max((mono_degree(m) for p in g for m, _ in p.terms), default=-1), str(g))
+            max((sum(m) for p in g for m, _ in decoded_terms(p)), default=-1), str(g))
 
 
 @pytest.mark.parametrize("domain,variables,relations,rank,gens", PRUNE_CASES)
@@ -257,6 +259,32 @@ def test_prune_keeps_an_ordered_spanning_subsequence(domain, variables,
         # no kept generator lies in the span of those kept before it
         for i, g in enumerate(kept):
             assert not _submodule(P, full.target_rank, *kept[:i]).contains(g)
+
+
+_TIE_COEFF = st.tuples(st.integers(-12, 12).filter(bool), st.integers(1, 3))
+_TIE_ENTRY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                             _TIE_COEFF, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.sampled_from([QQ, FF(5), ZZ]), st.sampled_from([GREVLEX, LEX]),
+       st.integers(1, 3), st.data())
+def test_the_tie_texts_sort_as_the_text_of_the_tuple(domain, order, rank, data):
+    # prune breaks ties on the entries' texts; they must order generators as
+    # the text of the whole tuple of polynomials, ring text and all, did
+    A = poly_ring(domain, "x", "y", order=order)
+    vecs = []
+    for _ in range(data.draw(st.integers(2, 8))):
+        # a proper fraction over QQ only
+        entries = [A.from_dict({m: Fraction(c, d if domain == QQ else 1)
+                                for m, (c, d) in data.draw(_TIE_ENTRY).items()})
+                   for _ in range(rank)]
+        if any(not p.is_zero for p in entries):
+            vecs.append(polys_to_vec(entries))
+    new = sorted(range(len(vecs)), key=lambda i: _tie_text(vecs[i], rank, A))
+    old = sorted(range(len(vecs)), key=lambda i: reference_prune_text(vecs[i], rank, A))
+    assert new == old
 
 
 # --- the vector module layer against the Polynomial-matrix path ---------------

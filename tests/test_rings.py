@@ -6,24 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from fpdlab import (GREVLEX, LEX, CapExceededError, CoefficientDomain,
-                    RingPresentation, StructuralError, block_order)
+                    PolynomialRing, RingPresentation, StructuralError, block_order)
 from fpdlab.rings import EXPONENT_CAP, MonomialCodec
-from helpers import FF, QQ, ZZ, poly_ring
+from helpers import FF, QQ, ZZ, decoded_terms, order_key, poly_ring
 
 
 def test_grevlex_equal_degree_ties_on_last_exponent():
     # xz vs y^2 in (x, y, z): equal degree, y^2 wins
-    assert GREVLEX.key((1, 0, 1)) < GREVLEX.key((0, 2, 0))
+    assert order_key(GREVLEX, (1, 0, 1)) < order_key(GREVLEX, (0, 2, 0))
 
 
 def test_lex_compares_left_to_right():
-    assert LEX.key((1, 0)) > LEX.key((0, 5))
+    assert order_key(LEX, (1, 0)) > order_key(LEX, (0, 5))
 
 
 def test_any_order_equal_monomials():
     for order in (LEX, GREVLEX, block_order(1)):
-        assert order.key((0, 1)) == order.key((0, 1))
-        assert order.key((0, 1)) != order.key((1, 0))
+        assert order_key(order, (0, 1)) == order_key(order, (0, 1))
+        assert order_key(order, (0, 1)) != order_key(order, (1, 0))
 
 
 _ORDERS = [GREVLEX, LEX, block_order(1, GREVLEX, GREVLEX), block_order(1, GREVLEX, LEX)]
@@ -41,7 +41,7 @@ def test_codec_agrees_with_exponent_tuples(order, monos, p, q):
     u, v, w = monos
     codec = MonomialCodec(len(u), order)
     cu, cv, cw = map(codec.encode, monos)
-    key = order.key
+    key = lambda m: order_key(order, m)
     mul = lambda a, b: tuple(x + y for x, y in zip(a, b))
     assert codec.decode(cu) == u and codec.decode(cu + cv) == mul(u, v)
     assert (cu < cv) == (key(u) < key(v)) and (cu == cv) == (u == v)
@@ -77,7 +77,7 @@ def test_order_is_total_and_multiplicative():
     import itertools
     monos = [m for m in itertools.product(range(3), repeat=2)]
     for order in (LEX, GREVLEX, block_order(1)):
-        key = order.key
+        key = lambda m: order_key(order, m)
         for u in monos:
             for v in monos:
                 assert (key(u) == key(v)) == (u == v)
@@ -89,6 +89,63 @@ def test_order_is_total_and_multiplicative():
         for u in monos:
             if u != (0, 0):
                 assert key((0, 0)) < key(u)
+
+
+# --- polynomials on codes against plain exponent-tuple dicts -----------------
+
+def _ref_normal(dom, d: dict) -> dict:
+    return {m: c for m, c in ((m, dom.coerce(c)) for m, c in d.items()) if c != 0}
+
+
+def _ref_add(dom, u: dict, v: dict) -> dict:
+    out = dict(u)
+    for m, c in v.items():
+        out[m] = dom.add(out.get(m, 0), c)
+    return _ref_normal(dom, out)
+
+
+def _ref_mul(dom, u: dict, v: dict) -> dict:
+    out = {}
+    for m1, c1 in u.items():
+        for m2, c2 in v.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = dom.add(out.get(m, 0), dom.mul(c1, c2))
+    return _ref_normal(dom, out)
+
+
+# (variable count, two {exponent tuple: (numerator, denominator)} dicts)
+_TERMS = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), *[
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                    st.tuples(st.integers(-6, 6), st.integers(1, 3)), max_size=4)] * 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([QQ, FF(5), ZZ]), st.sampled_from([GREVLEX, LEX, block_order(1)]),
+       _TERMS, st.integers(0, 3))
+def test_polynomials_on_codes_agree_with_exponent_tuple_dicts(dom, order, terms, e):
+    # from_dict, +, -, *, ** and is_homogeneous on codes give what the same
+    # operations give on {exponent tuple: coefficient}, and the decoded terms
+    # descend strictly under the reference order
+    n, *dicts = terms
+    R = PolynomialRing(dom, tuple(f"x{i}" for i in range(n)), order)
+    # a proper fraction over QQ only
+    u, v = ({m: Fraction(c, d if dom == QQ else 1) for m, (c, d) in t.items()}
+            for t in dicts)
+    f, g = R.from_dict(u), R.from_dict(v)
+    ru, rv = _ref_normal(dom, u), _ref_normal(dom, v)
+    power = {(0,) * n: 1}
+    for _ in range(e):
+        power = _ref_mul(dom, power, ru)
+    cases = [(f, ru), (g, rv), (f + g, _ref_add(dom, ru, rv)),
+             (f - g, _ref_add(dom, ru, {m: dom.neg(c) for m, c in rv.items()})),
+             (-f, _ref_normal(dom, {m: dom.neg(c) for m, c in ru.items()})),
+             (f * g, _ref_mul(dom, ru, rv)), (f ** e, power)]
+    for p, ref in cases:
+        terms_p = decoded_terms(p)
+        assert dict(terms_p) == ref
+        keys = [order_key(order, m) for m, _ in terms_p]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        assert p.is_homogeneous() == (len({sum(m) for m in ref}) <= 1)
 
 
 def test_poly_product_difference_of_squares():
@@ -125,20 +182,20 @@ def test_mixed_orders_raise():
 def test_normalization_is_idempotent_and_drops_zeros():
     R = poly_ring(QQ, "x", "y")
     f = R.from_dict({(1, 0): 2, (0, 1): 0, (0, 0): -1})
-    again = R.from_dict(dict(f.terms))
+    again = R.from_dict(dict(decoded_terms(f)))
     assert f.terms == again.terms
     assert all(c != 0 for _, c in f.terms)
     # strictly decreasing under the active order
-    keys = [R.order.key(m) for m, _ in f.terms]
+    keys = [order_key(R.order, m) for m, _ in decoded_terms(f)]
     assert keys == sorted(keys, reverse=True)
 
 
 def test_from_dict_resorts_under_the_ring_order():
     R = poly_ring(QQ, "x", "y")
     f = R.poly("x + y^2")
-    assert f.leading_monomial() == (0, 2)  # grevlex: y^2 first
-    g = poly_ring(QQ, "x", "y", order=LEX).from_dict(dict(f.terms))
-    assert g.leading_monomial() == (1, 0)  # lex x > y
+    assert decoded_terms(f)[0][0] == (0, 2)  # grevlex: y^2 first
+    g = poly_ring(QQ, "x", "y", order=LEX).from_dict(dict(decoded_terms(f)))
+    assert decoded_terms(g)[0][0] == (1, 0)  # lex x > y
     assert g.ring.order == LEX
 
 
@@ -177,7 +234,7 @@ def test_exact_arithmetic_no_floats():
     f = R.poly("1/3*x") * R.poly("3*x")
     assert f == R.poly("x^2")
     big = R.constant(10 ** 40) * R.constant(10 ** 40)
-    assert big.terms == (((0,), 10 ** 80),)
+    assert decoded_terms(big) == (((0,), 10 ** 80),)
 
 
 def test_rational_values_are_int_when_integral():

@@ -2,6 +2,7 @@
 import pytest
 from fpdlab import ParseError
 from fpdlab.script import parse
+from helpers import decoded_terms
 
 
 def test_basic_session_parses():
@@ -22,7 +23,7 @@ def test_ideal_without_ring_is_semantic_error():
 
 def test_integer_coefficient_workflow():
     s = parse("ring R = ZZ[a,b,c]; ideal M = (2, a, b, c); grade M;")
-    assert s.ideals["M"].generators[0].terms == (((0, 0, 0), 2),)
+    assert decoded_terms(s.ideals["M"].generators[0]) == (((0, 0, 0), 2),)
     assert s.commands()[0].ideal_names == ("M",)
 
 
@@ -122,3 +123,26 @@ def test_rational_coefficients_only_over_qq():
     with pytest.raises(ParseError):
         parse("ring R = ZZ[x]; ideal I = (1/2*x);")
 
+
+
+@pytest.mark.parametrize("text, exponent, column", [
+    ("ring R = QQ[x]; ideal I = (x^2147483648);", 2147483648, 29),
+    # two legal powers whose product is past the cap
+    ("ring R = QQ[x]; ideal I = (x^2000000000*x^2000000000);", None, 40),
+    # the power of a sum multiplies its largest exponent
+    ("ring R = QQ[x,y]; ideal I = ((y + x^1073741824)^2);", 2147483648, 48),
+    ("oracle dq ZZ/2[x]/(x^10000000000);", 10000000000, 21),
+])
+def test_an_exponent_past_the_cap_is_refused_at_its_operator(text, exponent, column):
+    # a product is refused once it is past the cap, not before
+    named = "an exponent" if exponent is None else f"exponent {exponent} is"
+    with pytest.raises(ParseError, match=f"{named} above the cap "
+                                         r"2147483647 \(2\^31 - 1\)") as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_an_exponent_at_the_cap_parses():
+    s = parse("ring R = QQ[x,y]; ideal I = (x^1073741823*x^1073741824, (y^2)^1073741823);")
+    assert [decoded_terms(g) for g in s.ideals["I"].generators] == [
+        (((2147483647, 0), 1),), (((0, 2147483646), 1),)]

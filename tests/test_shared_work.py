@@ -5,7 +5,7 @@ never an answer."""
 import pytest
 from fpdlab import (Budget, CoefficientDomain, PolynomialRing, RingPresentation,
                     ResourceBudgetExceeded, complexes, dq_dw_local, grade,
-                    groebner, irrelevant_ideal, is_gv, koszul, modules)
+                    groebner, is_gv, koszul, modules)
 from fpdlab.cli import CliConfig, render_json, run_command
 from fpdlab.script import parse
 from golden_diff import differences
@@ -275,7 +275,7 @@ def test_after_grade_the_graded_commands_key_nothing_twice_and_build_one_chain(
     shared += [run_command(script, c, CliConfig()) for c in rest]
     assert len({id(gens) for gens in keyed}) == len(keyed)
     (R,) = script.rings.values()
-    assert len(keyed) == 3 and keyed[-1] is irrelevant_ideal(R).generators
+    assert len(keyed) == 3 and keyed[-1] is R.irrelevant_ideal.generators
     assert len(chains) == 1
     assert differences(render_json(cold), render_json(shared)) == []
 
@@ -299,9 +299,39 @@ def test_an_smodule_cut_short_keeps_nothing_half_built(ring):
 def test_the_irrelevant_ideal_is_made_once_per_ring():
     text = "ring R = FF7[x,y,z,w]/(x*w - y*z); dqdw;"
     R = parse(text).rings["R"]
-    assert irrelevant_ideal(R) is irrelevant_ideal(R)
-    assert [str(g) for g in irrelevant_ideal(R).generators] == ["x", "y", "z", "w"]
+    assert R.irrelevant_ideal is R.irrelevant_ideal
+    assert [str(g) for g in R.irrelevant_ideal.generators] == ["x", "y", "z", "w"]
     # a fresh parse builds a new ring, with an irrelevant ideal of its own
     fresh = parse(text).rings["R"]
-    assert fresh == R and irrelevant_ideal(fresh) is not irrelevant_ideal(R)
+    assert fresh == R and fresh.irrelevant_ideal is not R.irrelevant_ideal
     assert fresh.derived == {}
+
+
+def test_a_second_parse_repeats_all_the_work_of_the_first(monkeypatch):
+    # every cache hangs off a parsed ring or ideal: a memo that outlived its
+    # parse (one kept by a module, say) would give equal records with fewer
+    # builds in the second run, so the builds are counted, not only compared
+    text = ("ring R = QQ[a,b,c,d]/(a*c - b^2, b*d - c^2, a*d - b*c); "
+            "ideal m = (a, b, c, d); " + GRADED)
+    counts = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(complexes, "ExtComputer")
+    count(koszul, "koszul_chain")
+    count(groebner, "groebner_basis_of_polys")
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        _, records = _shared(text)
+        runs.append((dict(counts), render_json(records)))
+    (first, first_records), (second, second_records) = runs
+    assert sorted(first) == ["ExtComputer", "groebner_basis_of_polys", "koszul_chain"]
+    assert first == second
+    assert first_records == second_records
