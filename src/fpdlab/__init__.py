@@ -7,7 +7,7 @@ from .errors import (Budget, CapExceededError, InternalError, ParseError,
                      UnsupportedDomainError, UnsupportedInputError)
 from .rings import (GREVLEX, LEX, CoefficientDomain, IdealPresentation,
                     MonomialOrder, Polynomial, PolynomialRing,
-                    RingPresentation, block_order)
+                    RingPresentation)
 from .groebner import (annihilator, is_unit_ideal, krull_dimension,
                        normal_form_polys)
 from .modules import FreeModuleMap, is_zero_subquotient, kernel

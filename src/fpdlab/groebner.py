@@ -13,7 +13,7 @@ monic, so no G-pair arises and the engine is Buchberger (normal selection).
 Membership certificates (unit cofactors), kernels and image bases (in
 `modules`) read the engine's basis of a map's graph, `graph_groebner`:
 each generator is tagged in an extended free module, whose tag block sits
-below every original position.
+below every original position; two ideals meet in A^2 of their own ring.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 from .errors import (Budget, CapExceededError, InternalError,
                      ResourceBudgetExceeded, StructuralError,
                      UnsupportedDomainError, ensure_budget)
-from .rings import (GREVLEX, RATIONALS, IdealPresentation, Polynomial,
-                    PolynomialRing, RingPresentation, block_order)
+from .rings import (RATIONALS, IdealPresentation, Polynomial, PolynomialRing,
+                    RingPresentation)
 
 
 def _xgcd(a: int, b: int):
@@ -478,41 +478,19 @@ def is_unit_ideal(I: IdealPresentation, budget: Budget = None) -> UnitIdealResul
 
 
 # ---------------------------------------------------------------------------
-# Elimination, intersection, annihilator
-
-def fresh_variable_name(taken: Sequence, base: str = "_t") -> str:
-    if base not in taken:
-        return base
-    i = 1
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
-
-
-def _extend_poly(p: Polynomial, ext: PolynomialRing) -> Polynomial:
-    """p in ext, whose first variable is new: decoded and encoded again."""
-    decode = p.ring.codec.decode
-    return ext.from_dict({(0,) + decode(m): c for m, c in p.terms})
-
+# Intersection, colon, annihilator
 
 def ideal_intersection_polys(ambient: PolynomialRing, gens_a: Sequence,
                              gens_b: Sequence, budget: Budget = None) -> list:
-    """Generators of <gens_a> cap <gens_b> in the ambient polynomial ring."""
+    """Generators of <gens_a> cap <gens_b> in the ambient polynomial ring:
+    (a, a) and (b, 0) generate a submodule of A^2 that meets 0 + A in
+    0 + (<gens_a> cap <gens_b>), and position over term eliminates position
+    0, so its Groebner basis elements led in position 1 generate the meet."""
     budget = ensure_budget(budget)
-    tname = fresh_variable_name(ambient.variables)
-    ext = PolynomialRing(ambient.domain, (tname,) + ambient.variables,
-                         block_order(1, GREVLEX, ambient.order))
-    t = ext.variable(tname)
-    one_minus_t = ext.one() - t
-    gens = [t * _extend_poly(a, ext) for a in gens_a if not a.is_zero]
-    gens += [one_minus_t * _extend_poly(b, ext) for b in gens_b if not b.is_zero]
-    G = groebner_basis_of_polys(ext, gens, budget)
-    codec, t_code = ext.codec, t.terms[0][0]
-    out = []
-    for v in G.vecs:
-        if not any(codec.divides(t_code, k) for k in v):
-            out.append(ambient.from_dict({codec.decode(k)[1:]: c for k, c in v.items()}))
-    return out
+    vecs = [{**poly_to_vec(a), **poly_to_vec(a, 1)} for a in gens_a if not a.is_zero]
+    vecs += [poly_to_vec(b) for b in gens_b if not b.is_zero]
+    G = vec_groebner(vecs, ambient, budget)
+    return [vec_to_polys(v, 2, ambient)[1] for v, lt in zip(G.vecs, G.lts) if lt < 0]
 
 
 def exact_poly_div(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -583,10 +561,10 @@ def annihilator(I: IdealPresentation, budget: Budget = None) -> IdealPresentatio
     """Ann_R(I) = (J : <gens I>) mod J; the zero ideal exactly when I is dense,
     and R when I is the zero ideal.
 
-    Computed by elimination, one generator at a time, and stopped once the
-    annihilator of the generators so far is already zero in R: the
-    annihilator of more generators lies inside it.  The generators are the
-    columns of the cyclic presentation kept for I (`complexes.ext_computer`).
+    Computed by intersections in A^2 (`_colon`), one generator at a time,
+    and stopped once the annihilator of the generators so far is zero in
+    R: the annihilator of more generators lies inside it.  The generators
+    are the columns of I's kept cyclic presentation (`complexes.ext_computer`).
     """
     from .complexes import ext_computer
     budget = ensure_budget(budget)

@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import Budget, StructuralError, ensure_budget
 from .groebner import (VecBasis, completion, graph_groebner, poly_to_vec,
                        polys_to_vec, vec_groebner, vec_normal_form, vec_to_polys)
-from .rings import PolynomialRing, RingPresentation
+from .rings import Polynomial, PolynomialRing, RingPresentation
 
 
 def _relation_block(ring: RingPresentation, rank: int, budget: Budget) -> VecBasis:
@@ -168,8 +168,16 @@ def _tie_text(v: dict, rank: int, ambient: PolynomialRing) -> tuple:
     """The texts of v's entries, each + " o": they sort as the tuple's text
     "(<p1 over R>, ...)" does, since a text holds no "<", ">" or " o", and
     goes on past a shorter one only by a non-space or by " + " or " - ",
-    which compare with " o" as with " over R>"."""
-    return tuple(str(p) + " o" for p in vec_to_polys(v, rank, ambient))
+    which compare with " o" as with " over R>".  Only the positions that
+    hold a term are rendered; a zero entry is "0 o"."""
+    codec = ambient.codec
+    entries = {}
+    for k in sorted(v, reverse=True):
+        entries.setdefault(-(k >> codec.shift), []).append((k & codec.mask, v[k]))
+    texts = ["0 o"] * rank
+    for pos, terms in entries.items():
+        texts[pos] = str(Polynomial(ambient, tuple(terms))) + " o"
+    return tuple(texts)
 
 
 def prune_generators(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:

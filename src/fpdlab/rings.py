@@ -169,53 +169,39 @@ class CoefficientDomain:
 
 LEX_KIND = "lex"
 GREVLEX_KIND = "grevlex"
-BLOCK_KIND = "block"
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A global monomial order: lex, grevlex, or a block split of two orders.
+    """A global monomial order, grevlex or lex.
 
     The order is linear, and `weights` defines it: x^u < x^v exactly when
     sum u_i * w_i < sum v_i * w_i.  Grevlex compares the degree first, then
     the monomial with the smaller last differing exponent is the larger; lex
-    compares exponents left to right; a block order compares the first
-    `split` exponents by `left`, breaking ties on the rest by `right` (used
-    for elimination).
+    compares exponents left to right.
     """
 
     kind: str
-    split: int = 0
-    left: Optional["MonomialOrder"] = None
-    right: Optional["MonomialOrder"] = None
+
+    def __post_init__(self):
+        if self.kind not in (GREVLEX_KIND, LEX_KIND):
+            raise StructuralError(f"unknown monomial order kind {self.kind!r}")
 
     def weights(self, nvars: int, bits: int) -> list:
         """The weights w_i that define the order on exponents e_i below
         2^bits, where sum e_i * w_i is injective: grevlex w_i = 2^(n*bits) -
         2^(i*bits) (the degree times 2^(n*bits), less the exponents packed
-        with the last variable highest), lex w_i = 2^((n-1-i)*bits), and a
-        block order shifts its left weights past the largest weight sum its
-        right block can reach."""
+        with the last variable highest), lex w_i = 2^((n-1-i)*bits)."""
         if self.kind == GREVLEX_KIND:
             return [(1 << (nvars * bits)) - (1 << (i * bits)) for i in range(nvars)]
-        if self.kind == LEX_KIND:
-            return [1 << ((nvars - 1 - i) * bits) for i in range(nvars)]
-        right = self.right.weights(nvars - self.split, bits)
-        shift = (sum(right) * ((1 << bits) - 1)).bit_length()
-        return [w << shift for w in self.left.weights(self.split, bits)] + right
+        return [1 << ((nvars - 1 - i) * bits) for i in range(nvars)]
 
     def __str__(self) -> str:
-        if self.kind == BLOCK_KIND:
-            return f"block({self.split}; {self.left}, {self.right})"
         return self.kind
 
 
 LEX = MonomialOrder(LEX_KIND)
 GREVLEX = MonomialOrder(GREVLEX_KIND)
-
-def block_order(split: int, left: MonomialOrder = GREVLEX,
-                right: MonomialOrder = GREVLEX) -> MonomialOrder:
-    return MonomialOrder(BLOCK_KIND, split, left, right)
 
 
 # ---------------------------------------------------------------------------

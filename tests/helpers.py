@@ -3,7 +3,8 @@ algebra for syzygies, monomial sweeps for membership), a direct
 Groebner-property checker that reduces every S- and G-vector, a completion
 that eliminates no pair, the two-step interreduction, a rescanning
 reference for the vector normal form, the Polynomial-matrix path of the
-module layer, the colon without its early stop, the row loop for
+module layer, the intersection of two ideals by eliminating a fresh
+variable, the colon without its early stop, the row loop for
 finite-ring annihilators, the frozenset sweep over finite-ring ideals, a
 pure-Python build of finite quotient-ring tables, and whole free
 resolutions and their duals as `ChainComplex`es."""
@@ -13,14 +14,15 @@ import heapq
 from fractions import Fraction
 from itertools import product
 
-from fpdlab import (ChainComplex, CoefficientDomain, FreeModuleMap,
+from fpdlab import (LEX, ChainComplex, CoefficientDomain, FreeModuleMap,
                     InternalError, PolynomialRing, RingPresentation,
                     StructuralError)
 from fpdlab.complexes import cyclic_presentation
 from fpdlab.errors import ensure_budget
 from fpdlab.groebner import (Completion, VecBasis, _interreduce, _xgcd,
-                             exact_poly_div, ideal_intersection_polys,
-                             polys_to_vec, vec_normal_form, vec_to_polys)
+                             exact_poly_div, groebner_basis_of_polys,
+                             ideal_intersection_polys, polys_to_vec,
+                             vec_normal_form, vec_to_polys)
 from fpdlab.modules import kernel, prune_generators
 from fpdlab.rings import GREVLEX_KIND, LEX_KIND
 
@@ -79,14 +81,11 @@ def order_key(order, m):
     """The reference monomial order, on exponent tuples: an ascending sort
     key of m under `order`, independent of the codec's weights.  Grevlex
     compares the degree, then the negated exponents from the last; lex
-    compares left to right; a block order compares its first `split`
-    exponents by `left` and breaks ties on the rest by `right`."""
+    compares left to right."""
     if order.kind == GREVLEX_KIND:
         return (sum(m), tuple(-e for e in reversed(m)))
-    if order.kind == LEX_KIND:
-        return tuple(m)
-    return (order_key(order.left, m[:order.split]),
-            order_key(order.right, m[order.split:]))
+    assert order.kind == LEX_KIND
+    return tuple(m)
 
 
 def term_key(ring: PolynomialRing):
@@ -409,9 +408,29 @@ def reference_kernel(phi, budget) -> tuple:
     return tuple(gens)
 
 
+def reference_intersection(ambient: PolynomialRing, gens_a, gens_b, budget) -> list:
+    """<gens_a> cap <gens_b> by t-elimination, the route that
+    `groebner.ideal_intersection_polys` replaced: the elements free of t in
+    the Groebner basis of t*<gens_a> + (1 - t)*<gens_b> in A[t, x], under
+    lex with the fresh variable t first (an elimination order for t)."""
+    t_name = "_t"
+    while t_name in ambient.variables:
+        t_name += "_"
+    ext = PolynomialRing(ambient.domain, (t_name,) + ambient.variables, LEX)
+    lift = lambda p: ext.from_dict({(0,) + m: c for m, c in decoded_terms(p)})
+    t = ext.variable(t_name)
+    gens = [t * lift(a) for a in gens_a] + [(1 - t) * lift(b) for b in gens_b]
+    out = []
+    for p in basis_polys(groebner_basis_of_polys(ext, gens, budget)):
+        terms = decoded_terms(p)
+        if all(m[0] == 0 for m, _ in terms):
+            out.append(ambient.from_dict({m[1:]: c for m, c in terms}))
+    return out
+
+
 def reference_colon(ring: RingPresentation, pre, divisors, budget) -> tuple:
     """`groebner._colon` without its stop: the intersection over every divisor
-    f of (<pre> cap <f>) / f, each step an elimination, reduced modulo J once
+    f of (<pre> cap <f>) / f, each step an intersection, reduced modulo J once
     at the end."""
     ambient = ring.ambient
     current = None

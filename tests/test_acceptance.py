@@ -10,7 +10,7 @@ suite documents rather than checks them.
 """
 import time
 
-from fpdlab import (GradeValue, block_order, dq_dw_local, dual_koszul_cokernel,
+from fpdlab import (LEX, GradeValue, dq_dw_local, dual_koszul_cokernel,
                     fpd_bound, fpd_criterion_check, grade,
                     is_cohen_macaulay_graded, is_gv, is_semiregular,
                     koszul_grade)
@@ -19,7 +19,7 @@ from fpdlab.finite_rings import (FiniteRing, brute_hom_vanishes, brute_is_dq,
                                  minimal_generators)
 from fpdlab.groebner import groebner_basis_of_polys, normal_form_polys
 from fpdlab.invariants import COUNTEREXAMPLE, PASS
-from fpdlab.rings import GREVLEX, PolynomialRing, RingPresentation
+from fpdlab.rings import PolynomialRing, RingPresentation
 from helpers import FF, QQ, ZZ, basis_polys, decoded_terms, poly_ring, presentation
 
 
@@ -56,8 +56,9 @@ def test_criterion_1_integer_monomial_curve():
     gate = _Gate(1, "grade profile of ZZ[2X, X^2, X^3]: grade(m_2) = 1, "
                     "grade(m_3) = 2, bound 2 (K.dim and FPD claims documented, "
                     "not reproduced)", 60)
-    # independent oracle: eliminate X by a strong basis over the integers
-    E = PolynomialRing(ZZ, ("X", "a", "b", "c"), block_order(1, GREVLEX, GREVLEX))
+    # independent oracle: eliminate X by a strong basis over the integers,
+    # under lex with X first (an elimination order for X)
+    E = PolynomialRing(ZZ, ("X", "a", "b", "c"), LEX)
     G = groebner_basis_of_polys(E, [E.poly("a - 2*X"), E.poly("b - X^2"),
                                     E.poly("c - X^3")])
     kernel_gens_ext = [p for p in basis_polys(G)

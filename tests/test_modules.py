@@ -269,17 +269,20 @@ _TIE_ENTRY = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(st.sampled_from([QQ, FF(5), ZZ]), st.sampled_from([GREVLEX, LEX]),
-       st.integers(1, 3), st.data())
+       st.integers(1, 12), st.data())
 def test_the_tie_texts_sort_as_the_text_of_the_tuple(domain, order, rank, data):
     # prune breaks ties on the entries' texts; they must order generators as
-    # the text of the whole tuple of polynomials, ring text and all, did
+    # the text of the whole tuple of polynomials, ring text and all, did.
+    # At most three positions hold terms, so a vector of rank 4 to 12 is
+    # sparse, and its zero entries get the key's constant text
     A = poly_ring(domain, "x", "y", order=order)
     vecs = []
     for _ in range(data.draw(st.integers(2, 8))):
+        support = data.draw(st.sets(st.integers(0, rank - 1), max_size=3))
         # a proper fraction over QQ only
         entries = [A.from_dict({m: Fraction(c, d if domain == QQ else 1)
                                 for m, (c, d) in data.draw(_TIE_ENTRY).items()})
-                   for _ in range(rank)]
+                   if t in support else A.zero() for t in range(rank)]
         if any(not p.is_zero for p in entries):
             vecs.append(polys_to_vec(entries))
     new = sorted(range(len(vecs)), key=lambda i: _tie_text(vecs[i], rank, A))

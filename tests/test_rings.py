@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from fpdlab import (GREVLEX, LEX, CapExceededError, CoefficientDomain,
-                    PolynomialRing, RingPresentation, StructuralError, block_order)
+                    MonomialOrder, PolynomialRing, RingPresentation,
+                    StructuralError)
 from fpdlab.rings import EXPONENT_CAP, MonomialCodec
 from helpers import FF, QQ, ZZ, decoded_terms, order_key, poly_ring
 
@@ -21,12 +22,18 @@ def test_lex_compares_left_to_right():
 
 
 def test_any_order_equal_monomials():
-    for order in (LEX, GREVLEX, block_order(1)):
+    for order in (LEX, GREVLEX):
         assert order_key(order, (0, 1)) == order_key(order, (0, 1))
         assert order_key(order, (0, 1)) != order_key(order, (1, 0))
 
 
-_ORDERS = [GREVLEX, LEX, block_order(1, GREVLEX, GREVLEX), block_order(1, GREVLEX, LEX)]
+def test_an_order_is_grevlex_or_lex():
+    assert str(MonomialOrder("lex")) == "lex" and MonomialOrder("grevlex") == GREVLEX
+    with pytest.raises(StructuralError, match="unknown monomial order kind 'block'"):
+        MonomialOrder("block")
+
+
+_ORDERS = [GREVLEX, LEX]
 _EXPONENT = st.one_of(st.integers(0, 3), st.integers(0, EXPONENT_CAP))
 
 
@@ -76,7 +83,7 @@ def test_codec_rejects_an_exponent_past_the_cap():
 def test_order_is_total_and_multiplicative():
     import itertools
     monos = [m for m in itertools.product(range(3), repeat=2)]
-    for order in (LEX, GREVLEX, block_order(1)):
+    for order in (LEX, GREVLEX):
         key = lambda m: order_key(order, m)
         for u in monos:
             for v in monos:
@@ -120,7 +127,7 @@ _TERMS = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), *[
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from([QQ, FF(5), ZZ]), st.sampled_from([GREVLEX, LEX, block_order(1)]),
+@given(st.sampled_from([QQ, FF(5), ZZ]), st.sampled_from([GREVLEX, LEX]),
        _TERMS, st.integers(0, 3))
 def test_polynomials_on_codes_agree_with_exponent_tuple_dicts(dom, order, terms, e):
     # from_dict, +, -, *, ** and is_homogeneous on codes give what the same
