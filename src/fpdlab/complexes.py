@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import Budget, InternalError, StructuralError, ensure_budget
-from .groebner import UnitIdealResult, annihilator, is_unit_ideal
-from .modules import (FreeModuleMap, is_zero_subquotient, kernel,
-                      prune_generators)
+from .groebner import (UnitIdealResult, VecBasis, _interreduce, annihilator,
+                       completion, is_unit_ideal)
+from .modules import FreeModuleMap, _relation_block, kernel, prune_generators
 from .rings import IdealPresentation, RingPresentation
 
 
@@ -58,19 +58,47 @@ def cyclic_presentation(I: IdealPresentation, budget: Budget = None) -> FreeModu
 
 def homology_is_zero(d_out: Optional[FreeModuleMap], d_in: Optional[FreeModuleMap],
                      budget: Budget = None) -> bool:
-    """ker d_out / im d_in = 0 in the free module where d_out starts and d_in
-    ends.  None is a zero map (at most one of the two): with no d_out every
-    element is a cycle, and with no d_in nothing is a boundary.  The caller
-    vouches for d_out . d_in = 0, so im d_in <= ker d_out is not re-checked."""
+    """ker d_out / im d_in = 0 in the free module R^n where d_out starts and
+    d_in ends.  None is a zero map (at most one of the two): with no d_out
+    every element is a cycle, and with no d_in nothing is a boundary.  The
+    caller vouches for d_out . d_in = 0, so im d_in <= ker d_out is not
+    re-checked.
+
+    B, the Groebner basis of im d_in + J*R^n (J's in each position with no
+    d_in), is d_in's image basis, which the degree before has filled.  With
+    no d_out each e_j is reduced against it.  Otherwise one completion of
+    the graph of d_out: R^n -> R^r, generated by (d_out(e_j), e_(r+j)),
+    starts from J's basis in each target position and B in the source
+    positions.  Its elements led in the source positions are a Groebner
+    basis of ker d_out + im d_in + J*R^n, which B already is exactly when
+    every cycle is a boundary: so the homology is zero exactly when no
+    element past the block is led there.  The elements led in the target
+    positions, cut to them, give d_out's image basis when it has none.
+    """
     budget = ensure_budget(budget)
-    if d_out is not None:
-        Z = kernel(d_out, budget)
+    if d_out is None:
+        shift, one = d_in.ring.ambient.codec.shift, d_in.ring.domain.one()
+        return not any(d_in.reduce({-(j << shift): one}, budget)
+                       for j in range(d_in.target_rank))
+    ring, r, n = d_out.ring, d_out.target_rank, d_out.source_rank
+    shift, one = ring.ambient.codec.shift, ring.domain.one()
+    if d_in is None:
+        block = _relation_block(ring, r + n, budget).vecs
     else:
-        ring, rank = d_in.ring, d_in.target_rank
-        one, shift = ring.domain.one(), ring.ambient.codec.shift
-        Z = FreeModuleMap._of_reduced(ring, rank, [{-(j << shift): one} for j in range(rank)])
-    B = d_in if d_in is not None else FreeModuleMap._of_reduced(Z.ring, Z.target_rank, ())
-    return is_zero_subquotient(Z, B, budget, verify_containment=False)
+        offset = r << shift
+        block = _relation_block(ring, r, budget).vecs + [
+            {k - offset: c for k, c in b.items()}
+            for b in d_in.groebner_vectors(budget).vecs]
+    graph = [{**col, -((r + j) << shift): one} for j, col in enumerate(d_out.cols)]
+    basis = completion(graph, ring.ambient, budget, block).basis
+    target = (1 - r) << shift   # the keys of positions below r are at least this
+    if d_out._gb is None:
+        image = VecBasis([], ring.ambient)
+        for v, lt in zip(basis.vecs, basis.lts):
+            if lt >= target:
+                image.append({k: c for k, c in v.items() if k >= target}, lt)
+        d_out._gb = _interreduce(image, budget)
+    return all(lt >= target for lt in basis.lts[len(block):])
 
 
 class ResolutionCache:

@@ -7,8 +7,8 @@ extension of the ring order (lower position index dominates).  It is the strong-
 with S- and G-vectors and Euclidean coefficient reduction, and its pairs
 come from Gebauer-Moeller elimination on lead terms (monomial,
 coefficient): the chain criterion, one pair per minimal lcm, the product
-criterion for vectors in one position, and no pair between two vectors
-of the relation block that went in unchanged.  Over a field every lead is
+criterion for vectors in one position, and no pair within the block, a
+Groebner basis that goes in first.  Over a field every lead is
 monic, so no G-pair arises and the engine is Buchberger (normal selection).
 Membership certificates (unit cofactors), kernels and image bases (in
 `modules`) read the engine's basis of a map's graph, `graph_groebner`:
@@ -18,6 +18,7 @@ below every original position; two ideals meet in A^2 of their own ring.
 from __future__ import annotations
 
 import heapq
+from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -175,22 +176,22 @@ def vec_normal_form(v: dict, basis: VecBasis, budget: Budget) -> dict:
     return rem
 
 
-def _s_vector(basis: VecBasis, i: int, j: int, si, sj) -> dict:
+def _s_vector(basis: VecBasis, i: int, j: int, w: int, si, sj) -> dict:
     """si * x^(w/u) * vecs[i] + sj * x^(w/v) * vecs[j], where u and v are the
-    leading monomials of the two vectors and w = lcm(u, v)."""
-    dom = basis.ring.domain
-    zero = dom.zero()
-    u, v = basis.lts[i], basis.lts[j]
-    w = basis.ring.codec.lcm(u, v)
-    qi, qj = w - u, w - v
-    out = {k + qi: dom.mul(si, c) for k, c in basis.vecs[i].items()}
+    leading monomials of the two vectors and w is their lcm.  Over FF(p)
+    the leads are monic and si is 1, so only the sums need reducing."""
+    p = basis.ring.domain.p
+    qi, qj = w - basis.lts[i], w - basis.lts[j]
+    out = {k + qi: si * c for k, c in basis.vecs[i].items()}
     for k, c in basis.vecs[j].items():
         k += qj
-        nc = dom.add(out.get(k, zero), dom.mul(sj, c))
-        if nc == zero:
-            out.pop(k, None)
-        else:
+        nc = out.get(k, 0) + sj * c
+        if p:
+            nc %= p
+        if nc:
             out[k] = nc
+        else:
+            out.pop(k, None)
     return out
 
 
@@ -204,12 +205,15 @@ def _term_lcm(codec, m, c, n, d):
 
 
 class Completion:
-    """The completion of `vecs` + `block` to a Groebner basis, which can
+    """The completion of `block` + `vecs` to a Groebner basis, which can
     grow: each later `insert` followed by `run` completes the enlarged module.
 
-    `block` is J's Groebner basis in each position (`modules._relation_block`).
-    It is inserted after `vecs`; each of its vectors that comes out of its
-    normal form unchanged is marked.
+    `block` is a Groebner basis already, reduced and normalized per
+    position: J's in each position (`modules._relation_block`), or that
+    of a module holding J*e_t in its positions.  It goes in first, as it
+    is: no normal form and no pair, since its own pairs have standard
+    representations by it.  Its elements are the basis's first
+    `len(block)`.
 
     The pairs are chosen by Gebauer-Moeller elimination on lead terms
     (monomial, coefficient); one term divides another when both parts do.
@@ -224,10 +228,8 @@ class Completion:
       the two lead terms (coprime monomials and coprime coefficients) is
       settled when both vectors lie only in their lead position, so that
       they are polynomial multiples of one basis vector e_t;
-    - a class holding a pair of two marked vectors is settled: their
-      S-vector has a standard representation by J's basis;
     - a G-pair is queued, with no criterion, for every earlier lead whose
-      coefficient and f's do not divide each other, unless both are marked.
+      coefficient and f's do not divide each other.
 
     Settled classes still count as minimal lcms.  An S-pair stays open until
     it is popped or the chain criterion drops it.  Over a field every lead
@@ -239,18 +241,24 @@ class Completion:
                  block: Sequence = ()):
         self.basis = VecBasis([], ring)
         self.heap = []  # (degree, position, lcm key, i, j, G-pair flag)
-        self.marked = set()
         self.single = set()  # elements whose terms all lie in one position
         self.open = {}  # position -> {(i, j): lcm of the lead terms}
         self.codec = ring.codec
         self.budget = budget
+        for v in block:
+            self.basis.append(v, max(v))
+            self._note_single(v)
         for v in vecs:
             self.insert(v)
-        for v in block:
-            self.insert(v, from_block=True)
         self.run()
 
-    def insert(self, v: dict, from_block: bool = False) -> bool:
+    def _note_single(self, v: dict):
+        """Record whether the last element v lies in one position."""
+        shift = self.codec.shift
+        if max(v) >> shift == min(v) >> shift:
+            self.single.add(len(self.basis) - 1)
+
+    def insert(self, v: dict) -> bool:
         """Add v's nonzero normal form and queue its pairs; False when v
         reduces to zero, i.e. already lies in the module once `run` is done."""
         try:
@@ -261,40 +269,33 @@ class Completion:
         if not r:
             return False
         self.basis.add(r)
-        f = len(self.basis) - 1
-        if from_block and r == v:
-            self.marked.add(f)
-        shift = self.codec.shift
-        if max(r) >> shift == min(r) >> shift:
-            self.single.add(f)
-        self.push_pairs(f)
+        self._note_single(r)
+        self.push_pairs(len(self.basis) - 1)
         return True
 
     def push_pairs(self, f: int):
         """Queue the pairs of the new element f, the last in the basis."""
-        heap, marked = self.heap, self.marked
+        heap = self.heap
         codec = self.codec
         degree, guard = codec.degree, codec.guard
         lts, lcs = self.basis.lts, self.basis.lcs
         fk, fc = lts[f], lcs[f]
         fpos = codec.position(fk)
         fm = fk & codec.mask  # f's monomial code
-        fmarked = f in marked
+        # lcm(lt i, lt f) for each earlier i in f's position, taken once
+        lcm_f = {i: _term_lcm(codec, lts[i], lcs[i], fk, fc)
+                 for i in self.basis.at[fpos][:-1]}
         opens = self.open.setdefault(fpos, {})
-        dead = []
-        for (i, j), w in opens.items():
-            if (w[1] % fc == 0 and ((w[0] | guard) - fk) & guard == guard
-                    and _term_lcm(codec, lts[i], lcs[i], fk, fc) != w
-                    and _term_lcm(codec, lts[j], lcs[j], fk, fc) != w):
-                dead.append((i, j))
+        dead = [(i, j) for (i, j), w in opens.items()
+                if w[1] % fc == 0 and ((w[0] | guard) - fk) & guard == guard
+                and lcm_f[i] != w and lcm_f[j] != w]
         for pair in dead:
             del opens[pair]
         cand = {}
-        for i in self.basis.at[fpos][:-1]:
-            w = _term_lcm(codec, lts[i], lcs[i], fk, fc)
+        for i, w in lcm_f.items():
             cand.setdefault(w, []).append(i)
             c = lcs[i]
-            if fc % c and c % fc and not (fmarked and i in marked):
+            if fc % c and c % fc:
                 heapq.heappush(heap, (degree(w[0]), fpos, w[0], i, f, 1))
         kept = []
         for w in sorted(cand):
@@ -304,8 +305,6 @@ class Completion:
                 continue
             kept.append(w)
             ids = cand[w]
-            if fmarked and any(i in marked for i in ids):
-                continue
             if f in self.single and any(
                     i in self.single and w == (lts[i] + fm, lcs[i] * fc) for i in ids):
                 continue
@@ -316,17 +315,17 @@ class Completion:
     def s_vector(self, entry: tuple):
         """A popped entry's S- or G-vector, or None when its S-pair was
         dropped after it was queued."""
-        i, j, gpair = entry[3:]
+        w, i, j, gpair = entry[2:]
         a, b = self.basis.lcs[i], self.basis.lcs[j]
         if gpair:
             _, s, t = _xgcd(a, b)
-            return _s_vector(self.basis, i, j, s, t)
-        w = self.open[entry[1]].pop((i, j), None)
-        if w is None:
+            return _s_vector(self.basis, i, j, w, s, t)
+        lcm = self.open[entry[1]].pop((i, j), None)
+        if lcm is None:
             return None
-        # w[1] is lcm(a, b) as `_term_lcm` gives it, so a field's monic
+        # lcm[1] is lcm(a, b) as `_term_lcm` gives it, so a field's monic
         # leads (the int 1, over QQ too) give 1 and -1 without a gcd
-        return _s_vector(self.basis, i, j, w[1] // a, -(w[1] // b))
+        return _s_vector(self.basis, i, j, w, lcm[1] // a, -(lcm[1] // b))
 
     def run(self):
         """Reduce queued S- and G-vectors until none are left."""
@@ -383,8 +382,8 @@ def _interreduce(basis: VecBasis, budget: Budget) -> VecBasis:
 
 def completion(vecs: Sequence, ring: PolynomialRing, budget: Budget,
                block: Sequence = ()) -> Completion:
-    """The completion of `vecs` + `block`; `block` is J's Groebner basis in
-    each position (see `Completion`)."""
+    """The completion of `block` + `vecs`; `block` is a reduced Groebner
+    basis per position, such as J's in each position (see `Completion`)."""
     if ring.domain.is_field:
         return _groebner_field(vecs, ring, budget, block)
     return _groebner_integer(vecs, ring, budget, block)
@@ -581,6 +580,7 @@ def annihilator(I: IdealPresentation, budget: Budget = None) -> IdealPresentatio
 def krull_dimension(R: RingPresentation, budget: Budget = None) -> int:
     """dim A[x1..xn]/J as the largest variable set independent modulo the
     initial ideal of J (field coefficients only); one step per set tested.
+    The ring keeps the value, so only its first search takes steps.
 
     A variable with a pure power among the leading monomials lies in no
     independent set, so only the others are searched: a zero-dimensional
@@ -591,12 +591,18 @@ def krull_dimension(R: RingPresentation, budget: Budget = None) -> int:
             "Krull dimension is only computed over field coefficients")
     if R.is_zero_ring(budget):
         raise StructuralError("the zero ring has empty spectrum")
+    if R.dimension is None:
+        R.dimension = _independent_set_size(R, budget)
+    return R.dimension
+
+
+def _independent_set_size(R: RingPresentation, budget: Budget) -> int:
+    """The size of the largest variable set independent modulo in(J)."""
     n = R.ambient.nvars
     G = R.relations_groebner(budget)
     decode = R.ambient.codec.decode
     supports = [frozenset(i for i, e in enumerate(decode(lt)) if e > 0) for lt in G.lts]
     free = [i for i in range(n) if frozenset((i,)) not in supports]
-    from itertools import combinations
     for size in range(len(free), -1, -1):
         for subset in combinations(free, size):
             budget.tick()

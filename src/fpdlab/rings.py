@@ -8,10 +8,10 @@ order.  Exponent tuples are encoded once (`PolynomialRing.from_dict`).
 Every value here is immutable after construction, apart from what a ring
 or an ideal computes once and keeps: a ring's basis of J, its text, its
 irrelevant ideal, whether it is the zero ring and whether J is homogeneous,
-and its `derived` store; an ideal's key and generator texts.  Like a
-`Budget`, these are not for concurrent use.  The ambient polynomial
-ring A[x1..xn] is a `PolynomialRing`; a quotient R = A[x1..xn]/J is a
-`RingPresentation` holding the relation ideal J.
+its Krull dimension, and its `derived` store; an ideal's key and generator
+texts.  Like a `Budget`, these are not for concurrent use.  The ambient
+polynomial ring A[x1..xn] is a `PolynomialRing`; a quotient
+R = A[x1..xn]/J is a `RingPresentation` holding the relation ideal J.
 """
 from __future__ import annotations
 
@@ -481,7 +481,8 @@ class RingPresentation:
     Empty relations give the polynomial ring itself.  The reduced (field) or
     normalized strong (ZZ) Groebner basis of J, a `VecBasis`, the ring's
     text, its irrelevant ideal, whether it is the zero ring and whether J is
-    homogeneous are each computed once, on first use.  `derived` keeps all
+    homogeneous are each computed once, on first use, and so is its Krull
+    dimension (`groebner.krull_dimension`).  `derived` keeps all
     the work on the ring's ideals that `ext_computer` shares between calls;
     an equal ring built afresh starts cold.
     """
@@ -497,6 +498,7 @@ class RingPresentation:
         self._relations_gb = None
         self._zero_ring = None
         self._homogeneous = None
+        self.dimension = None   # the Krull dimension, once `krull_dimension` has it
         self.derived = {}
 
     @property

@@ -195,10 +195,10 @@ def reference_prune_text(v: dict, rank: int, ring: PolynomialRing) -> str:
     return str(vec_to_polys(v, rank, ring))
 
 
-def _all_pairs(basis, heap: list, f: int, marked):
+def _all_pairs(basis, heap: list, f: int):
     """Every pair of leads in one position, plus a G-pair over ZZ when neither
     lead coefficient divides the other: the pair rule of both engines before
-    pair elimination; `marked` is ignored."""
+    pair elimination."""
     ring = basis.ring
     okey = lambda m: order_key(ring.order, m)
     field = ring.domain.is_field
@@ -229,10 +229,13 @@ def _all_pairs_s_vector(basis, entry: tuple) -> dict:
 class ReferenceCompletion(Completion):
     """`groebner.Completion` with no pair eliminated: every S-pair (and every
     G-pair over ZZ) of two leads in one position is reduced, those inside the
-    relation block included."""
+    relation block included: the block goes in as ordinary vectors."""
+
+    def __init__(self, vecs, ring: PolynomialRing, budget, block=()):
+        super().__init__(list(block) + list(vecs), ring, budget)
 
     def push_pairs(self, f: int):
-        _all_pairs(self.basis, self.heap, f, self.marked)
+        _all_pairs(self.basis, self.heap, f)
 
     def s_vector(self, entry: tuple) -> dict:
         return _all_pairs_s_vector(self.basis, entry)

@@ -307,13 +307,15 @@ def test_intersection_in_a2_spans_what_t_elimination_spans(domain, order, a, b):
 
 def test_the_annihilator_takes_no_kernel(monkeypatch):
     # the annihilator cross-checks Hom(R/I, R) = 0, which the resolution
-    # reads off the kernel of d_1^T; with every kernel and graph basis
-    # refused it must still answer, so it stays a second algorithm
+    # reads off the graph of d_1^T; with every kernel, graph basis and
+    # homology decision refused it must still answer, so it stays a second
+    # algorithm
     def refused(*args, **kwargs):
         raise AssertionError("the annihilator took the kernel route")
 
     for module, name in ((modules, "kernel"), (complexes, "kernel"),
-                         (groebner, "graph_groebner"), (modules, "graph_groebner")):
+                         (groebner, "graph_groebner"), (modules, "graph_groebner"),
+                         (complexes, "homology_is_zero")):
         monkeypatch.setattr(module, name, refused)
     R = presentation(QQ, ("x", "y"), ["x*y"])
     with pytest.raises(AssertionError, match="kernel route"):

@@ -4,17 +4,19 @@ Suites: d.d = 0 on constructed complexes; normal-form idempotence and
 membership soundness; reduced-basis uniqueness under generator permutation;
 grade monotonicity under ideal inclusion; grade invariance under
 generating-set change; GV implies semi-regular; pair elimination returns
-the basis of the all-pairs completion.
+the basis of the all-pairs completion; one completion decides each homology
+as the kernel and the subquotient do.
 """
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fpdlab import (RingPresentation, grade, is_gv, is_semiregular,
-                    normal_form_polys)
+from fpdlab import (GREVLEX, LEX, FreeModuleMap, RingPresentation, grade, is_gv,
+                    is_semiregular, normal_form_polys)
+from fpdlab.complexes import ResolutionCache, cyclic_presentation, homology_is_zero
 from fpdlab.errors import Budget
 from fpdlab.groebner import groebner_basis_of_polys, polys_to_vec, vec_groebner
 from fpdlab.koszul import koszul_chain
-from fpdlab.modules import _relation_block
+from fpdlab.modules import _relation_block, is_zero_subquotient, kernel
 from helpers import (FF, QQ, ZZ, assert_is_vec_groebner, basis_polys, decode_basis,
                      free_resolution_of_quotient, poly_ring, reference_vec_groebner)
 
@@ -211,3 +213,59 @@ def test_pair_elimination_returns_the_all_pairs_basis(domain, rank, relations,
     ref = reference_vec_groebner(vecs, A, Budget(), block=block)
     assert decode_basis(G) == decode_basis(ref)
     assert_is_vec_groebner(G)
+
+
+# --- suite 8: one completion per homology ------------------------------------
+
+# over ZZ "2*x" and "x*y - 2" give lead coefficients that are not units
+_HOMOLOGY_RELATIONS = [None, "x^2", "x*y", "x^2 - x*y", "2*x", "x*y - 2"]
+
+
+def _fresh(d):
+    """d as a new map with no image basis, or None."""
+    return None if d is None else FreeModuleMap._of_reduced(d.ring, d.target_rank, d.cols)
+
+
+def _reference_homology_is_zero(d_out, d_in) -> bool:
+    """ker d_out / im d_in = 0 by the kernel and the subquotient test."""
+    ring = (d_out or d_in).ring
+    rank = d_out.source_rank if d_out is not None else d_in.target_rank
+    if d_out is None:
+        one, shift = ring.domain.one(), ring.ambient.codec.shift
+        Z = FreeModuleMap._of_reduced(ring, rank, [{-(j << shift): one}
+                                                   for j in range(rank)])
+    else:
+        Z = kernel(d_out)
+    B = d_in if d_in is not None else FreeModuleMap._of_reduced(ring, rank, ())
+    return is_zero_subquotient(Z, B, verify_containment=False)
+
+
+def _agree(d_out, d_in):
+    # each side gets maps of its own, so neither reads an image basis the
+    # other filled
+    assert (homology_is_zero(_fresh(d_out), _fresh(d_in))
+            == _reference_homology_is_zero(_fresh(d_out), _fresh(d_in)))
+
+
+@SUITE
+@given(st.sampled_from([QQ, FF(5), ZZ]), st.sampled_from([GREVLEX, LEX]),
+       st.sampled_from(_HOMOLOGY_RELATIONS),
+       st.lists(_poly_strategy(2), min_size=1, max_size=3))
+def test_homology_is_zero_agrees_with_kernel_and_subquotient(domain, order, relation,
+                                                            term_lists):
+    ambient = poly_ring(domain, "x", "y", order=order)
+    P = RingPresentation(ambient, [ambient.poly(relation)] if relation else [])
+    gens = _mk_polys(ambient, term_lists)
+    if not gens:
+        return
+    # the duals of a resolution of R/I, Ext degrees 0-2
+    res = ResolutionCache(cyclic_presentation(P.ideal(*gens)))
+    duals = [None] + [res.differential(i).transpose() for i in (1, 2, 3)]
+    for i in range(3):
+        _agree(duals[i + 1], duals[i])
+    # the Koszul chain on the generators, from H_m (no d_in) to H_0 (no d_out)
+    K = koszul_chain(P, gens, len(gens))
+    m = K.length
+    for i in range(m + 1):
+        _agree(K.differential(i) if i > 0 else None,
+               K.differential(i + 1) if i < m else None)
