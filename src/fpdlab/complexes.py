@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import Budget, InternalError, StructuralError, ensure_budget
-from .groebner import (UnitIdealResult, VecBasis, _interreduce, annihilator,
-                       completion, is_unit_ideal)
-from .modules import FreeModuleMap, _relation_block, kernel, prune_generators
+from .groebner import UnitIdealResult, annihilator, is_unit_ideal
+from .modules import (FreeModuleMap, _relation_block, graph_syzygies, kernel,
+                      prune_generators)
 from .rings import IdealPresentation, RingPresentation
 
 
@@ -65,40 +65,19 @@ def homology_is_zero(d_out: Optional[FreeModuleMap], d_in: Optional[FreeModuleMa
     re-checked.
 
     B, the Groebner basis of im d_in + J*R^n (J's in each position with no
-    d_in), is d_in's image basis, which the degree before has filled.  With
-    no d_out each e_j is reduced against it.  Otherwise one completion of
-    the graph of d_out: R^n -> R^r, generated by (d_out(e_j), e_(r+j)),
-    starts from J's basis in each target position and B in the source
-    positions.  Its elements led in the source positions are a Groebner
-    basis of ker d_out + im d_in + J*R^n, which B already is exactly when
-    every cycle is a boundary: so the homology is zero exactly when no
-    element past the block is led there.  The elements led in the target
-    positions, cut to them, give d_out's image basis when it has none.
+    d_in), is d_in's image basis, which the degree before has left.  With
+    no d_out each e_j is reduced against it.  Otherwise the homology is zero
+    exactly when B is a Groebner basis of ker d_out + im d_in + J*R^n too:
+    when `graph_syzygies` adds nothing to it, leaving d_out's image basis.
     """
     budget = ensure_budget(budget)
     if d_out is None:
         shift, one = d_in.ring.ambient.codec.shift, d_in.ring.domain.one()
         return not any(d_in.reduce({-(j << shift): one}, budget)
                        for j in range(d_in.target_rank))
-    ring, r, n = d_out.ring, d_out.target_rank, d_out.source_rank
-    shift, one = ring.ambient.codec.shift, ring.domain.one()
-    if d_in is None:
-        block = _relation_block(ring, r + n, budget).vecs
-    else:
-        offset = r << shift
-        block = _relation_block(ring, r, budget).vecs + [
-            {k - offset: c for k, c in b.items()}
-            for b in d_in.groebner_vectors(budget).vecs]
-    graph = [{**col, -((r + j) << shift): one} for j, col in enumerate(d_out.cols)]
-    basis = completion(graph, ring.ambient, budget, block).basis
-    target = (1 - r) << shift   # the keys of positions below r are at least this
-    if d_out._gb is None:
-        image = VecBasis([], ring.ambient)
-        for v, lt in zip(basis.vecs, basis.lts):
-            if lt >= target:
-                image.append({k: c for k, c in v.items() if k >= target}, lt)
-        d_out._gb = _interreduce(image, budget)
-    return all(lt >= target for lt in basis.lts[len(block):])
+    B = (d_in.groebner_vectors(budget) if d_in is not None
+         else _relation_block(d_out.ring, d_out.source_rank, budget))
+    return not graph_syzygies(d_out, B.vecs, budget)
 
 
 class ResolutionCache:

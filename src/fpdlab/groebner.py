@@ -10,10 +10,11 @@ coefficient): the chain criterion, one pair per minimal lcm, the product
 criterion for vectors in one position, and no pair within the block, a
 Groebner basis that goes in first.  Over a field every lead is
 monic, so no G-pair arises and the engine is Buchberger (normal selection).
-Membership certificates (unit cofactors), kernels and image bases (in
-`modules`) read the engine's basis of a map's graph, `graph_groebner`:
-each generator is tagged in an extended free module, whose tag block sits
-below every original position; two ideals meet in A^2 of their own ring.
+Membership certificates (unit cofactors), and kernels, homology
+decisions and image bases (in `modules`), read the engine's basis of a
+map's graph, `graph_completion`: each generator is tagged in an extended
+free module, whose tag block sits below every original position; two
+ideals meet in A^2 of their own ring.
 """
 from __future__ import annotations
 
@@ -399,21 +400,22 @@ def vec_groebner(vecs: Sequence, ring: PolynomialRing, budget: Budget,
 # ---------------------------------------------------------------------------
 # Graphs of maps, membership lifts, polynomial-level bases
 
-def graph_groebner(vecs: Sequence, rank: int, ring: PolynomialRing, budget: Budget,
-                   block: Sequence = ()) -> VecBasis:
-    """Canonical Groebner basis of the graph of e_j -> vecs[j], generated by
-    (vecs[j], e_(rank + j)) in the free module of rank rank + len(vecs),
-    whose tag block sits below every original position, and `block`."""
+def graph_completion(vecs: Sequence, rank: int, ring: PolynomialRing, budget: Budget,
+                     block: Sequence = ()) -> VecBasis:
+    """The completed, unreduced basis of `block` and the graph of
+    e_j -> vecs[j], generated by (vecs[j], e_(rank + j)) in the free module
+    of rank rank + len(vecs), whose tag block sits below every original one."""
     shift = ring.codec.shift
     tagged = [{**v, -((rank + j) << shift): ring.domain.one()} for j, v in enumerate(vecs)]
-    return vec_groebner(tagged, ring, budget, block)
+    return completion(tagged, ring, budget, block).basis
 
 
 def vec_lift(target: dict, vecs: Sequence, rank: int, ring: PolynomialRing,
              budget: Budget) -> Optional[list]:
     """Polynomials h with target = sum h_j vecs[j], or None if no member:
     the normal form of target against the graph of e_j -> vecs[j]."""
-    r = vec_normal_form(target, graph_groebner(vecs, rank, ring, budget), budget)
+    graph = _interreduce(graph_completion(vecs, rank, ring, budget), budget)
+    r = vec_normal_form(target, graph, budget)
     shift = ring.codec.shift
     if r and max(r) >= (1 - rank) << shift:  # a term in a position below rank
         return None

@@ -47,6 +47,8 @@ def koszul_chain(ring: RingPresentation, gens: Sequence, top: int,
     """The chain up to d_top from each generator reduced modulo J once and,
     for d_2 on, the negative of each a_j with j >= 1 reduced once: over ZZ,
     the normal form of -g need not be minus that of g."""
+    if not gens:
+        raise StructuralError("Koszul complex needs at least one generator")
     gens = tuple(ring.poly(g) for g in gens)
     ranks = [comb(len(gens), i) for i in range(top + 1)]
     reduced = [ring.normal_form(g, budget) for g in gens]
@@ -113,8 +115,6 @@ def koszul_grade(I: IdealPresentation, gens: Sequence = None,
     else:
         gens = tuple(I.ring.poly(g) for g in gens)
         key = generator_key(I.ring, gens)
-    if not gens:
-        raise StructuralError("Koszul complex needs at least one generator")
     top = _top_nonvanishing(computer, gens, key, 0, budget)
     return GradeValue.infinite() if top is None else GradeValue.finite(len(gens) - top)
 

@@ -15,8 +15,9 @@ from itertools import groupby
 from typing import Sequence
 
 from .errors import Budget, StructuralError, ensure_budget
-from .groebner import (VecBasis, completion, graph_groebner, poly_to_vec,
-                       polys_to_vec, vec_groebner, vec_normal_form, vec_to_polys)
+from .groebner import (VecBasis, _interreduce, completion, graph_completion,
+                       poly_to_vec, polys_to_vec, vec_groebner, vec_normal_form,
+                       vec_to_polys)
 from .rings import Polynomial, PolynomialRing, RingPresentation
 
 
@@ -86,6 +87,7 @@ class FreeModuleMap:
         self.target_rank = target_rank
         self.cols = tuple(cols)
         self._gb = None
+        self._left = None  # an unreduced image basis `graph_syzygies` left
 
     @classmethod
     def of_vectors(cls, ring: RingPresentation, target_rank: int, cols: Sequence,
@@ -141,12 +143,16 @@ class FreeModuleMap:
         return not any(self.cols)
 
     def groebner_vectors(self, budget: Budget = None) -> VecBasis:
-        """Canonical Groebner basis of the image + J*e_t (cached; `kernel` fills it)."""
+        """Canonical Groebner basis of the image + J*e_t (cached): the basis
+        `graph_syzygies` left, reduced on this first read, or completed here."""
         if self._gb is None:
             budget = ensure_budget(budget)
-            block = _relation_block(self.ring, self.target_rank, budget)
-            self._gb = vec_groebner([v for v in self.cols if v], self.ring.ambient,
-                                    budget, block=block.vecs)
+            if self._left is not None:
+                self._gb, self._left = _interreduce(self._left, budget), None
+            else:
+                block = _relation_block(self.ring, self.target_rank, budget)
+                self._gb = vec_groebner([v for v in self.cols if v], self.ring.ambient,
+                                        budget, block=block.vecs)
         return self._gb
 
     def reduce(self, vec: dict, budget: Budget = None) -> dict:
@@ -209,35 +215,42 @@ def prune_generators(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap
     return FreeModuleMap._of_reduced(phi.ring, phi.target_rank, kept)
 
 
-def kernel(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:
-    """A map onto ker(phi) in R^source: its columns are in normal form
-    modulo J*e_j and not pruned.
-
-    The graph of phi, generated by (phi(e_j), e_j) in R^(target + source),
-    gets its Groebner basis with J adjoined in every position.  Its elements
-    led in the target block, cut to it, are phi's image basis, which they
-    fill when it is empty; the others generate ker(phi) + J*R^source there.
-    """
-    budget = ensure_budget(budget)
-    ring, r, n = phi.ring, phi.target_rank, phi.source_rank
-    basis = graph_groebner(phi.cols, r, ring.ambient, budget,
-                           _relation_block(ring, r + n, budget).vecs)
-    block = _relation_block(ring, n, budget)
-    image = VecBasis([], ring.ambient)
+def graph_syzygies(phi: FreeModuleMap, block: Sequence, budget: Budget) -> list:
+    """The elements that complete `block`, a Groebner basis of a submodule
+    S of R^source holding J*R^source, to one of ker(phi) + S, in R^source:
+    one completion of the graph of phi, (phi(e_j), e_(r+j)) for r =
+    target_rank, from J's basis in each target position and `block` in the
+    source ones, adds them led in the source positions.  Its elements led in
+    the target positions, cut to them, fill phi's empty image basis, unreduced."""
+    ring, r = phi.ring, phi.target_rank
     shift = ring.ambient.codec.shift
+    offset = r << shift
+    start = _relation_block(ring, r, budget).vecs + [
+        {k - offset: c for k, c in b.items()} for b in block]
+    basis = graph_completion(phi.cols, r, ring.ambient, budget, start)
     target = (1 - r) << shift   # the keys of positions below r are at least this
-    gens = []
-    for g, lt in zip(basis.vecs, basis.lts):
+    image = VecBasis([], ring.ambient)
+    added = []
+    for i, (v, lt) in enumerate(zip(basis.vecs, basis.lts)):
         if lt >= target:
-            image.append({k: c for k, c in g.items() if k >= target}, lt)
-            continue
-        offset = r << shift
-        reduced = vec_normal_form({k + offset: c for k, c in g.items()}, block, budget)
-        if reduced:
-            gens.append(reduced)
+            image.append({k: c for k, c in v.items() if k >= target}, lt)
+        elif i >= len(start):
+            added.append({k + offset: c for k, c in v.items()})
     if phi._gb is None:
-        phi._gb = image
-    return FreeModuleMap._of_reduced(ring, n, gens)
+        phi._left = image
+    return added
+
+
+def kernel(phi: FreeModuleMap, budget: Budget = None) -> FreeModuleMap:
+    """A map onto ker(phi) in R^source, not pruned: the reduced Groebner
+    basis of ker(phi) + J*R^source, each element in normal form modulo J*e_j
+    and the zero ones dropped."""
+    budget = ensure_budget(budget)
+    ring, n = phi.ring, phi.source_rank
+    J = _relation_block(ring, n, budget)
+    basis = VecBasis(J.vecs + graph_syzygies(phi, J.vecs, budget), ring.ambient)
+    gens = [vec_normal_form(v, J, budget) for v in _interreduce(basis, budget).vecs]
+    return FreeModuleMap._of_reduced(ring, n, [g for g in gens if g])
 
 
 def is_zero_subquotient(K: FreeModuleMap, Im: FreeModuleMap,

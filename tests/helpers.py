@@ -23,7 +23,7 @@ from fpdlab.groebner import (Completion, VecBasis, _interreduce, _xgcd,
                              exact_poly_div, groebner_basis_of_polys,
                              ideal_intersection_polys, polys_to_vec,
                              vec_normal_form, vec_to_polys)
-from fpdlab.modules import kernel, prune_generators
+from fpdlab.modules import _relation_block, kernel, prune_generators
 from fpdlab.rings import GREVLEX_KIND, LEX_KIND
 
 QQ = CoefficientDomain.QQ()
@@ -388,19 +388,22 @@ def reference_transpose(phi, budget) -> tuple:
 
 def reference_kernel(phi, budget) -> tuple:
     """The generators of `modules.kernel` as it built them from tuples of
-    polynomials: the graph's columns as polynomial tuples, and each kernel
-    element cut from the graph's Groebner basis and normalized entry by
-    entry."""
+    polynomials: the graph's columns as polynomial tuples, completed as an
+    ordinary submodule of R^(target + source) with J in every position, its
+    elements with no target term interreduced, and each cut to the source
+    positions and normalized entry by entry."""
     ring, r, n = phi.ring, phi.target_rank, phi.source_rank
     one, zero = ring.ambient.one(), ring.ambient.zero()
-    graph = FreeModuleMap._of_reduced(ring, r + n, [
-        polys_to_vec(col + tuple(one if k == j else zero for k in range(n)))
-        for j, col in enumerate(phi.generators)])
+    graph = [polys_to_vec(col + tuple(one if k == j else zero for k in range(n)))
+             for j, col in enumerate(phi.generators)]
+    block = _relation_block(ring, r + n, budget).vecs
+    syzygies = VecBasis([], ring.ambient)
+    for g in Completion(graph, ring.ambient, budget, block).basis.vecs:
+        if all(decode_term(ring.ambient, k)[0] >= r for k in g):
+            syzygies.append(g, max(g))
     gens = []
-    for g in graph.groebner_vectors(budget).vecs:
+    for g in _interreduce(syzygies, budget).vecs:
         g = decode_vec(g, ring.ambient)
-        if any(pos < r for pos, _ in g):
-            continue
         split = [{} for _ in range(n)]
         for (pos, m), c in g.items():
             split[pos - r][m] = c

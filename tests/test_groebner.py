@@ -149,8 +149,8 @@ def test_unit_ideal_decides_by_its_lift_basis_alone(monkeypatch):
     P = presentation(QQ, ("x", "y"))
     P.relations_groebner()
     calls = []
-    complete = groebner.vec_groebner
-    monkeypatch.setattr(groebner, "vec_groebner",
+    complete = groebner.completion
+    monkeypatch.setattr(groebner, "completion",
                         lambda *args, **kwargs: calls.append(1) or complete(*args, **kwargs))
     assert is_unit_ideal(P.ideal("x", "x + 1"))
     assert not is_unit_ideal(P.ideal("x", "y"))
@@ -307,14 +307,15 @@ def test_intersection_in_a2_spans_what_t_elimination_spans(domain, order, a, b):
 
 def test_the_annihilator_takes_no_kernel(monkeypatch):
     # the annihilator cross-checks Hom(R/I, R) = 0, which the resolution
-    # reads off the graph of d_1^T; with every kernel, graph basis and
+    # reads off the graph of d_1^T; with every kernel, graph completion and
     # homology decision refused it must still answer, so it stays a second
     # algorithm
     def refused(*args, **kwargs):
         raise AssertionError("the annihilator took the kernel route")
 
     for module, name in ((modules, "kernel"), (complexes, "kernel"),
-                         (groebner, "graph_groebner"), (modules, "graph_groebner"),
+                         (groebner, "graph_completion"), (modules, "graph_completion"),
+                         (modules, "graph_syzygies"), (complexes, "graph_syzygies"),
                          (complexes, "homology_is_zero")):
         monkeypatch.setattr(module, name, refused)
     R = presentation(QQ, ("x", "y"), ["x*y"])

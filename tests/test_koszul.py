@@ -56,6 +56,15 @@ def test_empty_generator_tuple_rejected():
         koszul_grade(P.ideal("x"), ())
 
 
+def test_koszul_chain_on_no_generators_is_a_structural_error():
+    # the chain itself refuses an empty tuple, so no homology decision is
+    # asked of two zero maps
+    P = presentation(QQ, ("x",))
+    for top in (0, 1):
+        with pytest.raises(StructuralError, match="at least one generator"):
+            koszul_chain(P, (), top)
+
+
 def test_degree_zero_homology_presents_the_quotient():
     # coker d_1 and the ideal have mutually reducing generators
     P = presentation(QQ, ("x", "y"), ["y^2"])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fpdlab import (Budget, FreeModuleMap, ResourceBudgetExceeded,
                     StructuralError, is_zero_subquotient, kernel)
-from fpdlab import modules
+from fpdlab import groebner, modules
+from fpdlab.complexes import homology_is_zero
 from fpdlab import GREVLEX, LEX
 from fpdlab.groebner import polys_to_vec, vec_groebner
 from fpdlab.modules import _relation_block, _tie_text, prune_generators
@@ -336,15 +337,46 @@ def test_vector_maps_match_the_polynomial_matrix_path(ring, t, k, s, data):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(st.sampled_from(_RINGS), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_kernel_leaves_the_canonical_image_basis(ring, t, k, data):
-    # the graph basis elements led in the target block, cut to it, are the
-    # basis `groebner_vectors` would complete, element for element
+    # the graph basis elements led in the target block, cut to it and
+    # reduced when first read, are the basis `groebner_vectors` would
+    # complete, element for element
     P = presentation(ring[0], ("x", "y"), ring[1])
     phi = FreeModuleMap(P, k, t, _matrix(P, t, k, data.draw))
     kernel(phi)
-    left = phi._gb
-    assert left is not None
-    block = _relation_block(P, t, Budget())
-    ref = vec_groebner([v for v in phi.cols if v], P.ambient, Budget(), block=block.vecs)
+    _assert_left_basis_is_canonical(phi)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(st.sampled_from(_RINGS), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_homology_decision_leaves_the_canonical_image_basis(ring, t, k, data):
+    # a homology decision at the source of d_out leaves d_out's image basis
+    # as `kernel` does, with no d_in or with d_in onto some of ker d_out
+    P = presentation(ring[0], ("x", "y"), ring[1])
+    matrix = _matrix(P, t, k, data.draw)
+    syzygies = kernel(FreeModuleMap(P, k, t, matrix)).cols
+    kept = data.draw(st.lists(st.sampled_from(syzygies), max_size=2)) if syzygies else []
+    d_in = data.draw(st.sampled_from(
+        [None, FreeModuleMap._of_reduced(P, k, kept)]))
+    d_out = FreeModuleMap(P, k, t, matrix)
+    homology_is_zero(d_out, d_in)
+    _assert_left_basis_is_canonical(d_out)
+
+
+def _assert_left_basis_is_canonical(phi):
+    """phi's image basis, read for the first time, runs no completion and
+    equals that of its columns with J*e_t completed afresh."""
+    assert phi._gb is None and phi._left is not None
+
+    def refused(*args, **kwargs):
+        raise AssertionError("reading the image basis ran a completion")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "Completion", refused)
+        left = phi.groebner_vectors()
+    block = _relation_block(phi.ring, phi.target_rank, Budget())
+    ref = vec_groebner([v for v in phi.cols if v], phi.ring.ambient, Budget(),
+                       block=block.vecs)
     assert (left.vecs, left.lts, left.lcs) == (ref.vecs, ref.lts, ref.lcs)
     assert phi.groebner_vectors() is left
 
