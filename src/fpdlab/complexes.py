@@ -98,6 +98,8 @@ class ResolutionCache:
         for n in range(len(self._diffs), i):
             last = self._diffs[-1]
             d = prune_generators(kernel(last, budget), budget)
+            if n >= 2:  # only d_1's image basis is read: unit verdict, `contains`
+                last._left = None
             if not last.compose(d, budget).is_zero():
                 raise InternalError(f"internal: resolution: d_{n} . d_{n + 1} is not zero")
             self._diffs.append(d)
@@ -113,7 +115,8 @@ class ResolutionCache:
 def generator_key(ring: RingPresentation, gens: Sequence) -> tuple:
     """The generators' terms, each generator scaled by the unit that makes
     its lead canonical (monic over fields, positive over ZZ): a unit
-    rescaling changes neither the ideal nor its Koszul homology."""
+    rescaling changes neither the ideal nor its derived work, so this keys
+    an ideal's `ExtComputer`."""
     dom, key = ring.domain, []
     for g in gens:
         u = dom.lc_normalizer(g.terms[0][1]) if g.terms else None
@@ -125,12 +128,11 @@ class ExtComputer:
     """All the derived work on one ideal I: whether 1 is in I (with unit
     cofactors per generator tuple of a unit I), its generators modulo J, a
     resolution of R/I extended on demand, the Ext^i(R/I, R) decisions read
-    off it, whether Ann(I) = 0, the default Koszul generators with their key,
-    and, per key of a generator tuple of I, its Koszul chain through d_m
-    (d.d = 0 checked) and the homology decisions on it.  An Ext decision
-    (Ext^0 once the annihilator agrees) is stored only once its check has
-    passed, and work cut short by a budget is not stored.  Not for concurrent
-    use; `ext_computer` keeps one per ideal."""
+    off it, whether Ann(I) = 0, and the Koszul generators with their one
+    Koszul chain through d_m (d.d = 0 checked) and its homology decisions.
+    An Ext decision (Ext^0 once the annihilator agrees) is stored only once
+    its check has passed, and work cut short by a budget is not stored.  Not
+    for concurrent use; `ext_computer` keeps one per ideal."""
 
     def __init__(self, I: IdealPresentation):
         self.ideal = I
@@ -140,9 +142,9 @@ class ExtComputer:
         self.resolution = None  # ResolutionCache of R/I, made on first use
         self.decided = {}       # i -> Ext^i(R/I, R) = 0
         self.ann_zero = None    # Ann(I) = 0, once computed
-        self.koszul_default = None  # (generators, key) that `koszul_grade` defaults to
-        self.chains = {}        # generator_key -> Koszul chain through d_m
-        self.koszul = {}        # generator_key -> {i: H_i of their Koszul chain = 0}
+        self.koszul_gens = None  # `koszul_generators()`, made on first use
+        self.chain = None       # their Koszul chain through d_m
+        self.koszul = {}        # i -> H_i of that chain = 0
 
     def unit_ideal(self, I: IdealPresentation, budget: Budget = None) -> UnitIdealResult:
         """Whether 1 is in I, for an I with this key, decided once against
@@ -170,14 +172,13 @@ class ExtComputer:
         return self.presentation
 
     def koszul_generators(self, budget: Budget = None) -> tuple:
-        """(gens, generator_key of gens), made once: the cyclic
+        """The generators the Koszul work takes, made once: the cyclic
         presentation's columns as polynomials, or I's generators when all
         are zero in R."""
-        if self.koszul_default is None:
+        if self.koszul_gens is None:
             columns = self.cyclic_presentation(budget).generators
-            gens = tuple(g for (g,) in columns) or self.ideal.generators
-            self.koszul_default = gens, generator_key(self.ideal.ring, gens)
-        return self.koszul_default
+            self.koszul_gens = tuple(g for (g,) in columns) or self.ideal.generators
+        return self.koszul_gens
 
     def annihilator_is_zero(self, budget: Budget = None) -> bool:
         """Ann(I) = 0, i.e. Hom(R/I, R) = 0, through the annihilator."""

@@ -32,8 +32,7 @@ class GradeReport:
     notes: tuple = ()
 
 
-def grade(I: IdealPresentation, with_koszul: Optional[bool] = None,
-          budget: Budget = None) -> GradeReport:
+def grade(I: IdealPresentation, budget: Budget = None) -> GradeReport:
     """Grade of I on R from the Ext-vanishing profile.
 
     The profile is searched through Ext^mu, mu the number of generators
@@ -65,10 +64,8 @@ def grade(I: IdealPresentation, with_koszul: Optional[bool] = None,
         raise InternalError(
             f"internal: Ext vanishes through degree {nonzero} for a proper "
             f"ideal with {nonzero} nonzero generators")
-    if with_koszul is None:
-        with_koszul = I.ring.domain.is_field
     cross = None
-    if with_koszul and nonzero:
+    if I.ring.domain.is_field and nonzero:
         cross = koszul_grade(I, budget=budget)
         if cross != value:
             raise InternalError(

@@ -15,20 +15,20 @@ from typing import Optional, Sequence
 
 from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .complexes import (ChainComplex, ExtComputer, ext_computer,
-                        ext_vanishing_profile, generator_key, homology_is_zero)
+                        ext_vanishing_profile, homology_is_zero)
 from .groebner import poly_to_vec
 from .modules import FreeModuleMap
 from .rings import IdealPresentation, RingPresentation
 from .values import GradeValue
 
 
-def _koszul_differentials(ring: RingPresentation, gens: Sequence, top: int,
+def _koszul_differentials(ring: RingPresentation, gens: Sequence,
                           negated: Sequence) -> list:
-    """d_1..d_top of the Koszul chain on gens (ranks vanish above len(gens)),
-    from the generators and their negatives in normal form modulo J."""
+    """d_1..d_m of the Koszul chain on the m gens, from the generators and
+    their negatives in normal form modulo J."""
     m = len(gens)
     diffs = []
-    for i in range(1, top + 1):
+    for i in range(1, m + 1):
         rows = list(combinations(range(m), i - 1))
         row_index = {s: t for t, s in enumerate(rows)}
         cols = []
@@ -42,19 +42,20 @@ def _koszul_differentials(ring: RingPresentation, gens: Sequence, top: int,
     return diffs
 
 
-def koszul_chain(ring: RingPresentation, gens: Sequence, top: int,
+def koszul_chain(ring: RingPresentation, gens: Sequence,
                  budget: Budget = None) -> ChainComplex:
-    """The chain up to d_top from each generator reduced modulo J once and,
-    for d_2 on, the negative of each a_j with j >= 1 reduced once: over ZZ,
-    the normal form of -g need not be minus that of g."""
+    """The chain through d_m from each of the m generators reduced modulo J
+    once and, for d_2 on, the negative of each a_j with j >= 1 reduced once:
+    over ZZ, the normal form of -g need not be minus that of g."""
     if not gens:
         raise StructuralError("Koszul complex needs at least one generator")
     gens = tuple(ring.poly(g) for g in gens)
-    ranks = [comb(len(gens), i) for i in range(top + 1)]
+    m = len(gens)
+    ranks = [comb(m, i) for i in range(m + 1)]
     reduced = [ring.normal_form(g, budget) for g in gens]
-    negated = [ring.normal_form(-g, budget) if j and top > 1 else None
+    negated = [ring.normal_form(-g, budget) if j else None
                for j, g in enumerate(gens)]
-    diffs = _koszul_differentials(ring, reduced, top, negated)
+    diffs = _koszul_differentials(ring, reduced, negated)
     try:
         return ChainComplex(ring, ranks, diffs, budget)
     except StructuralError as exc:
@@ -71,52 +72,42 @@ def koszul_homology_is_zero(K: ChainComplex, i: int, budget: Budget = None) -> b
                             K.differential(i + 1) if i < m else None, budget)
 
 
-def _chain(computer: ExtComputer, gens: tuple, key: tuple,
-           budget: Budget) -> ChainComplex:
-    """The Koszul chain on gens through d_m, built and checked once per key
-    on I's computer: a chain on unit multiples of gens is isomorphic to it."""
-    K = computer.chains.get(key)
-    if K is None:
-        K = computer.chains[key] = koszul_chain(computer.ideal.ring, gens,
-                                                len(gens), budget)
-    return K
+def _chain(computer: ExtComputer, budget: Budget) -> ChainComplex:
+    """The Koszul chain on I's Koszul generators, built and checked once
+    on I's computer."""
+    if computer.chain is None:
+        computer.chain = koszul_chain(computer.ideal.ring,
+                                      computer.koszul_generators(budget), budget)
+    return computer.chain
 
 
-def _top_nonvanishing(computer: ExtComputer, gens: tuple, key: tuple, low: int,
+def _top_nonvanishing(computer: ExtComputer, low: int,
                       budget: Budget) -> Optional[int]:
-    """The largest i >= low with H_i(K(gens)) != 0, or None, for gens with
-    generator_key `key`.  The scan reads I's store (`ExtComputer.koszul`),
-    takes the chain only for a missing decision and stores each one at
-    once: a scan cut short keeps them."""
-    known = computer.koszul.setdefault(key, {})
-    K = None
-    for i in range(len(gens), low - 1, -1):
+    """The largest i >= low with H_i != 0 on the Koszul generators, or
+    None.  The scan reads I's decisions (`ExtComputer.koszul`), takes the
+    chain only for a missing one and stores each one at once: a scan cut
+    short keeps them."""
+    known = computer.koszul
+    for i in range(len(computer.koszul_generators(budget)), low - 1, -1):
         if i not in known:
-            if K is None:
-                K = _chain(computer, gens, key, budget)
-            known[i] = koszul_homology_is_zero(K, i, budget)
+            known[i] = koszul_homology_is_zero(_chain(computer, budget), i, budget)
         if not known[i]:
             return i
     return None
 
 
-def koszul_grade(I: IdealPresentation, gens: Sequence = None,
-                 budget: Budget = None) -> GradeValue:
-    """len(gens) minus the top nonvanishing Koszul homology degree; INFINITE
-    when every homology module vanishes (the unit ideal).  No `gens` means
-    the columns of I's cyclic presentation, as in `grade` (a zero generator
-    only shifts the top degree), or I's generators when all are zero in R;
-    that tuple and its key are made once per computer.  Decisions already
-    made on unit multiples of gens in I's ring, and their chain, are reused."""
+def koszul_grade(I: IdealPresentation, budget: Budget = None) -> GradeValue:
+    """m minus the top nonvanishing Koszul homology degree on I's m Koszul
+    generators; INFINITE when every homology module vanishes (the unit
+    ideal).  They are the columns of I's cyclic presentation, as in
+    `grade` (a zero generator only shifts the top degree), or I's
+    generators when all are zero in R.  Decisions already made on I's ring,
+    and their chain, are reused."""
     budget = ensure_budget(budget)
     computer = ext_computer(I)
-    if gens is None:
-        gens, key = computer.koszul_generators(budget)
-    else:
-        gens = tuple(I.ring.poly(g) for g in gens)
-        key = generator_key(I.ring, gens)
-    top = _top_nonvanishing(computer, gens, key, 0, budget)
-    return GradeValue.infinite() if top is None else GradeValue.finite(len(gens) - top)
+    top = _top_nonvanishing(computer, 0, budget)
+    m = len(computer.koszul_generators(budget))
+    return GradeValue.infinite() if top is None else GradeValue.finite(m - top)
 
 
 @dataclass(frozen=True)
@@ -143,8 +134,12 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int,
     Exactness at positions 0..n is claimed when Ext^i(R/I, R) = 0 for
     i = 0..n, and checked: the dual's cohomology at position i is H_{m-i}
     (Bruns-Herzog, Prop. 1.6.10), which must vanish for i = 0..min(n, m).
-    For n < m, d_{n+1} comes from the chain through d_m that I's computer
-    keeps (built here if `koszul_grade` has not), which the check reads too."""
+    The check reads the decisions on I's Koszul generators a: with z of the
+    m zero in R and a the rest, H_j(K(a, 0^z)) is the sum of C(z, k) copies
+    of H_{j-k}(K(a)) over any ring, so it reads them from degree m - n - z
+    (when all are zero, a is all m and z is 0).  For n < m, d_{n+1} comes
+    from the chain on a that I's computer keeps when z is 0, and otherwise
+    from a chain on all m generators; for n >= m it is 0."""
     budget = ensure_budget(budget)
     if n < 0:
         raise StructuralError("index must be >= 0")
@@ -152,17 +147,16 @@ def dual_koszul_cokernel(I: IdealPresentation, n: int,
     if not m:
         raise StructuralError("the dual Koszul cokernel needs generators")
     computer = ext_computer(I)
-    # none zero in R: the same chain modulo J, keyed as `koszul` keys it
-    if computer.cyclic_presentation(budget).source_rank == m:
-        gens, key = computer.koszul_generators(budget)
+    z = m - len(computer.koszul_generators(budget))
+    if n >= m:
+        presentation = FreeModuleMap._of_reduced(I.ring, 0, [{}] * comb(m, n))
     else:
-        gens, key = I.generators, I.key
-    chain = (_chain(computer, gens, key, budget) if n < m
-             else koszul_chain(I.ring, gens, n + 1, budget))
-    presentation = chain.differential(n + 1).transpose()
+        chain = (_chain(computer, budget) if not z
+                 else koszul_chain(I.ring, I.generators, budget))
+        presentation = chain.differential(n + 1).transpose()
     profile = ext_vanishing_profile(I, n, budget)
     if all(profile):
-        top = _top_nonvanishing(computer, gens, key, max(m - n, 0), budget)
+        top = _top_nonvanishing(computer, max(m - n - z, 0), budget)
         if top is not None:
             raise InternalError(f"internal: Ext vanishes through degree {n} but "
                                 f"Koszul homology H_{top} does not")

@@ -90,13 +90,6 @@ class FreeModuleMap:
         self._left = None  # an unreduced image basis `graph_syzygies` left
 
     @classmethod
-    def of_vectors(cls, ring: RingPresentation, target_rank: int, cols: Sequence,
-                   budget: Budget = None) -> "FreeModuleMap":
-        """The map whose columns are the vectors `cols` of R^target_rank."""
-        return cls._of_reduced(ring, target_rank,
-                               _normal_forms(ring, target_rank, cols, budget))
-
-    @classmethod
     def _of_reduced(cls, ring: RingPresentation, target_rank: int,
                     cols: Sequence) -> "FreeModuleMap":
         """The map whose columns are the vectors `cols`, taken as they are:
@@ -134,9 +127,10 @@ class FreeModuleMap:
         if self.source_rank != other.target_rank:
             raise StructuralError(
                 f"composition rank mismatch: {self.source_rank} vs {other.target_rank}")
-        return FreeModuleMap.of_vectors(
+        cols = [_combine(self.cols, col, self.ring) for col in other.cols]
+        return FreeModuleMap._of_reduced(
             self.ring, self.target_rank,
-            [_combine(self.cols, col, self.ring) for col in other.cols], budget)
+            _normal_forms(self.ring, self.target_rank, cols, budget))
 
     def is_zero(self) -> bool:
         # every column is in normal form modulo J

@@ -6,8 +6,9 @@ reference for the vector normal form, the Polynomial-matrix path of the
 module layer, the intersection of two ideals by eliminating a fresh
 variable, the colon without its early stop, the row loop for
 finite-ring annihilators, the frozenset sweep over finite-ring ideals, a
-pure-Python build of finite quotient-ring tables, and whole free
-resolutions and their duals as `ChainComplex`es."""
+pure-Python build of finite quotient-ring tables, whole free
+resolutions and their duals as `ChainComplex`es, and the grade read off
+the Ext-vanishing profile alone."""
 from __future__ import annotations
 
 import heapq
@@ -15,9 +16,9 @@ from fractions import Fraction
 from itertools import product
 
 from fpdlab import (LEX, ChainComplex, CoefficientDomain, FreeModuleMap,
-                    InternalError, PolynomialRing, RingPresentation,
-                    StructuralError)
-from fpdlab.complexes import cyclic_presentation
+                    GradeValue, InternalError, PolynomialRing,
+                    RingPresentation, StructuralError)
+from fpdlab.complexes import cyclic_presentation, ext_vanishing_profile
 from fpdlab.errors import ensure_budget
 from fpdlab.groebner import (Completion, VecBasis, _interreduce, _xgcd,
                              exact_poly_div, groebner_basis_of_polys,
@@ -42,6 +43,17 @@ def poly_ring(domain, *variables, order=None):
 def presentation(domain, variables, relations=()):
     ambient = poly_ring(domain, *variables)
     return RingPresentation(ambient, [ambient.poly(r) for r in relations])
+
+
+def ext_grade(I) -> GradeValue:
+    """min{i : Ext^i(R/I, R) != 0} from `ext_vanishing_profile`, with no
+    Koszul cross-check; INFINITE for the unit ideal.  A proper ideal has
+    grade I <= ht I <= mu, so its profile must not vanish that far."""
+    for i in range(len(I.generators) + 1):
+        if not ext_vanishing_profile(I, i)[i]:
+            return GradeValue.finite(i)
+    assert I.contains("1"), f"Ext vanishes through degree {i} for a proper ideal"
+    return GradeValue.infinite()
 
 
 def monomials_up_to(ring: PolynomialRing, max_degree: int):

@@ -20,7 +20,8 @@ from fpdlab.finite_rings import (FiniteRing, brute_hom_vanishes, brute_is_dq,
 from fpdlab.groebner import groebner_basis_of_polys, normal_form_polys
 from fpdlab.invariants import COUNTEREXAMPLE, PASS
 from fpdlab.rings import PolynomialRing, RingPresentation
-from helpers import FF, QQ, ZZ, basis_polys, decoded_terms, poly_ring, presentation
+from helpers import (FF, QQ, ZZ, basis_polys, decoded_terms, ext_grade, poly_ring,
+                     presentation)
 
 
 class _Gate:
@@ -99,7 +100,7 @@ def test_criterion_2_regular_sequence_grades():
     for n in range(1, 5):
         P = presentation(QQ, tuple(f"x{i}" for i in range(1, n + 1)))
         I = P.ideal(*P.variables)
-        ext_route = grade(I, with_koszul=False).value
+        ext_route = ext_grade(I)
         koszul_route = koszul_grade(I)
         assert ext_route == GradeValue.finite(n), f"Ext route at n={n}: {ext_route}"
         assert koszul_route == GradeValue.finite(n), f"Koszul route at n={n}"

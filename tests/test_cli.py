@@ -188,9 +188,9 @@ def test_broken_library_complex_is_internal(monkeypatch):
     # library defect, not a fault of the input
     build = koszul._koszul_differentials
 
-    def broken(ring, gens, top, negated):
-        diffs = build(ring, gens, top, negated)
-        if top >= 2:
+    def broken(ring, gens, negated):
+        diffs = build(ring, gens, negated)
+        if len(gens) >= 2:
             d2 = diffs[1]
             diffs[1] = FreeModuleMap(ring, d2.source_rank, d2.target_rank,
                                      [["1"] * d2.source_rank] * d2.target_rank)
@@ -211,7 +211,7 @@ def test_resolution_that_breaks_d_d_is_internal(monkeypatch):
     def broken(K, budget=None):
         pruned = prune(K, budget)
         e1 = {encode_term(K.ring.ambient, 0, (0,) * K.ring.ambient.nvars): K.ring.domain.one()}
-        return FreeModuleMap.of_vectors(K.ring, K.target_rank, pruned.cols + (e1,))
+        return FreeModuleMap._of_reduced(K.ring, K.target_rank, pruned.cols + (e1,))
 
     monkeypatch.setattr("fpdlab.complexes.prune_generators", broken)
     records, code = run("ring R = QQ[x,y]/(x*y); ideal m = (x, y); ext m 1;")

@@ -22,7 +22,7 @@ def test_resolution_of_maximal_ideal_is_koszul_shaped():
     C = free_resolution_of_quotient(I, 2)
     assert C.ranks == (1, 2, 1)
     # mutual reduction against the Koszul differentials: equal images
-    K = koszul_chain(P, I.generators, 2)
+    K = koszul_chain(P, I.generators)
     for i in (1, 2):
         im_res, im_kos = C.differential(i), K.differential(i)
         assert is_zero_subquotient(im_res, im_kos, verify_containment=False)
@@ -85,7 +85,7 @@ def test_dualize_transposes_and_reverses():
 
 def test_dualize_koszul_first_step():
     P = presentation(QQ, ("x", "y"))
-    K = koszul_chain(P, (P.poly("x"), P.poly("y")), 2)
+    K = koszul_chain(P, (P.poly("x"), P.poly("y")))
     D = dualize(K)
     # the last dual differential is the column map R -> R^2 with entries x, y
     d_top = D.diffs[-1]

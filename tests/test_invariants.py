@@ -4,7 +4,8 @@ import pytest
 from fpdlab import (ExtComputer, GradeValue, StructuralError,
                     UnsupportedDomainError, UnsupportedInputError, dq_dw_local,
                     fpd_bound, fpd_criterion_check, grade,
-                    is_cohen_macaulay_graded, is_gv, is_semiregular)
+                    is_cohen_macaulay_graded, is_gv, is_semiregular,
+                    koszul_grade)
 from fpdlab.invariants import COUNTEREXAMPLE, EXACT, LOWER_BOUND, PASS
 from helpers import FF, QQ, ZZ, presentation
 
@@ -41,9 +42,11 @@ def test_grade_default_bound_always_determines_proper_ideals():
 
 def test_grade_over_integers():
     P = presentation(ZZ, ("x",))
-    rep = grade(P.ideal("2", "x"), with_koszul=True)
+    I = P.ideal("2", "x")
+    rep = grade(I)
     assert rep.value == GradeValue.finite(2)
-    assert rep.koszul_cross_check == GradeValue.finite(2)
+    assert rep.koszul_cross_check is None  # the cross-check runs over fields
+    assert koszul_grade(I) == rep.value
 
 
 @pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
@@ -54,8 +57,8 @@ def test_zz_koszul_grade_agrees_with_ext_on_every_maximal_ideal(k):
                                            f"a*c - {k}*b^2", "b^3 - c^2"])
     for p in (2, 3, 5):
         expected = GradeValue.finite(1 if k % p == 0 else 2)
-        rep = grade(P.ideal(str(p), "a", "b", "c"), with_koszul=True)
-        assert (rep.value, rep.koszul_cross_check) == (expected, expected)
+        I = P.ideal(str(p), "a", "b", "c")
+        assert (grade(I).value, koszul_grade(I)) == (expected, expected)
 
 
 def test_semiregular_cases():

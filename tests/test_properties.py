@@ -5,21 +5,27 @@ membership soundness; reduced-basis uniqueness under generator permutation;
 grade monotonicity under ideal inclusion; grade invariance under
 generating-set change; GV implies semi-regular; pair elimination returns
 the basis of the all-pairs completion; one completion decides each homology
-as the reference kernel and the subquotient do.
+as the reference kernel and the subquotient do; the dual Koszul cokernel
+agrees with the Koszul chain on all the generators, zero ones included.
 """
+from math import comb
+from unittest import mock
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fpdlab import (GREVLEX, LEX, FreeModuleMap, RingPresentation, grade, is_gv,
-                    is_semiregular, normal_form_polys)
-from fpdlab.complexes import ResolutionCache, cyclic_presentation, homology_is_zero
+from fpdlab import (GREVLEX, LEX, FreeModuleMap, InternalError, RingPresentation,
+                    dual_koszul_cokernel, is_gv, is_semiregular, koszul,
+                    normal_form_polys)
+from fpdlab.complexes import (ResolutionCache, cyclic_presentation,
+                              ext_vanishing_profile, homology_is_zero)
 from fpdlab.errors import Budget
 from fpdlab.groebner import groebner_basis_of_polys, polys_to_vec, vec_groebner
-from fpdlab.koszul import koszul_chain
+from fpdlab.koszul import koszul_chain, koszul_homology_is_zero
 from fpdlab.modules import _relation_block, is_zero_subquotient
 from helpers import (FF, QQ, ZZ, assert_is_vec_groebner, basis_polys, decode_basis,
-                     free_resolution_of_quotient, poly_ring, reference_kernel,
-                     reference_vec_groebner)
+                     ext_grade, free_resolution_of_quotient, poly_ring,
+                     reference_kernel, reference_vec_groebner)
 
 SUITE = settings(max_examples=200, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.too_slow,
@@ -67,7 +73,7 @@ def test_koszul_differentials_compose_to_zero(domain, term_lists):
     gens = _mk_polys(P.ambient, term_lists)
     if not gens:
         return
-    K = koszul_chain(P, gens, len(gens))  # the constructor verifies d.d = 0
+    K = koszul_chain(P, gens)  # the constructor verifies d.d = 0
     for i in range(1, K.length):
         assert K.differential(i).compose(K.differential(i + 1)).is_zero()
 
@@ -146,8 +152,8 @@ def test_grade_monotone_under_inclusion(domain, relation, inner, extra):
     P = _quotient(domain, relation)
     I = P.ideal(*inner)
     J = P.ideal(*(inner + extra))
-    gI = grade(I, with_koszul=False).value
-    gJ = grade(J, with_koszul=False).value
+    gI = ext_grade(I)
+    gJ = ext_grade(J)
     assert _grade_leq(gI, gJ), f"grade({I}) = {gI} > grade({J}) = {gJ}"
 
 
@@ -166,9 +172,9 @@ def test_grade_invariant_under_generating_set_change(domain, relation, gens,
     enlarged = base + [combo]
     shuffled = list(base)
     rng.shuffle(shuffled)
-    g0 = grade(P.ideal(*base), with_koszul=False).value
-    g1 = grade(P.ideal(*enlarged), with_koszul=False).value
-    g2 = grade(P.ideal(*shuffled), with_koszul=False).value
+    g0 = ext_grade(P.ideal(*base))
+    g1 = ext_grade(P.ideal(*enlarged))
+    g2 = ext_grade(P.ideal(*shuffled))
     assert g0 == g1 == g2
 
 
@@ -267,8 +273,63 @@ def test_homology_is_zero_agrees_with_kernel_and_subquotient(domain, order, rela
     for i in range(3):
         _agree(duals[i + 1], duals[i])
     # the Koszul chain on the generators, from H_m (no d_in) to H_0 (no d_out)
-    K = koszul_chain(P, gens, len(gens))
+    K = koszul_chain(P, gens)
     m = K.length
     for i in range(m + 1):
         _agree(K.differential(i) if i > 0 else None,
                K.differential(i + 1) if i < m else None)
+
+
+# --- suite 9: the dual Koszul cokernel against the full chain ----------------
+
+def _reference_dual_cokernel(I, n):
+    """The profile, whether H_j = 0 for j >= max(m - n, 0), and d*_{n+1}'s
+    matrix texts (None past the top) and shape, from the Koszul chain on
+    all m of I's generators, zero ones included."""
+    m = len(I.generators)
+    K = koszul_chain(I.ring, I.generators)
+    koszul_exact = all(koszul_homology_is_zero(K, j) for j in range(max(m - n, 0), m + 1))
+    if n < m:
+        d = K.differential(n + 1).transpose()
+        texts = [[str(e) for e in row] for row in d.matrix]
+        shape = (d.target_rank, d.source_rank)
+    else:
+        texts, shape = None, (0, comb(m, n))
+    return ext_vanishing_profile(I, n), koszul_exact, texts, shape
+
+
+@SUITE
+@given(st.sampled_from([QQ, FF(5), ZZ]), st.sampled_from(_HOMOLOGY_RELATIONS),
+       st.lists(_poly_strategy(2), min_size=1, max_size=2),
+       st.lists(st.booleans(), max_size=2), st.randoms(use_true_random=False),
+       st.integers(0, 5))
+def test_dual_koszul_cokernel_agrees_with_the_full_chain(domain, relation, term_lists,
+                                                         zeros, rng, n):
+    P = _quotient(domain, relation)
+    gens = [g for g in _mk_polys(P.ambient, term_lists) if not P.is_zero_element(g)]
+    if not gens:
+        return
+    # 0-2 generators zero in R: 0, or the relation itself
+    texts = [str(g) for g in gens] + [relation if relation and r else "0" for r in zeros]
+    rng.shuffle(texts)
+    m = len(texts)
+    n = min(n, m + 1)
+    # each side parses a ring of its own, so neither reads the other's work
+    ideal = lambda: _quotient(domain, relation).ideal(*texts)
+    profile, koszul_exact, matrix, shape = _reference_dual_cokernel(ideal(), n)
+    res = dual_koszul_cokernel(ideal(), n)
+    assert (res.profile, res.exactness_verified) == (profile, all(profile))
+    assert (res.presentation.target_rank, res.presentation.source_rank) == shape
+    if matrix is not None:
+        assert [[str(e) for e in row] for row in res.presentation.matrix] == matrix
+    assert koszul_exact or not all(profile)
+    # with Ext forced to vanish, the Koszul check decides: it must fail
+    # exactly when some H_j, j >= max(m - n, 0), of the full chain does not
+    # vanish, which it reads off the nonzero generators' chain
+    forced = lambda I, n, budget=None: (True,) * (n + 1)
+    with mock.patch.object(koszul, "ext_vanishing_profile", forced):
+        try:
+            checked = dual_koszul_cokernel(ideal(), n).exactness_verified
+        except InternalError:
+            checked = False
+    assert checked == koszul_exact
