@@ -6,6 +6,12 @@ I reuse them.
 Resolutions are not minimal (Ext does not depend on the resolution); they
 are built step by step with the kernel operation, so quotient rings of
 infinite global dimension are fine: only finitely many steps are requested.
+
+Over ZZ an ideal that holds a prime p regular on R takes no resolution over
+ZZ.  By Rees' lemma (Bruns-Herzog, Lemma 3.1.16), Ext^0_R(R/I, R) = 0 and
+Ext^(i+1)_R(R/I, R) = Ext^i_(R/pR)(R/I, R/pR), and R/pR = FF_p[x]/(J mod p)
+is decided by the field engine (`ExtComputer.route`).  Every other ideal
+is resolved over its own ring.
 """
 from __future__ import annotations
 
@@ -15,7 +21,8 @@ from .errors import Budget, InternalError, StructuralError, ensure_budget
 from .groebner import UnitIdealResult, annihilator, is_unit_ideal
 from .modules import (FreeModuleMap, _relation_block, graph_syzygies, kernel,
                       prune_generators)
-from .rings import IdealPresentation, RingPresentation
+from .rings import (_PRIME_TEST_BOUND, IdealPresentation, RingPresentation,
+                    _is_prime)
 
 
 class ChainComplex:
@@ -126,19 +133,21 @@ def generator_key(ring: RingPresentation, gens: Sequence) -> tuple:
 
 class ExtComputer:
     """All the derived work on one ideal I: whether 1 is in I (with unit
-    cofactors per generator tuple of a unit I), its generators modulo J, a
-    resolution of R/I extended on demand, the Ext^i(R/I, R) decisions read
-    off it, whether Ann(I) = 0, and the Koszul generators with their one
-    Koszul chain through d_m (d.d = 0 checked) and its homology decisions.
-    An Ext decision (Ext^0 once the annihilator agrees) is stored only once
-    its check has passed, and work cut short by a budget is not stored.  Not
-    for concurrent use; `ext_computer` keeps one per ideal."""
+    cofactors per generator tuple of a unit I), its generators modulo J, the
+    route through R/pR or a resolution of R/I extended on demand, the
+    Ext^i(R/I, R) decisions read off either, whether Ann(I) = 0, and the
+    Koszul generators with their one Koszul chain through d_m (d.d = 0
+    checked) and its homology decisions.  An Ext decision (Ext^0 once the
+    annihilator agrees) is stored only once its check has passed, and work
+    cut short by a budget is not stored.  Not for concurrent use;
+    `ext_computer` keeps one per ideal."""
 
     def __init__(self, I: IdealPresentation):
         self.ideal = I
         self.has_one = None     # whether 1 is in I, once decided
         self.cofactors = {}     # a unit I's generator terms -> its UnitIdealResult
         self.presentation = None  # cyclic_presentation(I), made on first use
+        self.low = None         # `route()` once decided: I/pR's computer, or False
         self.resolution = None  # ResolutionCache of R/I, made on first use
         self.decided = {}       # i -> Ext^i(R/I, R) = 0
         self.ann_zero = None    # Ann(I) = 0, once computed
@@ -146,15 +155,52 @@ class ExtComputer:
         self.chain = None       # their Koszul chain through d_m
         self.koszul = {}        # i -> H_i of that chain = 0
 
-    def unit_ideal(self, I: IdealPresentation, budget: Budget = None) -> UnitIdealResult:
-        """Whether 1 is in I, for an I with this key, decided once against
-        the cyclic presentation's image basis (the key fixes the ideal); only
-        a unit I gets `is_unit_ideal`, once per generator tuple, for
-        cofactors over its own generators."""
+    def route(self, budget: Budget = None) -> Optional["ExtComputer"]:
+        """The computer of I/pR on R/pR when I holds a prime p regular on
+        R, else None; decided once.  It applies over ZZ when J meets ZZ in
+        0 (its basis has no constant lead; otherwise p*(n/p) = n = 0 makes
+        every prime a zero divisor), p is the first column of the cyclic
+        presentation that is a constant +-p, p prime, and Ann(p) = 0, which
+        the computer of (p) keeps.  Ann(I) lies in Ann(p), so Ann(I) = 0."""
+        if self.low is None:
+            low = self._lower(budget)
+            if low is not None:
+                if self.ann_zero is False:
+                    raise InternalError("internal: Ann(I) is not zero, but I "
+                                        "holds a prime that is regular on R")
+                self.ann_zero = True
+            self.low = low or False
+        return self.low or None
+
+    def _lower(self, budget: Budget) -> Optional["ExtComputer"]:
+        """`route()`'s computer, when its conditions hold."""
+        ring = self.ideal.ring
+        if ring.domain.is_field or 0 in ring.relations_groebner(budget).lts:
+            return None
+        cols = self.cyclic_presentation(budget).cols
+        constants = (abs(c[0]) for c in cols if len(c) == 1 and 0 in c)
+        p = next((n for n in constants if n < _PRIME_TEST_BOUND and _is_prime(n)), None)
+        if p is None or not ext_computer(ring.ideal(p)).annihilator_is_zero(budget):
+            return None
+        low = ring.modulo(p)
+        return ext_computer(low.ideal(*(low.ambient._of_codes(c) for c in cols)))
+
+    def contains_one(self, budget: Budget = None) -> bool:
+        """Whether 1 is in I, decided once: on the route by I/pR, since p is
+        in I and so I = R exactly when I/pR = R/pR, and otherwise against
+        the cyclic presentation's image basis."""
         if self.has_one is None:
-            self.has_one = self.cyclic_presentation(budget).contains(
-                (I.ring.ambient.one(),), budget)
-        if not self.has_one:
+            low = self.route(budget)
+            self.has_one = (low.contains_one(budget) if low is not None
+                            else self.cyclic_presentation(budget).contains(
+                                (self.ideal.ring.ambient.one(),), budget))
+        return self.has_one
+
+    def unit_ideal(self, I: IdealPresentation, budget: Budget = None) -> UnitIdealResult:
+        """Whether 1 is in I, for an I with this key (`contains_one`; the
+        key fixes the ideal); only a unit I gets `is_unit_ideal`, once per
+        generator tuple, for cofactors over its own generators."""
+        if not self.contains_one(budget):
             return UnitIdealResult(False)
         terms = tuple(g.terms for g in I.generators)
         if terms not in self.cofactors:
@@ -188,11 +234,16 @@ class ExtComputer:
         return self.ann_zero
 
     def ext_is_zero(self, i: int, budget: Budget = None) -> bool:
-        """Ext^i(R/I, R) = 0, read off the resolution."""
+        """Ext^i(R/I, R) = 0: on the route Ext^0 = 0 and Ext^i is Ext^(i-1)
+        of I/pR on R/pR, and otherwise it is read off the resolution."""
         if i < 0:
             raise StructuralError("Ext degree must be >= 0")
         budget = ensure_budget(budget)
         if i not in self.decided:
+            low = self.route(budget)
+            if low is not None:
+                self.decided[i] = i == 0 or low.ext_is_zero(i - 1, budget)
+                return self.decided[i]
             if self.resolution is None:
                 self.resolution = ResolutionCache(self.cyclic_presentation(budget))
             d_out = self.resolution.dual(i + 1, budget)

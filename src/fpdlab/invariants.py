@@ -4,7 +4,11 @@ detection for graded-local rings.
 
 grade(I) = min{i : Ext^i(R/I, R) != 0}; the unit ideal gets the INFINITE
 marker by convention (flagged in every report).  Over field coefficients the
-Koszul route cross-checks every determined grade.
+Koszul route cross-checks every determined grade.  Over ZZ an ideal that
+holds a prime p regular on R takes its Ext decisions, its unit verdict and
+Ann(I) = 0 from I/pR on R/pR (Rees' lemma, `complexes.ExtComputer.route`),
+so its grade is 1 + grade(I/pR); every other ZZ ideal is resolved over ZZ.
+Neither kind of ZZ grade is cross-checked by Koszul.
 """
 from __future__ import annotations
 

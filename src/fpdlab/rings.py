@@ -8,10 +8,11 @@ order.  Exponent tuples are encoded once (`PolynomialRing.from_dict`).
 Every value here is immutable after construction, apart from what a ring
 or an ideal computes once and keeps: a ring's basis of J, its text, its
 irrelevant ideal, whether it is the zero ring and whether J is homogeneous,
-its Krull dimension, and its `derived` store; an ideal's key and generator
-texts.  Like a `Budget`, these are not for concurrent use.  The ambient
-polynomial ring A[x1..xn] is a `PolynomialRing`; a quotient
-R = A[x1..xn]/J is a `RingPresentation` holding the relation ideal J.
+its Krull dimension, its quotients R/pR, and its `derived` store; an
+ideal's key and generator texts.  Like a `Budget`, these are not for
+concurrent use.  The ambient polynomial ring A[x1..xn] is a
+`PolynomialRing`; a quotient R = A[x1..xn]/J is a `RingPresentation`
+holding the relation ideal J.
 """
 from __future__ import annotations
 
@@ -481,10 +482,10 @@ class RingPresentation:
     Empty relations give the polynomial ring itself.  The reduced (field) or
     normalized strong (ZZ) Groebner basis of J, a `VecBasis`, the ring's
     text, its irrelevant ideal, whether it is the zero ring and whether J is
-    homogeneous are each computed once, on first use, and so is its Krull
-    dimension (`groebner.krull_dimension`).  `derived` keeps all
-    the work on the ring's ideals that `ext_computer` shares between calls;
-    an equal ring built afresh starts cold.
+    homogeneous are each computed once, on first use, and so are its Krull
+    dimension (`groebner.krull_dimension`) and each R/pR (`modulo`).
+    `derived` keeps all the work on the ring's ideals that `ext_computer`
+    shares between calls; an equal ring built afresh starts cold.
     """
 
     def __init__(self, ambient: PolynomialRing, relations: Sequence = ()):
@@ -499,6 +500,7 @@ class RingPresentation:
         self._zero_ring = None
         self._homogeneous = None
         self.dimension = None   # the Krull dimension, once `krull_dimension` has it
+        self._modulo = {}       # p -> R/pR
         self.derived = {}
 
     @property
@@ -537,6 +539,16 @@ class RingPresentation:
         if self._zero_ring is None:
             self._zero_ring = self.is_zero_element(self.ambient.one(), budget)
         return self._zero_ring
+
+    def modulo(self, p: int) -> "RingPresentation":
+        """R/pR = FF(p)[x1..xn]/(J mod p) for a prime p, made once per p.
+        The variables and the order are R's, so the codec is too: each
+        relation carries over term by term, its coefficients reduced mod p."""
+        if p not in self._modulo:
+            ambient = PolynomialRing(CoefficientDomain.FF(p), self.variables, self.order)
+            self._modulo[p] = RingPresentation(
+                ambient, [ambient._of_codes(dict(r.terms)) for r in self.relations])
+        return self._modulo[p]
 
     def ideal(self, *gens) -> "IdealPresentation":
         return IdealPresentation(self, gens)

@@ -1,10 +1,14 @@
 """Chain complexes, free resolutions, dualization, Ext vanishing decisions."""
 import pytest
 from fpdlab import (Budget, ChainComplex, ExtComputer, FreeModuleMap,
-                    StructuralError, annihilator, ext_vanishing_profile)
-from fpdlab.complexes import ResolutionCache, cyclic_presentation
+                    ResourceBudgetExceeded, StructuralError, annihilator,
+                    ext_vanishing_profile)
+from fpdlab.cli import CliConfig, run_command
+from fpdlab.complexes import (ResolutionCache, cyclic_presentation, ext_computer,
+                              homology_is_zero)
 from fpdlab.koszul import koszul_chain
 from fpdlab.modules import is_zero_subquotient
+from fpdlab.script import parse
 from helpers import (FF, QQ, ZZ, dualize, free_resolution,
                      free_resolution_of_quotient, presentation)
 
@@ -161,3 +165,63 @@ def test_regular_sequence_profile_boundary():
         I = P.ideal(*P.variables)
         prof = ext_vanishing_profile(I, m)
         assert prof == tuple([True] * m + [False])
+
+
+FLAGSHIP = ("ring R = ZZ[a,b,c]/(a^2 - 4*b, a*b - 2*c, a*c - 2*b^2, b^3 - c^2); "
+            "ideal m = (3, a, b, c); ")
+
+
+def test_the_flagship_maximal_ideal_is_decided_over_its_residue_field():
+    # 3 is regular on ZZ[2X, X^2, X^3], a subring of ZZ[X]: Ext^0 = 0 and
+    # Ext^(i+1) over ZZ is Ext^i of (a, b, c) over R/3R = FF3[X] (Rees)
+    script = parse(FLAGSHIP + "criterion m 1; grade m;")
+    records = [run_command(script, c, CliConfig()) for c in script.commands()]
+    assert records[0]["result"]["profile"] == [True, True]
+    assert records[1]["result"]["value"] == "2"
+    computer = ext_computer(script.ideals["m"])
+    low = computer.route()
+    assert str(low.ideal.ring) == "FF3[a,b,c]/(a^2 + 2*b, a*b + c, b^2 + a*c, b^3 + 2*c^2)"
+    assert low.resolution is not None and computer.resolution is None
+    # Ann(m) lies in Ann(3) = 0, and 1 is not in m since it is not in m/3R:
+    # neither the annihilator of m nor an image basis of m over ZZ is made
+    assert computer.ann_zero is True and computer.has_one is False
+    assert computer.presentation._gb is None and computer.presentation._left is None
+    assert script.rings["R"].modulo(3) is low.ideal.ring
+
+
+@pytest.mark.parametrize("relations, gens", [
+    (["2*x"], ("2", "x", "y")),            # 2 is a zero divisor: 2*x = 0
+    (["4", "x^2 + 2*x"], ("2", "x")),      # J meets ZZ in (4): 2*2 = 0
+    ([], ("6", "x")),                      # 6 is not prime
+    ([], ("x", "y")),                      # no constant generator
+])
+def test_the_route_declines_without_a_regular_prime(relations, gens):
+    I = presentation(ZZ, ("x", "y"), relations).ideal(*gens)
+    computer = ext_computer(I)
+    profile = ext_vanishing_profile(I, 2)
+    assert computer.route() is None and computer.resolution is not None
+    # the profile is the one read off the resolution over ZZ
+    J = presentation(ZZ, ("x", "y"), relations).ideal(*gens)
+    res = ResolutionCache(cyclic_presentation(J))
+    assert profile == tuple(homology_is_zero(res.dual(i + 1), res.dual(i) if i else None)
+                            for i in range(3))
+
+
+def test_a_unit_ideal_on_the_route_still_gets_its_cofactors():
+    # 1 is in (2, 2x + 1) since it is in (0, 1) modulo 2
+    I = presentation(ZZ, ("x",)).ideal("2", "2*x + 1")
+    assert ext_vanishing_profile(I, 2) == (True, True, True)
+    unit = ext_computer(I).unit_ideal(I)
+    assert ext_computer(I).route() is not None
+    assert [str(c) for c in unit.cofactors] == ["-x", "1"]
+
+
+def test_a_route_cut_short_by_the_budget_stores_nothing():
+    I = presentation(ZZ, ("a", "b", "c"),
+                     ["a^2 - 4*b", "a*b - 2*c", "a*c - 2*b^2", "b^3 - c^2"]
+                     ).ideal("3", "a", "b", "c")
+    computer = ext_computer(I)
+    with pytest.raises(ResourceBudgetExceeded):
+        computer.ext_is_zero(1, Budget(max_steps=5))
+    assert computer.low is None and computer.decided == {}
+    assert computer.ext_is_zero(1) and computer.route() is not None

@@ -6,7 +6,9 @@ grade monotonicity under ideal inclusion; grade invariance under
 generating-set change; GV implies semi-regular; pair elimination returns
 the basis of the all-pairs completion; one completion decides each homology
 as the reference kernel and the subquotient do; the dual Koszul cokernel
-agrees with the Koszul chain on all the generators, zero ones included.
+agrees with the Koszul chain on all the generators, zero ones included;
+an ideal over ZZ that holds a regular prime has the Ext profile of its
+resolution over ZZ.
 """
 from math import comb
 from unittest import mock
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from fpdlab import (GREVLEX, LEX, FreeModuleMap, InternalError, RingPresentation,
                     dual_koszul_cokernel, is_gv, is_semiregular, koszul,
                     normal_form_polys)
-from fpdlab.complexes import (ResolutionCache, cyclic_presentation,
+from fpdlab.complexes import (ResolutionCache, cyclic_presentation, ext_computer,
                               ext_vanishing_profile, homology_is_zero)
 from fpdlab.errors import Budget
 from fpdlab.groebner import groebner_basis_of_polys, polys_to_vec, vec_groebner
@@ -333,3 +335,33 @@ def test_dual_koszul_cokernel_agrees_with_the_full_chain(domain, relation, term_
         except InternalError:
             checked = False
     assert checked == koszul_exact
+
+
+# --- suite 10: Ext over ZZ through FF_p against the resolution over ZZ ------
+
+# relations with J meeting ZZ in 0, so that 2, 3 or 5 is regular or a zero
+# divisor by the relation alone
+_ZZ_RELATION_POOL = [None, "x^2 - 2*y", "x*y - 3", "2*x", "x^2 + y^2 - 1",
+                     "3*x*y - y^2", "x*y"]
+
+
+@SUITE
+@given(st.sampled_from(_ZZ_RELATION_POOL), st.sampled_from([2, 3, 5]),
+       st.lists(_poly_strategy(2), min_size=0, max_size=2), st.integers(0, 2))
+def test_ext_over_a_regular_prime_equals_the_resolution_over_zz(relation, p, term_lists,
+                                                                at):
+    # each side parses a ring of its own, so neither reads the other's work
+    def ideal():
+        P = _quotient(ZZ, relation)
+        gens = [str(g) for g in _mk_polys(P.ambient, term_lists)]
+        return P.ideal(*gens[:at], str(p), *gens[at:])
+
+    I = ideal()
+    routed = ext_vanishing_profile(I, 3)
+    if at == 0:
+        # p is the first column, and the route takes it when it is regular
+        regular = is_semiregular(_quotient(ZZ, relation).ideal(str(p)))
+        assert (ext_computer(I).route() is not None) == regular
+    res = ResolutionCache(cyclic_presentation(ideal()))
+    assert routed == tuple(homology_is_zero(res.dual(i + 1), res.dual(i) if i else None)
+                           for i in range(4))

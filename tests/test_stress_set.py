@@ -34,3 +34,23 @@ def test_integer_curve_grades(k, p):
     # maximal ideal (p, a, b, c) kills the image of a = kX in R/pR, whose
     # depth is then 0: grade 1.  Otherwise R/pR is FF_p[X], a domain: grade 2
     assert _result(f"zz{k}-grade-p{p}")["value"] == ("1" if k % p == 0 else "2")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_integer_curve_grades_at_six(k):
+    # (6, a, b, c) holds no prime, so the ZZ engine decides it.  By the
+    # Chinese remainder theorem R/(6, a, b, c) = R/m_2 x R/m_3, so its Ext
+    # is the sum of theirs and its grade is the smaller of the two
+    assert _result(f"zz{k}-grade-n6")["value"] == ("1" if k % 2 == 0 or k % 3 == 0 else "2")
+
+
+@pytest.mark.parametrize("k, profile", [
+    # 2 and 3 do not divide 5: R/2R and R/3R are FF_p[X], so each Ext^i(R/m_p, R)
+    # is nonzero at i = 2 alone
+    (5, [True, True, False, True]),
+    # 2 divides 6: R/2R has depth 0 and dimension 1, so it is not Gorenstein
+    # and each Ext^i(R/m_2, R) with i >= 1 is nonzero (Roberts)
+    (6, [True, False, False, False]),
+])
+def test_integer_curve_ext_at_six(k, profile):
+    assert _result(f"zz{k}-ext3-n6")["vanishes_through"] == profile
